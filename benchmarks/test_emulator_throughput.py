@@ -1,15 +1,19 @@
-"""Emulator engine-tier throughput: fast and jit engines vs legacy.
+"""Emulator engine throughput: the compiled engines vs legacy.
 
-The acceptance bars, engine by engine, with bit-identity proven by the
-differential suite (``tests/runtime/test_differential.py``) and the
-speedups proven here:
+``jit`` and ``fast`` run the same compiled instruction semantics
+(``repro.runtime.jit``): ``jit`` dispatches superblocks, ``fast`` is the
+same compiler at a block cap of one and dispatches single-instruction
+functions only.  The acceptance bars, engine by engine, with
+bit-identity proven by the differential suite
+(``tests/runtime/test_differential.py``) and the speedups proven here:
 
 - ``fast`` (``repro.runtime.fastpath``): ≥ 2× executions/second over
   ``legacy`` on the Kocher-sample fuzzing loop, carrying over to a real
   target (jsmn, ≥ 1.5×).
-- ``jit`` (``repro.runtime.jit``): ≥ 2× architectural executions/second
-  over ``fast`` on dense perf-input streams of both workloads (the
-  ``jit_speedup_vs_fast`` BENCH fields below).
+- ``jit``: ≥ 2× architectural executions/second over ``fast`` on dense
+  perf-input streams of both workloads (the ``jit_speedup_vs_fast`` BENCH
+  fields below) — what superblocks gain over single-instruction
+  dispatch of the same generated code.
 
 Every registered engine is measured — a newly plugged-in engine shows up
 in the BENCH rows automatically; only the engines named above carry

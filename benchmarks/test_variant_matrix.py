@@ -4,9 +4,9 @@ Not a paper figure: the paper evaluates conditional-branch (Spectre-PHT)
 misprediction only.  This benchmark measures the cost of the speculation
 models that extend the reproduction past the paper — fuzzing throughput
 and detected-site counts per variant, on both emulator engines, over the
-planted gadget-sample targets.  Dynamic model sites force the fast engine
-onto its generic fallback thunks, so this is also the regression gauge
-for how much of the fast path a variant run retains.
+planted gadget-sample targets.  Dynamic model sites force the compiled
+engines onto legacy-handler fallbacks, so this is also the regression
+gauge for how much of the compiled path a variant run retains.
 
 Emits ``BENCH_variant_matrix.json`` via the ``bench_record`` fixture.
 """

@@ -35,9 +35,6 @@ setup(
     entry_points={
         "console_scripts": [
             "repro=repro.api.cli:main",
-            # Deprecated shims; use `repro campaign` / `repro harden`.
-            "repro-campaign=repro.campaign.cli:deprecated_main",
-            "repro-harden=repro.hardening.cli:deprecated_main",
         ],
     },
     classifiers=[

@@ -25,6 +25,7 @@ from repro.minic.compiler import compile_source
 from repro.analysis.metrics import DetectionScore, classify_reports
 from repro.targets import get_target
 from repro.targets.injection import inject_gadgets
+from repro.plugins import DEFAULT_ENGINE
 
 #: SpecTaint's Table 3 numbers as reported in the SpecTaint paper (the
 #: artifact could not be re-run; see paper §7.2 and Appendix B.8.2).
@@ -61,7 +62,7 @@ def run_figure7(
     programs: Sequence[str] = ("jsmn", "libyaml", "libhtp", "brotli", "openssl"),
     input_size: int = 200,
     tools: Sequence[str] = ("spectaint", "specfuzz", "teapot"),
-    engine: str = "fast",
+    engine: str = DEFAULT_ENGINE,
 ) -> List[RuntimeRow]:
     """Figure 7: normalized run time of each tool on each program.
 
@@ -196,7 +197,7 @@ def run_table3(
     fuzz_iterations: int = 40,
     seed: int = 1234,
     workers: int = 1,
-    engine: str = "fast",
+    engine: str = DEFAULT_ENGINE,
 ) -> List[InjectionRow]:
     """Table 3: detection of artificially injected gadgets.
 
@@ -279,7 +280,7 @@ def run_table4(
     fuzz_iterations: int = 40,
     seed: int = 99,
     workers: int = 1,
-    engine: str = "fast",
+    engine: str = DEFAULT_ENGINE,
 ) -> List[VanillaRow]:
     """Table 4: gadgets found in the unmodified binaries.
 
@@ -359,7 +360,7 @@ def run_hardening_matrix(
     tool: str = "teapot",
     iterations: int = 400,
     seed: int = 1234,
-    engine: str = "fast",
+    engine: str = DEFAULT_ENGINE,
     perf_input_size: int = 200,
 ) -> List[HardeningRow]:
     """Harden every target with every strategy and verify by re-fuzzing.
@@ -410,7 +411,7 @@ def run_matrix(
     workers: int = 1,
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
-    engine: str = "fast",
+    engine: str = DEFAULT_ENGINE,
 ) -> CampaignSummary:
     """Run a whole-suite campaign matrix and return its summary.
 

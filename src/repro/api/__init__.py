@@ -21,8 +21,7 @@ Three layers, one import::
 
 * **CLI** — the ``repro`` console script (``python -m repro.api``)
   drives everything: ``repro fuzz | campaign | harden | report | bench |
-  targets``.  The older ``repro-campaign``/``repro-harden`` scripts
-  remain as deprecated shims.
+  targets``.
 
 The tests in ``tests/api/test_public_surface.py`` pin ``__all__``; grow
 it deliberately.

@@ -18,8 +18,7 @@ Subcommands::
 ``fuzz``, ``report``, ``bench`` and ``targets`` are implemented directly
 over :mod:`repro.api`'s Pipeline builder and :class:`~repro.api.result.
 RunResult` artifact; ``campaign`` and ``harden`` forward to the
-subsystem CLIs (whose standalone ``repro-campaign``/``repro-harden``
-scripts are now deprecated shims of these subcommands).
+subsystem CLIs.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from typing import Optional, Sequence
 
 import repro.api as api
 from repro._version import __version__
+from repro.plugins import DEFAULT_ENGINE
 
 #: Subcommands forwarded verbatim to the subsystem CLIs.
 _FORWARDED = {
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="detector tool (default: teapot)")
     fuzz.add_argument("--variant", default="vanilla",
                       help="binary variant (default: vanilla)")
-    fuzz.add_argument("--engine", default="fast",
+    fuzz.add_argument("--engine", default=DEFAULT_ENGINE,
                       help=f"emulator engine ({', '.join(api.engine_names())})")
     fuzz.add_argument("--variants", default="pht",
                       help="comma-separated speculation variants to simulate "
@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "methodology)")
     bench.add_argument("--target", required=True)
     bench.add_argument("--variant", default="vanilla")
-    bench.add_argument("--engine", default="fast")
+    bench.add_argument("--engine", default=DEFAULT_ENGINE)
     bench.add_argument("--input-size", type=int, default=200)
     bench.add_argument("--tools", default=",".join(api.BENCH_TOOLS),
                        help="comma-separated tools to measure "

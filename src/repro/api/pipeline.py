@@ -45,6 +45,7 @@ from repro.hardening.pipeline import (
     verify_patch,
 )
 from repro.plugins import (
+    DEFAULT_ENGINE,
     SCHEDULER_REGISTRY,
     engine_names,
     model_names,
@@ -91,7 +92,7 @@ def pipeline(
     target: Optional[str] = None,
     variant: str = "vanilla",
     tool: str = "teapot",
-    engine: str = "fast",
+    engine: str = DEFAULT_ENGINE,
     seed: int = 1234,
     workers: int = 1,
     max_input_size: int = 1024,
@@ -125,7 +126,7 @@ class Pipeline:
         target: Optional[str] = None,
         variant: str = "vanilla",
         tool: str = "teapot",
-        engine: str = "fast",
+        engine: str = DEFAULT_ENGINE,
         seed: int = 1234,
         workers: int = 1,
         max_input_size: int = 1024,
@@ -135,7 +136,7 @@ class Pipeline:
         self._target: Optional[str] = None
         self._variant = "vanilla"
         self._tool = "teapot"
-        self._engine = "fast"
+        self._engine = DEFAULT_ENGINE
         self._seed = seed
         self._workers = max(1, workers)
         self._max_input_size = max_input_size

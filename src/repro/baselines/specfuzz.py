@@ -52,6 +52,7 @@ from repro.runtime.speculation import (
 )
 from repro.sanitizers.policy import SpecFuzzPolicy
 from repro.core.instrumentation import _access_info
+from repro.plugins import DEFAULT_ENGINE
 
 
 @dataclass
@@ -66,8 +67,9 @@ class SpecFuzzConfig:
     coverage: bool = True
     allowlist_frame_accesses: bool = True
     max_steps: int = 5_000_000
-    #: emulator engine ("fast" or "legacy"); results are engine-invariant.
-    engine: str = "fast"
+    #: emulator engine ("jit", "fast" or "legacy"); results are
+    #: engine-invariant.
+    engine: str = DEFAULT_ENGINE
     #: speculation variants to simulate.  The real SpecFuzz is PHT-only;
     #: the model subsystem extends the baseline past the original tool.
     variants: Tuple[str, ...] = ("pht",)

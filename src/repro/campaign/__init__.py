@@ -10,8 +10,8 @@ once:
   pool, syncs sharded corpora between rounds, and checkpoints after each;
 * :class:`ReportStore` deduplicates gadget reports by site across workers;
 * :func:`summarize` renders the Table-3/Table-4-style summary;
-* ``python -m repro.campaign`` (or the ``repro-campaign`` console script)
-  drives the whole suite from the command line.
+* ``repro campaign`` (or ``python -m repro.campaign``) drives the whole
+  suite from the command line.
 
 See ``docs/campaigns.md`` for the CLI and the JSON checkpoint format.
 """

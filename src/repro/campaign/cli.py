@@ -1,4 +1,4 @@
-"""``python -m repro.campaign`` / ``repro-campaign``: the campaign CLI.
+"""``repro campaign`` / ``python -m repro.campaign``: the campaign CLI.
 
 Runs a whole-suite fuzzing matrix and prints a Table-4-style per-target
 gadget table.  Examples::
@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence
 
 from repro.campaign.scheduler import run_campaign
 from repro.campaign.spec import TOOLS, VARIANTS, CampaignSpec
-from repro.plugins import scheduler_names
+from repro.plugins import DEFAULT_ENGINE, scheduler_names
 from repro.runtime.fastpath import engine_names
 from repro.targets import injectable_targets, runnable_targets
 
@@ -43,7 +43,7 @@ def _parse_list(text: str, choices: Sequence[str], what: str) -> List[str]:
     return values
 
 
-def build_parser(prog: str = "repro-campaign") -> argparse.ArgumentParser:
+def build_parser(prog: str = "repro campaign") -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=prog,
         description="Parallel multi-target Spectre-gadget fuzzing campaigns.",
@@ -83,11 +83,12 @@ def build_parser(prog: str = "repro-campaign") -> argparse.ArgumentParser:
     parser.add_argument("--max-input-size", type=int, default=1024,
                         help="mutation size cap in bytes (default: 1024)")
     parser.add_argument("--engine", choices=tuple(engine_names()),
-                        default="fast",
-                        help="emulator engine (default: fast); every engine "
-                             "produces identical results — jit is the "
-                             "block-compiled throughput tier, legacy keeps "
-                             "the reference implementation selectable")
+                        default=DEFAULT_ENGINE,
+                        help=f"emulator engine (default: {DEFAULT_ENGINE}); "
+                             "every engine produces identical results — "
+                             "fast is the compiled engine one instruction "
+                             "at a time, legacy keeps the reference "
+                             "implementation selectable")
     parser.add_argument("--scheduler", choices=tuple(scheduler_names()),
                         default="pool",
                         help="campaign scheduler plugin (default: pool — "
@@ -143,7 +144,7 @@ def build_parser(prog: str = "repro-campaign") -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None,
-         prog: str = "repro-campaign") -> int:
+         prog: str = "repro campaign") -> int:
     parser = build_parser(prog=prog)
     args = parser.parse_args(argv)
 
@@ -330,13 +331,6 @@ def main(argv: Optional[Sequence[str]] = None,
         # artifact are already safe on disk, so exit quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-
-
-def deprecated_main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point of the deprecated ``repro-campaign`` console script."""
-    print("repro-campaign is deprecated; use `repro campaign` "
-          "(same arguments) — see docs/api.md", file=sys.stderr)
-    return main(argv)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,8 @@ import hashlib
 from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
+from repro.plugins import DEFAULT_ENGINE
+
 #: Detector tools a campaign can drive.
 TOOLS = ("teapot", "specfuzz", "spectaint")
 #: Binary variants: the unmodified workload or the Table-3 injected build.
@@ -61,7 +63,7 @@ class JobSpec:
     #: emulator engine ("fast"/"jit"/"legacy"); execution detail, never
     #: affects results (the engines are differentially tested to be
     #: identical).
-    engine: str = "fast"
+    engine: str = DEFAULT_ENGINE
     #: speculation variant this job simulates ("pht", "btb", "rsb", "stl").
     #: The third matrix axis: each variant of a group gets its own jobs.
     spec_variant: str = "pht"
@@ -139,7 +141,7 @@ class JobSpec:
             iterations=int(record.get("iterations", 0)),
             seed=int(record.get("seed", 0)),
             max_input_size=int(record.get("max_input_size", 1024)),
-            engine=str(record.get("engine", "fast")),
+            engine=str(record.get("engine", DEFAULT_ENGINE)),
             spec_variant=str(record.get("spec_variant", "pht")),
             timeout_s=float(record.get("timeout_s", 0.0)),
             max_attempts=int(record.get("max_attempts", 1)),
@@ -181,7 +183,7 @@ class CampaignSpec:
     #: differentially tested to produce identical results, so it is
     #: excluded from the checkpoint fingerprint and a campaign may be
     #: resumed on a different engine.
-    engine: str = "fast"
+    engine: str = DEFAULT_ENGINE
     #: Speculation variants: the third matrix axis (alongside target and
     #: tool) — every group fans into one job set per variant.  Excluded
     #: from the checkpoint fingerprint like ``engine``, so a checkpointed
@@ -356,7 +358,7 @@ class CampaignSpec:
             workers=int(record.get("workers", 1)),
             derive_seeds=bool(record.get("derive_seeds", True)),
             skip_uninjectable=bool(record.get("skip_uninjectable", True)),
-            engine=str(record.get("engine", "fast")),
+            engine=str(record.get("engine", DEFAULT_ENGINE)),
             spec_variants=tuple(record.get("spec_variants", ("pht",))),
             job_timeout_s=float(record.get("job_timeout_s", 0.0)),
             job_max_attempts=int(record.get("job_max_attempts", 1)),

@@ -27,6 +27,7 @@ from repro.fuzzing.fuzzer import Fuzzer, FuzzTarget
 from repro.loader.binary_format import TelfBinary
 from repro.targets import get_target
 from repro.targets.injection import compile_vanilla, inject_gadgets
+from repro.plugins import DEFAULT_ENGINE
 
 #: Per-process caches; keyed by (target, variant) and (target, variant, tool).
 _BINARY_CACHE: Dict[Tuple[str, str], TelfBinary] = {}
@@ -77,7 +78,7 @@ def compiled_binary(target_name: str, variant: str) -> TelfBinary:
     return _BINARY_CACHE[key]
 
 
-def _tool_config(tool: str, variant: str, engine: str = "fast",
+def _tool_config(tool: str, variant: str, engine: str = DEFAULT_ENGINE,
                  spec_variant: str = "pht"):
     """The detector configuration for one (tool, variant) combination.
 
@@ -130,7 +131,7 @@ def instrumented_binary(target_name: str, tool: str, variant: str) -> TelfBinary
 
 
 def build_runtime(target_name: str, tool: str, variant: str,
-                  engine: str = "fast", spec_variant: str = "pht"):
+                  engine: str = DEFAULT_ENGINE, spec_variant: str = "pht"):
     """A fresh runtime (coverage maps and all) for one job."""
     config = _tool_config(tool, variant, engine, spec_variant)
     binary = instrumented_binary(target_name, tool, variant)

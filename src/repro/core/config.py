@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Tuple
 
+from repro.plugins import DEFAULT_ENGINE
+
 
 @dataclass
 class TeapotConfig:
@@ -44,13 +46,13 @@ class TeapotConfig:
     allowlist_frame_accesses: bool = True
     #: maximum emulator steps per execution (hang protection for fuzzing).
     max_steps: int = 5_000_000
-    #: emulator engine: ``"fast"`` (decoded-trace dispatch + copy-on-write
-    #: rollback journaling), ``"jit"`` (block-compiled generated code over
-    #: the fast engine, persistent compiled-block cache) or ``"legacy"``
-    #: (generic dispatch + full-state checkpoints).  All produce
-    #: bit-identical results — see ``docs/emulator.md`` and the
+    #: emulator engine: ``"jit"`` (block-compiled generated code +
+    #: copy-on-write rollback journaling, persistent compiled-block cache),
+    #: ``"fast"`` (the same compiled engine one instruction at a time) or
+    #: ``"legacy"`` (generic dispatch + full-state checkpoints).  All
+    #: produce bit-identical results — see ``docs/emulator.md`` and the
     #: differential test harness.
-    engine: str = "fast"
+    engine: str = DEFAULT_ENGINE
     #: speculation variants to simulate ("pht", "btb", "rsb", "stl", or any
     #: ``@register_model`` plugin).  The default matches the paper:
     #: conditional-branch misprediction only.  See ``docs/variants.md``.

@@ -1,17 +1,17 @@
-"""``python -m repro.hardening`` / ``repro-harden``: the hardening CLI.
+"""``repro harden`` / ``python -m repro.hardening``: the hardening CLI.
 
 Closes the loop from a fuzzing campaign's report output to a verified,
 overhead-accounted hardened binary.  Examples::
 
     # Detect, patch with targeted fences, verify, and print the account.
-    repro-harden --target gadgets --strategy fence --iterations 400
+    repro harden --target gadgets --strategy fence --iterations 400
 
     # Compare every strategy on the injected jsmn build, JSON to a file.
-    repro-harden --target jsmn --variant injected --strategy all \
+    repro harden --target jsmn --variant injected --strategy all \
         --iterations 200 --json jsmn-hardening.json
 
     # Patch from a previously saved report file instead of re-fuzzing.
-    repro-harden --target gadgets --strategy mask --report-in reports.json
+    repro harden --target gadgets --strategy mask --report-in reports.json
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.runtime.fastpath import engine_names
 from repro.hardening.pipeline import detect_reports, run_hardening
 from repro.sanitizers.reports import GadgetReport
 from repro.targets import runnable_targets
+from repro.plugins import DEFAULT_ENGINE
 
 
 def load_reports(path: str) -> List[GadgetReport]:
@@ -45,7 +46,7 @@ def load_reports(path: str) -> List[GadgetReport]:
     return [GadgetReport.from_dict(record) for record in payload]
 
 
-def build_parser(prog: str = "repro-harden") -> argparse.ArgumentParser:
+def build_parser(prog: str = "repro harden") -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=prog,
         description="Report-guided mitigation synthesis with re-fuzz "
@@ -70,8 +71,8 @@ def build_parser(prog: str = "repro-harden") -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=1234,
                         help="campaign seed (default: 1234)")
     parser.add_argument("--engine", choices=tuple(engine_names()),
-                        default="fast",
-                        help="emulator engine (default: fast)")
+                        default=DEFAULT_ENGINE,
+                        help=f"emulator engine (default: {DEFAULT_ENGINE})")
     parser.add_argument("--variants", default="pht", dest="spec_variants",
                         help="comma-separated speculation variants both "
                              "campaigns simulate (pht, btb, rsb, stl; "
@@ -91,7 +92,7 @@ def build_parser(prog: str = "repro-harden") -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None,
-         prog: str = "repro-harden") -> int:
+         prog: str = "repro harden") -> int:
     parser = build_parser(prog=prog)
     args = parser.parse_args(argv)
 
@@ -181,13 +182,6 @@ def main(argv: Optional[Sequence[str]] = None,
     # gate on "the patches actually worked".
     failed = any(result.residual for result in results)
     return 1 if failed else 0
-
-
-def deprecated_main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point of the deprecated ``repro-harden`` console script."""
-    print("repro-harden is deprecated; use `repro harden` "
-          "(same arguments) — see docs/api.md", file=sys.stderr)
-    return main(argv)
 
 
 if __name__ == "__main__":

@@ -50,10 +50,11 @@ from repro.rewriting.reassemble import reassemble
 from repro.runtime.fastpath import resolve_engine
 from repro.sanitizers.reports import GadgetReport
 from repro.targets import get_target
+from repro.plugins import DEFAULT_ENGINE
 
 
 def measure_cycles(binary: TelfBinary, input_data: bytes,
-                   engine: str = "fast") -> int:
+                   engine: str = DEFAULT_ENGINE) -> int:
     """Cycle count of one native (uninstrumented) execution."""
     emulator_cls, _ = resolve_engine(engine)
     result = emulator_cls(binary).run(input_data)
@@ -363,7 +364,7 @@ def detect_reports(
     iterations: int = 400,
     rounds: int = 1,
     seed: int = 1234,
-    engine: str = "fast",
+    engine: str = DEFAULT_ENGINE,
     spec_variants=("pht",),
 ) -> List[GadgetReport]:
     """Run the detection campaign alone and return its unique reports.
@@ -385,7 +386,7 @@ def run_hardening(
     iterations: int = 400,
     rounds: int = 1,
     seed: int = 1234,
-    engine: str = "fast",
+    engine: str = DEFAULT_ENGINE,
     perf_input_size: int = 200,
     reports: Optional[Iterable[GadgetReport]] = None,
     progress=None,
@@ -394,7 +395,7 @@ def run_hardening(
     """Run the full detect → patch → verify → account loop for one target.
 
     ``reports`` short-circuits the detection campaign with pre-recorded
-    gadget reports (e.g. from a previous ``repro-campaign`` run); their PCs
+    gadget reports (e.g. from a previous ``repro campaign`` run); their PCs
     must refer to the deterministic instrumented build of the same
     (target, tool, variant), which is what every campaign fuzzes.
     ``spec_variants`` selects the speculation variants both the detection

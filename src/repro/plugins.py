@@ -133,6 +133,11 @@ class PluginRegistry:
 #: :mod:`repro.runtime.fastpath`.
 ENGINE_REGISTRY = PluginRegistry("emulator engine")
 
+#: The engine every ``engine=`` knob and ``--engine`` flag defaults to.
+#: Engines are result-invariant; the block-compiled ``jit`` engine is the
+#: fastest on every layer of the instrumented fuzz loop.
+DEFAULT_ENGINE = "jit"
+
 #: Hardening strategies: name -> factory ``(sites) -> RewritePass``.
 #: Populated by :mod:`repro.hardening.passes`.
 PASS_REGISTRY = PluginRegistry("hardening strategy")

@@ -80,7 +80,7 @@ class ExecutionResult:
 class Emulator:
     """Executes a TELF binary over fuzz inputs."""
 
-    #: engine name reported to telemetry; the fast engine overrides it.
+    #: engine name reported to telemetry; the compiled engines override it.
     engine_name = "legacy"
 
     def __init__(
@@ -190,10 +190,10 @@ class Emulator:
 
         Only installed when *dynamic* speculation models (BTB/RSB/STL, i.e.
         anything beyond the checkpoint-driven PHT default) are active, so
-        the classic configuration pays nothing.  The fast engine builds
-        fallback thunks for exactly these opcodes, which funnels both
-        engines through the handlers below — one implementation, zero
-        drift.
+        the classic configuration pays nothing.  The compiled engines run
+        these opcodes' source sites through legacy-handler fallbacks,
+        which funnels every engine through the handlers below — one
+        implementation, zero drift.
         """
         dyn = self._dynamic_models
         self._indirect_models = tuple(m for m in dyn if m.predicts_indirect)

@@ -1,368 +1,24 @@
-"""The fast emulator engine: decoded-trace dispatch over specialized thunks.
+"""Engine resolution and the ``fast`` engine.
 
-:class:`FastEmulator` executes the same TELF binaries as the legacy
-:class:`~repro.runtime.emulator.Emulator`, bit-for-bit — same
-:class:`~repro.runtime.emulator.ExecutionResult`, same gadget reports, same
-coverage maps and same cycle counts (the differential test harness in
-``tests/runtime/test_differential.py`` enforces this) — but restructures
-the two per-instruction hot paths:
-
-**Decoded-trace dispatch.**  At construction every instruction is compiled
-into a specialized *thunk*: a closure with the operand decoding already
-performed.  Register operands become plain list indices, immediates become
-pre-wrapped ints, branch targets and fall-through addresses become
-pre-computed program counters, the cycle cost becomes a constant, and the
-per-instruction DIFT tag propagation of
-:meth:`repro.sanitizers.dift.BinaryDift.propagate` becomes a specialized
-tag thunk.  The main loop is then one dictionary lookup and one call per
-step — no opcode dispatch table, no cost-model lookup, no pseudo-op set
-membership test and no ``isinstance`` operand inspection.  Where legal, a
-``cmp`` directly followed by the ``jcc`` that consumes its flags is fused
-into a single thunk with both branch targets pre-resolved (fall-throughs
-*into* the ``jcc`` from elsewhere still hit its standalone thunk).
-
-**Copy-on-write rollback.**  The fast engine pairs with
+:class:`FastEmulator` is the compiled engine of :mod:`repro.runtime.jit`
+at a block cap of one instruction: it builds no block module and
+dispatches only single-instruction functions, compiled from the same
+emitters as the jit engine's blocks on first dispatch.  It pairs with
 :class:`~repro.runtime.speculation.JournalingSpeculationController`:
 entering speculation records only a journal mark, every register/memory
-write while ≥ 1 checkpoint is live appends an undo entry to the machine's
+write while a checkpoint is live appends an undo entry to the machine's
 :class:`~repro.runtime.machine.StateJournal`, and rollback replays the
-journal segment in reverse instead of restoring full snapshots.
-
-Rare or intricate operations (``ecall``, indirect calls/jumps, taint
-sources, in-simulation policy checks) fall back to the legacy handlers
-inherited from :class:`Emulator`, so their semantics cannot drift.
+journal segment in reverse instead of restoring full snapshots.  Both
+compiled engines reproduce the legacy
+:class:`~repro.runtime.emulator.Emulator` bit for bit (enforced by
+``tests/runtime/test_differential.py``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
-
-from repro.isa.instructions import ConditionCode, Instruction, Opcode
-from repro.isa.operands import Imm, Mem, Reg
-from repro.runtime.emulator import (
-    EXIT_SENTINEL,
-    Emulator,
-    ExecutionResult,
-    _PSEUDO_SET,
-)
-from repro.runtime.errors import (
-    ArithmeticFault,
-    MemoryFault,
-    ProgramCrash,
-    ProgramExit,
-)
 from repro.plugins import ENGINE_REGISTRY, register_engine
-from repro.runtime.machine import MASK64, to_signed, to_unsigned
-from repro.sanitizers.dift import ALL_TAGS
-
-SIGN_BIT = 1 << 63
-TWO64 = 1 << 64
-
-SP_IDX = 14
-RET_IDX = 0
-
-_FROM_BYTES = int.from_bytes
-
-#: Condition-code evaluators over a Flags object (mirrors Flags.evaluate).
-_CC_FUNCS: Dict[ConditionCode, Callable] = {
-    ConditionCode.EQ: lambda f: f.zero,
-    ConditionCode.NE: lambda f: not f.zero,
-    ConditionCode.LT: lambda f: f.sign != f.overflow,
-    ConditionCode.GE: lambda f: f.sign == f.overflow,
-    ConditionCode.LE: lambda f: f.zero or f.sign != f.overflow,
-    ConditionCode.GT: lambda f: not f.zero and f.sign == f.overflow,
-    ConditionCode.B: lambda f: f.carry,
-    ConditionCode.AE: lambda f: not f.carry,
-    ConditionCode.BE: lambda f: f.carry or f.zero,
-    ConditionCode.A: lambda f: not f.carry and not f.zero,
-}
-
-_ALU_INLINE = frozenset(
-    {
-        Opcode.ADD,
-        Opcode.SUB,
-        Opcode.MUL,
-        Opcode.AND,
-        Opcode.OR,
-        Opcode.XOR,
-        Opcode.SHL,
-        Opcode.SHR,
-        Opcode.SAR,
-    }
-)
-
-_FREE_PSEUDOS = frozenset(
-    {
-        Opcode.NOP,
-        Opcode.MEMLOG,
-        Opcode.DIFT_PROP,
-        Opcode.DIFT_BATCH,
-        Opcode.MARKER_NOP,
-        Opcode.GUARD_CHECK,
-    }
-)
-
-
-def _ea_fn(mem: Mem):
-    """Specialized effective-address evaluator ``regs -> addr``.
-
-    Returns ``None`` when the displacement is still symbolic (the legacy
-    handler raises the descriptive error for those).
-    """
-    disp = mem.disp
-    if not isinstance(disp, int):
-        return None
-    base = int(mem.base) if mem.base is not None else None
-    index = int(mem.index) if mem.index is not None else None
-    scale = mem.scale
-    if base is not None and index is None:
-        if disp == 0:
-            return lambda regs, b=base: regs[b]
-        return lambda regs, b=base, d=disp: (regs[b] + d) & MASK64
-    if base is not None:
-        return lambda regs, b=base, i=index, s=scale, d=disp: (
-            (regs[b] + regs[i] * s + d) & MASK64
-        )
-    if index is not None:
-        return lambda regs, i=index, s=scale, d=disp: (regs[i] * s + d) & MASK64
-    return lambda regs, c=disp & MASK64: c
-
-
-def _val_fn(operand):
-    """Specialized value reader ``regs -> value`` for a Reg/Imm operand."""
-    if isinstance(operand, Reg):
-        return lambda regs, i=int(operand.reg): regs[i]
-    if isinstance(operand, Imm):
-        return lambda regs, v=to_unsigned(operand.value): v
-    return None
-
-
-def _imm_target(instr: Instruction) -> Optional[int]:
-    """Pre-resolved branch target of a direct branch, if any."""
-    if instr.operands and isinstance(instr.operands[0], Imm):
-        return to_unsigned(instr.operands[0].value)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Specialized DIFT propagation (mirrors BinaryDift.propagate exactly)
-# ---------------------------------------------------------------------------
-
-def _dift_fn(instr: Instruction, flip: int):
-    """A specialized tag-propagation thunk ``(dift, machine) -> None``.
-
-    Returns ``None`` for instructions that move no data (control flow,
-    system ops, pseudo-ops), for which :meth:`BinaryDift.propagate` is a
-    no-op.  Any operand shape the specializations do not cover falls back
-    to the generic ``propagate`` call, so behaviour cannot diverge.
-    """
-    opcode = instr.opcode
-    ops = instr.operands
-
-    def generic(d, m, i=instr):
-        try:
-            d.propagate(i, m)
-        except MemoryFault:
-            pass
-
-    if opcode is Opcode.MOV:
-        if len(ops) == 2 and isinstance(ops[0], Reg):
-            di = int(ops[0].reg)
-            if isinstance(ops[1], Reg):
-                si = int(ops[1].reg)
-
-                def f(d, m, di=di, si=si):
-                    rt = d.register_tags
-                    rt[di] = rt[si]
-                return f
-            if isinstance(ops[1], Imm):
-                def f(d, m, di=di):
-                    d.register_tags[di] = 0
-                return f
-        return generic
-
-    if opcode is Opcode.LOAD:
-        if len(ops) == 2 and isinstance(ops[0], Reg) and isinstance(ops[1], Mem):
-            ea = _ea_fn(ops[1])
-            if ea is not None:
-                di = int(ops[0].reg)
-                size = instr.size
-
-                def f(d, m, di=di, ea=ea, size=size, flip=flip):
-                    addr = ea(m.registers)
-                    d.register_tags[di] = _read_tag_range(m, addr, size, flip)
-                return f
-        return generic
-
-    if opcode is Opcode.STORE:
-        if len(ops) == 2 and isinstance(ops[0], Mem):
-            ea = _ea_fn(ops[0])
-            val = _val_fn(ops[1])
-            if ea is not None and val is not None:
-                size = instr.size
-                src_is_reg = isinstance(ops[1], Reg)
-                si = int(ops[1].reg) if src_is_reg else None
-
-                def f(d, m, ea=ea, si=si, size=size, flip=flip,
-                      src_is_reg=src_is_reg):
-                    addr = ea(m.registers)
-                    tag = d.register_tags[si] if src_is_reg else 0
-                    _write_tag_range(d, m, addr, size, tag, flip)
-                return f
-        return generic
-
-    if opcode is Opcode.LEA:
-        if len(ops) == 2 and isinstance(ops[0], Reg) and isinstance(ops[1], Mem):
-            di = int(ops[0].reg)
-            regs_used = tuple(int(r) for r in ops[1].registers())
-
-            def f(d, m, di=di, regs_used=regs_used):
-                rt = d.register_tags
-                tag = 0
-                for r in regs_used:
-                    tag |= rt[r]
-                rt[di] = tag
-            return f
-        return generic
-
-    if opcode is Opcode.PUSH:
-        if len(ops) == 1:
-            val = _val_fn(ops[0])
-            if val is not None:
-                src_is_reg = isinstance(ops[0], Reg)
-                si = int(ops[0].reg) if src_is_reg else None
-
-                def f(d, m, si=si, flip=flip, src_is_reg=src_is_reg):
-                    addr = m.registers[SP_IDX] - 8
-                    tag = d.register_tags[si] if src_is_reg else 0
-                    _write_tag_range(d, m, addr, 8, tag, flip)
-                return f
-        return generic
-
-    if opcode is Opcode.POP:
-        if len(ops) == 1 and isinstance(ops[0], Reg):
-            di = int(ops[0].reg)
-
-            def f(d, m, di=di, flip=flip):
-                addr = m.registers[SP_IDX]
-                d.register_tags[di] = _read_tag_range(m, addr, 8, flip)
-            return f
-        return generic
-
-    if opcode in (Opcode.CMP, Opcode.TEST):
-        if len(ops) == 2:
-            kinds = [isinstance(op, (Reg, Imm)) for op in ops]
-            if all(kinds):
-                ai = int(ops[0].reg) if isinstance(ops[0], Reg) else None
-                bi = int(ops[1].reg) if isinstance(ops[1], Reg) else None
-
-                def f(d, m, ai=ai, bi=bi):
-                    rt = d.register_tags
-                    tag = 0
-                    if ai is not None:
-                        tag = rt[ai]
-                    if bi is not None:
-                        tag |= rt[bi]
-                    d.flags_tag = tag
-                return f
-        return generic
-
-    if opcode in _DIFT_TWO_OPERAND_ALU:
-        dst = ops[0] if ops else None
-        src = ops[1] if len(ops) > 1 else None
-        if isinstance(dst, Reg) and (src is None or isinstance(src, (Reg, Imm))):
-            di = int(dst.reg)
-            zeroing = (
-                opcode in (Opcode.XOR, Opcode.SUB)
-                and isinstance(src, Reg)
-                and src.reg == dst.reg
-            )
-            if zeroing:
-                def f(d, m, di=di):
-                    d.register_tags[di] = 0
-                    d.flags_tag = 0
-                return f
-            si = int(src.reg) if isinstance(src, Reg) else None
-
-            def f(d, m, di=di, si=si):
-                rt = d.register_tags
-                tag = rt[di]
-                if si is not None:
-                    tag |= rt[si]
-                rt[di] = tag
-                d.flags_tag = tag
-            return f
-        return generic
-
-    if opcode in (Opcode.NOT, Opcode.NEG):
-        if ops and isinstance(ops[0], Reg):
-            di = int(ops[0].reg)
-
-            def f(d, m, di=di):
-                tag = d.register_tags[di]
-                d.register_tags[di] = tag
-                d.flags_tag = tag
-            return f
-        return generic
-
-    # Control flow, system and pseudo instructions do not move data.
-    return None
-
-
-_DIFT_TWO_OPERAND_ALU = frozenset(
-    {
-        Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV, Opcode.MOD,
-        Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.SHL, Opcode.SHR, Opcode.SAR,
-    }
-)
-
-
-def _read_tag_range(m, addr: int, size: int, flip: int) -> int:
-    """Inline equivalent of ``BinaryDift.get_mem_tag``.
-
-    Fast path: when the shadow range lives in one page (no bit-45 crossing,
-    no page crossing), one dict lookup covers all bytes.
-    """
-    pages = m.memory._pages
-    sh = addr ^ flip
-    off = sh & 4095
-    if off + size <= 4096 and addr >= 0 and (addr >> 45) == ((addr + size - 1) >> 45):
-        page = pages.get(sh >> 12)
-        if page is None:
-            return 0
-        tag = 0
-        for byte in page[off:off + size]:
-            tag |= byte
-        return tag & ALL_TAGS
-    tag = 0
-    for i in range(size):
-        sh = (addr + i) ^ flip
-        page = pages.get(sh >> 12)
-        if page is not None:
-            tag |= page[sh & 4095]
-    return tag & ALL_TAGS
-
-
-def _write_tag_range(d, m, addr: int, size: int, tag: int, flip: int) -> None:
-    """Inline equivalent of ``BinaryDift.set_mem_tag`` (with taint logging)."""
-    memory = m.memory
-    pages = memory._pages
-    controller = d.controller
-    in_sim = controller is not None and controller.checkpoints
-    tag &= 0xFF
-    for off in range(size):
-        sh = (addr + off) ^ flip
-        page_id = sh >> 12
-        page_off = sh & 4095
-        page = pages.get(page_id)
-        if page is None:
-            page = bytearray(4096)
-            pages[page_id] = page
-        if in_sim:
-            old = page[page_off]
-            if old != tag:
-                controller.log_taint_write(sh, old)
-        page[page_off] = tag
+from repro.runtime.emulator import Emulator
+from repro.runtime.jit import JitEmulator
 
 
 def engine_names():
@@ -370,9 +26,8 @@ def engine_names():
 
     Engines live in the :data:`repro.plugins.ENGINE_REGISTRY` plugin
     registry; this module registers ``fast`` and ``legacy`` at the
-    bottom (and imports :mod:`repro.runtime.jit`, which registers the
-    block-compiled ``jit`` tier); third-party engines join via
-    ``@repro.api.register_engine``.
+    bottom (and imports :mod:`repro.runtime.jit`, which registers
+    ``jit``); third-party engines join via ``@repro.api.register_engine``.
     """
     return tuple(ENGINE_REGISTRY.names())
 
@@ -380,1027 +35,23 @@ def engine_names():
 def resolve_engine(name: str):
     """Map an engine name to its ``(emulator class, controller class)`` pair.
 
-    ``"fast"`` pairs the decoded-trace :class:`FastEmulator` with the
-    copy-on-write :class:`~repro.runtime.speculation.JournalingSpeculationController`;
-    ``"legacy"`` pairs the generic :class:`~repro.runtime.emulator.Emulator`
-    with the snapshot
-    :class:`~repro.runtime.speculation.SpeculationController`;
     ``"jit"`` pairs the block-compiled
-    :class:`~repro.runtime.jit.JitEmulator` with the journaling
-    controller.  Additional engines come from the plugin registry
+    :class:`~repro.runtime.jit.JitEmulator` and ``"fast"`` its
+    single-instruction form :class:`FastEmulator` with the copy-on-write
+    :class:`~repro.runtime.speculation.JournalingSpeculationController`;
+    ``"legacy"`` pairs the reference :class:`~repro.runtime.emulator.Emulator`
+    with the snapshot :class:`~repro.runtime.speculation.SpeculationController`.
+    Additional engines come from the plugin registry
     (``@register_engine``).
     """
     return ENGINE_REGISTRY.get(name)()
 
 
-class FastEmulator(Emulator):
-    """Emulator with decoded-trace dispatch and journal-backed rollback."""
+class FastEmulator(JitEmulator):
+    """The compiled engine dispatching single-instruction functions only."""
 
     engine_name = "fast"
-
-    def __init__(self, *args, **kwargs) -> None:
-        #: per-execution accounting cells shared between the main loop and
-        #: the decoded thunks (created before the trace is built).
-        self._cycles_cell = [0]
-        self._arch_cell = [0]
-        self._steps_cell = [0]
-        #: addresses compiled to legacy-fallback thunks (telemetry reads
-        #: the count; the ROADMAP JIT tier will read the addresses).
-        self._fallback_addresses = set()
-        super().__init__(*args, **kwargs)
-        if self.controller is not None and not getattr(
-            self.controller, "uses_machine_journal", False
-        ):
-            # The fast engine undo-logs speculative stores through the
-            # machine journal only; a snapshot controller would silently
-            # leave speculative memory writes committed after rollback.
-            raise ValueError(
-                "FastEmulator requires a journaling speculation controller "
-                "(JournalingSpeculationController); use resolve_engine() to "
-                "get a matched pair, or the legacy Emulator for snapshot "
-                "controllers"
-            )
-        self._trace = self._build_trace()
-
-    def rebind_controller(self, controller) -> None:
-        """Swap the speculation controller and rebuild the decoded trace.
-
-        The thunks close over the controller at build time, so unlike the
-        legacy engine a plain attribute assignment is not enough; the
-        differential tests use this to re-run one emulator under several
-        nesting policies without paying binary decode again.
-        """
-        if controller is not None and not getattr(
-            controller, "uses_machine_journal", False
-        ):
-            raise ValueError(
-                "FastEmulator requires a journaling speculation controller "
-                "(JournalingSpeculationController); use resolve_engine() to "
-                "get a matched pair, or the legacy Emulator for snapshot "
-                "controllers"
-            )
-        super().rebind_controller(controller)
-        self._fallback_addresses = set()
-        self._trace = self._build_trace()
-
-    # ------------------------------------------------------------------ helpers
-    def _guest_write(self, addr: int, data: bytes) -> None:
-        """Guest memory write; undo logging happens in the machine journal.
-
-        The fast engine pairs with a journaling controller, so the
-        controller-side memory log of the legacy engine is never needed.
-        """
-        self.machine.memory.write_bytes(addr, data)
-
-    # ------------------------------------------------------------------ trace build
-    def _build_trace(self) -> Dict[int, Callable]:
-        trace: Dict[int, Callable] = {}
-        instructions = self.instructions
-        next_address = self.next_address
-        for addr, instr in instructions.items():
-            fused = None
-            if instr.opcode is Opcode.CMP:
-                jcc_addr = next_address[addr]
-                follower = instructions.get(jcc_addr)
-                if (
-                    follower is not None
-                    and follower.opcode is Opcode.JCC
-                    and _imm_target(follower) is not None
-                ):
-                    fused = self._make_fused_cmp_jcc(instr, follower)
-            trace[addr] = fused if fused is not None else self._make_thunk(instr)
-        return trace
-
-    # -- thunk construction ----------------------------------------------------
-    def _make_thunk(self, instr: Instruction) -> Callable:
-        opcode = instr.opcode
-        if self._model_opcodes and opcode in self._model_opcodes and any(
-            model.speculation_sources(instr) for model in self._dynamic_models
-        ):
-            # Speculation-model source site (indirect branch, ret, store,
-            # load, ... of an active dynamic model): run the shared legacy
-            # handler, where the model hooks live, so both engines execute
-            # model semantics through one implementation.
-            return self._make_fallback(instr)
-        em = self
-        controller = self.controller
-        cps = controller.checkpoints if controller is not None else None
-        cyc = self._cycles_cell
-        arc = self._arch_cell
-        cost = self.cost_model.instruction_cost(opcode)
-        nxt = self.next_address[instr.address]
-        flip = self.layout.tag_flip_bit
-        is_arch = opcode not in _PSEUDO_SET
-        dift_step = _dift_fn(instr, flip) if is_arch else None
-
-        # ---- cost-only pseudo-ops --------------------------------------
-        if opcode in _FREE_PSEUDOS:
-            def thunk(m, cyc=cyc, cost=cost, nxt=nxt):
-                cyc[0] += cost
-                return nxt
-            return thunk
-
-        # ---- coverage pseudo-ops ---------------------------------------
-        if opcode in (Opcode.COV_TRACE, Opcode.COV_SPEC):
-            guard = instr.operands[0] if instr.operands else None
-            gid = guard.value if isinstance(guard, Imm) else 0
-            if opcode is Opcode.COV_TRACE:
-                def thunk(m, em=em, cyc=cyc, cost=cost, nxt=nxt, gid=gid):
-                    cyc[0] += cost
-                    cov = em.coverage
-                    if cov is not None:
-                        cov.trace_normal(gid)
-                    return nxt
-            else:
-                def thunk(m, em=em, cyc=cyc, cost=cost, nxt=nxt, gid=gid):
-                    cyc[0] += cost
-                    cov = em.coverage
-                    if cov is not None:
-                        cov.note_speculative(gid)
-                    return nxt
-            return thunk
-
-        # ---- speculation-control pseudo-ops ----------------------------
-        if opcode is Opcode.CHECKPOINT:
-            tgt = _imm_target(instr)
-            if tgt is None:
-                return self._make_fallback(instr)
-            if not self._pht_enabled:
-                # PHT variant switched off: the checkpoint is inert.
-                def thunk(m, cyc=cyc, cost=cost, nxt=nxt):
-                    cyc[0] += cost
-                    return nxt
-                return thunk
-
-            def thunk(m, em=em, controller=controller, cyc=cyc, cost=cost,
-                      nxt=nxt, tgt=tgt):
-                cyc[0] += cost
-                if controller is None:
-                    return nxt
-                if controller.maybe_enter(m, branch_address=nxt, resume_pc=nxt,
-                                          dift=em.dift):
-                    return tgt
-                return nxt
-            return thunk
-
-        if opcode is Opcode.TRAMP_JCC:
-            tgt = _imm_target(instr)
-            if tgt is None:
-                return self._make_fallback(instr)
-            cc_fn = _CC_FUNCS[instr.cc]
-
-            def thunk(m, cyc=cyc, cost=cost, nxt=nxt, tgt=tgt, cc_fn=cc_fn):
-                cyc[0] += cost
-                return tgt if cc_fn(m.flags) else nxt
-            return thunk
-
-        if opcode is Opcode.SPEC_REDIRECT:
-            tgt = _imm_target(instr)
-            if tgt is None:
-                return self._make_fallback(instr)
-
-            def thunk(m, cps=cps, cyc=cyc, cost=cost, nxt=nxt, tgt=tgt):
-                cyc[0] += cost
-                return tgt if cps else nxt
-            return thunk
-
-        if opcode in (Opcode.RESTORE_COND, Opcode.RESTORE_ALWAYS):
-            conditional = opcode is Opcode.RESTORE_COND
-            reason = "budget" if conditional else "forced"
-
-            def thunk(m, em=em, controller=controller, cps=cps, cyc=cyc,
-                      cost=cost, nxt=nxt, conditional=conditional,
-                      reason=reason):
-                cyc[0] += cost
-                if not cps:
-                    return nxt
-                if conditional and (
-                    controller.spec_instruction_count < controller.rob_budget
-                ):
-                    return nxt
-                if em.coverage is not None:
-                    em.coverage.flush_speculative()
-                undone = controller.rollback(m, em.dift, reason=reason)
-                cyc[0] += em.cost_model.rollback_cost(undone)
-                return m.pc
-            return thunk
-
-        if opcode in (Opcode.ASAN_CHECK, Opcode.POLICY_LOAD, Opcode.POLICY_STORE):
-            mem = instr.operands[0] if instr.operands else None
-            ea = _ea_fn(mem) if isinstance(mem, Mem) else None
-            if ea is None:
-                return self._make_fallback(instr)
-            is_write = opcode is Opcode.POLICY_STORE
-            if len(instr.operands) > 1 and isinstance(instr.operands[1], Imm):
-                is_write = bool(instr.operands[1].value)
-            size = instr.size
-
-            def thunk(m, em=em, controller=controller, cps=cps, cyc=cyc,
-                      cost=cost, nxt=nxt, instr=instr, mem=mem, ea=ea,
-                      size=size, is_write=is_write):
-                cyc[0] += cost
-                if cps:
-                    policy = em.policy
-                    if policy is not None:
-                        promoted = policy.on_speculative_access(
-                            instr, mem, ea(m.registers), size, is_write, m,
-                            controller,
-                        )
-                        if promoted:
-                            em._pending_promotion |= promoted
-                return nxt
-            return thunk
-
-        if opcode is Opcode.POLICY_BRANCH:
-            def thunk(m, em=em, controller=controller, cps=cps, cyc=cyc,
-                      cost=cost, nxt=nxt, instr=instr):
-                cyc[0] += cost
-                if cps and em.policy is not None:
-                    em.policy.on_speculative_branch(instr, m, controller)
-                return nxt
-            return thunk
-
-        if opcode is Opcode.TAINT_SOURCE:
-            return self._make_fallback(instr)
-
-        # ---- architectural operations ----------------------------------
-        # Every thunk below starts with the shared architectural prologue:
-        # cycle cost, arch-instruction count, in-simulation instruction
-        # accounting and (when a DIFT sanitizer is attached) specialized
-        # tag propagation — exactly the legacy main-loop preamble.
-        if opcode is Opcode.MOV:
-            if len(instr.operands) == 2 and isinstance(instr.operands[0], Reg):
-                di = int(instr.operands[0].reg)
-                src = instr.operands[1]
-                if isinstance(src, Reg):
-                    si = int(src.reg)
-
-                    def thunk(m, em=em, controller=controller, cps=cps,
-                              cyc=cyc, arc=arc, cost=cost, nxt=nxt, di=di,
-                              si=si, dift_step=dift_step):
-                        cyc[0] += cost
-                        arc[0] += 1
-                        if cps:
-                            controller.count_instruction()
-                        d = em.dift
-                        if d is not None:
-                            dift_step(d, m)
-                        regs = m.registers
-                        j = m.journal
-                        if j is not None:
-                            j.entries.append((False, di, regs[di]))
-                        regs[di] = regs[si]
-                        return nxt
-                    return thunk
-                if isinstance(src, Imm):
-                    value = to_unsigned(src.value)
-
-                    def thunk(m, em=em, controller=controller, cps=cps,
-                              cyc=cyc, arc=arc, cost=cost, nxt=nxt, di=di,
-                              value=value, dift_step=dift_step):
-                        cyc[0] += cost
-                        arc[0] += 1
-                        if cps:
-                            controller.count_instruction()
-                        d = em.dift
-                        if d is not None:
-                            dift_step(d, m)
-                        regs = m.registers
-                        j = m.journal
-                        if j is not None:
-                            j.entries.append((False, di, regs[di]))
-                        regs[di] = value
-                        return nxt
-                    return thunk
-            return self._make_fallback(instr)
-
-        if opcode is Opcode.LOAD:
-            if (
-                len(instr.operands) == 2
-                and isinstance(instr.operands[0], Reg)
-                and isinstance(instr.operands[1], Mem)
-            ):
-                ea = _ea_fn(instr.operands[1])
-                if ea is not None:
-                    di = int(instr.operands[0].reg)
-                    size = instr.size
-
-                    def thunk(m, em=em, controller=controller, cps=cps,
-                              cyc=cyc, arc=arc, cost=cost, nxt=nxt, di=di,
-                              ea=ea, size=size, dift_step=dift_step):
-                        cyc[0] += cost
-                        arc[0] += 1
-                        if cps:
-                            controller.count_instruction()
-                        d = em.dift
-                        if d is not None:
-                            dift_step(d, m)
-                        regs = m.registers
-                        addr = ea(regs)
-                        off = addr & 4095
-                        memory = m.memory
-                        # Single-page access to a fully mapped page skips the
-                        # region walk and byte-assembly of the generic path.
-                        pid = addr >> 12
-                        if off + size <= 4096:
-                            state = memory._full_pages.get(pid)
-                            if state is None:
-                                state = memory.page_fully_mapped(pid)
-                        else:
-                            state = False
-                        if state:
-                            page = memory._pages.get(pid)
-                            if page is None:
-                                value = 0
-                            else:
-                                value = _FROM_BYTES(page[off:off + size], "little")
-                        else:
-                            value = memory.read_int(addr, size)
-                        j = m.journal
-                        if j is not None:
-                            j.entries.append((False, di, regs[di]))
-                        regs[di] = value
-                        p = em._pending_promotion
-                        if p:
-                            if d is not None:
-                                d.register_tags[di] |= p & ALL_TAGS
-                            em._pending_promotion = 0
-                        return nxt
-                    return thunk
-            return self._make_fallback(instr)
-
-        if opcode is Opcode.STORE:
-            if len(instr.operands) == 2 and isinstance(instr.operands[0], Mem):
-                ea = _ea_fn(instr.operands[0])
-                val = _val_fn(instr.operands[1])
-                if ea is not None and val is not None:
-                    size = instr.size
-                    mask = (1 << (8 * size)) - 1
-
-                    def thunk(m, em=em, controller=controller, cps=cps,
-                              cyc=cyc, arc=arc, cost=cost, nxt=nxt, ea=ea,
-                              val=val, size=size, mask=mask,
-                              dift_step=dift_step):
-                        cyc[0] += cost
-                        arc[0] += 1
-                        if cps:
-                            controller.count_instruction()
-                        d = em.dift
-                        if d is not None:
-                            dift_step(d, m)
-                        regs = m.registers
-                        addr = ea(regs)
-                        off = addr & 4095
-                        memory = m.memory
-                        pid = addr >> 12
-                        if off + size <= 4096:
-                            state = memory._full_pages.get(pid)
-                            if state is None:
-                                state = memory.page_fully_mapped(pid)
-                        else:
-                            state = False
-                        if state:
-                            pages = memory._pages
-                            page = pages.get(pid)
-                            if page is None:
-                                page = bytearray(4096)
-                                pages[pid] = page
-                            j = memory.journal
-                            if j is not None:
-                                j.entries.append(
-                                    (True, addr, bytes(page[off:off + size])))
-                            page[off:off + size] = (
-                                (val(regs) & mask).to_bytes(size, "little"))
-                        else:
-                            memory.write_int(addr, val(regs), size)
-                        return nxt
-                    return thunk
-            return self._make_fallback(instr)
-
-        if opcode is Opcode.LEA:
-            if (
-                len(instr.operands) == 2
-                and isinstance(instr.operands[0], Reg)
-                and isinstance(instr.operands[1], Mem)
-            ):
-                ea = _ea_fn(instr.operands[1])
-                if ea is not None:
-                    di = int(instr.operands[0].reg)
-
-                    def thunk(m, em=em, controller=controller, cps=cps,
-                              cyc=cyc, arc=arc, cost=cost, nxt=nxt, di=di,
-                              ea=ea, dift_step=dift_step):
-                        cyc[0] += cost
-                        arc[0] += 1
-                        if cps:
-                            controller.count_instruction()
-                        d = em.dift
-                        if d is not None:
-                            dift_step(d, m)
-                        regs = m.registers
-                        value = ea(regs)
-                        j = m.journal
-                        if j is not None:
-                            j.entries.append((False, di, regs[di]))
-                        regs[di] = value
-                        return nxt
-                    return thunk
-            return self._make_fallback(instr)
-
-        if opcode is Opcode.PUSH:
-            if len(instr.operands) == 1:
-                val = _val_fn(instr.operands[0])
-                if val is not None:
-                    def thunk(m, em=em, controller=controller, cps=cps,
-                              cyc=cyc, arc=arc, cost=cost, nxt=nxt, val=val,
-                              dift_step=dift_step):
-                        cyc[0] += cost
-                        arc[0] += 1
-                        if cps:
-                            controller.count_instruction()
-                        d = em.dift
-                        if d is not None:
-                            dift_step(d, m)
-                        regs = m.registers
-                        value = val(regs)
-                        new_sp = (regs[SP_IDX] - 8) & MASK64
-                        off = new_sp & 4095
-                        memory = m.memory
-                        pid = new_sp >> 12
-                        if off <= 4088:
-                            state = memory._full_pages.get(pid)
-                            if state is None:
-                                state = memory.page_fully_mapped(pid)
-                        else:
-                            state = False
-                        if state:
-                            pages = memory._pages
-                            page = pages.get(pid)
-                            if page is None:
-                                page = bytearray(4096)
-                                pages[pid] = page
-                            j = memory.journal
-                            if j is not None:
-                                j.entries.append(
-                                    (True, new_sp, bytes(page[off:off + 8])))
-                            page[off:off + 8] = value.to_bytes(8, "little")
-                        else:
-                            memory.write_int(new_sp, value, 8)
-                        j = m.journal
-                        if j is not None:
-                            j.entries.append((False, SP_IDX, regs[SP_IDX]))
-                        regs[SP_IDX] = new_sp
-                        return nxt
-                    return thunk
-            return self._make_fallback(instr)
-
-        if opcode is Opcode.POP:
-            if len(instr.operands) == 1 and isinstance(instr.operands[0], Reg):
-                di = int(instr.operands[0].reg)
-
-                def thunk(m, em=em, controller=controller, cps=cps, cyc=cyc,
-                          arc=arc, cost=cost, nxt=nxt, di=di,
-                          dift_step=dift_step):
-                    cyc[0] += cost
-                    arc[0] += 1
-                    if cps:
-                        controller.count_instruction()
-                    d = em.dift
-                    if d is not None:
-                        dift_step(d, m)
-                    regs = m.registers
-                    sp = regs[SP_IDX]
-                    off = sp & 4095
-                    memory = m.memory
-                    pid = sp >> 12
-                    if off <= 4088:
-                        state = memory._full_pages.get(pid)
-                        if state is None:
-                            state = memory.page_fully_mapped(pid)
-                    else:
-                        state = False
-                    if state:
-                        page = memory._pages.get(pid)
-                        if page is None:
-                            value = 0
-                        else:
-                            value = _FROM_BYTES(page[off:off + 8], "little")
-                    else:
-                        value = memory.read_int(sp, 8)
-                    j = m.journal
-                    if j is not None:
-                        j.entries.append((False, di, regs[di]))
-                    regs[di] = value
-                    new_sp = (regs[SP_IDX] + 8) & MASK64
-                    if j is not None:
-                        j.entries.append((False, SP_IDX, regs[SP_IDX]))
-                    regs[SP_IDX] = new_sp
-                    p = em._pending_promotion
-                    if p:
-                        if d is not None:
-                            d.register_tags[di] |= p & ALL_TAGS
-                        em._pending_promotion = 0
-                    return nxt
-                return thunk
-            return self._make_fallback(instr)
-
-        if opcode in _ALU_INLINE:
-            thunk = self._make_alu(instr, dift_step, cost, nxt, cps)
-            if thunk is not None:
-                return thunk
-            return self._make_fallback(instr)
-
-        if opcode in (Opcode.DIV, Opcode.MOD, Opcode.NOT, Opcode.NEG):
-            return self._make_fallback(instr)
-
-        if opcode in (Opcode.CMP, Opcode.TEST):
-            if len(instr.operands) == 2:
-                ra = _val_fn(instr.operands[0])
-                rb = _val_fn(instr.operands[1])
-                if ra is not None and rb is not None:
-                    is_cmp = opcode is Opcode.CMP
-
-                    def thunk(m, em=em, controller=controller, cps=cps,
-                              cyc=cyc, arc=arc, cost=cost, nxt=nxt, ra=ra,
-                              rb=rb, is_cmp=is_cmp, dift_step=dift_step):
-                        cyc[0] += cost
-                        arc[0] += 1
-                        if cps:
-                            controller.count_instruction()
-                        d = em.dift
-                        if d is not None:
-                            dift_step(d, m)
-                        regs = m.registers
-                        a = ra(regs)
-                        b = rb(regs)
-                        f = m.flags
-                        if is_cmp:
-                            r = (a - b) & MASK64
-                            f.zero = r == 0
-                            f.sign = r >= SIGN_BIT
-                            f.carry = a < b
-                            f.overflow = (a >= SIGN_BIT) != (b >= SIGN_BIT) and (
-                                r >= SIGN_BIT) != (a >= SIGN_BIT)
-                        else:
-                            r = a & b
-                            f.zero = r == 0
-                            f.sign = r >= SIGN_BIT
-                            f.carry = False
-                            f.overflow = False
-                        return nxt
-                    return thunk
-            return self._make_fallback(instr)
-
-        if opcode is Opcode.JMP:
-            tgt = _imm_target(instr)
-            if tgt is None:
-                return self._make_fallback(instr)
-
-            def thunk(m, em=em, controller=controller, cps=cps, cyc=cyc,
-                      arc=arc, cost=cost, tgt=tgt):
-                cyc[0] += cost
-                arc[0] += 1
-                if cps:
-                    controller.count_instruction()
-                return tgt
-            return thunk
-
-        if opcode is Opcode.JCC:
-            tgt = _imm_target(instr)
-            if tgt is None:
-                return self._make_fallback(instr)
-            cc_fn = _CC_FUNCS[instr.cc]
-
-            def thunk(m, em=em, controller=controller, cps=cps, cyc=cyc,
-                      arc=arc, cost=cost, nxt=nxt, tgt=tgt, cc_fn=cc_fn):
-                cyc[0] += cost
-                arc[0] += 1
-                if cps:
-                    controller.count_instruction()
-                return tgt if cc_fn(m.flags) else nxt
-            return thunk
-
-        if opcode is Opcode.CALL:
-            tgt = _imm_target(instr)
-            if tgt is None:
-                return self._make_fallback(instr)
-
-            def thunk(m, em=em, controller=controller, cps=cps, cyc=cyc,
-                      arc=arc, cost=cost, nxt=nxt, tgt=tgt):
-                cyc[0] += cost
-                arc[0] += 1
-                if cps:
-                    controller.count_instruction()
-                regs = m.registers
-                new_sp = (regs[SP_IDX] - 8) & MASK64
-                off = new_sp & 4095
-                memory = m.memory
-                pid = new_sp >> 12
-                if off <= 4088:
-                    state = memory._full_pages.get(pid)
-                    if state is None:
-                        state = memory.page_fully_mapped(pid)
-                else:
-                    state = False
-                if state:
-                    pages = memory._pages
-                    page = pages.get(pid)
-                    if page is None:
-                        page = bytearray(4096)
-                        pages[pid] = page
-                    j = memory.journal
-                    if j is not None:
-                        j.entries.append(
-                            (True, new_sp, bytes(page[off:off + 8])))
-                    page[off:off + 8] = nxt.to_bytes(8, "little")
-                else:
-                    memory.write_int(new_sp, nxt, 8)
-                j = m.journal
-                if j is not None:
-                    j.entries.append((False, SP_IDX, regs[SP_IDX]))
-                regs[SP_IDX] = new_sp
-                if em.asan is not None:
-                    em.asan.poison_return_slot(new_sp)
-                return tgt
-            return thunk
-
-        if opcode is Opcode.RET:
-            has_shadows = self.has_shadows
-
-            def thunk(m, em=em, controller=controller, cps=cps, cyc=cyc,
-                      arc=arc, cost=cost, instr=instr, has_shadows=has_shadows):
-                cyc[0] += cost
-                arc[0] += 1
-                if cps:
-                    controller.count_instruction()
-                regs = m.registers
-                sp = regs[SP_IDX]
-                off = sp & 4095
-                memory = m.memory
-                pid = sp >> 12
-                if off <= 4088:
-                    state = memory._full_pages.get(pid)
-                    if state is None:
-                        state = memory.page_fully_mapped(pid)
-                else:
-                    state = False
-                if state:
-                    page = memory._pages.get(pid)
-                    if page is None:
-                        target = 0
-                    else:
-                        target = _FROM_BYTES(page[off:off + 8], "little")
-                else:
-                    target = memory.read_int(sp, 8)
-                if em.asan is not None:
-                    em.asan.unpoison_return_slot(sp)
-                j = m.journal
-                if j is not None:
-                    j.entries.append((False, SP_IDX, sp))
-                regs[SP_IDX] = (sp + 8) & MASK64
-                if cps and has_shadows:
-                    redirected = em._check_indirect_target(instr, target)
-                    if redirected is not None:
-                        return redirected
-                if target == EXIT_SENTINEL:
-                    if cps:
-                        controller.rollback(m, em.dift, reason="forced")
-                        if em.coverage is not None:
-                            em.coverage.flush_speculative()
-                        return m.pc
-                    return EXIT_SENTINEL
-                return target
-            return thunk
-
-        if opcode is Opcode.HALT:
-            def thunk(m, em=em, controller=controller, cps=cps, cyc=cyc,
-                      arc=arc, cost=cost):
-                cyc[0] += cost
-                arc[0] += 1
-                if cps:
-                    controller.count_instruction()
-                    controller.rollback(m, em.dift, reason="forced")
-                    if em.coverage is not None:
-                        em.coverage.flush_speculative()
-                    return m.pc
-                raise ProgramExit(to_signed(m.registers[RET_IDX]))
-            return thunk
-
-        if opcode in (Opcode.LFENCE, Opcode.CPUID):
-            def thunk(m, em=em, controller=controller, cps=cps, cyc=cyc,
-                      arc=arc, cost=cost, nxt=nxt):
-                cyc[0] += cost
-                arc[0] += 1
-                if cps:
-                    controller.count_instruction()
-                    controller.rollback(m, em.dift, reason="forced")
-                    if em.coverage is not None:
-                        em.coverage.flush_speculative()
-                    return m.pc
-                return nxt
-            return thunk
-
-        if opcode is Opcode.ECALL:
-            index = instr.operands[0] if instr.operands else None
-            if isinstance(index, Imm):
-                try:
-                    name = self.binary.import_name(index.value)
-                except Exception:
-                    return self._make_fallback(instr)
-                external_base = self.cost_model.external_base
-                external_per_byte = self.cost_model.external_per_byte
-                registry = self.externals._externals
-
-                def thunk(m, em=em, controller=controller, cps=cps, cyc=cyc,
-                          arc=arc, cost=cost, nxt=nxt, name=name,
-                          registry=registry, external_base=external_base,
-                          external_per_byte=external_per_byte):
-                    cyc[0] += cost
-                    arc[0] += 1
-                    if cps:
-                        controller.count_instruction()
-                        # Uninstrumented side effects cannot be rolled back;
-                        # the simulation ends here.
-                        controller.rollback(m, em.dift, reason="forced")
-                        if em.coverage is not None:
-                            em.coverage.flush_speculative()
-                        return m.pc
-                    external = registry.get(name)
-                    if external is None:
-                        em.externals.get(name)  # raises the legacy KeyError
-                    regs = m.registers
-                    args = [regs[1], regs[2], regs[3], regs[4], regs[5]]
-                    em.pending_return_tag = 0
-                    ret, moved = external.handler(em, args)
-                    regs[RET_IDX] = ret & MASK64
-                    d = em.dift
-                    if d is not None:
-                        d.register_tags[RET_IDX] = em.pending_return_tag & ALL_TAGS
-                    cyc[0] += external_base + external_per_byte * moved
-                    return nxt
-                return thunk
-            return self._make_fallback(instr)
-
-        # icall, ijmp and anything unanticipated: legacy handlers.
-        return self._make_fallback(instr)
-
-    def _make_fallback(self, instr: Instruction) -> Callable:
-        """A thunk that reproduces the legacy per-step sequence verbatim.
-
-        Used for rare/intricate operations; still skips the dispatch-table
-        and cost-model lookups.
-        """
-        self._fallback_addresses.add(instr.address)
-        em = self
-        controller = self.controller
-        cps = controller.checkpoints if controller is not None else None
-        cyc = self._cycles_cell
-        arc = self._arch_cell
-        cost = self.cost_model.instruction_cost(instr.opcode)
-        is_arch = instr.opcode not in _PSEUDO_SET
-        handler = self._dispatch[instr.opcode]
-
-        def thunk(m, em=em, controller=controller, cps=cps, cyc=cyc, arc=arc,
-                  cost=cost, is_arch=is_arch, handler=handler, instr=instr):
-            cyc[0] += cost
-            if is_arch:
-                arc[0] += 1
-                if cps:
-                    controller.count_instruction()
-                d = em.dift
-                if d is not None:
-                    try:
-                        d.propagate(instr, m)
-                    except MemoryFault:
-                        pass
-            em._extra_cycles = 0
-            new_pc = handler(instr)
-            extra = em._extra_cycles
-            if extra:
-                cyc[0] += extra
-            return new_pc
-        return thunk
-
-    def _make_alu(self, instr: Instruction, dift_step, cost: int,
-                  nxt: int, cps) -> Optional[Callable]:
-        """Specialized two-operand ALU thunk (inlined flags computation)."""
-        if len(instr.operands) != 2 or not isinstance(instr.operands[0], Reg):
-            return None
-        rb = _val_fn(instr.operands[1])
-        if rb is None:
-            return None
-        em = self
-        controller = self.controller
-        cyc = self._cycles_cell
-        arc = self._arch_cell
-        di = int(instr.operands[0].reg)
-        op = instr.opcode
-
-        def thunk(m, em=em, controller=controller, cps=cps, cyc=cyc, arc=arc,
-                  cost=cost, nxt=nxt, di=di, rb=rb, op=op,
-                  dift_step=dift_step):
-            cyc[0] += cost
-            arc[0] += 1
-            if cps:
-                controller.count_instruction()
-            d = em.dift
-            if d is not None:
-                dift_step(d, m)
-            regs = m.registers
-            a = regs[di]
-            b = rb(regs)
-            f = m.flags
-            if op is Opcode.ADD:
-                r = (a + b) & MASK64
-                f.zero = r == 0
-                f.sign = r >= SIGN_BIT
-                f.carry = a + b > MASK64
-                f.overflow = (a >= SIGN_BIT) == (b >= SIGN_BIT) and (
-                    r >= SIGN_BIT) != (a >= SIGN_BIT)
-            elif op is Opcode.SUB:
-                r = (a - b) & MASK64
-                f.zero = r == 0
-                f.sign = r >= SIGN_BIT
-                f.carry = a < b
-                f.overflow = (a >= SIGN_BIT) != (b >= SIGN_BIT) and (
-                    r >= SIGN_BIT) != (a >= SIGN_BIT)
-            else:
-                if op is Opcode.AND:
-                    r = a & b
-                elif op is Opcode.OR:
-                    r = a | b
-                elif op is Opcode.XOR:
-                    r = a ^ b
-                elif op is Opcode.SHL:
-                    r = (a << (b & 63)) & MASK64
-                elif op is Opcode.SHR:
-                    r = a >> (b & 63)
-                elif op is Opcode.SAR:
-                    sa = a - TWO64 if a >= SIGN_BIT else a
-                    r = (sa >> (b & 63)) & MASK64
-                else:  # MUL
-                    sa = a - TWO64 if a >= SIGN_BIT else a
-                    sb = b - TWO64 if b >= SIGN_BIT else b
-                    r = (sa * sb) & MASK64
-                f.zero = r == 0
-                f.sign = r >= SIGN_BIT
-                f.carry = False
-                f.overflow = False
-            j = m.journal
-            if j is not None:
-                j.entries.append((False, di, a))
-            regs[di] = r
-            return nxt
-        return thunk
-
-    def _make_fused_cmp_jcc(self, cmp_instr: Instruction,
-                            jcc_instr: Instruction) -> Optional[Callable]:
-        """Fuse ``cmp`` + fall-through ``jcc`` into one thunk.
-
-        Legal because both are architectural, neither touches memory, the
-        ``jcc`` consumes exactly the flags the ``cmp`` produced, and the
-        ``jcc`` keeps its own standalone thunk for direct jumps to it.  The
-        fuel boundary is preserved: if the step budget expires between the
-        two halves, the thunk stops after the ``cmp`` with the program
-        counter on the ``jcc`` — exactly where the legacy engine stops.
-        """
-        if len(cmp_instr.operands) != 2:
-            return None
-        ra = _val_fn(cmp_instr.operands[0])
-        rb = _val_fn(cmp_instr.operands[1])
-        tgt = _imm_target(jcc_instr)
-        if ra is None or rb is None or tgt is None:
-            return None
-        em = self
-        controller = self.controller
-        cps = controller.checkpoints if controller is not None else None
-        cyc = self._cycles_cell
-        arc = self._arch_cell
-        stp = self._steps_cell
-        cmp_cost = self.cost_model.instruction_cost(Opcode.CMP)
-        jcc_cost = self.cost_model.instruction_cost(Opcode.JCC)
-        jcc_addr = self.next_address[cmp_instr.address]
-        jcc_nxt = self.next_address[jcc_instr.address]
-        cc_fn = _CC_FUNCS[jcc_instr.cc]
-        dift_step = _dift_fn(cmp_instr, self.layout.tag_flip_bit)
-
-        def thunk(m, em=em, controller=controller, cps=cps, cyc=cyc, arc=arc,
-                  stp=stp, cmp_cost=cmp_cost, jcc_cost=jcc_cost,
-                  jcc_addr=jcc_addr, jcc_nxt=jcc_nxt, tgt=tgt, ra=ra, rb=rb,
-                  cc_fn=cc_fn, dift_step=dift_step):
-            # -- cmp half --------------------------------------------------
-            cyc[0] += cmp_cost
-            arc[0] += 1
-            if cps:
-                controller.count_instruction()
-            d = em.dift
-            if d is not None:
-                dift_step(d, m)
-            regs = m.registers
-            a = ra(regs)
-            b = rb(regs)
-            r = (a - b) & MASK64
-            f = m.flags
-            f.zero = r == 0
-            f.sign = r >= SIGN_BIT
-            f.carry = a < b
-            f.overflow = (a >= SIGN_BIT) != (b >= SIGN_BIT) and (
-                r >= SIGN_BIT) != (a >= SIGN_BIT)
-            if stp[0] >= em.max_steps:
-                # Out of fuel after the cmp: resume (and expire) at the jcc.
-                return jcc_addr
-            # -- jcc half --------------------------------------------------
-            stp[0] += 1
-            cyc[0] += jcc_cost
-            arc[0] += 1
-            if cps:
-                controller.count_instruction()
-            return tgt if cc_fn(f) else jcc_nxt
-        return thunk
-
-    # ------------------------------------------------------------------ main loop
-    def _execute(self) -> ExecutionResult:
-        machine = self.machine
-        controller = self.controller
-        cost_model = self.cost_model
-        trace_get = self._trace.get
-        max_steps = self.max_steps
-        cyc = self._cycles_cell
-        arc = self._arch_cell
-        stp = self._steps_cell
-        cyc[0] = 0
-        arc[0] = 0
-        stp[0] = 0
-
-        result = ExecutionResult(status="exit")
-
-        while True:
-            steps = stp[0]
-            if steps >= max_steps:
-                result.status = "fuel"
-                break
-            pc = machine.pc
-            if pc == EXIT_SENTINEL:
-                result.exit_status = to_signed(machine.registers[RET_IDX])
-                break
-            thunk = trace_get(pc)
-            if thunk is None:
-                if (
-                    self._dynamic_models
-                    and controller is not None
-                    and controller.in_simulation
-                ):
-                    # Speculative wrong path reached non-code (stale model
-                    # target): squash the simulation, exactly like the
-                    # legacy engine.
-                    undone = controller.rollback(machine, self.dift,
-                                                 reason="exception")
-                    cyc[0] += cost_model.rollback_cost(undone)
-                    if self.coverage is not None:
-                        self.coverage.flush_speculative()
-                    self._after_exception_rollback()
-                    continue
-                result.status = "crash"
-                result.crash_reason = f"jump to non-code address {pc:#x}"
-                break
-            stp[0] = steps + 1
-
-            try:
-                new_pc = thunk(machine)
-            except (MemoryFault, ArithmeticFault) as exc:
-                if controller is not None and controller.in_simulation:
-                    undone = controller.rollback(machine, self.dift,
-                                                 reason="exception")
-                    cyc[0] += cost_model.rollback_cost(undone)
-                    if self.coverage is not None:
-                        self.coverage.flush_speculative()
-                    self._after_exception_rollback()
-                    continue
-                result.status = "crash"
-                result.crash_reason = str(exc)
-                break
-            except ProgramExit as exc:
-                result.exit_status = exc.status
-                break
-            except ProgramCrash as exc:
-                if controller is not None and controller.in_simulation:
-                    undone = controller.rollback(machine, self.dift,
-                                                 reason="exception")
-                    cyc[0] += cost_model.rollback_cost(undone)
-                    continue
-                result.status = "crash"
-                result.crash_reason = str(exc)
-                break
-
-            if new_pc is None:
-                # Handler already set machine.pc (rollbacks, redirects).
-                continue
-            machine.pc = new_pc
-
-        result.steps = stp[0]
-        result.cycles = cyc[0]
-        result.arch_instructions = arc[0]
-        return result
+    max_block = 1
 
 
 # ---------------------------------------------------------------------------
@@ -1409,7 +60,7 @@ class FastEmulator(Emulator):
 
 @register_engine("fast")
 def _fast_engine_plugin():
-    """Decoded-trace dispatch paired with copy-on-write journal rollback."""
+    """Single-instruction dispatch paired with copy-on-write journal rollback."""
     from repro.runtime.speculation import JournalingSpeculationController
 
     return FastEmulator, JournalingSpeculationController
@@ -1421,9 +72,3 @@ def _legacy_engine_plugin():
     from repro.runtime.speculation import SpeculationController
 
     return Emulator, SpeculationController
-
-
-# The jit tier builds on FastEmulator and registers itself on import;
-# pulling it in here makes ``engine_names()`` (which imports this module)
-# see all three built-in engines.
-from repro.runtime import jit as _jit  # noqa: E402,F401

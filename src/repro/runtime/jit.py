@@ -1,57 +1,69 @@
-"""The jit emulator engine: block-compiled execution over generated source.
+"""The compiled emulator engines: one instruction semantics as generated source.
 
-:class:`JitEmulator` is the third engine tier.  Where the fast engine
-(:mod:`repro.runtime.fastpath`) dispatches one pre-decoded *thunk* per
-instruction, the jit engine compiles each basic block (and straight-line
-superblock) of the decoded program into a **single generated Python
-function**: operand decoding, effective-address arithmetic, cycle costs,
+:class:`JitEmulator` compiles the decoded program into generated Python
+functions: operand decoding, effective-address arithmetic, cycle costs,
 DIFT tag propagation and journal undo-logging are emitted as source text
 with every constant folded to a literal, then ``compile()``d and
-``exec``d once per binary.  Executing a block is one dict lookup and one
-call for *n* instructions instead of *n* of each.
+``exec``d.  The emitters of :class:`_BlockCompiler` are the only
+compiled semantics of each instruction; they produce two kinds of
+function from the same code:
 
-Bit-identity with the fast and legacy engines (enforced by
+* **Blocks.**  Each basic block (and straight-line superblock) of up to
+  ``max_block`` instructions becomes one function, compiled once per
+  binary into one module.  Executing a block is one dict lookup and one
+  call for *n* instructions instead of *n* of each.
+* **Single-instruction functions.**  The same compiler run with a cap of
+  one instruction.  The dispatch loop steps through them wherever no
+  whole block applies: at addresses that start no block, and at the fuel
+  gate.  They are compiled on first dispatch, not up front.
+
+The ``fast`` engine (:class:`repro.runtime.fastpath.FastEmulator`) is this
+engine at a block cap of one: it dispatches single-instruction functions
+only.
+
+Bit-identity with the legacy reference interpreter (enforced by
 ``tests/runtime/differential.py``) is preserved by construction:
 
-* **Same bodies.**  Each inline emitter is a textual transcription of
-  the corresponding fast-engine thunk — same statements, same order,
-  same journal entries, same DIFT helper calls.
-* **Fallback at the same sites.**  Any instruction the fast engine
-  would not specialize (indirect control flow, ``ecall``, div/mod,
-  taint sources, speculation-model source sites, unresolvable
-  operands) ends its block and tail-calls the existing thunk for that
-  address, so intricate semantics keep exactly one implementation.
-  Direct calls and returns *are* inlined (as block terminators) unless
-  a speculation model claims them as source sites.
+* **Legacy handlers at intricate sites.**  Any instruction the compiler
+  does not inline (indirect control flow, ``ecall`` with an unresolvable
+  import, div/mod/not/neg, ``halt``, taint sources, speculation-model
+  source sites, unresolvable operands) is an *ender*: it ends its block,
+  and its single-instruction function wraps the legacy handler
+  (:meth:`JitEmulator._make_fallback`), so intricate semantics keep
+  exactly one implementation.  Direct calls and returns *are* inlined
+  (as block terminators) unless a speculation model claims them as
+  source sites.
 * **Batched-but-exact accounting.**  Step/cycle/arch counters and the
   controller's in-simulation instruction count are accumulated per
   block segment and flushed before every block exit and before any
   instruction that *reads* them (checkpoint entries, rollback budget
-  checks, the fuel check at thunk tails).  Instructions that can merely
-  *fault* (loads, stores, push/pop) or call out (policy/coverage
-  hooks) do not flush; instead each such site stores a fault-table
-  index, and a per-block ``except BaseException`` handler flushes the
-  exact pending prefix (a precomputed ``(steps, cycles, arch)`` tuple)
-  before re-raising — so at every observable point (faults, rollbacks,
-  checkpoint entries, run end) the counters equal the fast engine's.
-* **Simulation-specialized variants.**  Every block is compiled twice:
-  a *no-sim* variant (dispatched while no checkpoint is live) with all
-  journal undo-logging, speculation bookkeeping and policy hooks
-  constant-folded away, and a *sim* variant (dispatched inside
-  speculation) with the ``in-simulation?`` tests folded to true —
+  checks, the fuel check in front of a tail-called ender).  Instructions
+  that can merely *fault* (loads, stores, push/pop) or call out
+  (policy/coverage hooks) do not flush; instead each such site stores a
+  fault-table index, and a per-block ``except BaseException`` handler
+  flushes the exact pending prefix (a precomputed ``(steps, cycles,
+  arch)`` tuple) before re-raising — so at every observable point
+  (faults, rollbacks, checkpoint entries, run end) the counters equal
+  the legacy engine's per-instruction sums.
+* **Simulation-specialized variants.**  Every function is compiled in
+  two variants: a *no-sim* variant (dispatched while no checkpoint is
+  live) with all journal undo-logging, speculation bookkeeping and
+  policy hooks constant-folded away, and a *sim* variant (dispatched
+  inside speculation) with the ``in-simulation?`` tests folded to true —
   journal appends unguarded, instruction counts batched.  The dispatch
-  loop re-selects the variant map on every iteration from the
-  controller's live-checkpoint list, and every transition between the
-  two states (checkpoint entry, rollback) exits the block, so the
-  folded truth value can never go stale mid-block.
+  loop re-selects the variant on every iteration from the controller's
+  live-checkpoint list, and every transition between the two states
+  (checkpoint entry, rollback) exits the function, so the folded truth
+  value can never go stale.
 * **Fuel gate.**  A block of ``n`` steps only runs when ``steps + n <=
-  max_steps``; otherwise the loop falls back to per-thunk stepping, so
-  fuel expiry lands on exactly the same instruction as the other
-  engines.
+  max_steps``; otherwise the loop steps single-instruction functions, so
+  fuel expiry lands on exactly the same instruction as the legacy
+  engine.
 
-The compiled module is persistently cached across processes by
+The compiled block module is persistently cached across processes by
 :mod:`repro.runtime.jitcache`, keyed by (binary hash, repro version,
-engine-options digest, bytecode magic); see ``docs/emulator.md``.
+engine-options digest, bytecode magic); single-instruction functions are
+memoized per process under the same key.  See ``docs/emulator.md``.
 """
 
 from __future__ import annotations
@@ -59,39 +71,36 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro._version import __version__
 from repro.isa.instructions import ConditionCode, Instruction, Opcode
 from repro.isa.operands import Imm, Mem, Reg
 from repro.loader.serialize import dumps_binary
 from repro.plugins import register_engine
-from repro.runtime.emulator import EXIT_SENTINEL, ExecutionResult, _PSEUDO_SET
+from repro.runtime.emulator import (
+    EXIT_SENTINEL,
+    Emulator,
+    ExecutionResult,
+    _PSEUDO_SET,
+)
 from repro.runtime.errors import (
     ArithmeticFault,
     MemoryFault,
     ProgramCrash,
     ProgramExit,
 )
-from repro.runtime.fastpath import (
-    _ALU_INLINE,
-    _FREE_PSEUDOS,
-    _FROM_BYTES,
-    _imm_target,
-    _read_tag_range,
-    _write_tag_range,
-    FastEmulator,
-    RET_IDX,
-    SIGN_BIT,
-    SP_IDX,
-    TWO64,
-)
 from repro.runtime.jitcache import shared_cache
 from repro.runtime.machine import MASK64, to_signed, to_unsigned
 from repro.sanitizers.dift import ALL_TAGS
 
 #: bump to invalidate every cached module when the emitted code changes.
-_CODEGEN_VERSION = 8
+_CODEGEN_VERSION = 12
+
+SIGN_BIT = 1 << 63
+TWO64 = 1 << 64
+
+SP_IDX = 14
+RET_IDX = 0
 
 #: Width-specific page accessors: ``struct`` unpack/pack beats an
 #: ``int.from_bytes`` over a fresh slice (and a ``to_bytes`` slice
@@ -102,9 +111,17 @@ _UNPACKERS = {size: struct.Struct("<" + fmt).unpack_from
 _PACKERS = {size: struct.Struct("<" + fmt).pack_into
             for size, fmt in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))}
 
-#: inline-instruction cap per superblock (keeps generated functions and
-#: the worst-case counter-flush granularity bounded).
-_MAX_BLOCK = 64
+#: two-operand ALU instructions with inlined flags computation.
+_ALU_INLINE = frozenset({
+    Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.AND, Opcode.OR,
+    Opcode.XOR, Opcode.SHL, Opcode.SHR, Opcode.SAR,
+})
+
+#: pseudo-ops whose only effect is their cycle cost.
+_FREE_PSEUDOS = frozenset({
+    Opcode.NOP, Opcode.MEMLOG, Opcode.DIFT_PROP, Opcode.DIFT_BATCH,
+    Opcode.MARKER_NOP, Opcode.GUARD_CHECK,
+})
 
 #: inline instructions that overwrite *all four* architectural flags.
 _FLAG_WRITER_OPS = _ALU_INLINE | {Opcode.CMP, Opcode.TEST}
@@ -118,7 +135,7 @@ _FLAG_TRANSPARENT_OPS = frozenset({
 })
 
 #: condition-code expressions over the hoisted ``f`` (flags) local;
-#: mirrors ``fastpath._CC_FUNCS`` / ``Flags.evaluate``.
+#: mirrors ``Flags.evaluate``.
 _CC_EXPR = {
     ConditionCode.EQ: "f.zero",
     ConditionCode.NE: "not f.zero",
@@ -137,8 +154,17 @@ _BRANCH_OPS = (Opcode.JMP, Opcode.JCC, Opcode.CALL, Opcode.TRAMP_JCC,
                Opcode.CHECKPOINT, Opcode.SPEC_REDIRECT)
 
 
+def _imm_target(instr: Instruction) -> Optional[int]:
+    """Pre-resolved branch target of a direct branch, if any."""
+    if instr.operands and isinstance(instr.operands[0], Imm):
+        return to_unsigned(instr.operands[0].value)
+    return None
+
+
 def _ea_expr(mem: Mem) -> Optional[str]:
-    """Source text of the effective address (mirrors ``fastpath._ea_fn``)."""
+    """Source text of the effective address (``None`` while the
+    displacement is still symbolic; the legacy handler raises the
+    descriptive error for those)."""
     disp = mem.disp
     if not isinstance(disp, int):
         return None
@@ -156,13 +182,75 @@ def _ea_expr(mem: Mem) -> Optional[str]:
     return str(disp & MASK64)
 
 
+def _const_ea(mem: Mem) -> Optional[int]:
+    """The effective address when it is a constant (a global), else None."""
+    if mem.base is None and mem.index is None and isinstance(mem.disp, int):
+        return mem.disp & MASK64
+    return None
+
+
 def _val_expr(operand) -> Optional[str]:
-    """Source text reading a Reg/Imm operand (mirrors ``_val_fn``)."""
+    """Source text reading a Reg/Imm operand."""
     if isinstance(operand, Reg):
         return f"regs[{int(operand.reg)}]"
     if isinstance(operand, Imm):
         return str(to_unsigned(operand.value))
     return None
+
+
+def _read_tag_range(m, addr: int, size: int, flip: int) -> int:
+    """Equivalent of ``BinaryDift.get_mem_tag`` (generated code's ``RTR``).
+
+    Fast path: when the shadow range lives in one page (no bit-45
+    crossing, no page crossing), one dict lookup covers all bytes.
+    """
+    pages = m.memory._pages
+    sh = addr ^ flip
+    off = sh & 4095
+    if off + size <= 4096 and addr >= 0 and (addr >> 45) == ((addr + size - 1) >> 45):
+        page = pages.get(sh >> 12)
+        if page is None:
+            return 0
+        tag = 0
+        for byte in page[off:off + size]:
+            tag |= byte
+        return tag & ALL_TAGS
+    tag = 0
+    for i in range(size):
+        sh = (addr + i) ^ flip
+        page = pages.get(sh >> 12)
+        if page is not None:
+            tag |= page[sh & 4095]
+    return tag & ALL_TAGS
+
+
+def _write_tag_range(d, m, addr: int, size: int, tag: int, flip: int) -> None:
+    """Equivalent of ``BinaryDift.set_mem_tag`` with taint logging
+    (generated code's ``WTR``)."""
+    memory = m.memory
+    pages = memory._pages
+    controller = d.controller
+    in_sim = controller is not None and controller.checkpoints
+    tag &= 0xFF
+    for off in range(size):
+        sh = (addr + off) ^ flip
+        page_id = sh >> 12
+        page_off = sh & 4095
+        page = pages.get(page_id)
+        if page is None:
+            page = bytearray(4096)
+            pages[page_id] = page
+        if in_sim:
+            old = page[page_off]
+            if old != tag:
+                controller.log_taint_write(sh, old)
+        page[page_off] = tag
+
+
+def _fn_name(kind: str, addr: int, sim: bool) -> str:
+    """Name of a generated function: ``kind`` is ``b`` (block) or ``i``
+    (single instruction)."""
+    return f"_{kind}{'s' if sim else 'n'}_{addr:x}"
 
 
 class _BlockWriter:
@@ -187,13 +275,15 @@ class _BlockWriter:
         self.pend_arch = 0
         #: total steps the whole block consumes (the fuel-gate ``need``).
         self.total_steps = 0
+        #: indentation of the statements being emitted (structured ifs).
+        self.pad = ""
         #: exception-flush table: entry ``i`` is the pending
         #: ``(steps, cycles, arch)`` at fault-site marker ``i`` (entry 0
         #: is the just-flushed sentinel).  Emitted as the ``_P`` tuple.
         self.fault_entries: List[Tuple[int, int, int]] = [(0, 0, 0)]
 
     def emit(self, line: str) -> None:
-        self.lines.append(line)
+        self.lines.append(self.pad + line)
 
     def param(self, name: str, expr: str) -> None:
         self.params.setdefault(name, expr)
@@ -246,12 +336,12 @@ class _BlockWriter:
 
         Required before anything that *reads* the counters: checkpoint
         entry and rollback (they read the controller's in-simulation
-        count), the fuel check at thunk tails, and every block exit
+        count), the fuel check in front of an ender, and every block exit
         (the dispatch loop reads the step cell).  Batching is safe in
         between: nothing in a straight-line segment reads them, and
         simulation state cannot change without exiting the block.
         """
-        self.lines.extend(self._flush_lines())
+        self.lines.extend(self._flush_lines(self.pad))
         self.pend_steps = self.pend_cycles = self.pend_arch = 0
         if len(self.fault_entries) > 1:
             # a stale marker from before this flush must not double-count
@@ -262,9 +352,9 @@ class _BlockWriter:
 
         The arm returns immediately, so pending state is *not* cleared:
         the fall-through path keeps accumulating as if the arm did not
-        exist (that is exactly the fast engine's per-instruction sum).
+        exist (that is exactly the per-instruction sum).
         """
-        self.lines.extend(self._flush_lines(pad))
+        self.lines.extend(self._flush_lines(self.pad + pad))
 
     def journal_reg(self, index: int) -> None:
         """Undo-log a register write (sim variant only; no-sim has no
@@ -293,10 +383,12 @@ class _BlockWriter:
             hoists.append("regs = m.registers")
         if "f" in uses:
             hoists.append("f = m.flags")
-        if uses & {"memory", "pages", "fullp"}:
+        if uses & {"memory", "pages", "fpg", "fpc"}:
             hoists.append("memory = m.memory")
-        if "fullp" in uses:
-            hoists.append("fullp = memory._full_pages")
+        if "fpg" in uses:
+            hoists.append("fpg = memory._fast_pages.get")
+        if "fpc" in uses:
+            hoists.append("fpc = memory._fast_ranges.get")
         if "pages" in uses:
             hoists.append("pages = memory._pages")
         if "jn" in uses:
@@ -355,10 +447,10 @@ class _BlockCompiler:
         ``cexit`` instructions *conditionally* leave the block (taken
         branches, checkpoint entries, triggered rollbacks) and otherwise
         fall through, so superblocks extend across them; ``term`` always
-        exits in-block; ``ender`` tail-calls the existing fast-engine
-        thunk.  Mirrors ``FastEmulator._make_thunk``: every shape the
-        fast engine sends to a fallback or intricate thunk ends the
-        block so its semantics stay in exactly one implementation.
+        exits in-block; ``ender`` ends the block and tail-calls its
+        single-instruction function, which runs the legacy handler
+        (:meth:`JitEmulator._make_fallback`), so intricate semantics
+        stay in exactly one implementation.
 
         Classification is variant-aware (``self.sim``): a redirect or
         forced restore always fires inside simulation (``term``) and
@@ -435,7 +527,12 @@ class _BlockCompiler:
                 return "inline"
             return "ender"
         if opcode is Opcode.JMP:
-            return "term" if _imm_target(instr) is not None else "ender"
+            target = _imm_target(instr)
+            if target is None:
+                return "ender"
+            # A jump to the next instruction is cost only.
+            return ("inline" if target == self.next_address[instr.address]
+                    else "term")
         if opcode is Opcode.JCC:
             return "cexit" if _imm_target(instr) is not None else "ender"
         if opcode is Opcode.CALL:
@@ -469,9 +566,10 @@ class _BlockCompiler:
         Function entries, immediate branch/checkpoint targets, the
         fall-through successor of every ender and every direct call
         (return sites — ``ret`` returns there dynamically) and
-        checkpoint resume points (rollback lands there).  Control transfers into the *middle* of a block
-        (dynamic-model resumes, stale targets) are always safe: the main
-        loop simply single-steps thunks until the next leader.
+        checkpoint resume points (rollback lands there).  Control
+        transfers into the *middle* of a block (dynamic-model resumes,
+        stale targets) are always safe: the main loop simply steps
+        single-instruction functions until the next leader.
         """
         leaders: Set[int] = set()
         for sym in self.em.binary.function_symbols():
@@ -490,6 +588,9 @@ class _BlockCompiler:
 
     # -- module generation ---------------------------------------------------
     def compile_source(self) -> str:
+        """Source of the block module: every block of two or more steps
+        (for a shorter one the single-instruction function is just as
+        fast), registered in its variant's table."""
         chunks = [
             f"# generated by repro.runtime.jit codegen v{_CODEGEN_VERSION}"
             " -- do not edit",
@@ -499,24 +600,36 @@ class _BlockCompiler:
             if leader not in self.instructions:
                 continue
             for sim in modes:
-                compiled = self._compile_block(leader, sim)
-                if compiled is None:
+                name = _fn_name("b", leader, sim)
+                source, need, span = self._compile_block(
+                    leader, sim, self.em.max_block, name)
+                if need < 2:
                     continue
-                source, need, span = compiled
                 table = "BLOCKS" if sim else "NBLOCKS"
                 spans = "SSPANS" if sim else "NSPANS"
-                name = f"_b{'s' if sim else 'n'}_{leader:x}"
                 chunks.append(source)
                 chunks.append(f"{table}[{leader}] = ({name}, {need})")
                 chunks.append(f"{spans}[{leader}] = {tuple(span)!r}")
         return "\n\n".join(chunks) + "\n"
 
-    def _compile_block(self, leader: int, sim: bool):
+    def compile_single(self, addr: int, sim: bool) -> Optional[str]:
+        """Source of the single-instruction function at ``addr``: the
+        block starting there, compiled with a cap of one instruction.
+        ``None`` for an ender, which runs the legacy handler instead."""
+        self.sim = sim
+        if self._kind(self.instructions[addr]) == "ender":
+            return None
+        return self._compile_block(addr, sim, 1, _fn_name("i", addr, sim))[0]
+
+    def _compile_block(self, leader: int, sim: bool, cap: int, name: str):
+        """``(source, steps, span)`` of the block at ``leader`` holding
+        at most ``cap`` inline instructions."""
         self.sim = sim
         # Phase 1: walk the block to collect its instruction sequence (the
         # emission below follows this list verbatim), so liveness analysis
         # can look ahead before any code is generated.
         seq: List[Tuple[int, Instruction, str]] = []
+        seen: Set[int] = set()
         addr = leader
         tail = None
         while True:
@@ -528,10 +641,19 @@ class _BlockCompiler:
             if kind == "ender":
                 tail = ("ender", addr)
                 break
+            seen.add(addr)
+            if (kind == "term" and instr.opcode is Opcode.CALL
+                    and len(seq) + 1 < cap
+                    and _imm_target(instr) not in seen):
+                # Follow a direct call into its callee; the return site
+                # stays a leader, so the matching ``ret`` lands on a block.
+                seq.append((addr, instr, "call"))
+                addr = _imm_target(instr)
+                continue
             seq.append((addr, instr, kind))
             if kind == "term":
                 break
-            if len(seq) >= _MAX_BLOCK:
+            if len(seq) >= cap:
                 tail = ("goto", self.next_address[addr])
                 break
             addr = self.next_address[addr]
@@ -539,8 +661,27 @@ class _BlockCompiler:
         # Phase 2: emit.
         writer = _BlockWriter(sim)
         span: List[int] = []
-        for addr, instr, kind in seq:
-            if kind == "term":
+        skips = self._forward_skips(seq)
+        joins: List[int] = []
+        for i, (addr, instr, kind) in enumerate(seq):
+            while joins and joins[-1] == i:
+                # End of a skipped range: settle its own counters.
+                joins.pop()
+                writer.flush()
+                writer.pad = writer.pad[:-4]
+            if i in skips:
+                writer.account(self.cost(instr.opcode),
+                               instr.opcode not in _PSEUDO_SET)
+                writer.flush()
+                writer.use("f")
+                writer.emit(f"if not ({_CC_EXPR[instr.cc]}):")
+                writer.pad += "    "
+                joins.append(skips[i])
+            elif kind == "call":
+                writer.account(self.cost(instr.opcode), True)
+                writer.flush()
+                self._emit_call(writer, addr, instr)
+            elif kind == "term":
                 self._emit_term(writer, addr, instr)
             elif kind == "cexit":
                 self._emit_cexit(writer, addr, instr)
@@ -549,10 +690,31 @@ class _BlockCompiler:
             span.append(addr)
         if tail is not None:
             self._emit_tail(writer, tail)
-        if writer.total_steps < 2:
-            return None  # a lone thunk dispatch is just as fast
-        name = f"_b{'s' if sim else 'n'}_{leader:x}"
         return writer.render(name), writer.total_steps, span
+
+    @staticmethod
+    def _forward_skips(seq) -> Dict[int, int]:
+        """Conditional branches that stay in-block: ``{i: j}`` when the
+        branch at ``seq[i]`` jumps forward to ``seq[j]`` and the skipped
+        ranges nest.  They compile to ``if not <taken>:`` around
+        ``seq[i + 1:j]``, so an ``if`` without ``else`` in the guest costs
+        no block exit.  Counters are flushed on entry to and exit from
+        the skipped range, so both paths stay exact.
+        """
+        index = {addr: i for i, (addr, _, _) in enumerate(seq)}
+        skips: Dict[int, int] = {}
+        ends: List[int] = []
+        for i, (_, instr, kind) in enumerate(seq):
+            while ends and ends[-1] <= i:
+                ends.pop()
+            if kind != "cexit" or instr.opcode not in (Opcode.JCC,
+                                                       Opcode.TRAMP_JCC):
+                continue
+            j = index.get(_imm_target(instr), -1)
+            if j > i + 1 and (not ends or j <= ends[-1]):
+                skips[i] = j
+                ends.append(j)
+        return skips
 
     # -- intra-block flag liveness -------------------------------------------
     def _flag_transparent(self, instr: Instruction, kind: str) -> bool:
@@ -569,7 +731,7 @@ class _BlockCompiler:
             return True
         if opcode in _FREE_PSEUDOS or opcode in (
             Opcode.CHECKPOINT, Opcode.RESTORE_COND, Opcode.RESTORE_ALWAYS,
-            Opcode.SPEC_REDIRECT, Opcode.LFENCE, Opcode.CPUID,
+            Opcode.SPEC_REDIRECT, Opcode.LFENCE, Opcode.CPUID, Opcode.JMP,
         ):
             return True  # cost-only in this variant: nothing is emitted
         if opcode in (Opcode.COV_TRACE, Opcode.COV_SPEC):
@@ -636,8 +798,8 @@ class _BlockCompiler:
         variant also SPEC_REDIRECT (always fires inside simulation),
         fences and RESTORE_ALWAYS (always roll back inside simulation).
         Counters are flushed *before* the call/return stack access, the
-        order the fast thunks count in, so a stack fault observes exact
-        totals.
+        order the legacy engine counts in, so a stack fault observes
+        exact totals.
         """
         opcode = instr.opcode
         w.account(self.cost(opcode), opcode not in _PSEUDO_SET)
@@ -648,6 +810,7 @@ class _BlockCompiler:
             self._emit_rollback(w, "forced", charge=False)
         elif opcode is Opcode.CALL:
             self._emit_call(w, addr, instr)
+            w.emit(f"return {_imm_target(instr)}")
         elif opcode is Opcode.RET:
             self._emit_ret(w, addr, instr)
         else:  # JMP / SPEC_REDIRECT(sim): direct target
@@ -688,57 +851,32 @@ class _BlockCompiler:
 
     def _emit_call(self, w: _BlockWriter, addr: int,
                    instr: Instruction) -> None:
-        """Direct call: push the return address, jump to the target.
-
-        Transcribes the fast engine's CALL thunk with the return
-        address folded to a bytes literal.  The return site is a block
-        leader, so the matching ``ret`` lands back on compiled code.
-        """
+        """Direct call: push the (literal) return address.  The caller
+        then jumps to the target or follows it in-block."""
         nxt = self.next_address[addr]
-        tgt = _imm_target(instr)
         w.use("regs")
         w.emit(f"new_sp = (regs[{SP_IDX}] - 8) & {MASK64}")
-        self._page_state(w, "new_sp", 4088)
-        w.emit("if state:")
-        w.emit("    page = pages.get(pid)")
-        w.emit("    if page is None:")
-        w.emit("        page = bytearray(4096)")
-        w.emit("        pages[pid] = page")
-        if w.sim:
-            w.use("jn")
-            w.emit("    jn.entries.append((True, new_sp, "
-                   "bytes(page[off:off + 8])))")
-        w.param("P8", "P8")
-        w.emit(f"    P8(page, off, {nxt})")
-        w.emit("else:")
-        w.emit(f"    memory.write_int(new_sp, {nxt}, 8)")
+        self._emit_write(w, "new_sp", 8, str(nxt), str(nxt))
         if w.sim:
             w.emit(f"jn.entries.append((False, {SP_IDX}, regs[{SP_IDX}]))")
         w.emit(f"regs[{SP_IDX}] = new_sp")
         w.use("asan")
         w.emit("if asan is not None:")
         w.emit("    asan.poison_return_slot(new_sp)")
-        w.emit(f"return {tgt}")
 
     def _emit_ret(self, w: _BlockWriter, addr: int,
                   instr: Instruction) -> None:
         """Return: pop the target and jump to it dynamically.
 
-        Transcribes the fast engine's RET thunk.  The shadow-target
-        check only fires inside simulation with shadows present (both
-        folded: simulation via the variant, shadows via the cache
-        digest), and the exit sentinel only needs special handling in
-        simulation — outside it the dispatch loop recognizes it.
+        The shadow-target check only fires inside simulation with
+        shadows present (both folded: simulation via the variant,
+        shadows via the cache digest), and the exit sentinel only needs
+        special handling in simulation — outside it the dispatch loop
+        recognizes it.
         """
         w.use("regs")
-        w.param("U8", "U8")
         w.emit(f"sp = regs[{SP_IDX}]")
-        self._page_state(w, "sp", 4088)
-        w.emit("if state:")
-        w.emit("    page = pages.get(pid)")
-        w.emit("    target = 0 if page is None else U8(page, off)[0]")
-        w.emit("else:")
-        w.emit("    target = memory.read_int(sp, 8)")
+        self._emit_read(w, "target", "sp", 8)
         w.use("asan")
         w.emit("if asan is not None:")
         w.emit("    asan.unpoison_return_slot(sp)")
@@ -764,12 +902,12 @@ class _BlockCompiler:
         if kind == "goto":
             w.emit(f"return {addr}")
             return
-        # Thunk ender: one existing-thunk step with the loop's fuel check.
+        # Ender: one step of its (self-counting) single-instruction
+        # function, behind the dispatch loop's fuel check.
         w.param("STP", "STP")
-        w.param("T", "TRACE")
+        w.param("T", "SSINGLES" if w.sim else "NSINGLES")
         w.emit(f"if STP[0] >= {self.em.max_steps}:")
         w.emit(f"    return {addr}")
-        w.emit("STP[0] += 1")
         w.emit(f"return T[{addr}](m)")
 
     # -- inline instruction emitters -----------------------------------------
@@ -783,7 +921,7 @@ class _BlockCompiler:
 
         if opcode in _FREE_PSEUDOS or opcode in (
             Opcode.CHECKPOINT, Opcode.RESTORE_COND, Opcode.RESTORE_ALWAYS,
-            Opcode.SPEC_REDIRECT, Opcode.LFENCE, Opcode.CPUID,
+            Opcode.SPEC_REDIRECT, Opcode.LFENCE, Opcode.CPUID, Opcode.JMP,
         ):
             # Cost only: free pseudos, inert checkpoints, and the
             # speculation sites in the variant where they cannot fire
@@ -836,7 +974,7 @@ class _BlockCompiler:
 
         if opcode is Opcode.ECALL:
             # no-sim only (sim classifies ECALL as a rollback terminator);
-            # transcribes the fast thunk with the import name folded.
+            # the import name is folded.
             name = self.em.binary.import_name(ops[0].value)
             w.param("XR", "EXTERNALS")
             w.param("EM", "EM")
@@ -938,21 +1076,58 @@ class _BlockCompiler:
             w.emit("f.carry = False")
             w.emit("f.overflow = False")
 
-    # -- memory-operation emitters (each transcribes its fast thunk) ---------
-    def _page_state(self, w: _BlockWriter, addr_var: str, limit: int) -> None:
-        w.use("memory", "fullp", "pages")
+    # -- memory-operation emitters ------------------------------------------
+    def _page_lookup(self, w: _BlockWriter, addr_var: str, size: int,
+                     const: Optional[int]) -> str:
+        """Emit ``page = <backing page of the access, or None>``; returns
+        the in-page offset expression.
+
+        A constant address (a global) looks its exact range up in the
+        memory's ``_fast_ranges``, which also holds ranges on partially
+        mapped pages; any other address looks its page up in
+        ``_fast_pages`` (fully mapped pages).  The checked ``Memory``
+        accessors publish both the first time they succeed.
+        """
+        if const is not None:
+            w.use("memory", "fpc")
+            w.emit(f"page = fpc({(const << 4) | size})")
+            return str(const & 4095)
+        w.use("memory", "fpg")
         w.emit(f"off = {addr_var} & 4095")
-        w.emit(f"pid = {addr_var} >> 12")
-        w.emit(f"if off <= {limit}:")
-        w.emit("    state = fullp.get(pid)")
-        w.emit("    if state is None:")
-        w.emit("        state = memory.page_fully_mapped(pid)")
+        w.emit(f"page = fpg({addr_var} >> 12) if off <= {4096 - size} "
+               "else None")
+        return "off"
+
+    def _emit_read(self, w: _BlockWriter, dest: str, addr_var: str,
+                   size: int, const: Optional[int] = None) -> None:
+        """``dest = <size-byte little-endian guest read at addr_var>``:
+        straight from the page when ``_page_lookup`` finds it, else the
+        checked ``Memory.read_int``."""
+        w.param(f"U{size}", f"U{size}")
+        off = self._page_lookup(w, addr_var, size, const)
+        w.emit(f"{dest} = (memory.read_int({addr_var}, {size}) "
+               f"if page is None else U{size}(page, {off})[0])")
+
+    def _emit_write(self, w: _BlockWriter, addr_var: str, size: int,
+                    value: str, masked: str,
+                    const: Optional[int] = None) -> None:
+        """Guest write of ``value`` (``masked``: the same value wrapped to
+        ``size`` bytes), undo-logged in the sim variant; the fast and slow
+        paths split as in :meth:`_emit_read`."""
+        w.param(f"P{size}", f"P{size}")
+        off = self._page_lookup(w, addr_var, size, const)
+        w.emit("if page is None:")
+        w.emit(f"    memory.write_int({addr_var}, {value}, {size})")
         w.emit("else:")
-        w.emit("    state = False")
+        if w.sim:
+            w.use("jn")
+            w.emit(f"    jn.entries.append((True, {addr_var}, "
+                   f"bytes(page[{off}:{off} + {size}])))")
+        w.emit(f"    P{size}(page, {off}, {masked})")
 
     def _promotion_tail(self, w: _BlockWriter, di: int) -> None:
         # A pending promotion is only ever *applied* through
-        # ``dift.or_register_tag``; with DIFT off the fast engine's
+        # ``dift.or_register_tag``; with DIFT off the legacy engine's
         # per-load check-and-clear is architecturally invisible (the flag
         # is reset at every ``_setup_process``), so skip it entirely.
         if not self.dift_on:
@@ -1074,18 +1249,11 @@ class _BlockCompiler:
         di = int(instr.operands[0].reg)
         size = instr.size
         w.use("regs")
-        w.param(f"U{size}", f"U{size}")
         w.mark()
         w.emit(f"a = {_ea_expr(instr.operands[1])}")
         if self.dift_on:
             self._emit_read_tags(w, f"rt[{di}]", "a", size)
-        self._page_state(w, "a", 4096 - size)
-        w.emit("if state:")
-        w.emit("    page = pages.get(pid)")
-        w.emit(f"    value = 0 if page is None else "
-               f"U{size}(page, off)[0]")
-        w.emit("else:")
-        w.emit(f"    value = memory.read_int(a, {size})")
+        self._emit_read(w, "value", "a", size, _const_ea(instr.operands[1]))
         w.journal_reg(di)
         w.emit(f"regs[{di}] = value")
         self._promotion_tail(w, di)
@@ -1105,34 +1273,21 @@ class _BlockCompiler:
             else:
                 tag = "0"
             self._emit_write_tags(w, "a", size, tag, False)
-        self._page_state(w, "a", 4096 - size)
-        w.emit("if state:")
-        w.emit("    page = pages.get(pid)")
-        w.emit("    if page is None:")
-        w.emit("        page = bytearray(4096)")
-        w.emit("        pages[pid] = page")
-        if w.sim:
-            w.use("jn")
-            w.emit(f"    jn.entries.append((True, a, "
-                   f"bytes(page[off:off + {size}])))")
-        w.param(f"P{size}", f"P{size}")
+        const = _const_ea(instr.operands[0])
         if isinstance(src, Reg):
-            si = int(src.reg)
-            w.emit(f"    P{size}(page, off, regs[{si}] & {mask})")
-            w.emit("else:")
-            w.emit(f"    memory.write_int(a, regs[{si}], {size})")
+            value = f"regs[{int(src.reg)}]"
+            self._emit_write(w, "a", size, value, f"{value} & {mask}", const)
         else:
             value = to_unsigned(src.value)
-            w.emit(f"    P{size}(page, off, {value & mask})")
-            w.emit("else:")
-            w.emit(f"    memory.write_int(a, {value}, {size})")
+            self._emit_write(w, "a", size, str(value), str(value & mask),
+                             const)
 
     def _emit_push(self, w: _BlockWriter, instr: Instruction) -> None:
         src = instr.operands[0]
         w.use("regs")
         w.mark()
         if self.dift_on:
-            # NB: unmasked sp - 8, exactly like _dift_fn's PUSH thunk.
+            # NB: unmasked sp - 8, exactly like BinaryDift.propagate.
             w.emit(f"wa = regs[{SP_IDX}] - 8")
             if isinstance(src, Reg):
                 w.use("rt")
@@ -1146,21 +1301,8 @@ class _BlockCompiler:
             written = "value"
         else:
             written = str(to_unsigned(src.value))
-        w.param("P8", "P8")
         w.emit(f"new_sp = (regs[{SP_IDX}] - 8) & {MASK64}")
-        self._page_state(w, "new_sp", 4088)
-        w.emit("if state:")
-        w.emit("    page = pages.get(pid)")
-        w.emit("    if page is None:")
-        w.emit("        page = bytearray(4096)")
-        w.emit("        pages[pid] = page")
-        if w.sim:
-            w.use("jn")
-            w.emit("    jn.entries.append((True, new_sp, "
-                   "bytes(page[off:off + 8])))")
-        w.emit(f"    P8(page, off, {written})")
-        w.emit("else:")
-        w.emit(f"    memory.write_int(new_sp, {written}, 8)")
+        self._emit_write(w, "new_sp", 8, written, written)
         if w.sim:
             w.emit(f"jn.entries.append((False, {SP_IDX}, regs[{SP_IDX}]))")
         w.emit(f"regs[{SP_IDX}] = new_sp")
@@ -1168,17 +1310,11 @@ class _BlockCompiler:
     def _emit_pop(self, w: _BlockWriter, instr: Instruction) -> None:
         di = int(instr.operands[0].reg)
         w.use("regs")
-        w.param("U8", "U8")
         w.mark()
         w.emit(f"sp = regs[{SP_IDX}]")
         if self.dift_on:
             self._emit_read_tags(w, f"rt[{di}]", "sp", 8)
-        self._page_state(w, "sp", 4088)
-        w.emit("if state:")
-        w.emit("    page = pages.get(pid)")
-        w.emit("    value = 0 if page is None else U8(page, off)[0]")
-        w.emit("else:")
-        w.emit("    value = memory.read_int(sp, 8)")
+        self._emit_read(w, "value", "sp", 8)
         w.journal_reg(di)
         w.emit(f"regs[{di}] = value")
         w.emit(f"new_sp = (regs[{SP_IDX}] + 8) & {MASK64}")
@@ -1264,22 +1400,80 @@ class _BlockCompiler:
         w.emit(f"regs[{di}] = r")
 
 
-class JitEmulator(FastEmulator):
-    """Block-compiled engine: generated source over the fast-engine trace."""
+class _SingleTable(dict):
+    """addr -> single-instruction function of one variant, built on first use.
+
+    Subscripting an address not yet in the table calls ``build`` and keeps
+    the function; ``None`` (an address holding no instruction) is returned
+    but not kept.
+    """
+
+    def __init__(self, build: Callable[[int], Optional[Callable]]) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, addr: int) -> Optional[Callable]:
+        fn = self.build(addr)
+        if fn is not None:
+            self[addr] = fn
+        return fn
+
+
+def _require_journal(controller) -> None:
+    """The compiled engines undo-log speculative stores through the
+    machine journal only; a snapshot controller would silently leave
+    speculative memory writes committed after rollback."""
+    if controller is not None and not getattr(
+        controller, "uses_machine_journal", False
+    ):
+        raise ValueError(
+            "the compiled engines require a journaling speculation "
+            "controller (JournalingSpeculationController); use "
+            "resolve_engine() to get a matched pair, or the legacy "
+            "Emulator for snapshot controllers"
+        )
+
+
+class JitEmulator(Emulator):
+    """Compiled engine: generated blocks and single-instruction functions."""
 
     engine_name = "jit"
 
+    #: inline-instruction cap per superblock (keeps generated functions and
+    #: the worst-case counter-flush granularity bounded).  At a cap of one
+    #: no block module is built and only single-instruction functions run.
+    max_block = 64
+
     def __init__(self, *args, **kwargs) -> None:
-        #: addr -> (block fn, fuel need), one map per simulation state.
-        self._blocks_sim: Dict[int, Tuple] = {}
-        self._blocks_nosim: Dict[int, Tuple] = {}
-        #: addr -> covered instruction addresses (profiler attribution).
-        self._block_spans_sim: Dict[int, Tuple[int, ...]] = {}
-        self._block_spans_nosim: Dict[int, Tuple[int, ...]] = {}
-        self._jit_cache = None
-        self._jit_cache_event = "none"
-        self._jit_source: Optional[str] = None
         super().__init__(*args, **kwargs)
+        _require_journal(self.controller)
+        #: per-execution accounting cells shared between the dispatch loop
+        #: and the generated functions.
+        self._cycles_cell = [0]
+        self._arch_cell = [0]
+        self._steps_cell = [0]
+        #: addresses dispatched to legacy-handler fallbacks so far
+        #: (telemetry reads the count).
+        self._fallback_addresses: Set[int] = set()
+        #: block-module cache outcome ("none" when no module is built).
+        self._jit_cache_event = "none"
+        self._compile_blocks()
+
+    def rebind_controller(self, controller) -> None:
+        """Swap controllers and regenerate everything bound to the old one.
+
+        The generated functions bind the controller when they are
+        installed, so unlike the legacy engine a plain attribute
+        assignment is not enough; the differential tests use this to
+        re-run one emulator under several nesting policies without paying
+        binary decode again.
+        """
+        _require_journal(controller)
+        super().rebind_controller(controller)
+        self._fallback_addresses = set()
+        # Controller presence is part of the options digest; going
+        # through _compile_blocks re-keys the cache lookup (memo-hit
+        # when only the instance changed) and rebinds the namespace.
         self._compile_blocks()
 
     # -- compilation ---------------------------------------------------------
@@ -1288,11 +1482,11 @@ class JitEmulator(FastEmulator):
 
         Part of the persistent-cache key: two emulators with equal
         binary hash and equal digest are guaranteed to generate
-        byte-identical module source.
+        byte-identical source.
         """
         payload = {
             "codegen": _CODEGEN_VERSION,
-            "max_block": _MAX_BLOCK,
+            "max_block": self.max_block,
             "costs": {op.name: self.cost_model.instruction_cost(op)
                       for op in Opcode},
             "max_steps": self.max_steps,
@@ -1303,7 +1497,7 @@ class JitEmulator(FastEmulator):
             "has_shadows": self.has_shadows,
             "dift": self.policy is not None and self.policy.needs_dift,
             "controller": self.controller is not None,
-            # presence of these is constant-folded into the blocks
+            # presence of these is constant-folded into the functions
             "policy": self.policy is not None,
             "coverage": self.coverage is not None,
         }
@@ -1316,15 +1510,17 @@ class JitEmulator(FastEmulator):
         binary_hash = hashlib.sha256(dumps_binary(self.binary)).hexdigest()
         digest = self._options_digest()
         self._jit_key = (binary_hash, digest)
-        code = cache.load(binary_hash, digest)
-        if code is None:
-            source = _BlockCompiler(self).compile_source()
-            self._jit_source = source
-            code = compile(source, "<repro-jit>", "exec")
-            cache.store(binary_hash, digest, code)
-            self._jit_cache_event = "miss"
-        else:
-            self._jit_cache_event = "hit"
+        self._compiler = _BlockCompiler(self)
+        code = None
+        if self.max_block > 1:
+            code = cache.load(binary_hash, digest)
+            if code is None:
+                source = self._compiler.compile_source()
+                code = compile(source, "<repro-jit>", "exec")
+                cache.store(binary_hash, digest, code)
+                self._jit_cache_event = "miss"
+            else:
+                self._jit_cache_event = "hit"
         self._block_code = code
         self._install_blocks()
 
@@ -1333,21 +1529,25 @@ class JitEmulator(FastEmulator):
 
         The generated source is instance-independent (every constant is
         a literal); instance objects enter through the exec namespace,
-        which each block function captures via keyword-parameter
-        defaults evaluated here.
+        which each generated function captures via keyword-parameter
+        defaults evaluated at exec time.  Single-instruction functions
+        are exec'd into the same namespace as they are first dispatched.
         """
-        controller = self.controller
+        self._singles_nosim = _SingleTable(
+            lambda addr: self._build_single(addr, False))
+        self._singles_sim = _SingleTable(
+            lambda addr: self._build_single(addr, True))
         namespace = {
             "EM": self,
-            "CTRL": controller,
+            "CTRL": self.controller,
             "CYC": self._cycles_cell,
             "ARC": self._arch_cell,
             "STP": self._steps_cell,
-            "TRACE": self._trace,
+            "NSINGLES": self._singles_nosim,
+            "SSINGLES": self._singles_sim,
             "INSTRS": self.instructions,
             "RTR": _read_tag_range,
             "WTR": _write_tag_range,
-            "FB": _FROM_BYTES,
             "U1": _UNPACKERS[1], "U2": _UNPACKERS[2],
             "U4": _UNPACKERS[4], "U8": _UNPACKERS[8],
             "P1": _PACKERS[1], "P2": _PACKERS[2],
@@ -1358,30 +1558,86 @@ class JitEmulator(FastEmulator):
             "SSPANS": {},
             "NSPANS": {},
         }
-        exec(self._block_code, namespace)
+        if self._block_code is not None:
+            exec(self._block_code, namespace)
+        self._namespace = namespace
+        #: addr -> (block fn, fuel need), one map per simulation state.
         self._blocks_sim = namespace["BLOCKS"]
         self._blocks_nosim = namespace["NBLOCKS"]
+        #: addr -> covered instruction addresses (profiler attribution).
         self._block_spans_sim = namespace["SSPANS"]
         self._block_spans_nosim = namespace["NSPANS"]
         self._jit_inline_instructions = sum(
             len(span) for span in self._block_spans_nosim.values())
 
-    def rebind_controller(self, controller) -> None:
-        """Swap controllers and regenerate everything bound to the old one."""
-        super().rebind_controller(controller)
-        # Controller presence is part of the options digest; going
-        # through _compile_blocks re-keys the cache lookup (memo-hit
-        # when only the instance changed) and rebinds the namespace.
-        self._compile_blocks()
+    def _build_single(self, addr: int, sim: bool) -> Optional[Callable]:
+        """The single-instruction function at ``addr`` (``None`` off code).
+
+        Compiled code objects are memoized process-wide under the cache
+        key, so a stream of emulators over one binary compiles each at
+        most once; every instance execs them into its own namespace.
+        """
+        instr = self.instructions.get(addr)
+        if instr is None:
+            return None
+        memo = self._jit_cache.singles
+        key = self._jit_key + (addr, sim)
+        code = memo.get(key)
+        if code is None:
+            source = self._compiler.compile_single(addr, sim)
+            if source is None:
+                return self._make_fallback(instr)
+            code = compile(source, "<repro-jit>", "exec")
+            memo[key] = code
+        exec(code, self._namespace)
+        return self._namespace.pop(_fn_name("i", addr, sim))
+
+    def _make_fallback(self, instr: Instruction) -> Callable:
+        """An ender's single-instruction function: the legacy handler
+        wrapped in the legacy main loop's per-step sequence (counters,
+        DIFT propagation, extra cycles), without its dispatch-table and
+        cost-model lookups."""
+        self._fallback_addresses.add(instr.address)
+        em = self
+        controller = self.controller
+        cps = controller.checkpoints if controller is not None else None
+        cost = self.cost_model.instruction_cost(instr.opcode)
+        is_arch = instr.opcode not in _PSEUDO_SET
+        handler = self._dispatch[instr.opcode]
+
+        def single(m, em=em, controller=controller, cps=cps,
+                   stp=self._steps_cell, cyc=self._cycles_cell,
+                   arc=self._arch_cell, cost=cost, is_arch=is_arch,
+                   handler=handler, instr=instr):
+            stp[0] += 1
+            cyc[0] += cost
+            if is_arch:
+                arc[0] += 1
+                if cps:
+                    controller.count_instruction()
+                d = em.dift
+                if d is not None:
+                    try:
+                        d.propagate(instr, m)
+                    except MemoryFault:
+                        pass
+            em._extra_cycles = 0
+            new_pc = handler(instr)
+            extra = em._extra_cycles
+            if extra:
+                cyc[0] += extra
+            return new_pc
+        return single
 
     # -- main loop -----------------------------------------------------------
     def _execute(self) -> ExecutionResult:
         machine = self.machine
         controller = self.controller
         cost_model = self.cost_model
-        trace_get = self._trace.get
         sim_get = self._blocks_sim.get
         nosim_get = self._blocks_nosim.get
+        sim_singles = self._singles_sim
+        nosim_singles = self._singles_nosim
         # live-checkpoint list: truthy exactly while simulating.  The
         # controller clears it in place (never reassigns), so the hoisted
         # reference stays valid for the whole run.
@@ -1411,13 +1667,17 @@ class JitEmulator(FastEmulator):
                 # it (the block advances the counters itself).
                 fn = entry[0]
             else:
-                fn = trace_get(pc)
+                # One step; the function advances the counters itself.
+                fn = (sim_singles if cps else nosim_singles)[pc]
                 if fn is None:
                     if (
                         self._dynamic_models
                         and controller is not None
                         and controller.in_simulation
                     ):
+                        # Speculative wrong path reached non-code (stale
+                        # model target): squash the simulation, exactly
+                        # like the legacy engine.
                         undone = controller.rollback(machine, self.dift,
                                                      reason="exception")
                         cyc[0] += cost_model.rollback_cost(undone)
@@ -1428,7 +1688,6 @@ class JitEmulator(FastEmulator):
                     result.status = "crash"
                     result.crash_reason = f"jump to non-code address {pc:#x}"
                     break
-                stp[0] = steps + 1
 
             try:
                 new_pc = fn(machine)

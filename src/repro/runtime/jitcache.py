@@ -14,6 +14,10 @@ run, one per re-fuzz.  This module shares that work:
 * **On-disk cache** — the code object is marshalled to a cache file so
   *other* processes (pool-scheduler campaign workers, sequential
   ``repro fuzz`` invocations) skip compilation entirely (a "disk" hit).
+* **Single-instruction memo** — the engines compile single-instruction
+  functions on first dispatch; their code objects are memoized per
+  process under the same (binary, options) key plus address and
+  variant, and are never written to disk.
 
 Cache layout
 ------------
@@ -106,6 +110,10 @@ class BlockCache:
         self.version = version
         #: in-process memo: (binary_hash, options_digest) -> code object.
         self._memo: Dict[Tuple[str, str], object] = {}
+        #: in-process memo of single-instruction functions:
+        #: (binary_hash, options_digest, address, sim variant) -> code
+        #: object.  Never persisted: each is compiled on first dispatch.
+        self.singles: Dict[Tuple[str, str, int, bool], object] = {}
         #: hit/miss accounting, exposed through ``engine.jit.cache_*``
         #: telemetry gauges and asserted by the cache tests.
         self.stats: Dict[str, int] = {

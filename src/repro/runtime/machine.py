@@ -185,11 +185,19 @@ class Memory:
         self._pages: Dict[int, bytearray] = {}
         #: list of (start, end) half-open mapped ranges, kept sorted
         self._regions: List[Tuple[int, int]] = []
-        #: lazily filled cache ``page id -> fully mapped?``; accesses confined
-        #: to a fully mapped page skip the region walk (fast-engine hot path).
-        #: Invalidated wholesale whenever a region is mapped, because mapping
-        #: can only turn pages *more* mapped.
-        self._full_pages: Dict[int, bool] = {}
+        #: lazily filled cache ``page id -> mapped (start, end) offsets
+        #: within the page``, so single-page accesses skip the region walk.
+        #: Invalidated wholesale whenever a region is mapped.
+        self._spans: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+        #: ``page id -> page`` for fully mapped pages touched so far; the
+        #: compiled engines' in-page accesses go straight to these.  Never
+        #: invalidated: mapping only makes pages *more* mapped, and pages
+        #: are never replaced.
+        self._fast_pages: Dict[int, bytearray] = {}
+        #: ``(addr << 4) | size -> page`` for single-page ranges accessed
+        #: so far, partially mapped pages included (the compiled engines'
+        #: accesses to constant addresses); valid for the same reasons.
+        self._fast_ranges: Dict[int, bytearray] = {}
         #: copy-on-write undo log; attached by the speculation controller
         #: while a simulation is active, ``None`` otherwise.
         self.journal: Optional[StateJournal] = None
@@ -201,14 +209,47 @@ class Memory:
             return
         self._regions.append((start, start + size))
         self._regions.sort()
-        self._full_pages.clear()
+        self._spans.clear()
 
-    def page_fully_mapped(self, page_id: int) -> bool:
-        """Whether the whole page ``page_id`` lies in mapped guest memory
-        (cached; consulted by the fast engine's single-page access paths)."""
-        state = self.is_mapped(page_id << 12, PAGE_SIZE)
-        self._full_pages[page_id] = state
-        return state
+    def _page_spans(self, page_id: int) -> Tuple[Tuple[int, int], ...]:
+        """Mapped ``(start, end)`` offsets within page ``page_id`` (cached)."""
+        spans = self._spans.get(page_id)
+        if spans is None:
+            base = page_id << 12
+            merged: List[List[int]] = []
+            for start, stop in self._regions:
+                lo = max(start, base) - base
+                hi = min(stop, base + PAGE_SIZE) - base
+                if lo >= hi:
+                    continue
+                if merged and lo <= merged[-1][1]:
+                    merged[-1][1] = max(merged[-1][1], hi)
+                else:
+                    merged.append([lo, hi])
+            spans = tuple((lo, hi) for lo, hi in merged)
+            self._spans[page_id] = spans
+        return spans
+
+    def direct_page(self, addr: int, size: int) -> Optional[bytearray]:
+        """The backing page of ``[addr, addr+size)`` when that range is
+        mapped and lies in one page, else ``None`` (the checked accessors
+        then raise or split the access).  Pages that are mapped whole are
+        also published in ``_fast_pages``.
+        """
+        offset = addr & PAGE_MASK
+        end = offset + size
+        if end > PAGE_SIZE:
+            return None
+        page_id = addr >> 12
+        for lo, hi in self._page_spans(page_id):
+            if lo <= offset and end <= hi:
+                page = self._page(addr)
+                if lo == 0 and hi == PAGE_SIZE:
+                    self._fast_pages[page_id] = page
+                if size <= 8:
+                    self._fast_ranges[(addr << 4) | size] = page
+                return page
+        return None
 
     def mapped_regions(self) -> List[Tuple[int, int]]:
         """The list of mapped ``(start, end)`` ranges."""
@@ -216,11 +257,10 @@ class Memory:
 
     def is_mapped(self, addr: int, size: int = 1) -> bool:
         """Whether the whole range ``[addr, addr+size)`` is mapped."""
-        if (addr + size - 1) >> 12 == addr >> 12 and self._full_pages.get(addr >> 12):
-            # Single-page access to a page known fully mapped: skip the
-            # region walk.  (Cache misses fall through; only the fast
-            # engine's access paths populate the cache.)
-            return True
+        if size > 0 and (addr + size - 1) >> 12 == addr >> 12:
+            offset = addr & PAGE_MASK
+            return any(lo <= offset and offset + size <= hi
+                       for lo, hi in self._page_spans(addr >> 12))
         remaining_start = addr
         end = addr + size
         for start, stop in self._regions:
@@ -294,12 +334,25 @@ class Memory:
 
     def read_int(self, addr: int, size: int) -> int:
         """Guest read of a little-endian unsigned integer."""
+        page = self.direct_page(addr, size)
+        if page is not None:
+            offset = addr & PAGE_MASK
+            return int.from_bytes(page[offset:offset + size], "little")
         return int.from_bytes(self.read_bytes(addr, size), "little")
 
     def write_int(self, addr: int, value: int, size: int) -> None:
         """Guest write of a little-endian integer (wrapped to ``size`` bytes)."""
-        mask = (1 << (8 * size)) - 1
-        self.write_bytes(addr, (value & mask).to_bytes(size, "little"))
+        data = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+        page = self.direct_page(addr, size)
+        if page is not None:
+            offset = addr & PAGE_MASK
+            journal = self.journal
+            if journal is not None:
+                journal.entries.append(
+                    (True, addr, bytes(page[offset:offset + size])))
+            page[offset:offset + size] = data
+            return
+        self.write_bytes(addr, data)
 
     def read_cstring(self, addr: int, max_len: int = 4096) -> bytes:
         """Read a NUL-terminated byte string (without the terminator)."""

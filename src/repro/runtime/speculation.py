@@ -327,9 +327,9 @@ class SpeculationController:
 
         Called by the emulator's process setup.  Stats and policy state
         deliberately survive — they accumulate across a fuzzing campaign.
-        ``checkpoints`` is cleared in place, never reassigned: the fast
-        engine's decoded thunks close over the list object to test
-        ``in_simulation`` without an attribute lookup.
+        ``checkpoints`` is cleared in place, never reassigned: the
+        compiled engines' dispatch loop and fallbacks close over the list
+        object to test ``in_simulation`` without an attribute lookup.
         """
         self.checkpoints.clear()
         self.memlog.clear()

@@ -25,6 +25,8 @@ import urllib.error
 import urllib.request
 from typing import Dict, Optional, Sequence
 
+from repro.plugins import DEFAULT_ENGINE
+
 DEFAULT_PORT = 8642
 DEFAULT_URL = f"http://127.0.0.1:{DEFAULT_PORT}"
 
@@ -151,7 +153,7 @@ def _submit_parser(sub) -> None:
     submit.add_argument("--shards", type=int, default=1)
     submit.add_argument("--seed", type=int, default=0)
     submit.add_argument("--max-input-size", type=int, default=1024)
-    submit.add_argument("--engine", default="fast")
+    submit.add_argument("--engine", default=DEFAULT_ENGINE)
     submit.add_argument("--job-timeout", type=float, default=0.0,
                         metavar="SECONDS", dest="job_timeout",
                         help="per-job wall-clock cap (0 = unlimited)")

@@ -11,10 +11,10 @@ policies, the coverage maps and the cost accounting all stay shared.
 A model answers four questions:
 
 * ``speculation_sources(instr)`` — is this instruction an entry (or
-  observation) site of the model?  The fast engine consults this at trace
-  build time: model sites fall back to the generic legacy handlers (where
-  the model hooks live), so both engines execute model semantics through
-  the *same* code and cannot diverge.
+  observation) site of the model?  The compiled engines consult this when
+  they classify an instruction: model sites fall back to the generic
+  legacy handlers (where the model hooks live), so every engine executes
+  model semantics through the *same* code and cannot diverge.
 * ``mispredicted_targets(...)`` — given the architectural outcome of a
   site, which wrong program counters could the hardware speculate to?
 * per-model cycle cost — ``entry_cost`` cycles are charged when the model
@@ -68,8 +68,9 @@ class SpeculationModel(abc.ABC):
     def speculation_sources(self, instr: Instruction) -> bool:
         """Whether ``instr`` is an entry/observation site of this model.
 
-        The fast engine builds fallback thunks for source instructions so
-        the shared legacy handlers (which carry the model hooks) run them.
+        The compiled engines run source instructions through
+        legacy-handler fallbacks, so the shared legacy handlers (which
+        carry the model hooks) run them.
         """
         return instr.opcode in self.source_opcodes
 

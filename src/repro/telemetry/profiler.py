@@ -1,22 +1,22 @@
 """Opt-in engine profiling: per-opcode and per-address hot-spot counts.
 
 The profiler wraps an emulator's dispatch structures *in place* — the
-fast engine's decoded-thunk trace (one wrapper per instruction address,
-so fused and fallback thunks are counted where they live), the legacy
-engine's opcode dispatch table, or the jit engine's compiled-block
-tables — and counts executions per opcode and per address.  Wrapping
-costs a Python call per retired thunk (per retired *block* on the jit
-engine), so this is strictly opt-in
+legacy engine's opcode dispatch table, or the compiled engines' block
+tables and single-instruction tables — and counts executions per opcode
+and per address.  Wrapping costs a Python call per dispatched handler,
+function or block, so this is strictly opt-in
 (``Pipeline.telemetry(profile_engine=True)`` or
 ``repro fuzz --profile-engine``); nothing is touched unless a profiler
 is installed before the emulator's first ``run()``.
 
-On the jit engine a block wrapper attributes one execution to every
+Single-instruction functions (every step of the ``fast`` engine, and the
+jit engine's steps outside blocks) are compiled on first dispatch, so
+the profiler wraps each as its table builds it, and counts are exact
+per address.  A jit block wrapper attributes one execution to every
 instruction address in the block's span (``_block_spans_*``): compiled
 blocks have no per-instruction dispatch left to hook, so a conditional
 early exit still counts the block's tail — superblock-granular
-attribution, exact at block heads.  Instructions that fall back to
-thunks keep exact counts through the trace wrapper.
+attribution, exact at block heads.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class EngineProfiler:
     def __init__(self, hot_spots: int = 20) -> None:
         #: executions per lower-case opcode name.
         self.per_opcode: Dict[str, int] = {}
-        #: executions per instruction address (fast engine: per thunk).
+        #: executions per instruction address.
         self.per_address: Dict[int, int] = {}
         self.hot_spot_limit = hot_spots
         self._attached: set = set()
@@ -47,28 +47,37 @@ class EngineProfiler:
         for sym in emulator.binary.function_symbols():
             self._symbols.append((sym.address, sym.address + sym.size,
                                   sym.name))
-        trace = getattr(emulator, "_trace", None)
         if getattr(emulator, "_blocks_nosim", None) is not None:
             self._wrap_blocks(emulator)
-        if trace is not None:
-            self._wrap_trace(emulator, trace)
+            self._wrap_singles(emulator)
         else:
             self._wrap_dispatch(emulator)
 
-    def _wrap_trace(self, emulator, trace) -> None:
-        """Fast engine: wrap every decoded thunk with a counting shim."""
+    def _wrap_singles(self, emulator) -> None:
+        """Compiled engines: wrap every single-instruction function, both
+        those already built and those the tables build later."""
         per_address = self.per_address
         per_opcode = self.per_opcode
-        for addr, thunk in list(trace.items()):
-            name = emulator.instructions[addr].opcode.name.lower()
+        instructions = emulator.instructions
 
-            def counting(m, _thunk=thunk, _addr=addr, _name=name,
+        def counted(addr, fn):
+            if fn is None:
+                return None
+            name = instructions[addr].opcode.name.lower()
+
+            def counting(m, _fn=fn, _addr=addr, _name=name,
                          _pa=per_address, _po=per_opcode):
                 _pa[_addr] = _pa.get(_addr, 0) + 1
                 _po[_name] = _po.get(_name, 0) + 1
-                return _thunk(m)
+                return _fn(m)
 
-            trace[addr] = counting
+            return counting
+
+        for table in (emulator._singles_sim, emulator._singles_nosim):
+            for addr, fn in list(table.items()):
+                table[addr] = counted(addr, fn)
+            table.build = (lambda addr, _build=table.build:
+                           counted(addr, _build(addr)))
 
     def _wrap_blocks(self, emulator) -> None:
         """Jit engine: wrap both compiled-block tables with counting shims.

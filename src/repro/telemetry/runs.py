@@ -123,16 +123,20 @@ class RunDirectory:
         spec dict, pipeline options, ...); only its digest and the mapping
         itself land in the manifest.
         """
-        run_id = run_id or _new_run_id()
-        path = os.path.join(root, run_id)
+        base_id = run_id or _new_run_id()
+        os.makedirs(root, exist_ok=True)
         suffix = 0
-        while os.path.exists(path):
-            # Two runs in the same second from the same pid (tests do
-            # this): disambiguate with a short suffix.
-            suffix += 1
-            path = os.path.join(root, f"{run_id}.{suffix}")
-        if suffix:
-            run_id = f"{run_id}.{suffix}"
+        while True:
+            run_id = f"{base_id}.{suffix}" if suffix else base_id
+            path = os.path.join(root, run_id)
+            try:
+                # mkdir is the atomic claim: of two runs created in the
+                # same second (concurrent submits), exactly one gets each
+                # name and the other moves on to the next suffix.
+                os.mkdir(path)
+                break
+            except FileExistsError:
+                suffix += 1
         run = cls(path)
         os.makedirs(run.metrics_dir, exist_ok=True)
         manifest: Dict[str, object] = {

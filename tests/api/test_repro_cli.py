@@ -97,21 +97,6 @@ def test_harden_subcommand_forwards(capsys):
     assert "repro harden" in err  # re-branded prog in the usage line
 
 
-def test_deprecated_shims_warn_and_work(capsys):
-    from repro.campaign.cli import deprecated_main as campaign_shim
-    from repro.hardening.cli import deprecated_main as harden_shim
-
-    assert campaign_shim(["--list-targets"]) == 0
-    captured = capsys.readouterr()
-    assert "deprecated" in captured.err
-    assert "gadgets" in captured.out
-
-    with pytest.raises(SystemExit):
-        harden_shim(["--help"])
-    captured = capsys.readouterr()
-    assert "deprecated" in captured.err
-
-
 def test_no_command_prints_help(capsys):
     assert main([]) == 2
     out = capsys.readouterr().out

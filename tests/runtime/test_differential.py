@@ -1,9 +1,10 @@
 """Differential suite: fast and jit engines must be bit-identical to legacy.
 
-The fast emulator engine (decoded-trace dispatch + copy-on-write rollback
-journaling, :mod:`repro.runtime.fastpath`) and the jit engine (compiled
-basic blocks + persistent block cache, :mod:`repro.runtime.jit`) are only
-allowed to change *how fast* executions run, never *what* they compute.
+The jit engine (compiled basic blocks + persistent block cache +
+copy-on-write rollback journaling, :mod:`repro.runtime.jit`) and the fast
+engine (the same compiler one instruction at a time,
+:mod:`repro.runtime.fastpath`) are only allowed to change *how fast*
+executions run, never *what* they compute.
 This suite drives the reusable harness in :mod:`differential` over the
 full engine triple — every Kocher gadget sample, jsmn/libyaml smoke
 inputs, full fuzzing campaigns and all four speculation-model variants —
@@ -116,7 +117,7 @@ def test_specfuzz_runtime_identical_across_engines():
 def test_variant_models_identical_across_engines(variants):
     """Speculation-model campaigns (BTB/RSB/STL, alone and combined) must
     be engine-invariant: model sites funnel every engine through the same
-    shared handlers — the jit engine falls back to thunks there — and this
+    shared handlers — the compiled engines fall back to them there — and this
     locks that in over full fuzzing loops on every planted gadget-sample
     target."""
     for target_name in ("gadgets-btb", "gadgets-rsb", "gadgets-stl"):

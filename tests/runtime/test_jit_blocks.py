@@ -9,6 +9,10 @@ drives *mid-block rollback*: a speculated (architecturally dead)
 random sequence with a forced rollback placed at every instruction
 boundary in turn, checking that the copy-on-write journal depth at
 rollback and the restored state agree between the journaling engines.
+A third property generates whole random *minic* programs (calls, loops,
+arrays, both switch lowerings), compiles and Teapot-instruments them per
+speculation variant, and requires every engine to produce the same
+execution record.
 """
 
 from __future__ import annotations
@@ -20,13 +24,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from differential import result_record
 from repro.core.config import TeapotConfig
-from repro.core.teapot import TeapotRewriter
+from repro.core.teapot import TeapotRewriter, TeapotRuntime
 from repro.coverage.sancov import CoverageRuntime
 from repro.isa.assembler import AsmProgram, Assembler
 from repro.isa.builder import FunctionBuilder
 from repro.isa.operands import Imm, Label, Mem, Reg
 from repro.isa.registers import Register
 from repro.loader.binary_format import DataObject
+from repro.minic.codegen import CompilerOptions, SwitchLowering
+from repro.minic.compiler import compile_source
 from repro.runtime.fastpath import resolve_engine
 from repro.runtime.speculation import TeapotNestingPolicy
 from repro.sanitizers.policy import KasperPolicy
@@ -273,3 +279,150 @@ def test_mid_block_rollback_at_every_boundary(ops, boundary, data):
     assert record["spec_stats"]["simulations_started"] >= 1, (
         "the guarded branch never speculated — the property is vacuous"
     )
+
+
+# -- random minic programs ---------------------------------------------------
+
+#: Speculation variants every generated program is instrumented for.
+VARIANTS = ("pht", "btb", "rsb", "stl")
+
+MINIC_IN_SIZE = 16
+
+_BINOPS = ("+", "-", "*", "&", "|", "^", "<", ">=", "==", "!=")
+
+
+def _minic_expr(names, depth: int):
+    """Expressions over ``names``: arithmetic, comparisons, in-bounds
+    array reads (masked indices) and remainders (the div/mod path)."""
+    leaf = st.one_of(
+        st.sampled_from(names),
+        st.integers(min_value=0, max_value=300).map(str),
+        st.sampled_from(names).map(lambda v: f"lut[{v} & 7]"),
+        st.sampled_from(names).map(lambda v: f"g[{v} & 7]"),
+    )
+    if depth == 0:
+        return leaf
+    sub = _minic_expr(names, depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(sub, st.sampled_from(_BINOPS), sub).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(sub, st.integers(min_value=0, max_value=5)).map(
+            lambda t: f"({t[0]} << {t[1]})"),
+        st.tuples(sub, sub).map(lambda t: f"({t[0]} % (({t[1]} & 7) + 1))"),
+    )
+
+
+def _minic_stmt(names, calls: bool):
+    """Statements updating the first name: plain updates, global array
+    stores, bounds-checked loads (the Spectre-V1 shape) and, when
+    ``calls`` is set, direct, indirect (function-pointer) and recursive
+    calls."""
+    expr = _minic_expr(names, 2)
+    acc, key = names[0], names[1]
+    shapes = [
+        expr.map(lambda e: f"{acc} = {acc} + {e};"),
+        st.tuples(expr, expr).map(lambda t: f"g[({t[0]}) & 7] = {t[1]};"),
+        st.tuples(expr, st.integers(min_value=0, max_value=16)).map(
+            lambda t: f"if ({key} < {t[1]}) {{ {acc} += lut[{key}]; }} "
+                      f"else {{ {acc} ^= {t[0]}; }}"),
+    ]
+    if calls:
+        shapes += [
+            st.tuples(expr, expr).map(
+                lambda t: f"{acc} += helper({t[0]}, {t[1]});"),
+            st.tuples(expr, expr, expr).map(
+                lambda t: f"fp = helper; if ({t[0]} < 64) {{ fp = helper2; }} "
+                          f"{acc} += fp({t[1]}, {t[2]});"),
+            expr.map(lambda e: f"{acc} += deep(({e}) & 7);"),
+        ]
+    return st.one_of(shapes)
+
+
+def _minic_switch(names):
+    """A dense switch over four to eight cases (a jump table when lowered
+    Clang-style, a compare chain otherwise)."""
+    body = st.lists(_minic_stmt(names, True), min_size=1, max_size=2).map(
+        " ".join)
+    return st.tuples(_minic_expr(names, 1),
+                     st.lists(body, min_size=4, max_size=8), body).map(
+        lambda t: f"switch (({t[0]}) & 7) {{ "
+                  + " ".join(f"case {n}: {{ {b} }}" for n, b in enumerate(t[1]))
+                  + f" default: {{ {t[2]} }} }}")
+
+
+@st.composite
+def _minic_programs(draw):
+    helpers = [" ".join(draw(st.lists(_minic_stmt(("r", "a", "b"), False),
+                                      min_size=1, max_size=3)))
+               for _ in range(2)]
+    main_names = ("acc", "c", "i")
+    before = draw(st.lists(_minic_stmt(main_names, True), max_size=3))
+    after = draw(st.lists(_minic_stmt(main_names, True), max_size=3))
+    switch = draw(_minic_switch(main_names))
+    loops = draw(st.integers(min_value=1, max_value=6))
+    return f"""
+    int g[8];
+    byte lut[16] = {{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3}};
+    int helper(int a, int b) {{
+        int r = a ^ b;
+        {helpers[0]}
+        return r;
+    }}
+    int helper2(int a, int b) {{
+        int r = a - b;
+        {helpers[1]}
+        return r;
+    }}
+    int deep(int d) {{
+        if (d > 0) {{
+            return deep(d - 1) + lut[d];
+        }}
+        return 0;
+    }}
+    int main() {{
+        byte buf[{MINIC_IN_SIZE}];
+        read_input(buf, {MINIC_IN_SIZE});
+        int acc = 0;
+        int c = 0;
+        int fp = helper;
+        for (int i = 0; i < {loops}; i++) {{
+            c = buf[i & {MINIC_IN_SIZE - 1}];
+            {" ".join(before)}
+            {switch}
+            {" ".join(after)}
+            fp = helper;
+            if (c < 128) {{ fp = helper2; }}
+            acc += fp(acc, c) + deep(c & 7);
+        }}
+        return acc & 255;
+    }}
+    """
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(source=_minic_programs(),
+       lowering=st.sampled_from((SwitchLowering.JUMP_TABLE,
+                                 SwitchLowering.BRANCH_CHAIN)),
+       data=st.binary(min_size=MINIC_IN_SIZE, max_size=MINIC_IN_SIZE))
+def test_random_minic_programs_match_across_engines_and_variants(
+        source, lowering, data):
+    """Random minic programs, compiled and instrumented for each
+    speculation variant, yield identical execution records on every
+    engine."""
+    vanilla = compile_source(source, CompilerOptions(switch_lowering=lowering))
+    for variant in VARIANTS:
+        config = TeapotConfig().with_variants(variant)
+        binary = TeapotRewriter(config).instrument(vanilla)
+        records = {
+            engine: result_record(
+                TeapotRuntime(binary, config=config.with_engine(engine))
+                .run(data))
+            for engine in ENGINES
+        }
+        for engine in ("fast", "jit"):
+            assert records[engine] == records["legacy"], (
+                f"{engine} diverged from legacy under {variant}:\n{source}"
+            )

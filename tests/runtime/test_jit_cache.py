@@ -22,6 +22,7 @@ import repro.runtime.jit as jit_module
 from repro.campaign.scheduler import run_campaign
 from repro.campaign.spec import CampaignSpec
 from repro.runtime import jitcache
+from repro.runtime.fastpath import FastEmulator
 from repro.runtime.jit import JitEmulator
 from repro.runtime.jitcache import BlockCache
 from repro.targets import get_target
@@ -71,6 +72,31 @@ def test_cold_then_warm_hit_accounting(cache_dir, gadgets_binary):
     assert fresh.load(*first._jit_key) is not None
     assert fresh.stats == {"memo_hits": 0, "disk_hits": 1, "misses": 0,
                            "stale": 0, "corrupt": 0, "stores": 0}
+
+
+def test_single_instruction_functions_compile_lazily_once(cache_dir,
+                                                         gadgets_binary):
+    """Single-instruction functions compile on first dispatch only, never
+    touch the disk cache, and a second emulator over the same binary
+    reuses every compiled code object."""
+    first = FastEmulator(gadgets_binary)
+    memo = first._jit_cache.singles
+    assert not memo and not first._singles_nosim
+    data = b"\x00" + b"\x05" * 8
+    result = first.run(data)
+    compiled = dict(memo)
+    assert compiled, "nothing was compiled"
+    assert len(compiled) < len(first.instructions), "compiled eagerly"
+    assert first._jit_cache.stats["stores"] == 0
+    assert _cache_files(cache_dir) == []
+
+    second = FastEmulator(gadgets_binary)
+    rerun = second.run(data)
+    assert memo.keys() == compiled.keys()
+    assert all(memo[key] is code for key, code in compiled.items()), (
+        "a code object was compiled twice")
+    assert (rerun.status, rerun.steps, rerun.cycles) == \
+        (result.status, result.steps, result.cycles)
 
 
 def test_warm_construction_executes_identically(cache_dir, gadgets_binary):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
 
 import pytest
 
@@ -61,6 +63,39 @@ def test_same_second_runs_get_disambiguating_suffixes(tmp_path):
     assert first.run_id == "fixed"
     assert second.run_id == "fixed.1"
     assert os.path.isdir(second.path)
+
+
+def test_concurrent_runs_with_one_id_get_distinct_directories(tmp_path):
+    """Runs created at once under one id (two submits in the same second)
+    each claim their own directory."""
+    workers, per_worker = 16, 8
+    barrier = threading.Barrier(workers)
+    runs, errors = [], []
+
+    def create():
+        try:
+            barrier.wait(timeout=10)
+            for _ in range(per_worker):
+                runs.append(RunDirectory.create(root=str(tmp_path),
+                                                run_id="fixed"))
+        except Exception as error:  # reported by the assertion below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=create) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len({run.path for run in runs}) == workers * per_worker
+    for run in runs:
+        assert run.manifest()["run_id"] == os.path.basename(run.path)
 
 
 def test_foreign_manifest_is_rejected(tmp_path):
