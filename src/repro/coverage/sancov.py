@@ -36,11 +36,10 @@ class CoverageMap:
 
     def add_many(self, guard_ids: Iterable[int]) -> int:
         """Record many guard hits; returns how many were new."""
-        new = 0
-        for guard_id in guard_ids:
-            if self.add(guard_id):
-                new += 1
-        return new
+        covered = self._covered
+        before = len(covered)
+        covered.update(guard_ids)
+        return len(covered) - before
 
     def __len__(self) -> int:
         return len(self._covered)

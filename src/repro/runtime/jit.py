@@ -94,7 +94,7 @@ from repro.runtime.machine import MASK64, to_signed, to_unsigned
 from repro.sanitizers.dift import ALL_TAGS
 
 #: bump to invalidate every cached module when the emitted code changes.
-_CODEGEN_VERSION = 12
+_CODEGEN_VERSION = 17
 
 SIGN_BIT = 1 << 63
 TWO64 = 1 << 64
@@ -323,12 +323,12 @@ class _BlockWriter:
             self.param("ARC", "ARC")
             lines.append(f"{pad}ARC[0] += {self.pend_arch}")
             if self.sim:
+                # CTRL.count_instructions(n), inlined.
                 self.param("CTRL", "CTRL")
-                if self.pend_arch == 1:
-                    lines.append(f"{pad}CTRL.count_instruction()")
-                else:
-                    lines.append(
-                        f"{pad}CTRL.count_instructions({self.pend_arch})")
+                lines.append(
+                    f"{pad}CTRL.spec_instruction_count += {self.pend_arch}")
+                lines.append(f"{pad}CTRL.stats.simulated_instructions "
+                             f"+= {self.pend_arch}")
         return lines
 
     def flush(self) -> None:
@@ -734,7 +734,9 @@ class _BlockCompiler:
             Opcode.SPEC_REDIRECT, Opcode.LFENCE, Opcode.CPUID, Opcode.JMP,
         ):
             return True  # cost-only in this variant: nothing is emitted
-        if opcode in (Opcode.COV_TRACE, Opcode.COV_SPEC):
+        if opcode is Opcode.COV_SPEC:
+            return True  # a buffer append at most
+        if opcode is Opcode.COV_TRACE:
             return self.em.coverage is None
         if opcode in (Opcode.ASAN_CHECK, Opcode.POLICY_LOAD,
                       Opcode.POLICY_STORE, Opcode.POLICY_BRANCH):
@@ -784,9 +786,9 @@ class _BlockCompiler:
             w.param("CYC", "CYC")
             w.param("RBC", "EM.cost_model.rollback_cost")
             w.emit(f"{pad}CYC[0] += RBC(CTRL.rollback(m, EM.dift, "
-                   f"reason={reason!r}))")
+                   f"{reason!r}))")
         else:
-            w.emit(f"{pad}CTRL.rollback(m, EM.dift, reason={reason!r})")
+            w.emit(f"{pad}CTRL.rollback(m, EM.dift, {reason!r})")
         w.emit(f"{pad}return m.pc")
 
     # -- terminators / conditional exits -------------------------------------
@@ -840,8 +842,8 @@ class _BlockCompiler:
             w.flush()
             w.param("CTRL", "CTRL")
             w.param("EM", "EM")
-            w.emit(f"if CTRL.maybe_enter(m, branch_address={nxt}, "
-                   f"resume_pc={nxt}, dift=EM.dift):")
+            # positional: (machine, branch_address, resume_pc, dift)
+            w.emit(f"if CTRL.maybe_enter(m, {nxt}, {nxt}, EM.dift):")
             w.emit(f"    return {_imm_target(instr)}")
         else:  # RESTORE_COND (sim variant)
             w.flush()
@@ -868,11 +870,13 @@ class _BlockCompiler:
                   instr: Instruction) -> None:
         """Return: pop the target and jump to it dynamically.
 
-        The shadow-target check only fires inside simulation with
-        shadows present (both folded: simulation via the variant,
-        shadows via the cache digest), and the exit sentinel only needs
-        special handling in simulation — outside it the dispatch loop
-        recognizes it.
+        The exit sentinel only needs special handling in simulation —
+        outside it the dispatch loop recognizes it — and the shadow-target
+        check only fires inside simulation with shadows present (both
+        folded: simulation via the variant, shadows via the cache
+        digest).  The sentinel is tested first: it is neither Shadow-Copy
+        code nor a marker, so the escape check would roll back exactly
+        as the sentinel rollback does.
         """
         w.use("regs")
         w.emit(f"sp = regs[{SP_IDX}]")
@@ -884,16 +888,22 @@ class _BlockCompiler:
             w.use("jn")
             w.emit(f"jn.entries.append((False, {SP_IDX}, sp))")
         w.emit(f"regs[{SP_IDX}] = (sp + 8) & {MASK64}")
-        if w.sim and self.em.has_shadows:
-            iname = f"I_{addr:x}"
-            w.param(iname, f"INSTRS[{addr}]")
-            w.param("EM", "EM")
-            w.emit(f"redirected = EM._check_indirect_target({iname}, target)")
-            w.emit("if redirected is not None:")
-            w.emit("    return redirected")
         if w.sim:
             w.emit(f"if target == {EXIT_SENTINEL}:")
             self._emit_rollback(w, "forced", pad="    ", charge=False)
+        if w.sim and self.em.has_shadows:
+            # Targets in OKT (Shadow-Copy instructions and Real-Copy
+            # marker nops) always pass the escape check; only a miss pays
+            # for the exact check, which may still let it pass.
+            iname = f"I_{addr:x}"
+            w.param(iname, f"INSTRS[{addr}]")
+            w.param("EM", "EM")
+            w.param("OKT", "OKT")
+            w.emit("if target not in OKT:")
+            w.emit("    redirected = EM._check_indirect_target("
+                   f"{iname}, target)")
+            w.emit("    if redirected is not None:")
+            w.emit("        return redirected")
         w.emit("return target")
 
     def _emit_tail(self, w: _BlockWriter, tail) -> None:
@@ -933,11 +943,14 @@ class _BlockCompiler:
                 return  # folded: coverage presence is in the cache digest
             guard = ops[0] if ops else None
             gid = guard.value if isinstance(guard, Imm) else 0
-            call = ("trace_normal" if opcode is Opcode.COV_TRACE
-                    else "note_speculative")
-            w.mark()
             w.use("cov")
-            w.emit(f"cov.{call}({gid})")
+            if opcode is Opcode.COV_TRACE:
+                w.mark()
+                w.emit(f"cov.trace_normal({gid})")
+            else:
+                # cov.note_speculative(gid), inlined: cannot raise.
+                w.emit(f"cov._spec_buffer.append({gid})")
+                w.emit("cov.spec_notes += 1")
             return
 
         if opcode in (Opcode.ASAN_CHECK, Opcode.POLICY_LOAD,
@@ -1477,6 +1490,34 @@ class JitEmulator(Emulator):
         self._compile_blocks()
 
     # -- compilation ---------------------------------------------------------
+    def _decode_text(self) -> None:
+        """Decode the text section once per binary and cache directory.
+
+        The decode (``instructions``, ``next_address``) and the set of
+        shadow-escape-free return targets (``OKT``: Shadow-Copy
+        instructions and marker nops) depend on the binary alone, so
+        they are memoized in the shared :class:`BlockCache` under the
+        binary hash and shared by every engine over that binary.
+        Sharing is safe because decoded instructions are never mutated
+        after decode.
+        """
+        cache = shared_cache()
+        self._binary_hash = hashlib.sha256(
+            dumps_binary(self.binary)).hexdigest()
+        decoded = cache.decoded.get(self._binary_hash)
+        if decoded is None:
+            super()._decode_text()
+            self._index_shadow_functions()
+            instructions = self.instructions
+            ok_targets = frozenset(
+                [addr for start, end in self._shadow_ranges
+                 for addr in range(start, end) if addr in instructions]
+                + [addr for addr, instr in instructions.items()
+                   if instr.opcode is Opcode.MARKER_NOP])
+            decoded = (instructions, self.next_address, ok_targets)
+            cache.decoded[self._binary_hash] = decoded
+        self.instructions, self.next_address, self._ok_targets = decoded
+
     def _options_digest(self) -> str:
         """Digest of every knob the generated source depends on.
 
@@ -1507,7 +1548,7 @@ class JitEmulator(Emulator):
     def _compile_blocks(self) -> None:
         cache = shared_cache()
         self._jit_cache = cache
-        binary_hash = hashlib.sha256(dumps_binary(self.binary)).hexdigest()
+        binary_hash = self._binary_hash
         digest = self._options_digest()
         self._jit_key = (binary_hash, digest)
         self._compiler = _BlockCompiler(self)
@@ -1546,6 +1587,7 @@ class JitEmulator(Emulator):
             "NSINGLES": self._singles_nosim,
             "SSINGLES": self._singles_sim,
             "INSTRS": self.instructions,
+            "OKT": self._ok_targets,
             "RTR": _read_tag_range,
             "WTR": _write_tag_range,
             "U1": _UNPACKERS[1], "U2": _UNPACKERS[2],

@@ -18,6 +18,9 @@ run, one per re-fuzz.  This module shares that work:
   functions on first dispatch; their code objects are memoized per
   process under the same (binary, options) key plus address and
   variant, and are never written to disk.
+* **Decode memo** — the decoded text section of each binary (keyed by
+  the binary hash alone) is memoized per process the same way, so a
+  stream of engines over one binary decodes it once.
 
 Cache layout
 ------------
@@ -114,6 +117,10 @@ class BlockCache:
         #: (binary_hash, options_digest, address, sim variant) -> code
         #: object.  Never persisted: each is compiled on first dispatch.
         self.singles: Dict[Tuple[str, str, int, bool], object] = {}
+        #: in-process memo of decoded binaries: binary_hash ->
+        #: (instructions, next_address, shadow-escape-free targets), see
+        #: ``JitEmulator._decode_text``.  Never persisted.
+        self.decoded: Dict[str, tuple] = {}
         #: hit/miss accounting, exposed through ``engine.jit.cache_*``
         #: telemetry gauges and asserted by the cache tests.
         self.stats: Dict[str, int] = {

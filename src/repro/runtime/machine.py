@@ -56,11 +56,20 @@ class StateJournal:
         entries = self.entries
         registers = machine.registers
         memory = machine.memory
+        pages = memory._pages
         undone_memory = 0
         for index in range(len(entries) - 1, mark - 1, -1):
             is_memory, key, old = entries[index]
             if is_memory:
-                memory._write_raw(key, old)
+                # An in-page range goes straight into its page (it exists:
+                # the logged write touched it); a page-crossing one is split.
+                offset = key & PAGE_MASK
+                end = offset + len(old)
+                page = pages.get(key >> 12)
+                if page is not None and end <= PAGE_SIZE:
+                    page[offset:end] = old
+                else:
+                    memory._write_raw(key, old)
                 undone_memory += 1
             else:
                 registers[key] = old
@@ -374,12 +383,12 @@ class Memory:
         self._write_raw(addr, data)
 
     def read_shadow_byte(self, addr: int) -> int:
-        """Read one shadow byte."""
-        return self._read_raw(addr, 1)[0]
+        """Read one shadow byte (creates its page, like :meth:`read_shadow`)."""
+        return self._page(addr)[addr & PAGE_MASK]
 
     def write_shadow_byte(self, addr: int, value: int) -> None:
         """Write one shadow byte."""
-        self._write_raw(addr, bytes([value & 0xFF]))
+        self._page(addr)[addr & PAGE_MASK] = value & 0xFF
 
 
 @dataclass

@@ -15,7 +15,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.runtime.machine import StateJournal
+from repro.runtime.machine import PAGE_MASK, StateJournal
 
 #: The reorder-buffer stand-in: maximum instructions simulated per
 #: speculation episode (paper uses 250, following prior studies).
@@ -433,8 +433,9 @@ class SpeculationController:
         return undone
 
     def _finish_rollback(self, checkpoint, machine, dift, reason: str) -> None:
-        """Shared rollback tail: taint-log unwind, flags/pc/DIFT restoration
-        and statistics — identical for snapshot and journaling controllers."""
+        """Rollback tail: taint-log unwind, flags/pc/DIFT restoration and
+        statistics.  :meth:`JournalingSpeculationController.rollback`
+        inlines the same sequence."""
         while len(self.taint_log) > checkpoint.taint_log_index:
             shadow_address, old_tag = self.taint_log.pop()
             machine.memory.write_shadow_byte(shadow_address, old_tag)
@@ -510,40 +511,52 @@ class JournalingSpeculationController(SpeculationController):
         self.journal.clear()
 
     # -- entry -------------------------------------------------------------------
+    # ``maybe_enter`` and ``rollback`` run once per speculation episode
+    # (tens of times per execution), so unlike the snapshot controller
+    # they work on locals in one pass: no ``depth``/``in_simulation``
+    # properties, no snapshot/restore helper calls, and the shared
+    # ``_finish_rollback`` tail inlined.  The results are identical.
     def maybe_enter(self, machine, branch_address: int, resume_pc: int,
                     dift=None, model: str = "pht") -> bool:
         """Decide whether to enter simulation; push a journal-mark checkpoint."""
-        if not self.policy.should_enter(branch_address, self.depth):
+        checkpoints = self.checkpoints
+        depth = len(checkpoints)
+        if not self.policy.should_enter(branch_address, depth):
             return False
-        if self.depth == 0:
-            self.spec_instruction_count = 0
-            self.stats.simulations_started += 1
-            self.journal.clear()
-            self._machine = machine
-            machine.attach_journal(self.journal)
+        stats = self.stats
+        journal = self.journal
+        if depth:
+            stats.nested_simulations += 1
         else:
-            self.stats.nested_simulations += 1
+            self.spec_instruction_count = 0
+            stats.simulations_started += 1
+            journal.clear()
+            self._machine = machine
+            machine.attach_journal(journal)
         if model != "pht":
-            entries = self.stats.model_entries
+            entries = stats.model_entries
             entries[model] = entries.get(model, 0) + 1
-        register_tags = None
-        flags_tag = 0
-        if dift is not None:
-            register_tags = dift.snapshot_register_tags()
+        if dift is None:
+            register_tags = None
+            flags_tag = 0
+        else:
+            register_tags = tuple(dift.register_tags)
             flags_tag = dift.flags_tag
-        self.checkpoints.append(
+        flags = machine.flags
+        checkpoints.append(
             JournalCheckpoint(
                 branch_address,
                 resume_pc,
-                len(self.journal.entries),
-                machine.flags.snapshot(),
+                len(journal.entries),
+                (flags.zero, flags.sign, flags.carry, flags.overflow),
                 len(self.taint_log),
                 register_tags,
                 flags_tag,
                 model,
             )
         )
-        self.stats.max_depth_reached = max(self.stats.max_depth_reached, self.depth)
+        if depth >= stats.max_depth_reached:
+            stats.max_depth_reached = depth + 1
         return True
 
     # -- logging -----------------------------------------------------------------
@@ -553,15 +566,46 @@ class JournalingSpeculationController(SpeculationController):
     # -- rollback ---------------------------------------------------------------------
     def rollback(self, machine, dift=None, reason: str = "restore") -> int:
         """Roll back to the innermost checkpoint by replaying the journal."""
-        if not self.checkpoints:
+        checkpoints = self.checkpoints
+        if not checkpoints:
             raise RuntimeError("rollback requested outside speculation simulation")
-        checkpoint = self.checkpoints.pop()
+        checkpoint = checkpoints.pop()
 
         undone = self.journal.rollback_to(checkpoint.journal_mark, machine)
         if undone > self.undo_depth_max:
             self.undo_depth_max = undone
-        self._finish_rollback(checkpoint, machine, dift, reason)
-        if not self.checkpoints:
+        taint_log = self.taint_log
+        mark = checkpoint.taint_log_index
+        if len(taint_log) > mark:
+            page_of = machine.memory._page
+            for index in range(len(taint_log) - 1, mark - 1, -1):
+                shadow_address, old_tag = taint_log[index]
+                page_of(shadow_address)[shadow_address & PAGE_MASK] = (
+                    old_tag & 0xFF)
+            del taint_log[mark:]
+
+        flags = machine.flags
+        (flags.zero, flags.sign, flags.carry,
+         flags.overflow) = checkpoint.flags
+        resume_pc = checkpoint.resume_pc
+        machine.pc = resume_pc
+        # Dynamic models resume *at* their entry instruction; arm the skip
+        # so its hook lets the architectural re-execution retire.
+        self.skip_site = resume_pc if checkpoint.model != "pht" else None
+        if dift is not None and checkpoint.register_tags is not None:
+            dift.register_tags = list(checkpoint.register_tags)
+            dift.flags_tag = checkpoint.flags_tag
+
+        stats = self.stats
+        stats.rollbacks += 1
+        if reason == "budget":
+            stats.budget_rollbacks += 1
+        elif reason == "forced":
+            stats.forced_rollbacks += 1
+        elif reason == "exception":
+            stats.exception_rollbacks += 1
+        if not checkpoints:
+            self.spec_instruction_count = 0
             machine.attach_journal(None)
             self._machine = None
             self.journal.clear()

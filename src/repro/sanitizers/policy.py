@@ -150,9 +150,6 @@ class KasperPolicy(DetectionPolicy):
         addr_tag = self.dift.address_tag(mem, machine)
         promoted = 0
         pc = instr.address if instr.address is not None else 0
-        branches = context.branch_addresses
-        depth = context.depth
-        variant = self._variant(context)
 
         # Secret used to compose a dereferenced pointer -> cache transmitter.
         if addr_tag & TAG_ANY_SECRET:
@@ -160,10 +157,10 @@ class KasperPolicy(DetectionPolicy):
                 Channel.CACHE,
                 self._attacker_from_secret(addr_tag),
                 pc,
-                branches,
-                depth,
+                context.branch_addresses,
+                context.depth,
                 "secret-dependent pointer dereference",
-                variant=variant,
+                variant=self._variant(context),
             )
 
         in_bounds = self.asan.check_access(addr, size)
@@ -177,10 +174,10 @@ class KasperPolicy(DetectionPolicy):
                     Channel.MDS,
                     AttackerClass.USER,
                     pc,
-                    branches,
-                    depth,
+                    context.branch_addresses,
+                    context.depth,
                     "attacker-direct out-of-bounds load",
-                    variant=variant,
+                    variant=self._variant(context),
                 )
             elif addr_tag & TAG_MASSAGE:
                 # Wild pointer constructed from a speculative OOB value: any
@@ -190,10 +187,10 @@ class KasperPolicy(DetectionPolicy):
                     Channel.MDS,
                     AttackerClass.MASSAGE,
                     pc,
-                    branches,
-                    depth,
+                    context.branch_addresses,
+                    context.depth,
                     "attacker-indirect (massaged) pointer load",
-                    variant=variant,
+                    variant=self._variant(context),
                 )
             elif self.massage_enabled and not in_bounds:
                 # Speculative OOB with an untainted pointer: the outcome is

@@ -16,6 +16,8 @@ nested speculation policy.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from differential import (
@@ -29,6 +31,7 @@ from repro.baselines.specfuzz import SpecFuzzConfig, SpecFuzzRewriter, SpecFuzzR
 from repro.core.config import TeapotConfig
 from repro.core.teapot import TeapotRewriter, TeapotRuntime
 from repro.fuzzing.fuzzer import Fuzzer, FuzzTarget
+from repro.fuzzing.mutators import Mutator
 from repro.runtime.emulator import Emulator
 from repro.runtime.fastpath import FastEmulator, engine_names, resolve_engine
 from repro.runtime.jit import JitEmulator
@@ -169,3 +172,41 @@ def test_fuzzer_engine_selection_requires_support():
 def test_resolve_engine_rejects_unknown():
     with pytest.raises(ValueError, match="unknown emulator engine"):
         resolve_engine("turbo")
+
+
+def _speculation_counters(runtime, data: bytes) -> tuple:
+    """The speculation bookkeeping of one execution, including the
+    counters the compiled engines keep partly in generated code."""
+    result = runtime.run(data)
+    emulator = runtime.emulator
+    coverage = emulator.coverage
+    return (
+        result.spec_stats,
+        coverage.spec_notes,
+        coverage.lazy_flushes,
+        len(coverage.speculative),
+        emulator.asan.violations,
+        runtime.controller.undo_depth_max,
+    )
+
+
+def test_speculation_counters_exact_across_engines():
+    """Controller, coverage and ASan counters agree on every engine over
+    the gadgets seeds plus mutated inputs, execution by execution."""
+    target = get_target("gadgets")
+    config = TeapotConfig()
+    binary = TeapotRewriter(config).instrument(compile_vanilla(target))
+    mutator = Mutator(random.Random(13))
+    inputs = list(target.seeds)
+    inputs += [mutator.mutate(inputs[i % len(inputs)]) for i in range(12)]
+    records = {}
+    for engine in ENGINES:
+        runtime = TeapotRuntime(binary, config=config.with_engine(engine))
+        records[engine] = [_speculation_counters(runtime, data)
+                           for data in inputs]
+    assert records["fast"] == records["legacy"]
+    assert records["jit"] == records["legacy"]
+    final = records["legacy"][-1]
+    assert final[0]["rollbacks"] and final[1] and final[2] and final[4], (
+        "the inputs never exercised speculation, coverage notes or ASan"
+    )

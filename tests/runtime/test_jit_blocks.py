@@ -28,11 +28,13 @@ from repro.core.teapot import TeapotRewriter, TeapotRuntime
 from repro.coverage.sancov import CoverageRuntime
 from repro.isa.assembler import AsmProgram, Assembler
 from repro.isa.builder import FunctionBuilder
+from repro.isa.instructions import Opcode
 from repro.isa.operands import Imm, Label, Mem, Reg
 from repro.isa.registers import Register
 from repro.loader.binary_format import DataObject
 from repro.minic.codegen import CompilerOptions, SwitchLowering
 from repro.minic.compiler import compile_source
+from repro.runtime.emulator import Emulator
 from repro.runtime.fastpath import resolve_engine
 from repro.runtime.speculation import TeapotNestingPolicy
 from repro.sanitizers.policy import KasperPolicy
@@ -132,9 +134,10 @@ def _emit_ops(fn: FunctionBuilder, ops, balance_stack: bool = True) -> None:
             fn.pop(Reg(Register.R7))
 
 
-def _build_binary(body) -> "TelfBinary":
+def _build_binary(body, functions=()) -> "TelfBinary":
     """Assemble main(): taint IN_SIZE input bytes, seed the work registers
-    from them, run ``body(fn)``, return 0."""
+    from them, run ``body(fn)``, return 0.  ``functions`` are further
+    built functions to link in."""
     fn = FunctionBuilder("main")
     fn.prologue(16)
     fn.lea(Reg(Register.R6), Mem(disp=Label("scratch")))
@@ -149,7 +152,7 @@ def _build_binary(body) -> "TelfBinary":
     fn.mov(Reg(Register.R0), Imm(0))
     fn.epilogue()
     program = AsmProgram(
-        functions=[fn.build()],
+        functions=[fn.build(), *functions],
         data_objects=[DataObject("scratch", bytes(BUF_SIZE)),
                       DataObject("inbuf", bytes(IN_SIZE))],
     )
@@ -426,3 +429,66 @@ def test_random_minic_programs_match_across_engines_and_variants(
             assert records[engine] == records["legacy"], (
                 f"{engine} diverged from legacy under {variant}:\n{source}"
             )
+
+
+# -- shadow-escape check on speculative returns -------------------------------
+
+def _speculative_ret_binary():
+    """main() calls a leaf (so its return site is a marked Real-Copy
+    block), then, on an architecturally dead path that only runs in
+    speculation, returns to the address held in input bytes 8..15."""
+    leaf = FunctionBuilder("leaf")
+    leaf.mov(Reg(Register.R0), Imm(1))
+    leaf.ret()
+
+    def body(fn):
+        fn.call(Label("leaf"))
+        fn.load(Reg(Register.R1), Mem(base=Register.R5, disp=0), size=8)
+        fn.cmp(Reg(Register.R1), Imm(1000))
+        label = fn.fresh_label()
+        fn.jae(Label(label))
+        fn.load(Reg(Register.R2), Mem(base=Register.R5, disp=8), size=8)
+        fn.push(Reg(Register.R2))
+        fn.ret()
+        fn.label(label)
+
+    vanilla = _build_binary(body, functions=[leaf.build()])
+    return TeapotRewriter(TeapotConfig()).instrument(vanilla)
+
+
+def test_speculative_ret_escape_targets_match_across_engines():
+    """A sim-variant ``ret`` to each kind of target behaves identically on
+    every engine: a Shadow-Copy instruction and a Real-Copy marker nop
+    (both pass the compiled fast check), a non-instruction address inside
+    a Shadow-Copy function and a plain Real-Copy instruction (both take
+    the exact check, which lets the first through and rolls back the
+    second)."""
+    binary = _speculative_ret_binary()
+    reference = Emulator(binary)
+    instructions = reference.instructions
+    in_shadow = reference._in_shadow_copy
+    shadow = [addr for addr in instructions if in_shadow(addr)]
+    real = [addr for addr in instructions if not in_shadow(addr)]
+    markers = [addr for addr in real
+               if instructions[addr].opcode is Opcode.MARKER_NOP]
+    inside = [addr + 1 for addr in shadow
+              if addr + 1 not in instructions and in_shadow(addr + 1)]
+    plain = [addr for addr in real
+             if instructions[addr].opcode is not Opcode.MARKER_NOP]
+    assert markers and inside, "the binary lacks a marker or a gap target"
+    targets = {"shadow": shadow[0], "marker": markers[0],
+               "inside": inside[0], "real": plain[0]}
+    records = {}
+    for kind, target in targets.items():
+        data = (b"\x00\xff" + bytes(6) + target.to_bytes(8, "little")
+                + bytes(IN_SIZE - 16))
+        outcomes = _assert_engines_agree(binary, data)
+        record = outcomes["legacy"][0]
+        assert record["spec_stats"]["simulations_started"] >= 1, kind
+        records[kind] = record
+    # Passing targets keep simulating past the return; the escape does not.
+    simulated = {kind: record["spec_stats"]["simulated_instructions"]
+                 for kind, record in records.items()}
+    assert min(simulated["shadow"], simulated["marker"]) > simulated["real"]
+    assert records["real"]["spec_stats"]["forced_rollbacks"] == 1
+    assert records["inside"]["status"] == "crash"

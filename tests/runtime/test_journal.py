@@ -391,3 +391,76 @@ def test_begin_run_clears_stale_journal():
     # A fresh simulation starts from a clean journal.
     assert controller.maybe_enter(machine, branch_address=1, resume_pc=10)
     assert controller.checkpoints[-1].journal_mark == 0
+
+
+def test_rollback_to_restores_page_crossing_and_page_end_entries():
+    """In-page entries are restored in place; a page-crossing one is split
+    across both pages, and one ending exactly at offset 4096 stays in-page."""
+    machine = _machine()
+    memory = machine.memory
+    page_end = REGION_START + 0x1000  # first byte of the next page
+    memory.write_bytes(page_end - 16, bytes(range(1, 33)))
+    before = _state(machine)
+
+    journal = StateJournal()
+    machine.attach_journal(journal)
+    mark = journal.mark()
+    memory.write_bytes(page_end - 8, b"\xaa" * 8)    # ends at offset 4096
+    memory.write_bytes(page_end - 4, b"\xbb" * 8)    # crosses the page
+    memory.write_int(page_end - 12, 0xCCCC, 4)       # in-page, mid-page
+    machine.set_reg(5, 7)
+    assert journal.rollback_to(mark, machine) == 3
+    machine.attach_journal(None)
+    assert _state(machine) == before
+    assert memory.read_bytes(page_end - 16, 32) == bytes(range(1, 33))
+
+
+def test_nested_taint_log_unwinds_shadow_bytes_per_mark():
+    """Taint-log entries recorded under two checkpoint marks restore the
+    shadow bytes of each level, innermost first, on both controllers."""
+    shadow = 0x5000_0000_0ffe  # two bytes each side of a page boundary
+    results = []
+    for controller in (SpeculationController(AlwaysNest()),
+                       JournalingSpeculationController(AlwaysNest())):
+        machine = _machine()
+        memory = machine.memory
+
+        def tag(offset, value):
+            address = shadow + offset
+            controller.log_taint_write(address, memory.read_shadow_byte(address))
+            memory.write_shadow_byte(address, value)
+
+        for offset in range(4):
+            memory.write_shadow_byte(shadow + offset, 0x10 + offset)
+        assert controller.maybe_enter(machine, branch_address=1, resume_pc=10)
+        tag(0, 0x21)
+        tag(2, 0x22)
+        outer = memory.read_shadow(shadow, 4)
+        assert controller.maybe_enter(machine, branch_address=2, resume_pc=20)
+        tag(1, 0x31)
+        tag(2, 0x32)
+        tag(3, 0x33)
+        controller.rollback(machine)
+        assert memory.read_shadow(shadow, 4) == outer == b"\x21\x11\x22\x13"
+        assert len(controller.taint_log) == 2
+        controller.rollback(machine)
+        assert memory.read_shadow(shadow, 4) == b"\x10\x11\x12\x13"
+        assert not controller.taint_log
+        results.append((controller.stats.as_dict(), machine.pc))
+    assert results[0] == results[1]
+
+
+def test_shadow_byte_access_on_untouched_page():
+    """Single shadow-byte reads and writes create their page on demand,
+    exactly like the ranged shadow accessors."""
+    machine = _machine()
+    memory = machine.memory
+    address = 0x6000_0000_0123
+    assert address >> 12 not in memory._pages
+    assert memory.read_shadow_byte(address) == 0
+    assert address >> 12 in memory._pages
+    other = 0x6000_0001_0fff
+    memory.write_shadow_byte(other, 0x1AB)
+    assert memory.read_shadow(other, 1) == b"\xab"
+    assert memory.read_shadow_byte(other) == 0xAB
+    assert memory.read_shadow(other - 1, 2) == b"\x00\xab"
