@@ -16,7 +16,7 @@ import time
 import traceback as _traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.specfuzz import SpecFuzzConfig, SpecFuzzRewriter, SpecFuzzRuntime
 from repro.baselines.spectaint import SpecTaintAnalyzer, SpecTaintConfig
@@ -323,12 +323,24 @@ def _run_job_deadline(job: JobSpec,
     return box["result"]  # type: ignore[return-value]
 
 
-def execute_task(task: Tuple[JobSpec, Optional[List[bytes]]]) -> WorkerResult:
+#: How one attempt of a job runs: ``(job, seeds) -> WorkerResult``, raising
+#: on failure (a timeout is a :class:`JobTimeoutError`).
+AttemptRunner = Callable[[JobSpec, Optional[List[bytes]]], WorkerResult]
+
+
+def execute_task(task: Tuple[JobSpec, Optional[List[bytes]]],
+                 run_attempt: AttemptRunner = _run_job_deadline,
+                 ) -> WorkerResult:
     """Pool entry point: unpack one (job, seeds) task and run it.
 
     A raising job is converted into an error-carrying :class:`WorkerResult`
     instead of propagating (and tearing the whole round down with it): the
     scheduler records the failure and the campaign's other jobs survive.
+    Each attempt goes through ``run_attempt``; the batch schedulers keep
+    the thread-deadline default, and the service fleet passes a runner
+    that executes the attempt in the worker's own process (see
+    :mod:`repro.service.worker`), so the retry and backoff policy below is
+    the same everywhere.
 
     In a forked pool worker of a telemetry-enabled campaign (the
     scheduler armed :mod:`repro.telemetry.spool` before creating the
@@ -352,10 +364,10 @@ def execute_task(task: Tuple[JobSpec, Optional[List[bytes]]]) -> WorkerResult:
     for attempt in range(1, attempts + 1):
         try:
             if worker_telemetry is None:
-                result = _run_job_deadline(job, seeds)
+                result = run_attempt(job, seeds)
             else:
                 with telemetry_session(worker_telemetry):
-                    result = _run_job_deadline(job, seeds)
+                    result = run_attempt(job, seeds)
             break
         except Exception as exc:  # noqa: BLE001 - isolate the failing job
             if attempt < attempts:

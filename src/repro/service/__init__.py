@@ -7,10 +7,10 @@ into a long-running service:
   atomic claim/renew/complete, visibility timeouts (a dead worker's
   lease expires and the job is offered again) and idempotent completion
   keyed by job fingerprint.
-* :mod:`repro.service.worker` — a fleet of in-process workers pulling
-  leased jobs and executing them through the ordinary
-  :func:`repro.campaign.worker.execute_task` entry point, renewing
-  their leases from a shared heartbeat.
+* :mod:`repro.service.worker` — a fleet of workers pulling leased jobs
+  and executing them, each in its own forked child process, through the
+  ordinary :func:`repro.campaign.worker.execute_task` entry point,
+  renewing their leases from a shared heartbeat.
 * :mod:`repro.service.ingest` — streaming result ingestion: worker
   results merge into the campaign state *as they arrive* (in job order,
   so the outcome is bit-identical to the batch schedulers) with

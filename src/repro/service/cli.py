@@ -74,7 +74,8 @@ def _serve_parser(sub) -> None:
                        help="service root (queue/, runs/, state/; "
                             "default: .repro-service)")
     serve.add_argument("--workers", type=int, default=2,
-                       help="worker threads pulling queued jobs (default: 2)")
+                       help="workers pulling queued jobs, each running "
+                            "them in its own process (default: 2)")
     serve.add_argument("--serve", dest="address", default=str(DEFAULT_PORT),
                        metavar="[HOST:]PORT",
                        help=f"HTTP bind address (default: {DEFAULT_PORT})")

@@ -222,7 +222,7 @@ class JobQueue:
             self._log("debug", "job_submitted", fingerprint=fingerprint,
                       campaign_id=campaign_id, job_id=job.job_id,
                       trace_id=(trace or {}).get("trace_id"))
-        self._signal_change()
+        self.signal_change()
         return fingerprint
 
     # -- claiming ------------------------------------------------------------
@@ -412,7 +412,7 @@ class JobQueue:
                     os.unlink(lease_path)
                 except OSError:
                     pass
-            self._signal_change()
+            self.signal_change()
 
     def fail(self, fingerprint: str, token: str, error: str,
              backoff_s: float = 0.0) -> bool:
@@ -451,7 +451,7 @@ class JobQueue:
         self._count("service.queue.job_retries")
         self._log("info", "job_retry", fingerprint=fingerprint,
                   attempt=attempt, error=error)
-        self._signal_change()
+        self.signal_change()
         return True
 
     def _write_done(self, fingerprint: str, job_record: Dict[str, object],
@@ -499,7 +499,7 @@ class JobQueue:
                               "trace_id"))
         finally:
             os.unlink(tmp_path)
-            self._signal_change()
+            self.signal_change()
 
     def cancel(self, campaign_id: str) -> int:
         """Terminally mark every pending job of one campaign as cancelled."""
@@ -518,7 +518,8 @@ class JobQueue:
         return cancelled
 
     # -- change notification -------------------------------------------------
-    def _signal_change(self) -> None:
+    def signal_change(self) -> None:
+        """Wake every :meth:`wait_for_change` caller."""
         with self._change:
             self._change_seq += 1
             self._change.notify_all()

@@ -4,8 +4,8 @@
 campaign --scheduler service`` and ``Pipeline.fuzz(scheduler=
 "service")`` — runs the campaign through an ephemeral
 :class:`~repro.service.core.FuzzService`: a durable queue plus
-``spec.workers`` worker threads in a scratch directory, torn down when
-the campaign finishes.  Results are bit-identical to the ``pool`` and
+``spec.workers`` workers (each a thread with its own job process) in a
+scratch directory, torn down when the campaign finishes.  Results are bit-identical to the ``pool`` and
 ``serial`` schedulers (the streaming ingestor merges in job order), so
 this is simultaneously the service's integration test surface and a
 way to exercise lease/requeue machinery under the ordinary campaign
@@ -40,9 +40,11 @@ SERVICE_OBSERVE_ENV = "REPRO_SERVICE_OBSERVE"
 class ServiceCampaignScheduler(CampaignScheduler):
     """Run one campaign through a private, short-lived fuzzing service."""
 
-    #: visibility timeout for the ephemeral fleet; generous because the
-    #: in-process workers share the GIL with the driver (a busy worker
-    #: must not lose its lease to scheduling jitter).
+    #: visibility timeout for the ephemeral fleet.  Jobs run in the
+    #: workers' child processes; the leases are renewed by a heartbeat
+    #: thread in this process, which shares its GIL only with the driver
+    #: and ingest threads.  Generous all the same, so that a loaded host
+    #: never costs a busy worker its lease.
     visibility_timeout = 60.0
 
     def run(self, resume: bool = False) -> CampaignSummary:

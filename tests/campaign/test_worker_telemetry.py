@@ -112,3 +112,22 @@ def test_pool_campaign_results_identical_with_and_without_telemetry(tmp_path):
     # runtime-only telemetry_counts never leak into the serialized form.
     assert observed.to_dict() == plain.to_dict()
     assert "telemetry_counts" not in json.dumps(observed.to_dict())
+
+
+def test_service_campaign_counts_match_serial_under_a_session():
+    # Service jobs run in forked children, where the session reads None;
+    # their counter deltas must still reach the session, once each.
+    def counts(scheduler):
+        telemetry = Telemetry()
+        with telemetry_session(telemetry):
+            run_campaign(small_spec(workers=2), scheduler=scheduler)
+        # Children report non-zero deltas only, and the jit cache
+        # statistics (engine.jit.cache.*) only exist out of process.
+        return {name: counter.value
+                for name, counter in telemetry.registry.counters().items()
+                if counter.value and name.startswith(("fuzz.", "engine."))
+                and not name.startswith("engine.jit.cache.")}
+
+    serial = counts("serial")
+    assert serial["fuzz.executions"] == 30
+    assert counts("service") == serial

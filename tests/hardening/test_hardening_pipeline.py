@@ -16,8 +16,10 @@ import json
 import pytest
 
 from repro.analysis.experiments import run_hardening_matrix
+from repro.campaign.spec import CampaignSpec
 from repro.hardening.cli import main as harden_main
-from repro.hardening.pipeline import detect_reports, run_hardening
+from repro.hardening.pipeline import (detect_reports, patch_binary,
+                                      run_hardening, verify_patch)
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +93,24 @@ def test_hardening_without_reports_is_a_no_op():
     assert result.eliminated == [] and result.residual == []
     assert result.hardened_cycles == result.native_cycles
     assert not result.all_eliminated  # nothing to eliminate is not success
+
+
+def test_service_verification_fuzzes_the_hardened_binary():
+    # The service's job processes must see binary_override: re-fuzzing
+    # the original build with the detection spec would re-find every
+    # site, so each would come back residual instead of eliminated.
+    reports = detect_reports("gadgets", iterations=150, seed=7)
+    patch = patch_binary("gadgets", "fence", reports=reports)
+    spec = CampaignSpec(targets=("gadgets",), tools=("teapot",),
+                        iterations=150, rounds=1, shards=1, seed=7,
+                        workers=1, skip_uninjectable=False)
+    serial = verify_patch(patch, spec, scheduler="serial")
+    service = verify_patch(patch, spec, scheduler="service")
+    assert serial.eliminated and not serial.residual
+    assert ((service.eliminated, service.residual, service.new_sites,
+             service.executions) ==
+            (serial.eliminated, serial.residual, serial.new_sites,
+             serial.executions))
 
 
 def test_results_are_deterministic():
