@@ -1,15 +1,17 @@
-"""Fuzzing-service overhead — durable queue vs the in-process pool.
+"""Fuzzing-service overhead — durable queue vs in-process execution.
 
 Not a paper figure: this pins the cost of running a campaign through the
-``service`` scheduler (durable on-disk job queue + worker fleet +
-streaming ingestion) against the plain ``pool`` scheduler on the same
-spec.  The service path adds a filesystem round-trip per job (submit →
-lease → done record) plus event-driven result harvesting; the bar this
-benchmark holds is that the detour stays within 25% of the pool's
-wall-clock, while producing bit-identical summaries.
+``service`` scheduler (durable on-disk job queue + worker fleet with a
+child process per worker + streaming ingestion) against the in-process
+``serial`` scheduler on the same spec (``pool`` names the service
+scheduler itself, so it is no baseline).  The service path adds a
+filesystem round-trip per job (submit → lease → done record), a pipe
+round-trip to the worker's child plus event-driven result harvesting;
+the bar this benchmark holds is that the detour stays within
+25% of the serial wall-clock, while producing bit-identical summaries.
 
-Measurement protocol: pool and service runs are interleaved in tight
-back-to-back pairs and the gate takes the *minimum* service/pool ratio
+Measurement protocol: serial and service runs are interleaved in tight
+back-to-back pairs and the gate takes the *minimum* service/serial ratio
 across pairs.  Ambient noise (CPU scheduling, disk cache, a busy CI
 host) inflates individual ratios but hits both sides of a pair roughly
 equally; a genuine overhead regression shows up in every pair, so the
@@ -24,10 +26,10 @@ import pytest
 from benchmarks.conftest import SCALE
 from repro.campaign import CampaignSpec, run_campaign
 
-#: tolerated service-over-pool wall-clock ratio (the acceptance bar).
+#: tolerated service-over-serial wall-clock ratio (the acceptance bar).
 MAX_OVERHEAD_RATIO = 1.25
 
-#: back-to-back (pool, service) measurement pairs.
+#: back-to-back (serial, service) measurement pairs.
 PAIRS = 3
 
 
@@ -39,9 +41,9 @@ def _timed_run(spec, scheduler):
 
 @pytest.mark.paper
 def test_service_throughput(benchmark, bench_record):
-    # workers=1 on both sides: the pool measures one process, the
-    # service one worker thread, so the ratio isolates the queue/ingest
-    # detour instead of process-vs-thread parallelism artifacts.
+    # workers=1: serial runs every job in this process, the service on
+    # one worker's child, so the ratio isolates the queue/ingest detour
+    # instead of parallelism.
     spec = CampaignSpec(
         targets=("gadgets",),
         tools=("teapot", "specfuzz"),
@@ -57,27 +59,27 @@ def test_service_throughput(benchmark, bench_record):
     measurements = {"pairs": []}
 
     def timed_pairs(campaign_spec):
-        pool_summary = service_summary = None
+        serial_summary = service_summary = None
         for _ in range(PAIRS):
-            pool_summary, pool_s = _timed_run(campaign_spec, "pool")
+            serial_summary, serial_s = _timed_run(campaign_spec, "serial")
             service_summary, service_s = _timed_run(campaign_spec, "service")
-            measurements["pairs"].append((pool_s, service_s))
-        return pool_summary, service_summary
+            measurements["pairs"].append((serial_s, service_s))
+        return serial_summary, service_summary
 
-    pool_summary, service_summary = benchmark.pedantic(
+    serial_summary, service_summary = benchmark.pedantic(
         timed_pairs, args=(spec,), iterations=1, rounds=1)
 
     pairs = measurements["pairs"]
-    ratios = sorted(service_s / pool_s for pool_s, service_s in pairs)
+    ratios = sorted(service_s / serial_s for serial_s, service_s in pairs)
     best_ratio = ratios[0]
     median_ratio = ratios[len(ratios) // 2]
-    pool_best = min(pool_s for pool_s, _ in pairs)
+    serial_best = min(serial_s for serial_s, _ in pairs)
     service_best = min(service_s for _, service_s in pairs)
 
     executions = service_summary.total_executions()
     reports = sum(group.raw_reports for group in service_summary.groups)
     print(f"\nService throughput: {jobs_total} jobs, "
-          f"pool best {pool_best:.3f}s vs service best {service_best:.3f}s, "
+          f"serial best {serial_best:.3f}s vs service best {service_best:.3f}s, "
           f"paired ratios best {best_ratio:.2f} / median {median_ratio:.2f}")
 
     bench_record(
@@ -88,14 +90,14 @@ def test_service_throughput(benchmark, bench_record):
         jobs_per_sec=round(jobs_total / service_best, 2),
         reports_per_sec=round(reports / service_best, 1),
         exec_per_sec=round(executions / service_best, 1),
-        pool_elapsed_s=round(pool_best, 4),
+        serial_elapsed_s=round(serial_best, 4),
         service_elapsed_s=round(service_best, 4),
         overhead_ratio=round(best_ratio, 3),
         overhead_ratio_median=round(median_ratio, 3),
     )
 
     # The service detour must not change a single count…
-    assert service_summary.to_dict() == pool_summary.to_dict()
+    assert service_summary.to_dict() == serial_summary.to_dict()
     assert service_summary.rounds_completed == spec.rounds
     # …and must stay within the overhead budget.
     assert best_ratio <= MAX_OVERHEAD_RATIO, (

@@ -207,7 +207,7 @@ def run_table3(
     is the campaign worker's ``injected``-variant configuration).
 
     The fuzzing itself is routed through the campaign scheduler —
-    ``workers > 1`` fans the (program × tool) matrix over a process pool
+    ``workers > 1`` fans the (program × tool) matrix over worker processes
     without changing any result, because the legacy single-shard seeding is
     preserved (``derive_seeds=False`` keeps every job on ``seed``).
     """

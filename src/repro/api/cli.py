@@ -80,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--scheduler", default="pool",
                       help="campaign scheduler plugin "
                            f"({', '.join(api.scheduler_names())}; "
-                           "default: pool); results are identical across "
-                           "schedulers")
+                           "default: pool, jobs in worker processes); "
+                           "results are identical across schedulers")
     fuzz.add_argument("--seed", type=int, default=1234)
     fuzz.add_argument("--max-input-size", type=int, default=1024)
     fuzz.add_argument("--checkpoint", metavar="PATH", default=None)

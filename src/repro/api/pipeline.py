@@ -49,6 +49,7 @@ from repro.plugins import (
     SCHEDULER_REGISTRY,
     engine_names,
     model_names,
+    scheduler_names,
     strategy_names,
     target_registry,
 )
@@ -63,16 +64,9 @@ BENCH_TOOLS = ("teapot", "specfuzz", "spectaint")
 
 
 def _check_scheduler(name: str) -> None:
-    """Validate a scheduler name, importing lazily-registered plugins.
-
-    ``repro.service`` registers the ``service`` scheduler on import;
-    :func:`repro.plugins.scheduler_names` pulls every registering
-    subsystem in before the registry rejects the name.
-    """
+    """Validate a scheduler name (unknown names list the options)."""
     if name not in SCHEDULER_REGISTRY:
-        from repro.plugins import scheduler_names
-
-        scheduler_names()
+        scheduler_names()  # registers the service-backed "pool"/"service"
     SCHEDULER_REGISTRY.get(name)
 
 
@@ -250,8 +244,7 @@ class Pipeline:
         to let the OS pick) and ``runs_root`` records the run into a
         durable run directory under the given root (``True`` for the
         default ``runs/``): manifest, JSONL trace (when no explicit
-        ``trace`` path is given), worker metrics spool, periodic metrics
-        snapshots and the final ``RunResult`` — browsable with ``repro
+        ``trace`` path is given), metrics snapshots and the final ``RunResult`` — browsable with ``repro
         runs`` and servable after the fact with ``repro monitor``.
         """
         if telemetry is not None:
@@ -460,31 +453,20 @@ class Session:
             return self.result
 
         import os
-        import tempfile
 
         from repro.telemetry.context import session as telemetry_session
-        from repro.telemetry.spool import MetricsSpool
 
         self._telemetry = telemetry
         exporter = None
-        spool_tmp: Optional[str] = None
         status = "completed"
         try:
             if run_dir is not None:
                 telemetry.run_dir = run_dir
-                telemetry.spool = MetricsSpool(run_dir.spool_path)
             serve = observatory.get("serve")
             if serve not in (None, False):
                 from repro.telemetry.export import parse_address, serve_metrics
                 from repro.telemetry.runs import RunRegistry
 
-                if telemetry.spool is None:
-                    # No run directory: the worker spool still needs a
-                    # file for live mid-round counters.
-                    fd, spool_tmp = tempfile.mkstemp(prefix="repro-spool-",
-                                                     suffix=".jsonl")
-                    os.close(fd)
-                    telemetry.spool = MetricsSpool(spool_tmp)
                 host, port = parse_address(
                     serve if isinstance(serve, str)
                     else (str(serve) if isinstance(serve, int)
@@ -513,11 +495,6 @@ class Session:
                     run_dir.write_metrics_snapshot(telemetry)
                     run_dir.write_result(self.result)
                     run_dir.finalize(status=status)
-                except OSError:
-                    pass
-            if spool_tmp is not None:
-                try:
-                    os.unlink(spool_tmp)
                 except OSError:
                     pass
             if owned:

@@ -92,15 +92,17 @@ def build_parser(prog: str = "repro campaign") -> argparse.ArgumentParser:
     parser.add_argument("--scheduler", choices=tuple(scheduler_names()),
                         default="pool",
                         help="campaign scheduler plugin (default: pool — "
-                             "the multiprocessing pool; serial never forks; "
-                             "service runs the durable job queue + worker "
-                             "fleet of repro.service); results are "
-                             "identical across schedulers")
+                             "an ephemeral repro.service job queue whose "
+                             "workers each run jobs in a child process; "
+                             "service is the same scheduler; serial runs "
+                             "jobs in this process and never forks); "
+                             "results are identical across schedulers")
     parser.add_argument("--job-timeout", type=float, default=0.0,
                         metavar="SECONDS", dest="job_timeout",
                         help="per-job wall-clock cap (default: 0 = "
-                             "unlimited); a timed-out job is recorded as "
-                             "failed instead of stalling its worker slot")
+                             "unlimited); a timed-out job's process is "
+                             "killed and the job recorded as failed "
+                             "(needs --scheduler pool/service)")
     parser.add_argument("--job-retries", type=int, default=0, metavar="N",
                         dest="job_retries",
                         help="retries per failing/timed-out job with "
@@ -137,7 +139,7 @@ def build_parser(prog: str = "repro campaign") -> argparse.ArgumentParser:
                         const="runs", default=None, dest="run_dir",
                         help="record the campaign into a durable run "
                              "directory under ROOT (default: runs/) — "
-                             "manifest, trace, metrics spool/snapshots; "
+                             "manifest, trace, metrics snapshots; "
                              "browse with `repro runs`, serve with "
                              "`repro monitor`")
     return parser
@@ -209,7 +211,6 @@ def main(argv: Optional[Sequence[str]] = None,
     telemetry = None
     exporter = None
     run_dir = None
-    spool_tmp = None
     observatory = args.serve is not None or args.run_dir is not None
     if args.progress or args.trace or observatory:
         from repro.telemetry import Telemetry
@@ -241,24 +242,10 @@ def main(argv: Optional[Sequence[str]] = None,
             context_info={"command": "campaign",
                           "fingerprint": spec.fingerprint()},
         )
-        if run_dir is not None:
-            from repro.telemetry.spool import MetricsSpool
-
-            telemetry.run_dir = run_dir
-            telemetry.spool = MetricsSpool(run_dir.spool_path)
+        telemetry.run_dir = run_dir
         if args.serve is not None:
-            import tempfile
-
             from repro.telemetry.export import parse_address, serve_metrics
-            from repro.telemetry.spool import MetricsSpool
 
-            if telemetry.spool is None:
-                # Live mid-round counters need a spool file even without
-                # a run directory.
-                fd, spool_tmp = tempfile.mkstemp(prefix="repro-spool-",
-                                                 suffix=".jsonl")
-                os.close(fd)
-                telemetry.spool = MetricsSpool(spool_tmp)
             host, port = parse_address(args.serve)
             exporter = serve_metrics(telemetry, registry=run_registry,
                                      host=host, port=port)
@@ -291,11 +278,6 @@ def main(argv: Optional[Sequence[str]] = None,
             try:
                 run_dir.write_metrics_snapshot(telemetry)
                 run_dir.finalize(status=status)
-            except OSError:
-                pass
-        if spool_tmp is not None:
-            try:
-                os.unlink(spool_tmp)
             except OSError:
                 pass
         if telemetry is not None:

@@ -1,41 +1,48 @@
-"""Campaign scheduler: fan jobs out, sync corpora, checkpoint, summarize.
+"""Campaign scheduling: rounds, corpus sync, checkpoints, summaries.
 
 The scheduler turns a :class:`CampaignSpec` into rounds of
-:class:`JobSpec` work units and executes each round over a
-``multiprocessing`` pool (falling back to in-process serial execution when
-``workers <= 1`` or the platform refuses to give us a pool).  Between
-rounds it performs the corpus sync of the paper's distributed-fuzzing
-setups: every worker's coverage-novel corpus entries are merged into one
-per-group corpus, which is re-sharded round-robin and redistributed for
-the next round.  After every round the full campaign state — corpora,
-deduplicated reports, counters — is written to a JSON checkpoint, so a
-killed campaign resumes from the last completed round and finishes with a
+:class:`JobSpec` work units.  Between rounds it performs the corpus sync
+of the paper's distributed-fuzzing setups: every worker's
+coverage-novel corpus entries are merged into one per-group corpus,
+which is re-sharded round-robin and redistributed for the next round.
+After every round the full campaign state — corpora, deduplicated
+reports, counters — is written to a JSON checkpoint, so a killed
+campaign resumes from the last completed round and finishes with a
 summary identical to an uninterrupted run.
 
+Two execution paths share that loop's rules (:func:`seeds_for_job`,
+:func:`merge_worker_result`):
+
+* ``serial`` — :class:`CampaignScheduler`, defined here, runs every job
+  in the calling process.  It never forks, so it cannot stop a job at a
+  deadline and refuses specs with a job timeout.
+* ``pool`` and ``service`` — one class,
+  :class:`repro.service.scheduler.ServiceCampaignScheduler`: an
+  ephemeral fuzzing service whose ``max(1, workers)`` workers each run
+  their jobs in a forked child, so a timed-out job is killed.
+
 Determinism: job RNG seeds derive from (campaign seed, target, tool,
-variant, round, shard) and merging happens in a fixed order, so the pool
-size never affects results — only ``shards`` does, and that is part of the
-spec fingerprint.
+variant, round, shard) and merging happens in job order, so neither the
+scheduler nor the worker count affects results — only ``shards`` does,
+and that is part of the spec fingerprint.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from contextlib import nullcontext
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional
 
 from repro.campaign.spec import CampaignSpec, JobSpec
 from repro.campaign.store import CampaignState, GroupKey, group_key_str
 from repro.campaign.summary import CampaignSummary, summarize
 from repro.campaign.worker import WorkerResult, execute_task
 from repro.fuzzing.corpus import Corpus
-from repro.plugins import SCHEDULER_REGISTRY, register_scheduler
+from repro.plugins import (SCHEDULER_REGISTRY, register_scheduler,
+                           scheduler_names)
 from repro.targets import get_target
-from repro.telemetry import spool as telemetry_spool
 from repro.telemetry.context import active as _active_telemetry
 from repro.telemetry.metrics import merge_counts
 
-Task = Tuple[JobSpec, Optional[List[bytes]]]
 ProgressFn = Callable[[str], None]
 
 
@@ -44,8 +51,9 @@ def seeds_for_job(state: CampaignState, job: JobSpec) -> Optional[List[bytes]]:
 
     Round 0 of a fresh campaign starts from the target's seed inputs;
     later rounds start from the merged cross-worker corpus of the
-    previous round, sharded round-robin.  Shared by the pool scheduler
-    and the service dispatcher so both hand out identical shards.
+    previous round, sharded round-robin.  Shared by the serial
+    scheduler and the service dispatcher so both hand out identical
+    shards.
     """
     corpus = state.corpus(job.group)
     if corpus is None:
@@ -58,10 +66,10 @@ def merge_worker_result(state: CampaignState, result: WorkerResult,
                         progress: Optional[ProgressFn] = None) -> int:
     """Fold one worker result into the campaign state; returns new sites.
 
-    This is the single merge rule of the whole system — the pool
-    scheduler applies it per round in job order, and the service's
-    streaming ingestor applies it result-by-result (also in job order) —
-    so every execution strategy produces bit-identical campaign state.
+    This is the single merge rule of the whole system — the serial
+    scheduler applies it job by job, and the service's streaming
+    ingestor applies it result by result (also in job order) — so every
+    execution strategy produces bit-identical campaign state.
     The rules (sum counters, max the coverage gauges, dedup reports by
     site) mirror :meth:`repro.fuzzing.fuzzer.CampaignResult.merge`; keep
     the two in step.
@@ -69,11 +77,11 @@ def merge_worker_result(state: CampaignState, result: WorkerResult,
     key: GroupKey = result.group
     stats = state.group_stats(key)
     if result.telemetry_counts:
-        # Worker-side counter deltas (fuzz.*, engine.*,
-        # engine.jit.cache.*) travel home in the result; fold them into
-        # the group stats and the parent registry so campaign totals
-        # cover forked workers too.  Done for failing jobs as well —
-        # they may have executed inputs before raising.
+        # Counter deltas of a job that ran in a worker's child (fuzz.*,
+        # engine.*, engine.jit.cache.*) travel home in the result; this
+        # is the one place they are folded into the group stats and the
+        # driving registry.  Done for failing jobs as well — they may
+        # have executed inputs before raising.
         merge_counts(stats.telemetry_counts, result.telemetry_counts)
         if telemetry is not None:
             for name, value in result.telemetry_counts.items():
@@ -144,9 +152,15 @@ def merge_worker_result(state: CampaignState, result: WorkerResult,
     return new_sites
 
 
-@register_scheduler("pool")
+@register_scheduler("serial")
 class CampaignScheduler:
-    """Runs a whole campaign matrix with corpus sync and checkpointing."""
+    """The in-process campaign loop: rounds, corpus sync, checkpoints.
+
+    Runs every job in the calling process, one after another, so it
+    never forks; it is the reference the process-backed ``pool`` and
+    ``service`` schedulers must match bit for bit.  Subclass it to write
+    a scheduler plugin.
+    """
 
     def __init__(
         self,
@@ -157,14 +171,17 @@ class CampaignScheduler:
         self.spec = spec
         self.checkpoint_path = checkpoint_path
         self._progress = progress or (lambda message: None)
-        #: True when the last round ran through a real process pool.
-        self.used_pool = False
-        self._pool = None
-        self._pool_unavailable = False
 
     # -- public API ---------------------------------------------------------
     def run(self, resume: bool = False) -> CampaignSummary:
         """Execute (or finish) the campaign and return its summary."""
+        if self.spec.job_timeout_s > 0:
+            # Pure-Python jobs have no cancellation point: only a job in
+            # its own process can be stopped at a deadline.
+            raise ValueError(
+                "the serial scheduler cannot enforce a job timeout; use "
+                "--scheduler pool/service, which run jobs in worker "
+                "processes")
         state = self._initial_state(resume)
         telemetry = _active_telemetry()
         if telemetry is not None:
@@ -175,50 +192,45 @@ class CampaignScheduler:
                 completed_rounds=state.completed_rounds,
                 workers=self.spec.workers,
             )
-        if telemetry is not None and telemetry.spool is not None:
-            # Arm the spool *before* the pool exists: forked workers
-            # inherit the module globals and start appending per-job
-            # counter deltas (see repro.telemetry.spool).
-            telemetry_spool.enable(telemetry.spool.path)
-        try:
-            for round_index in range(state.completed_rounds, self.spec.rounds):
-                jobs = self.spec.jobs_for_round(round_index)
-                tasks = [(job, self._seeds_for(state, job)) for job in jobs]
-                self._progress(
-                    f"round {round_index + 1}/{self.spec.rounds}: "
-                    f"{len(tasks)} jobs over {self.spec.workers} worker(s)"
-                )
-                round_span = (telemetry.span(f"round:{round_index}")
-                              if telemetry is not None else nullcontext())
-                with round_span:
-                    if telemetry is not None:
-                        registry = telemetry.registry
-                        registry.counter("campaign.jobs_queued").inc(len(tasks))
-                        registry.gauge("campaign.jobs_running").set(len(tasks))
-                    results = self._map(tasks)
-                    if telemetry is not None:
-                        registry.gauge("campaign.jobs_running").set(0)
-                    self._merge_round(state, results)
-                state.completed_rounds = round_index + 1
+        for round_index in range(state.completed_rounds, self.spec.rounds):
+            jobs = self.spec.jobs_for_round(round_index)
+            tasks = [(job, self._seeds_for(state, job)) for job in jobs]
+            self._progress(
+                f"round {round_index + 1}/{self.spec.rounds}: "
+                f"{len(tasks)} jobs over {self.spec.workers} worker(s)"
+            )
+            round_span = (telemetry.span(f"round:{round_index}")
+                          if telemetry is not None else nullcontext())
+            with round_span:
                 if telemetry is not None:
                     registry = telemetry.registry
-                    registry.gauge("campaign.rounds_completed").set(
-                        state.completed_rounds
-                    )
-                    if telemetry.heartbeat is not None:
-                        telemetry.heartbeat.maybe_beat(force=True)
-                if self.checkpoint_path:
-                    state.save(self.checkpoint_path)
-                    if telemetry is not None:
-                        telemetry.registry.counter(
-                            "campaign.checkpoint_writes"
-                        ).inc()
-                    self._progress(f"checkpoint written to {self.checkpoint_path}")
-                if telemetry is not None and telemetry.run_dir is not None:
-                    telemetry.run_dir.write_metrics_snapshot(telemetry)
-        finally:
-            self._close_pool()
-            telemetry_spool.disable()
+                    registry.counter("campaign.jobs_queued").inc(len(tasks))
+                    registry.gauge("campaign.jobs_running").set(len(tasks))
+                # Tasks run and merge in job order, so the merge is
+                # deterministic.
+                for task in tasks:
+                    merge_worker_result(state, execute_task(task),
+                                        telemetry=telemetry,
+                                        progress=self._progress)
+                if telemetry is not None:
+                    registry.gauge("campaign.jobs_running").set(0)
+            state.completed_rounds = round_index + 1
+            if telemetry is not None:
+                registry = telemetry.registry
+                registry.gauge("campaign.rounds_completed").set(
+                    state.completed_rounds
+                )
+                if telemetry.heartbeat is not None:
+                    telemetry.heartbeat.maybe_beat(force=True)
+            if self.checkpoint_path:
+                state.save(self.checkpoint_path)
+                if telemetry is not None:
+                    telemetry.registry.counter(
+                        "campaign.checkpoint_writes"
+                    ).inc()
+                self._progress(f"checkpoint written to {self.checkpoint_path}")
+            if telemetry is not None and telemetry.run_dir is not None:
+                telemetry.run_dir.write_metrics_snapshot(telemetry)
         return summarize(state)
 
     # -- state --------------------------------------------------------------
@@ -246,74 +258,6 @@ class CampaignScheduler:
     def _seeds_for(self, state: CampaignState, job: JobSpec) -> Optional[List[bytes]]:
         return seeds_for_job(state, job)
 
-    def _merge_round(self, state: CampaignState,
-                     results: Sequence[WorkerResult]) -> None:
-        """Fold one round's worker results into the campaign state.
-
-        Results arrive in job order (``pool.map`` preserves it), so the
-        merge is deterministic regardless of completion order.
-        """
-        telemetry = _active_telemetry()
-        for result in results:
-            merge_worker_result(state, result, telemetry=telemetry,
-                                progress=self._progress)
-        if telemetry is not None and telemetry.spool is not None:
-            # Every spool line of this round is complete (pool.map blocks
-            # until all results are in) and its counts were just merged
-            # via the WorkerResults above — restart the live tail empty.
-            telemetry.spool.consume()
-
-    # -- execution ----------------------------------------------------------
-    def _map(self, tasks: List[Task]) -> List[WorkerResult]:
-        """Run the round's tasks, through a pool when it pays off."""
-        self.used_pool = False
-        if self.spec.workers > 1 and len(tasks) > 1:
-            pool = self._ensure_pool()
-            if pool is not None:
-                self.used_pool = True
-                return pool.map(execute_task, tasks)
-        return [execute_task(task) for task in tasks]
-
-    def _ensure_pool(self):
-        """The campaign-lifetime worker pool (created once, reused per round).
-
-        Keeping one pool alive across rounds lets the forked workers keep
-        their per-process compile/instrument caches warm instead of
-        recompiling every binary each round.
-        """
-        if self._pool is None and not self._pool_unavailable:
-            try:
-                self._pool = multiprocessing.get_context("fork").Pool(
-                    self.spec.workers
-                )
-            except (OSError, ValueError, ImportError, AttributeError) as error:
-                # Sandboxes without working semaphores, platforms without
-                # fork, etc.: the campaign still completes, just serially.
-                self._pool_unavailable = True
-                self._progress(f"worker pool unavailable ({error}); "
-                               "falling back to serial execution")
-        return self._pool
-
-    def _close_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
-
-@register_scheduler("serial")
-class SerialCampaignScheduler(CampaignScheduler):
-    """A scheduler that never creates a process pool.
-
-    Results are identical to :class:`CampaignScheduler` (the pool never
-    affects outcomes, only wall-clock time); this variant exists for
-    sandboxes where ``multiprocessing`` must not even be attempted, and as
-    the smallest possible example of a scheduler plugin.
-    """
-
-    def _ensure_pool(self):
-        return None
-
 
 def run_campaign(
     spec: CampaignSpec,
@@ -325,18 +269,17 @@ def run_campaign(
     """Convenience wrapper: schedule and run one campaign.
 
     ``scheduler`` names a plugin from
-    :data:`repro.plugins.SCHEDULER_REGISTRY` (``"pool"`` — the default
-    multiprocessing scheduler — ``"serial"``, ``"service"`` — the durable
-    queue + worker fleet of :mod:`repro.service` — plus any
-    ``@register_scheduler`` plugin).
+    :data:`repro.plugins.SCHEDULER_REGISTRY`: ``"pool"`` (the default)
+    and ``"service"`` — one process-backed scheduler, an ephemeral
+    :mod:`repro.service` fleet — ``"serial"``, plus any
+    ``@register_scheduler`` plugin.
     """
     if scheduler not in SCHEDULER_REGISTRY:
-        # Lazily pull in the subsystems that register schedulers on
-        # import (repro.service registers "service") before rejecting.
-        from repro.plugins import scheduler_names
-
+        # Registers the schedulers defined outside this module
+        # (repro.service's "pool"/"service") before rejecting the name.
         scheduler_names()
     scheduler_cls = SCHEDULER_REGISTRY.get(scheduler)
     runner = scheduler_cls(spec, checkpoint_path=checkpoint_path,
                            progress=progress)
     return runner.run(resume=resume)
+

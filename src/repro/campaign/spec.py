@@ -68,8 +68,9 @@ class JobSpec:
     #: The third matrix axis: each variant of a group gets its own jobs.
     spec_variant: str = "pht"
     #: wall-clock execution cap in seconds (0 = unlimited, the historic
-    #: behavior).  A job past its deadline is abandoned and reported as a
-    #: failed job instead of stalling its pool slot forever.
+    #: behavior).  A job past its deadline is killed with its worker's
+    #: child process and reported as a failed job instead of stalling its
+    #: worker forever; the in-process serial scheduler refuses a cap.
     timeout_s: float = 0.0
     #: how many times the worker attempts the job before reporting the
     #: failure (1 = no retries, the historic behavior).
@@ -390,5 +391,5 @@ class CampaignSpec:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
     def with_workers(self, workers: int) -> "CampaignSpec":
-        """The same campaign executed with a different pool size."""
+        """The same campaign executed with a different worker count."""
         return replace(self, workers=workers)

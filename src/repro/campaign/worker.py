@@ -1,17 +1,17 @@
 """Campaign worker: run one fuzzing job and return a picklable result.
 
-Workers are plain top-level functions so the scheduler can fan them out
-over a ``multiprocessing`` pool; everything they return is primitive data
-(ints, strings, dicts) that crosses process boundaries cheaply.  Compiled
-and instrumented binaries are memoised per process — a pool worker that
-executes several shards of the same target compiles it once, and the
-serial (``workers=1``) path compiles each (target, variant, tool)
-combination exactly once per campaign.
+Workers are plain top-level functions so a service worker's child
+process can run them; everything they return is primitive data (ints,
+strings, dicts) that crosses process boundaries cheaply.  Compiled and
+instrumented binaries are memoised per process — a child that executes
+several shards of the same target compiles it once (children fork from
+the scheduling process, so they also inherit its memo), and the serial
+path compiles each (target, variant, tool) combination exactly once per
+campaign.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 import traceback as _traceback
 from contextlib import contextmanager
@@ -46,8 +46,9 @@ def binary_override(target_name: str, variant: str, binary: TelfBinary):
     While the context is active, :func:`compiled_binary` returns ``binary``
     and :func:`instrumented_binary` instruments it afresh on every call
     (bypassing the per-process memo, which would otherwise serve the
-    original build).  Intended for serial (``workers=1``) campaigns: a
-    pool forked before the override was installed will not see it.
+    original build).  A process forked before the override was installed
+    will not see it; the schedulers' workers fork their children on
+    their first job, so campaigns started inside the context do.
     """
     key = (target_name, variant)
     previous = _BINARY_OVERRIDES.get(key)
@@ -175,10 +176,10 @@ class WorkerResult:
     #: wall-clock seconds the job took (success or failure).
     elapsed_s: float = 0.0
     #: worker-side telemetry counter deltas (``fuzz.*``, ``engine.*``,
-    #: ``engine.jit.cache.*``) captured when the job ran in a forked pool
-    #: worker of a telemetry-enabled campaign; empty otherwise (in serial
-    #: campaigns the parent registry counts these live).  Additive field:
-    #: results serialized before PR 8 deserialize with it empty.
+    #: ``engine.jit.cache.*``) captured when the job ran in a service
+    #: worker's child during a telemetry-enabled campaign; empty otherwise
+    #: (in serial campaigns the active registry counts these live).
+    #: Additive field: older results deserialize with it empty.
     telemetry_counts: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -290,84 +291,34 @@ class JobTimeoutError(Exception):
     """A job exceeded its :attr:`JobSpec.timeout_s` wall-clock budget."""
 
 
-def _run_job_deadline(job: JobSpec,
-                      seeds: Optional[List[bytes]]) -> WorkerResult:
-    """Run one job, enforcing the job's wall-clock timeout (if any).
-
-    The emulator is pure Python with no cancellation points, so the
-    timeout runs the job on a daemon thread and abandons it at the
-    deadline: the runaway thread dies with the worker process, and its
-    partial results are discarded (a retried job re-derives everything
-    from its seed, so abandonment never corrupts campaign state).
-    """
-    if job.timeout_s <= 0:
-        return run_job(job, seeds)
-    box: Dict[str, object] = {}
-
-    def call() -> None:
-        try:
-            box["result"] = run_job(job, seeds)
-        except BaseException as exc:  # noqa: BLE001 - crosses the thread
-            box["error"] = exc
-
-    thread = threading.Thread(target=call, daemon=True,
-                              name=f"job-{job.job_id}")
-    thread.start()
-    thread.join(job.timeout_s)
-    if thread.is_alive():
-        raise JobTimeoutError(
-            f"job exceeded its {job.timeout_s:g}s wall-clock budget")
-    error = box.get("error")
-    if error is not None:
-        raise error  # type: ignore[misc]
-    return box["result"]  # type: ignore[return-value]
-
-
 #: How one attempt of a job runs: ``(job, seeds) -> WorkerResult``, raising
 #: on failure (a timeout is a :class:`JobTimeoutError`).
 AttemptRunner = Callable[[JobSpec, Optional[List[bytes]]], WorkerResult]
 
 
 def execute_task(task: Tuple[JobSpec, Optional[List[bytes]]],
-                 run_attempt: AttemptRunner = _run_job_deadline,
+                 run_attempt: Optional[AttemptRunner] = None,
                  ) -> WorkerResult:
-    """Pool entry point: unpack one (job, seeds) task and run it.
+    """Run one (job, seeds) task with the job's retry policy.
 
     A raising job is converted into an error-carrying :class:`WorkerResult`
     instead of propagating (and tearing the whole round down with it): the
     scheduler records the failure and the campaign's other jobs survive.
-    Each attempt goes through ``run_attempt``; the batch schedulers keep
-    the thread-deadline default, and the service fleet passes a runner
-    that executes the attempt in the worker's own process (see
-    :mod:`repro.service.worker`), so the retry and backoff policy below is
-    the same everywhere.
-
-    In a forked pool worker of a telemetry-enabled campaign (the
-    scheduler armed :mod:`repro.telemetry.spool` before creating the
-    pool) the job runs under a fresh registry-only telemetry bundle: its
-    per-job ``fuzz.*``/``engine.*`` counter deltas travel home in
-    :attr:`WorkerResult.telemetry_counts` (merged into the campaign
-    totals at round end) and are appended to the metrics spool for live
-    mid-round export.  Telemetry is observation-only, so this never
-    changes the job's results.
+    Each attempt goes through ``run_attempt`` — :func:`run_job` in the
+    calling process by default (the serial scheduler), or the service
+    fleet's runner that executes the attempt in the worker's own process
+    and kills it at the job's timeout (see :mod:`repro.service.worker`) —
+    so the retry and backoff policy below is the same everywhere.
     """
-    from repro.telemetry import spool as telemetry_spool
-    from repro.telemetry.context import session as telemetry_session
-
+    if run_attempt is None:
+        run_attempt = run_job
     job, seeds = task
-    worker_telemetry = telemetry_spool.worker_telemetry()
-    cache_before = (telemetry_spool.jit_cache_stats()
-                    if worker_telemetry is not None else None)
     started = time.perf_counter()
     attempts = max(1, job.max_attempts)
     result = None
     for attempt in range(1, attempts + 1):
         try:
-            if worker_telemetry is None:
-                result = run_attempt(job, seeds)
-            else:
-                with telemetry_session(worker_telemetry):
-                    result = run_attempt(job, seeds)
+            result = run_attempt(job, seeds)
             break
         except Exception as exc:  # noqa: BLE001 - isolate the failing job
             if attempt < attempts:
@@ -388,13 +339,6 @@ def execute_task(task: Tuple[JobSpec, Optional[List[bytes]]],
                 traceback=_traceback.format_exc(),
             )
     result.elapsed_s = time.perf_counter() - started
-    if worker_telemetry is not None:
-        result.telemetry_counts = telemetry_spool.collect_counts(
-            worker_telemetry, cache_before)
-        spool_path = telemetry_spool.worker_spool_path()
-        if spool_path is not None and result.telemetry_counts:
-            telemetry_spool.append_counts(spool_path, result.job_id,
-                                          result.telemetry_counts)
     return result
 
 

@@ -108,8 +108,8 @@ class CampaignResult:
         corpus-size gauges take the maximum (they are absolute sizes, not
         increments).  The campaign scheduler applies the same rules when
         folding serialized worker results into its checkpointable state —
-        keep :meth:`repro.campaign.scheduler.CampaignScheduler._merge_round`
-        in step with any change here.
+        keep :func:`repro.campaign.scheduler.merge_worker_result` in step
+        with any change here.
         """
         self.executions += other.executions
         self.total_cycles += other.total_cycles

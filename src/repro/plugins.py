@@ -144,7 +144,9 @@ PASS_REGISTRY = PluginRegistry("hardening strategy")
 
 #: Campaign schedulers: name -> scheduler class with the
 #: :class:`repro.campaign.scheduler.CampaignScheduler` constructor shape.
-#: Populated by :mod:`repro.campaign.scheduler`.
+#: Populated by :mod:`repro.campaign.scheduler` (``serial``) and
+#: :mod:`repro.service.scheduler` (``pool`` and ``service``);
+#: :func:`scheduler_names` imports both.
 SCHEDULER_REGISTRY = PluginRegistry("campaign scheduler")
 
 #: Speculation models: name -> zero-arg factory returning a fresh
@@ -288,8 +290,8 @@ def strategy_names() -> List[str]:
 
 def scheduler_names() -> List[str]:
     """Registered campaign-scheduler names."""
-    import repro.campaign.scheduler  # noqa: F401  (registers built-ins)
-    import repro.service.scheduler  # noqa: F401  (registers "service")
+    import repro.campaign.scheduler  # noqa: F401  (registers "serial")
+    import repro.service.scheduler  # noqa: F401  (registers "pool", "service")
 
     return SCHEDULER_REGISTRY.names()
 

@@ -12,7 +12,7 @@ run, one per re-fuzz.  This module shares that work:
   object directly (a "memo" hit; the differential tests construct
   dozens of emulators per binary).
 * **On-disk cache** — the code object is marshalled to a cache file so
-  *other* processes (pool-scheduler campaign workers, sequential
+  *other* processes (campaign worker children, sequential
   ``repro fuzz`` invocations) skip compilation entirely (a "disk" hit).
 * **Single-instruction memo** — the engines compile single-instruction
   functions on first dispatch; their code objects are memoized per

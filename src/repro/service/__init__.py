@@ -22,10 +22,10 @@ into a long-running service:
 * :mod:`repro.service.cli` — the ``repro serve`` / ``repro submit`` /
   ``repro status`` commands.
 
-Importing :mod:`repro.service.scheduler` registers the ``service``
-campaign-scheduler plugin, so ``run_campaign(spec, scheduler="service")``
+:mod:`repro.service.scheduler` registers the ``pool`` (default) and
+``service`` campaign-scheduler names for one class, so ``run_campaign``
 drives a whole campaign through an ephemeral service instance and
-returns a summary identical to the ``pool``/``serial`` schedulers'.
+returns a summary identical to the in-process ``serial`` scheduler's.
 """
 
 __all__ = ["FuzzService", "JobQueue", "JobLease"]

@@ -66,15 +66,20 @@ class _Campaign:
     """One submitted campaign's mutable service-side record."""
 
     def __init__(self, campaign_id: str, spec: CampaignSpec,
-                 checkpoint_path: str, run_dir) -> None:
+                 checkpoint_path: str, run_dir, telemetry=None) -> None:
         self.campaign_id = campaign_id
         self.spec = spec
         self.checkpoint_path = checkpoint_path
         self.run_dir = run_dir
+        #: the caller's telemetry bundle to drive under (None: a private
+        #: bundle recording into :attr:`run_dir`).
+        self.telemetry = telemetry
         #: distributed-trace id stamped into every queued job record.
         self.trace_id = new_trace_id()
         self.status = "queued"
         self.error = ""
+        #: the exception that failed the campaign (``status == "failed"``).
+        self.exception: Optional[Exception] = None
         self.summary: Optional[CampaignSummary] = None
         self.created_at = time.time()
         self.finished_at: Optional[float] = None
@@ -158,8 +163,17 @@ class FuzzService:
     # -- submission ----------------------------------------------------------
     def submit(self, spec: CampaignSpec, resume: bool = False,
                checkpoint_path: Optional[str] = None,
-               progress: Optional[ProgressFn] = None) -> str:
-        """Register a campaign and start driving it; returns its id."""
+               progress: Optional[ProgressFn] = None,
+               telemetry=None) -> str:
+        """Register a campaign and start driving it; returns its id.
+
+        ``checkpoint_path`` defaults to a file under the service's
+        ``state/`` directory; ``""`` runs the campaign without
+        checkpoints.  ``telemetry`` is a bundle to drive the campaign
+        under — its registry, trace and run directory receive the
+        campaign's counters, spans and metrics snapshots — instead of a
+        private one recording into the service's own run directory.
+        """
         fingerprint = spec.fingerprint()
         campaign_id = f"c{next(_campaign_seq):04d}-{fingerprint[:8]}"
         if checkpoint_path is None:
@@ -173,7 +187,8 @@ class FuzzService:
             config=spec.to_dict(),
             extra={"campaign_id": campaign_id},
         )
-        campaign = _Campaign(campaign_id, spec, checkpoint_path, run_dir)
+        campaign = _Campaign(campaign_id, spec, checkpoint_path, run_dir,
+                             telemetry=telemetry)
         self.log.info("campaign_submitted", logger="service.core",
                       campaign_id=campaign_id, trace_id=campaign.trace_id,
                       fingerprint=fingerprint, run_id=run_dir.run_id,
@@ -191,8 +206,11 @@ class FuzzService:
     # -- the driver ----------------------------------------------------------
     def _drive(self, campaign: _Campaign, resume: bool,
                progress: Optional[ProgressFn]) -> None:
-        telemetry = Telemetry.create(trace=campaign.run_dir.trace_path)
-        telemetry.run_dir = campaign.run_dir
+        telemetry = campaign.telemetry
+        owned = telemetry is None
+        if owned:
+            telemetry = Telemetry.create(trace=campaign.run_dir.trace_path)
+            telemetry.run_dir = campaign.run_dir
         log = self.log.bind(logger="service.core",
                             campaign_id=campaign.campaign_id,
                             trace_id=campaign.trace_id)
@@ -216,7 +234,7 @@ class FuzzService:
             ingestor = StreamingIngestor(
                 state, telemetry=telemetry, progress=progress,
                 checkpoint_path=campaign.checkpoint_path,
-                run_dir=campaign.run_dir)
+                run_dir=telemetry.run_dir)
             for round_index in range(state.completed_rounds,
                                      campaign.spec.rounds):
                 if campaign.cancel_event.is_set():
@@ -249,17 +267,19 @@ class FuzzService:
             with campaign.lock:
                 campaign.status = "failed"
                 campaign.error = f"{type(error).__name__}: {error}"
+                campaign.exception = error
                 campaign.finished_at = time.time()
             campaign.run_dir.finalize(status="failed", error=campaign.error)
             log.error("campaign_failed", error=campaign.error)
         finally:
-            telemetry.close()
+            if owned:
+                telemetry.close()
             campaign.done_event.set()
 
     def _initial_state(self, campaign: _Campaign,
                        resume: bool) -> CampaignState:
         fingerprint = campaign.spec.fingerprint()
-        if resume:
+        if resume and campaign.checkpoint_path:
             try:
                 state = CampaignState.load(campaign.checkpoint_path)
             except FileNotFoundError:
@@ -476,6 +496,12 @@ class FuzzService:
         campaign.done_event.wait(timeout)
         with campaign.lock:
             return campaign.summary
+
+    def failure(self, campaign_id: str) -> Optional[Exception]:
+        """The exception that failed a campaign (None unless failed)."""
+        campaign = self._campaign(campaign_id)
+        with campaign.lock:
+            return campaign.exception
 
 
 class _Cancelled(Exception):

@@ -1,8 +1,8 @@
 """Streaming result ingestion: merge worker results as they complete.
 
-The batch schedulers merge a whole round at once (``pool.map`` hands
-results back in job order).  The service gets completions in *arrival*
-order — whichever worker finishes first — but
+The serial scheduler runs and merges jobs one by one in job order.  The
+service gets completions in *arrival* order — whichever worker finishes
+first — but
 :meth:`repro.fuzzing.corpus.Corpus.merge` is coverage-novelty greedy and
 therefore order-dependent, so merging out of order would change corpus
 contents and downstream seeds.  The :class:`StreamingIngestor` restores
@@ -13,7 +13,7 @@ folded into the campaign state with
 completions trickle in, and the final state is bit-identical to a
 serial run's.
 
-Round boundaries trigger the same durability work the batch scheduler
+Round boundaries trigger the same durability work the serial scheduler
 does between rounds: ``completed_rounds`` advances, the checkpoint file
 is rewritten atomically, and a metrics snapshot lands in the campaign's
 run directory so ``repro runs show`` / ``repro monitor`` observe the

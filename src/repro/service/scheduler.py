@@ -1,15 +1,22 @@
-"""The ``service`` campaign-scheduler plugin.
+"""The ``pool``/``service`` campaign-scheduler plugin.
 
-``run_campaign(spec, scheduler="service")`` — and therefore ``repro
-campaign --scheduler service`` and ``Pipeline.fuzz(scheduler=
-"service")`` — runs the campaign through an ephemeral
+``run_campaign(spec)`` — the default ``pool`` scheduler, and therefore
+``repro campaign``, ``Pipeline.fuzz()`` and the hardening re-fuzz —
+runs the campaign through an ephemeral
 :class:`~repro.service.core.FuzzService`: a durable queue plus
-``spec.workers`` workers (each a thread with its own job process) in a
-scratch directory, torn down when the campaign finishes.  Results are bit-identical to the ``pool`` and
-``serial`` schedulers (the streaming ingestor merges in job order), so
-this is simultaneously the service's integration test surface and a
-way to exercise lease/requeue machinery under the ordinary campaign
-API.
+``max(1, spec.workers)`` workers (each a thread with its own job
+process) in a scratch directory, torn down when the campaign finishes.
+``"pool"`` and ``"service"`` name this same class.  Results are
+bit-identical to the in-process ``serial`` scheduler (the streaming
+ingestor merges in job order), and since every job runs in a worker's
+child process, a job timeout kills the job.
+
+When the caller has a telemetry session active, the service drives the
+campaign under it: ``campaign.*`` counters, round spans and metrics
+snapshots land in the caller's registry, trace and run directory, and
+live exporters see them grow as each job merges.  A session with an
+engine profiler is the exception: the profiler wraps emulators in this
+process, so such a campaign runs in-process on the ``serial`` loop.
 
 Set ``REPRO_SERVICE_DIR`` to keep the queue/run directories around for
 inspection instead of using (and deleting) a temp directory, and
@@ -23,11 +30,14 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+from typing import Optional
 
-from repro.campaign.scheduler import CampaignScheduler
+from repro.campaign.scheduler import CampaignScheduler, ProgressFn
+from repro.campaign.spec import CampaignSpec
 from repro.campaign.summary import CampaignSummary
 from repro.plugins import register_scheduler
 from repro.service.core import FuzzService
+from repro.telemetry.context import active as active_telemetry
 
 #: Environment override for the ephemeral service root.
 SERVICE_DIR_ENV = "REPRO_SERVICE_DIR"
@@ -36,8 +46,8 @@ SERVICE_DIR_ENV = "REPRO_SERVICE_DIR"
 SERVICE_OBSERVE_ENV = "REPRO_SERVICE_OBSERVE"
 
 
-@register_scheduler("service")
-class ServiceCampaignScheduler(CampaignScheduler):
+@register_scheduler("pool")
+class ServiceCampaignScheduler:
     """Run one campaign through a private, short-lived fuzzing service."""
 
     #: visibility timeout for the ephemeral fleet.  Jobs run in the
@@ -47,7 +57,28 @@ class ServiceCampaignScheduler(CampaignScheduler):
     #: never costs a busy worker its lease.
     visibility_timeout = 60.0
 
+    def __init__(
+        self,
+        spec: CampaignSpec,
+        checkpoint_path: Optional[str] = None,
+        progress: Optional[ProgressFn] = None,
+    ) -> None:
+        self.spec = spec
+        self.checkpoint_path = checkpoint_path
+        self._progress = progress
+
     def run(self, resume: bool = False) -> CampaignSummary:
+        telemetry = active_telemetry()
+        if telemetry is not None and telemetry.profiler is not None:
+            # The profiler sees only emulators of this process; fuzzing
+            # in a worker's child would leave the profile empty.
+            if self.spec.job_timeout_s > 0:
+                raise ValueError(
+                    "engine profiling runs jobs in this process and "
+                    "cannot enforce a job timeout; drop one of the two")
+            return CampaignScheduler(
+                self.spec, checkpoint_path=self.checkpoint_path,
+                progress=self._progress).run(resume=resume)
         root = os.environ.get(SERVICE_DIR_ENV)
         scratch = None
         if not root:
@@ -62,10 +93,16 @@ class ServiceCampaignScheduler(CampaignScheduler):
         try:
             campaign_id = service.submit(
                 self.spec, resume=resume,
-                checkpoint_path=self.checkpoint_path,
-                progress=self._progress)
+                checkpoint_path=self.checkpoint_path or "",
+                progress=self._progress,
+                telemetry=telemetry)
             summary = service.wait(campaign_id)
             if summary is None:
+                failure = service.failure(campaign_id)
+                if failure is not None:
+                    # What the serial scheduler would have raised (a
+                    # mismatched checkpoint, an unknown target, ...).
+                    raise failure
                 status = service.status(campaign_id)
                 raise RuntimeError(
                     "service campaign ended without a summary "
@@ -77,3 +114,6 @@ class ServiceCampaignScheduler(CampaignScheduler):
             service.stop()
             if scratch is not None:
                 shutil.rmtree(scratch, ignore_errors=True)
+
+
+register_scheduler("service", ServiceCampaignScheduler)

@@ -3,9 +3,8 @@
 Each :class:`ServiceWorker` is a thread that loops claim → execute →
 complete against one :class:`~repro.service.queue.JobQueue`, and owns
 one long-lived child process that does the fuzzing.  The thread forks
-the child (``multiprocessing``'s ``fork`` context, as the ``pool``
-scheduler uses) on its first claim, so the child inherits the server's
-compiled binaries, jit memos and any active ``binary_override``.  The
+the child (``multiprocessing``'s ``fork`` context) on its first claim,
+so the child inherits the server's compiled binaries, jit memos and any active ``binary_override``.  The
 thread sends each ``(job, seeds)`` over a pipe and gets
 :meth:`WorkerResult.to_dict` back; the child runs only that job loop and
 never touches the server's locks (logger, queue, registries).  With N
@@ -15,7 +14,7 @@ GIL with the campaign drivers and the HTTP handlers.
 Execution goes through the ordinary
 :func:`repro.campaign.worker.execute_task` entry point, with an attempt
 runner that hands the attempt to the child, so the per-job retry and
-backoff policy and the error boxing are exactly the batch schedulers'
+backoff policy and the error boxing are exactly the serial scheduler's
 (an exception becomes an error-carrying
 :class:`~repro.campaign.worker.WorkerResult`, recorded as a failed job
 — it never poisons the queue).  The thread waits at most
@@ -30,9 +29,9 @@ and reaps every child.
 
 When the server has a telemetry session active, the child runs each job
 under a registry-only bundle and returns the ``fuzz.*``/``engine.*``
-counter deltas in :attr:`WorkerResult.telemetry_counts`; the thread
-adds them to the session, where in-process execution would have
-counted them live.
+counter deltas in :attr:`WorkerResult.telemetry_counts`;
+:func:`repro.campaign.scheduler.merge_worker_result` folds them into the
+registry driving the campaign, once, when the result merges.
 
 A shared :class:`WorkerFleet` heartbeat thread renews every in-flight
 lease at a third of the visibility timeout, so leases only expire when a
@@ -68,7 +67,6 @@ from repro.campaign.spec import JobSpec
 from repro.campaign.worker import JobTimeoutError, WorkerResult, execute_task
 from repro.service.queue import JobLease, JobQueue
 from repro.telemetry import Telemetry
-from repro.telemetry import spool as telemetry_spool
 from repro.telemetry.context import active as active_telemetry
 from repro.telemetry.context import session as telemetry_session
 
@@ -141,16 +139,48 @@ def _child_attempt(job: JobSpec, seeds: Optional[List[bytes]],
         if not count_telemetry:
             return "ok", campaign_worker.run_job(job, seeds).to_dict()
         # The server's telemetry slot is pid-guarded and reads None here,
-        # so count under a registry-only bundle, as pool workers do.
+        # so count under a registry-only bundle.
         bundle = Telemetry()
-        cache_before = telemetry_spool.jit_cache_stats()
+        cache_before = jit_cache_stats()
         with telemetry_session(bundle):
             result = campaign_worker.run_job(job, seeds)
-        result.telemetry_counts = telemetry_spool.collect_counts(
-            bundle, cache_before)
+        result.telemetry_counts = collect_counts(bundle, cache_before)
         return "ok", result.to_dict()
     except Exception as error:  # noqa: BLE001 - boxed for the thread
         return "error", (error, traceback.format_exc())
+
+
+def collect_counts(telemetry,
+                   cache_stats_before: Optional[Dict[str, int]] = None,
+                   ) -> Dict[str, int]:
+    """One job's counter deltas from a child's per-job telemetry bundle.
+
+    Only *counters* are collected — they are per-job deltas by
+    construction (the bundle is created fresh per job) and sum cleanly
+    across jobs, workers and rounds.  Gauges (corpus size, compiled-block
+    table sizes) are point-in-time per process and are deliberately left
+    out.  The jit compiled-block cache is the exception: its statistics
+    are cumulative per *process*, so the caller snapshots them before the
+    job (``cache_stats_before``) and the per-job delta is emitted under
+    ``engine.jit.cache.<key>``.
+    """
+    counts: Dict[str, int] = {}
+    for name, counter in telemetry.registry.counters().items():
+        if counter.value:
+            counts[name] = counter.value
+    if cache_stats_before is not None:
+        for key, value in jit_cache_stats().items():
+            delta = value - cache_stats_before.get(key, 0)
+            if delta:
+                counts[f"engine.jit.cache.{key}"] = delta
+    return counts
+
+
+def jit_cache_stats() -> Dict[str, int]:
+    """Snapshot of the process-wide compiled-block cache statistics."""
+    from repro.runtime.jitcache import shared_cache
+
+    return dict(shared_cache().stats)
 
 
 def _peak_rss_mb(pid: Optional[int]) -> Optional[float]:
@@ -284,11 +314,11 @@ class ServiceWorker(threading.Thread):
         the child is killed and reaped.  A child that dies mid-job is
         reaped too; the next attempt forks a fresh one.
         """
-        telemetry = active_telemetry()
+        count_telemetry = active_telemetry() is not None
         process, conn = self._checkout_child()
         pid = process.pid
         try:
-            conn.send((job, seeds, telemetry is not None))
+            conn.send((job, seeds, count_telemetry))
             if not conn.poll(job.timeout_s if job.timeout_s > 0 else None):
                 self.reap_child()
                 raise JobTimeoutError(
@@ -307,12 +337,7 @@ class ServiceWorker(threading.Thread):
         if status == "error":
             error, formatted = payload
             raise error from _RemoteTraceback(formatted)
-        result = WorkerResult.from_dict(payload)
-        if telemetry is not None:
-            # In-process execution would have counted these live.
-            for name, value in result.telemetry_counts.items():
-                telemetry.registry.counter(name).inc(value)
-        return result
+        return WorkerResult.from_dict(payload)
 
     def _checkout_child(self):
         """This worker's live child, forked now if need be, marked busy.

@@ -58,7 +58,6 @@ from repro.telemetry.runs import (
     RunDirectory,
     RunRegistry,
 )
-from repro.telemetry.spool import MetricsSpool
 from repro.telemetry.tracing import (
     TRACE_KIND,
     TRACE_SCHEMA_VERSION,
@@ -103,10 +102,6 @@ class Telemetry:
         self.heartbeat = heartbeat
         self.profiler = profiler
         self._owns_trace = False
-        #: optional :class:`~repro.telemetry.spool.MetricsSpool` attached by
-        #: the campaign layer — live worker counters across the fork
-        #: boundary (see :meth:`merged_snapshot`).
-        self.spool = None
         #: optional :class:`~repro.telemetry.runs.RunDirectory` this run
         #: records into (manifest + trace + metrics snapshots).
         self.run_dir = None
@@ -225,30 +220,6 @@ class Telemetry:
                 for key, value in cache.stats.items():
                     registry.gauge(f"engine.jit.cache_{key}").set(value)
 
-    def merged_counts(self) -> Dict[str, object]:
-        """Live counter/gauge values including the unconsumed spool tail.
-
-        The parent registry only learns worker counters at round merges;
-        mid-round, forked workers have already appended their per-job
-        deltas to the spool.  Exporters (``/metrics``, ``/status``) call
-        this to serve totals that increase *during* a round without ever
-        double counting: the spool tail past ``consumed_offset`` is
-        exactly what the registry has not absorbed yet.
-        """
-        merged: Dict[str, object] = {}
-        for name, counter in self.registry.counters().items():
-            merged[name] = counter.value
-        for name, gauge in self.registry.gauges().items():
-            merged[name] = gauge.value
-        if self.spool is not None:
-            for name, value in self.spool.unconsumed().items():
-                base = merged.get(name, 0)
-                if isinstance(base, (int, float)):
-                    merged[name] = base + value
-                else:
-                    merged[name] = value
-        return dict(sorted(merged.items()))
-
     # -- lifecycle -----------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
         """JSON-ready section for ``RunResult``/``BENCH_*.json`` embedding."""
@@ -287,7 +258,6 @@ __all__ = [
     "context",
     "__version__",
     # campaign observatory (PR 8)
-    "MetricsSpool",
     "MetricsExporter",
     "PROMETHEUS_CONTENT_TYPE",
     "render_prometheus",

@@ -8,13 +8,16 @@ cost, which is what keeps the default path within the ≤5 % throughput
 budget.
 
 The slot is pid-guarded: a ``multiprocessing`` fork inherits the module
-state, but a trace writer or heartbeat inherited by a pool worker would
-interleave output and count things the parent never sees, so
+state, but a trace writer or heartbeat inherited by a worker's child
+would interleave output and count things the parent never sees, so
 :func:`active` answers ``None`` in any process other than the installer.
-Pool campaigns still get telemetry — the scheduler folds each
-:class:`~repro.campaign.worker.WorkerResult` into the parent registry —
-only per-execution granularity (heartbeat ticks, engine profiling) needs
-a serial (``workers=1``) run.
+Campaigns whose jobs run in worker children still get telemetry — each
+child counts under its own bundle and the campaign folds the counts
+carried by each :class:`~repro.campaign.worker.WorkerResult` into the
+parent registry, and the heartbeat ticks once per merged job.  Engine
+profiling needs the fuzzing in the profiler's own process, so the
+``pool``/``service`` scheduler runs a campaign in-process (the
+``serial`` loop) when the session has a profiler.
 """
 
 from __future__ import annotations

@@ -4,12 +4,14 @@ Two consumption modes share one renderer:
 
 * **In-process** — ``Pipeline.telemetry(serve=...)`` or ``repro campaign
   --serve`` start a :class:`MetricsExporter` over the live
-  :class:`~repro.telemetry.Telemetry`; the ``/metrics`` totals include
-  the unconsumed worker-spool tail, so counters increase *mid-round*.
+  :class:`~repro.telemetry.Telemetry`; the campaign folds each job's
+  counters into that registry as the job's result merges, so
+  ``/metrics`` totals increase *mid-round*.
 * **Cross-process** — ``repro monitor --run <id>`` exports a
   :class:`~repro.telemetry.runs.RunDirectory` written by a campaign in
-  another process: latest metrics snapshot plus spool lines past the
-  offset that snapshot covers.
+  another process: its latest metrics snapshot, which the campaign
+  rewrites after every merged job under ``pool``/``service`` and after
+  every round under ``serial``.
 
 The renderer emits Prometheus text exposition format 0.0.4: ``# TYPE``
 per family, ``_total``-suffixed counters, cumulative histogram buckets
@@ -95,15 +97,9 @@ class MetricsView:
 
     @classmethod
     def from_telemetry(cls, telemetry) -> "MetricsView":
-        """Live view: registry values plus the unconsumed spool tail."""
-        counters: Dict[str, Number] = {
-            name: counter.value
-            for name, counter in telemetry.registry.counters().items()
-        }
-        spool = getattr(telemetry, "spool", None)
-        if spool is not None:
-            for name, value in spool.unconsumed().items():
-                counters[name] = counters.get(name, 0) + value
+        """Live view: the registry's current values."""
+        counters = {name: counter.value
+                    for name, counter in telemetry.registry.counters().items()}
         gauges = {name: gauge.value
                   for name, gauge in telemetry.registry.gauges().items()}
         histograms = {name: histogram.snapshot()
@@ -113,9 +109,7 @@ class MetricsView:
 
     @classmethod
     def from_run_dir(cls, run_dir) -> "MetricsView":
-        """Cross-process view: latest snapshot + spool tail past it."""
-        from repro.telemetry import spool as telemetry_spool
-
+        """Cross-process view: the run's latest metrics snapshot."""
         snapshot = run_dir.latest_metrics() or {}
         metrics = dict(snapshot.get("metrics", {}))
         types = dict(snapshot.get("types", {}))
@@ -129,15 +123,6 @@ class MetricsView:
                 view.counters[name] = value
             else:
                 view.gauges[name] = value
-        offset = int(snapshot.get("spool_offset", 0))
-        records, _ = telemetry_spool.read_records(run_dir.spool_path, offset)
-        for name, value in telemetry_spool.sum_counts(records).items():
-            # Spool records carry counter deltas only, so an unseen name
-            # is a counter by construction.
-            if name in view.gauges:
-                view.gauges[name] += value
-            else:
-                view.counters[name] = view.counters.get(name, 0) + value
         return view
 
 

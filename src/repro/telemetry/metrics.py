@@ -43,7 +43,7 @@ def merge_counts(into: Dict[str, int],
     name → count mapping): every key of ``other`` is added to ``into``,
     missing keys start at zero.  :meth:`repro.fuzzing.fuzzer.
     CampaignResult.merge`, the fuzzer's per-execution accumulation and
-    :meth:`repro.campaign.scheduler.CampaignScheduler._merge_round` all
+    :func:`repro.campaign.scheduler.merge_worker_result` all
     route through here, so the three aggregation paths cannot drift.
     """
     for key, value in other.items():

@@ -104,8 +104,9 @@ class HeartbeatReporter:
 
     # -- rendering -----------------------------------------------------------
     def _executions(self) -> int:
-        # The scheduler-side counter covers pool campaigns; the fuzzer-side
-        # one updates per execution in serial runs.  Their max is the best
+        # The scheduler-side counter covers campaigns whose jobs run in
+        # worker processes; the fuzzer-side one updates per execution in
+        # serial runs.  Their max is the best
         # live estimate either way.
         return int(max(self.registry.value("campaign.executions"),
                        self.registry.value("fuzz.executions")))

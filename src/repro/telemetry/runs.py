@@ -5,7 +5,6 @@ A :class:`RunDirectory` is the on-disk record of one run::
     runs/<run-id>/
         manifest.json        # kind/schema tags, identity, status, digest
         trace.jsonl          # span/event trace (repro.telemetry/trace v1)
-        spool.jsonl          # worker metrics spool (live counter deltas)
         metrics/
             snapshot-000001.json   # periodic registry snapshots
             latest.json            # atomically updated copy of the newest
@@ -14,10 +13,10 @@ A :class:`RunDirectory` is the on-disk record of one run::
 The manifest follows the repo-wide versioned-artifact pattern (``kind`` +
 ``schema_version`` headers); its ``config_digest`` is a sha256 over the
 canonical JSON of the run's configuration, so two runs of the same setup
-are recognizably siblings.  Metrics snapshots record the spool offset
-they cover, which lets a *separate* process (``repro monitor --run``)
-serve live totals: latest snapshot plus every spool line past its
-recorded offset.
+are recognizably siblings.  A campaign rewrites its latest metrics
+snapshot after every merged job under ``pool``/``service`` and after
+every round under ``serial``, which lets a *separate* process
+(``repro monitor --run``) serve live totals.
 
 The :class:`RunRegistry` scans a root directory (default ``runs/``) and
 backs the ``repro runs list/show/gc`` commands.  Everything here is
@@ -76,7 +75,7 @@ def _atomic_write_json(path: str, record: Dict[str, object]) -> None:
 
 
 class RunDirectory:
-    """One run's durable directory: manifest, trace, spool, snapshots."""
+    """One run's durable directory: manifest, trace, snapshots, result."""
 
     def __init__(self, path: str) -> None:
         self.path = os.path.abspath(path)
@@ -91,10 +90,6 @@ class RunDirectory:
     @property
     def trace_path(self) -> str:
         return os.path.join(self.path, "trace.jsonl")
-
-    @property
-    def spool_path(self) -> str:
-        return os.path.join(self.path, "spool.jsonl")
 
     @property
     def metrics_dir(self) -> str:
@@ -197,15 +192,13 @@ class RunDirectory:
 
     # -- metrics snapshots ---------------------------------------------------
     def write_metrics_snapshot(self, telemetry) -> str:
-        """Persist one registry snapshot (plus covered spool offset).
+        """Persist one registry snapshot.
 
-        Called by the campaign scheduler after each round merge and by
-        pipeline sessions between stages.  The recorded ``spool_offset``
-        is the byte offset the snapshot's numbers already cover, so an
-        external reader adds only spool lines *past* it.
+        Called by the campaigns (after each merged job under
+        ``pool``/``service``, after each round under ``serial``) and by
+        pipeline sessions at the end of a run.
         """
         self._snapshot_seq += 1
-        spool = getattr(telemetry, "spool", None)
         registry = telemetry.registry
         types: Dict[str, str] = {}
         for name in registry.counters():
@@ -219,7 +212,6 @@ class RunDirectory:
             "at": _utc_stamp(),
             "metrics": registry.snapshot(),
             "types": dict(sorted(types.items())),
-            "spool_offset": spool.consumed_offset if spool is not None else 0,
         }
         os.makedirs(self.metrics_dir, exist_ok=True)
         path = os.path.join(self.metrics_dir,
@@ -239,28 +231,16 @@ class RunDirectory:
             return None
 
     def live_counts(self) -> Dict[str, object]:
-        """Latest snapshot merged with the spool tail past its offset.
+        """The counters and gauges of the latest snapshot.
 
-        This is the cross-process flavour of
-        :meth:`repro.telemetry.Telemetry.merged_counts`: what ``repro
-        monitor --run`` serves while the campaign runs in another
-        process.
+        What ``repro top`` and ``repro runs show`` read while the run
+        records in another process.  A ``spool_offset`` in snapshots
+        written by older versions is ignored.
         """
-        from repro.telemetry import spool as telemetry_spool
-
-        snapshot = self.latest_metrics() or {"metrics": {}, "spool_offset": 0}
-        merged: Dict[str, object] = {
-            name: value
-            for name, value in dict(snapshot.get("metrics", {})).items()
-            if isinstance(value, (int, float))
-        }
-        offset = int(snapshot.get("spool_offset", 0))
-        records, _ = telemetry_spool.read_records(self.spool_path, offset)
-        for name, value in telemetry_spool.sum_counts(records).items():
-            base = merged.get(name, 0)
-            merged[name] = (base + value
-                            if isinstance(base, (int, float)) else value)
-        return dict(sorted(merged.items()))
+        snapshot = self.latest_metrics() or {}
+        return {name: value
+                for name, value in sorted(snapshot.get("metrics", {}).items())
+                if isinstance(value, (int, float))}
 
     # -- result -------------------------------------------------------------
     def write_result(self, result) -> str:

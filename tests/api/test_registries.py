@@ -162,10 +162,10 @@ def test_third_party_target_is_discoverable_end_to_end(plugin_target):
 def test_third_party_scheduler_runs_a_pipeline(plugin_target):
     calls = []
 
-    from repro.campaign.scheduler import SerialCampaignScheduler
+    from repro.campaign.scheduler import CampaignScheduler
 
     @api.register_scheduler("apitest-sched")
-    class _TracingScheduler(SerialCampaignScheduler):
+    class _TracingScheduler(CampaignScheduler):
         def run(self, resume=False):
             calls.append("run")
             return super().run(resume=resume)

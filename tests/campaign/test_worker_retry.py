@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 
 import pytest
 
 import repro.campaign.worker as worker_module
+from repro.campaign.cli import main as campaign_cli
+from repro.campaign.scheduler import run_campaign
 from repro.campaign.spec import CampaignSpec, JobSpec
 from repro.campaign.worker import JobTimeoutError, WorkerResult, execute_task
 
@@ -75,31 +79,75 @@ def test_retry_backoff_is_exponential(monkeypatch):
     assert sleeps == [0.5, 1.0, 2.0]  # backoff * 2**(attempt-1)
 
 
-def test_timeout_abandons_a_stuck_job(monkeypatch):
-    real_sleep = time.sleep
+def _live_children():
+    """Pids of this process's children, zombies included (Linux)."""
+    children = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == os.getpid():
+            children.add(int(entry))
+    return children
 
-    def hangs(job, seeds=None):
-        real_sleep(30)
 
-    monkeypatch.setattr(worker_module, "run_job", hangs)
-    result = execute_task((_job(timeout_s=0.1), None))
-    assert result.error.startswith(JobTimeoutError.__name__)
-    assert "0.1s wall-clock budget" in result.error
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_pool_timeout_kills_a_spinning_job_at_one_worker(monkeypatch):
+    # The default pool scheduler at its default single worker: a job that
+    # never returns is stopped at its deadline, not abandoned on a thread
+    # that keeps spinning in the caller's process.
+    real_run_job = worker_module.run_job
+
+    def spins_on_shard_0(job, seeds=None):
+        if job.shard == 0:
+            while True:
+                pass
+        return real_run_job(job, seeds)
+
+    monkeypatch.setattr(worker_module, "run_job", spins_on_shard_0)
+    threads_before = threading.active_count()
+    children_before = _live_children()
+    messages = []
+    summary = run_campaign(
+        _spec(shards=3, workers=1, job_timeout_s=0.5),
+        progress=messages.append, scheduler="pool")
+    failures = [m for m in messages if "FAILED" in m]
+    assert len(failures) == 1
+    assert (f"{JobTimeoutError.__name__}: job exceeded its 0.5s "
+            "wall-clock budget") in failures[0]
+    group = summary.groups[0]
+    assert group.failed_jobs == 1
+    assert group.executions > 0  # the other two shards completed
+    assert threading.active_count() == threads_before
+    assert _live_children() <= children_before
 
 
-def test_deadline_runner_passes_results_and_errors_through():
-    job = _job(timeout_s=5.0)
-    ran = worker_module._run_job_deadline(job, None)
-    assert ran.executions == 5
-    assert ran.error == ""
+def test_serial_scheduler_refuses_job_timeouts():
+    with pytest.raises(ValueError, match="--scheduler pool/service"):
+        run_campaign(_spec(job_timeout_s=1.0), scheduler="serial")
 
-    def boom(job, seeds=None):
-        raise ValueError("from thread")
 
-    import unittest.mock
-    with unittest.mock.patch.object(worker_module, "run_job", boom):
-        with pytest.raises(ValueError, match="from thread"):
-            worker_module._run_job_deadline(job, None)
+def test_profiled_pool_campaign_refuses_job_timeouts():
+    # A profiled session keeps the fuzzing in this process, where a job
+    # cannot be stopped at a deadline.
+    from repro.telemetry import EngineProfiler, Telemetry
+    from repro.telemetry.context import session
+
+    with session(Telemetry(profiler=EngineProfiler())):
+        with pytest.raises(ValueError, match="cannot enforce a job timeout"):
+            run_campaign(_spec(job_timeout_s=1.0), scheduler="pool")
+
+
+def test_cli_serial_with_job_timeout_exits_2(capsys):
+    exit_code = campaign_cli([
+        "--targets", "gadgets", "--iterations", "10", "--rounds", "1",
+        "--scheduler", "serial", "--job-timeout", "1", "--quiet"])
+    assert exit_code == 2
+    assert "--scheduler pool/service" in capsys.readouterr().err
 
 
 def test_spec_threads_robustness_knobs_into_jobs():

@@ -1,19 +1,15 @@
-"""Worker telemetry across the fork boundary: counts, spool, bit-identity."""
+"""Worker telemetry across the fork boundary: counts and bit-identity."""
 
 from __future__ import annotations
 
 import json
-import os
-
-import pytest
 
 from repro.campaign.scheduler import run_campaign
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.spec import CampaignSpec, JobSpec
 from repro.campaign.store import GroupStats
-from repro.campaign.worker import WorkerResult, execute_task
-from repro.campaign.spec import JobSpec
-from repro.telemetry import MetricsSpool, Telemetry
-from repro.telemetry import spool as telemetry_spool
+from repro.campaign.worker import WorkerResult
+from repro.service.worker import _child_attempt
+from repro.telemetry import Telemetry
 from repro.telemetry.context import session as telemetry_session
 
 
@@ -47,44 +43,36 @@ def test_group_stats_checkpoint_omits_empty_telemetry_counts():
         "fuzz.executions": 30}
 
 
-def test_simulated_forked_worker_spools_job_counts(tmp_path, monkeypatch):
-    # execute_task in a "forked child" (pid differs from the enabler's)
-    # must run the job under a fresh registry bundle, return the per-job
-    # counter deltas and append them to the spool.
-    spool_path = str(tmp_path / "spool.jsonl")
-    telemetry_spool.enable(spool_path)
-    monkeypatch.setattr(telemetry_spool, "_PARENT_PID", os.getpid() + 1)
-    try:
-        job = JobSpec(target="gadgets", tool="teapot", variant="vanilla",
-                      shard=0, round_index=0, iterations=10, seed=13)
-        result = execute_task((job, None))
-    finally:
-        telemetry_spool.disable()
+def test_child_attempt_returns_job_counts():
+    # What a service worker's child runs per job: under a fresh
+    # registry-only bundle, returning the per-job counter deltas.
+    job = JobSpec(target="gadgets", tool="teapot", variant="vanilla",
+                  shard=0, round_index=0, iterations=10, seed=13)
+    status, record = _child_attempt(job, None, True)
+    assert status == "ok"
+    result = WorkerResult.from_dict(record)
     assert result.error == ""
     assert result.telemetry_counts["fuzz.executions"] == 10
     assert result.telemetry_counts["engine.executions"] == 10
-    records, _ = telemetry_spool.read_records(spool_path)
-    assert len(records) == 1
-    assert records[0]["job_id"] == job.job_id
-    assert records[0]["counts"] == result.telemetry_counts
+    # Without a session the child counts nothing.
+    status, record = _child_attempt(job, None, False)
+    assert WorkerResult.from_dict(record).telemetry_counts == {}
 
 
-def test_serial_campaign_counts_stay_in_parent_registry(tmp_path):
-    # workers=1 runs jobs in-process: the parent registry counts live and
-    # WorkerResult.telemetry_counts stays empty (no double counting).
+def test_serial_campaign_counts_stay_in_parent_registry():
+    # The serial scheduler runs jobs in-process: the parent registry
+    # counts live and WorkerResult.telemetry_counts stays empty (no
+    # double counting).
     telemetry = Telemetry()
-    telemetry.spool = MetricsSpool(str(tmp_path / "spool.jsonl"))
     with telemetry_session(telemetry):
-        summary = run_campaign(small_spec())
+        summary = run_campaign(small_spec(), scheduler="serial")
     assert telemetry.registry.counter("fuzz.executions").value == 30
     assert telemetry.registry.counter("campaign.executions").value == 30
     assert summary.groups[0].telemetry_counts == {}
-    assert os.path.getsize(telemetry.spool.path) == 0
 
 
-def test_pool_campaign_merges_worker_counters_into_parent(tmp_path):
+def test_pool_campaign_merges_worker_counters_into_parent():
     telemetry = Telemetry()
-    telemetry.spool = MetricsSpool(str(tmp_path / "spool.jsonl"))
     with telemetry_session(telemetry):
         summary = run_campaign(small_spec(workers=2))
     registry = telemetry.registry
@@ -96,16 +84,16 @@ def test_pool_campaign_merges_worker_counters_into_parent(tmp_path):
     # The merged per-group counts rode home in the summary too.
     group = summary.groups[0]
     assert group.telemetry_counts["fuzz.executions"] == 30
-    # Every worker job left a spool record, all consumed by round merges.
-    records, _ = telemetry_spool.read_records(telemetry.spool.path)
-    assert len(records) == 4  # 2 shards x 2 rounds
-    assert telemetry.spool.unconsumed() == {}
+    assert group.telemetry_counts["engine.executions"] == 30
+    assert group.telemetry_counts == {
+        name: counter.value
+        for name, counter in registry.counters().items()
+        if name.startswith(("fuzz.", "engine.")) and counter.value}
 
 
-def test_pool_campaign_results_identical_with_and_without_telemetry(tmp_path):
+def test_pool_campaign_results_identical_with_and_without_telemetry():
     plain = run_campaign(small_spec(workers=2))
     telemetry = Telemetry()
-    telemetry.spool = MetricsSpool(str(tmp_path / "spool.jsonl"))
     with telemetry_session(telemetry):
         observed = run_campaign(small_spec(workers=2))
     # Observation-only: the summary artifact is bit-identical, and the
@@ -116,7 +104,8 @@ def test_pool_campaign_results_identical_with_and_without_telemetry(tmp_path):
 
 def test_service_campaign_counts_match_serial_under_a_session():
     # Service jobs run in forked children, where the session reads None;
-    # their counter deltas must still reach the session, once each.
+    # their counter deltas must still reach the session, once each, and
+    # the campaign.* counters of the driver land there too, once each.
     def counts(scheduler):
         telemetry = Telemetry()
         with telemetry_session(telemetry):
@@ -125,9 +114,12 @@ def test_service_campaign_counts_match_serial_under_a_session():
         # statistics (engine.jit.cache.*) only exist out of process.
         return {name: counter.value
                 for name, counter in telemetry.registry.counters().items()
-                if counter.value and name.startswith(("fuzz.", "engine."))
+                if counter.value
+                and name.startswith(("fuzz.", "engine.", "campaign."))
                 and not name.startswith("engine.jit.cache.")}
 
     serial = counts("serial")
     assert serial["fuzz.executions"] == 30
+    assert serial["campaign.executions"] == 30
+    assert serial["campaign.jobs_done"] == 4  # 2 shards x 2 rounds
     assert counts("service") == serial

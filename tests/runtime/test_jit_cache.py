@@ -152,7 +152,8 @@ def test_pool_scheduler_campaign_reuses_cache(cache_dir):
     # published instead of compiling anything new
     before = dict(jitcache.shared_cache().stats)
     serial = dict(params, workers=1)
-    rerun = run_campaign(CampaignSpec(engine="jit", **serial))
+    rerun = run_campaign(CampaignSpec(engine="jit", **serial),
+                         scheduler="serial")
     assert rerun.to_dict() == jit_dict
     after = jitcache.shared_cache().stats
     assert after["memo_hits"] + after["disk_hits"] > \

@@ -8,8 +8,7 @@ import urllib.request
 
 import pytest
 
-from repro.telemetry import MetricsSpool, Telemetry
-from repro.telemetry import spool as telemetry_spool
+from repro.telemetry import Telemetry
 from repro.telemetry.export import (
     PROMETHEUS_CONTENT_TYPE,
     MetricsExporter,
@@ -63,12 +62,15 @@ def test_prometheus_rendering_conforms_to_text_format_0_0_4():
             assert sample.match(line), line
 
 
-def test_prometheus_includes_unconsumed_spool_tail(tmp_path):
+def test_prometheus_renders_merged_worker_counts_live():
+    # A merged job result folds its child's counter deltas into the
+    # registry; the next render includes them.
     bundle = _telemetry_with_counts()
-    bundle.spool = MetricsSpool(str(tmp_path / "spool.jsonl"))
-    telemetry_spool.append_counts(
-        bundle.spool.path, "live-job",
-        {"fuzz.executions": 50, "engine.jit.cache.memo_hits": 4})
+    assert "repro_fuzz_executions_total 400" in \
+        render_prometheus(bundle).splitlines()
+    for name, value in {"fuzz.executions": 50,
+                        "engine.jit.cache.memo_hits": 4}.items():
+        bundle.registry.counter(name).inc(value)
     lines = render_prometheus(bundle).splitlines()
     assert "repro_fuzz_executions_total 450" in lines
     assert "repro_engine_jit_cache_memo_hits_total 4" in lines
@@ -116,16 +118,14 @@ def test_exporter_serves_metrics_status_runs_and_404(tmp_path):
 
 def test_exporter_from_run_dir_cross_process_view(tmp_path):
     # Simulate the `repro monitor` flow: a campaign in another process
-    # wrote a snapshot + spool lines; the exporter process only has the
-    # run directory.
+    # rewrites its snapshot as jobs merge; the exporter process only has
+    # the run directory.
     registry = RunRegistry(str(tmp_path / "runs"))
     run = registry.create_run(command="campaign", config={})
     bundle = _telemetry_with_counts()
-    bundle.spool = MetricsSpool(run.spool_path)
     run.write_metrics_snapshot(bundle)
-    # Worker activity after the snapshot: lands in the spool tail.
-    telemetry_spool.append_counts(run.spool_path, "tail-job",
-                                  {"fuzz.executions": 25})
+    bundle.registry.counter("fuzz.executions").inc(25)
+    run.write_metrics_snapshot(bundle)  # the next merged job
     view = MetricsView.from_run_dir(run)
     assert view.counters["fuzz.executions"] == 425
     assert view.gauges["campaign.sites.pht"] == 3

@@ -141,6 +141,22 @@ def test_engine_profiler_collects_hot_spots(tmp_path):
     assert profile["hot_spots"], "expected hot-spot entries"
 
 
+def test_fuzz_only_run_profiles_the_fuzzing():
+    # The profiler only sees emulators in its own process, so the default
+    # process-backed scheduler runs a profiled campaign in-process.
+    run = (api.pipeline(target="gadgets", seed=7)
+           .fuzz(iterations=60)
+           .telemetry(profile_engine=True)
+           .report())
+    profile = run.telemetry["profile"]
+    assert profile["per_opcode"], "expected opcode counts"
+    assert profile["hot_spots"], "expected hot-spot entries"
+    assert run.telemetry["metrics"]["fuzz.executions"] == 60
+    baseline = api.pipeline(target="gadgets", seed=7).fuzz(iterations=60)
+    assert (run.stage("fuzz").payload
+            == baseline.report().stage("fuzz").payload)
+
+
 def test_version_satellite_is_consistent():
     import os
     import re

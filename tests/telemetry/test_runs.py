@@ -10,8 +10,7 @@ import threading
 import pytest
 
 from repro._version import __version__
-from repro.telemetry import MetricsSpool, Telemetry
-from repro.telemetry import spool as telemetry_spool
+from repro.telemetry import Telemetry
 from repro.telemetry.runs import (
     RUN_KIND,
     RUN_SCHEMA_VERSION,
@@ -111,28 +110,31 @@ def test_foreign_manifest_is_rejected(tmp_path):
         run.manifest()
 
 
-def test_metrics_snapshots_record_types_and_spool_offset(tmp_path):
+def test_metrics_snapshots_record_types_and_live_counts(tmp_path):
     run = RunDirectory.create(root=str(tmp_path))
+    assert run.live_counts() == {}  # before the first snapshot
     bundle = Telemetry()
     bundle.registry.counter("fuzz.executions").inc(10)
     bundle.registry.gauge("fuzz.corpus_size").set(4)
-    bundle.spool = MetricsSpool(run.spool_path)
-    telemetry_spool.append_counts(run.spool_path, "j0",
-                                  {"fuzz.executions": 10})
-    bundle.spool.consume()  # merged into the registry above
+    bundle.registry.histogram("fuzz.exec_s").observe(0.5)
     run.write_metrics_snapshot(bundle)
     snapshot = run.latest_metrics()
     assert snapshot["seq"] == 1
     assert snapshot["metrics"]["fuzz.executions"] == 10
     assert snapshot["types"]["fuzz.executions"] == "counter"
     assert snapshot["types"]["fuzz.corpus_size"] == "gauge"
-    assert snapshot["spool_offset"] == os.path.getsize(run.spool_path)
-    # live_counts = snapshot + spool tail past the recorded offset.
-    telemetry_spool.append_counts(run.spool_path, "j1",
-                                  {"fuzz.executions": 5})
-    live = run.live_counts()
-    assert live["fuzz.executions"] == 15
-    assert live["fuzz.corpus_size"] == 4
+    assert "spool_offset" not in snapshot
+    # live_counts = the latest snapshot's numbers (histograms left out).
+    bundle.registry.counter("fuzz.executions").inc(5)
+    run.write_metrics_snapshot(bundle)
+    assert run.live_counts() == {"fuzz.corpus_size": 4,
+                                 "fuzz.executions": 15}
+    # Snapshots written by older versions carry a spool offset: ignored.
+    with open(os.path.join(run.metrics_dir, "latest.json"), "w",
+              encoding="utf-8") as handle:
+        json.dump({"seq": 3, "metrics": {"fuzz.executions": 20},
+                   "spool_offset": 123}, handle)
+    assert run.live_counts() == {"fuzz.executions": 20}
 
 
 def test_registry_lists_newest_first_and_skips_foreign_dirs(tmp_path):

@@ -32,6 +32,18 @@ def test_fuzz_trace_then_stats_round_trip(tmp_path, capsys):
     assert "campaign.executions = 30" in out
 
 
+def test_fuzz_profile_engine_records_the_fuzzing_profile(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    code = main(["fuzz", "--target", "gadgets", "--iterations", "30",
+                 "--seed", "7", "--quiet", "--profile-engine",
+                 "--json", str(path)])
+    assert code == 0
+    capsys.readouterr()
+    profile = json.loads(path.read_text())["telemetry"]["profile"]
+    assert profile["per_opcode"], "expected opcode counts"
+    assert profile["hot_spots"], "expected hot-spot entries"
+
+
 def test_stats_json_output(tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     main(["fuzz", "--target", "gadgets", "--iterations", "20", "--seed", "7",
