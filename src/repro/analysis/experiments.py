@@ -158,10 +158,10 @@ def run_figure2(fuzz_iterations: int = 0) -> List[SwitchLoweringResult]:
         config = TeapotConfig()
         instrumented = TeapotRewriter(config).instrument(binary)
         runtime = TeapotRuntime(instrumented, config=config)
-        entries = 0
         for value in range(8):
             result = runtime.run(bytes([value * 40 % 256]))
-            entries += result.spec_stats.get("simulations_started", 0)
+        # spec_stats are cumulative over the runtime's runs
+        entries = result.spec_stats.get("simulations_started", 0)
         results.append(
             SwitchLoweringResult(
                 lowering=lowering.value,

@@ -191,6 +191,9 @@ class Fuzzer:
         self.mutator = Mutator(self.rng, max_size=max_input_size)
         #: total executions performed so far (the resumable loop's cursor).
         self.executions = 0
+        #: the last execution's ``spec_stats``: a runtime's counters are
+        #: cumulative, so each execution contributes its difference.
+        self._spec_mark: Dict[str, int] = {}
 
     def run_campaign(self, iterations: int) -> CampaignResult:
         """Fuzz for a fixed number of executions and aggregate the findings."""
@@ -231,7 +234,13 @@ class Fuzzer:
             elif exec_result.status == "fuel":
                 result.hangs += 1
             result.reports.extend(exec_result.reports)
-            merge_counts(result.spec_stats, exec_result.spec_stats)
+            stats = exec_result.spec_stats
+            if stats:
+                mark = self._spec_mark
+                merge_counts(result.spec_stats,
+                             {key: value - mark.get(key, 0)
+                              for key, value in stats.items()})
+                self._spec_mark = stats
 
             if after != before or exec_result.status == "crash":
                 self.corpus.add(data, after[0], after[1],

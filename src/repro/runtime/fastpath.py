@@ -5,10 +5,11 @@ at a block cap of one instruction: it builds no block module and
 dispatches only single-instruction functions, compiled from the same
 emitters as the jit engine's blocks on first dispatch.  It pairs with
 :class:`~repro.runtime.speculation.JournalingSpeculationController`:
-entering speculation records only a journal mark, every register/memory
-write while a checkpoint is live appends an undo entry to the machine's
-:class:`~repro.runtime.machine.StateJournal`, and rollback replays the
-journal segment in reverse instead of restoring full snapshots.  Both
+entering speculation records a journal mark and a copy of the registers,
+every guest-memory write while a checkpoint is live appends an undo entry
+to the machine's :class:`~repro.runtime.machine.StateJournal`, and
+rollback replays the journal segment in reverse instead of restoring a
+full memory snapshot.  Both
 compiled engines reproduce the legacy
 :class:`~repro.runtime.emulator.Emulator` bit for bit (enforced by
 ``tests/runtime/test_differential.py``).

@@ -2,11 +2,12 @@
 
 :class:`JitEmulator` compiles the decoded program into generated Python
 functions: operand decoding, effective-address arithmetic, cycle costs,
-DIFT tag propagation and journal undo-logging are emitted as source text
-with every constant folded to a literal, then ``compile()``d and
-``exec``d.  The emitters of :class:`_BlockCompiler` are the only
-compiled semantics of each instruction; they produce two kinds of
-function from the same code:
+DIFT tag propagation, memory-journal undo-logging and the speculation
+hooks (nesting gates, policy fast paths) are emitted as source text with
+every constant folded to a literal, then ``compile()``d and ``exec``d.
+The emitters of :class:`_BlockCompiler` are the only compiled semantics
+of each instruction; they produce two kinds of function from the same
+code:
 
 * **Blocks.**  Each basic block (and straight-line superblock) of up to
   ``max_block`` instructions becomes one function, compiled once per
@@ -91,10 +92,17 @@ from repro.runtime.errors import (
 )
 from repro.runtime.jitcache import shared_cache
 from repro.runtime.machine import MASK64, to_signed, to_unsigned
-from repro.sanitizers.dift import ALL_TAGS
+from repro.runtime.speculation import (
+    DisabledNestingPolicy,
+    JournalingSpeculationController,
+    SpecFuzzNestingPolicy,
+    TeapotNestingPolicy,
+)
+from repro.sanitizers.dift import ALL_TAGS, TAG_ANY_SECRET
+from repro.sanitizers.policy import noop_conditions
 
 #: bump to invalidate every cached module when the emitted code changes.
-_CODEGEN_VERSION = 17
+_CODEGEN_VERSION = 18
 
 SIGN_BIT = 1 << 63
 TWO64 = 1 << 64
@@ -147,6 +155,21 @@ _CC_EXPR = {
     ConditionCode.AE: "not f.carry",
     ConditionCode.BE: "(f.carry or f.zero)",
     ConditionCode.A: "(not f.carry and not f.zero)",
+}
+
+#: nesting policies whose ``should_enter`` the compiler emits inline, by
+#: exact type (a subclass may override ``should_enter``).
+_NESTING_GATES = {
+    TeapotNestingPolicy: "teapot",
+    SpecFuzzNestingPolicy: "specfuzz",
+    DisabledNestingPolicy: "disabled",
+}
+
+#: policy no-op conditions and the sanitizer each one reads.
+_CONDITION_NEEDS = {
+    "address_untainted": "needs_dift",
+    "flags_not_secret": "needs_dift",
+    "in_bounds": "needs_asan",
 }
 
 #: direct branches whose immediate targets become block leaders.
@@ -356,14 +379,6 @@ class _BlockWriter:
         """
         self.lines.extend(self._flush_lines(self.pad + pad))
 
-    def journal_reg(self, index: int) -> None:
-        """Undo-log a register write (sim variant only; no-sim has no
-        journal attached by the controller's attach/detach invariant)."""
-        if not self.sim:
-            return
-        self.use("jn", "regs")
-        self.emit(f"jn.entries.append((False, {index}, regs[{index}]))")
-
     def render(self, name: str) -> str:
         wrapped = len(self.fault_entries) > 1
         if wrapped:
@@ -435,6 +450,12 @@ class _BlockCompiler:
                         and emulator.policy.needs_dift)
         self.have_controller = emulator.controller is not None
         self.cost = emulator.cost_model.instruction_cost
+        #: compile-time shape of the speculation hooks (nesting gate,
+        #: policy no-op conditions); in the digest.
+        self.hooks = emulator._hooks
+        #: the DIFT object argument of controller calls: ``EM.dift`` is
+        #: ``None`` exactly when DIFT is off, so that case folds.
+        self.dift_arg = "D" if self.dift_on else "None"
         #: variant currently being compiled (set per `_compile_block` pass).
         self.sim = False
         #: addresses whose flag writes are dead (set per `_compile_block`).
@@ -773,22 +794,31 @@ class _BlockCompiler:
         ``charge`` mirrors the reference engines: only restore-site and
         budget rollbacks pay ``rollback_cost`` (the paper's recovery-stub
         cost); rollbacks forced by serializing instructions, external
-        calls and exit-sentinel returns squash for free.
+        calls and exit-sentinel returns squash for free.  The coverage
+        flush (``cov.flush_speculative()``) and ``rollback_cost`` are
+        inlined.
         """
         w.param("CTRL", "CTRL")
-        w.param("EM", "EM")
         if self.em.coverage is not None:
             w.use("cov")
-            w.emit(f"{pad}cov.flush_speculative()")
-        # NB: EM.dift is re-read per call — the reset between runs
-        # builds a fresh BinaryDift, so it must not be bound at install.
+            w.emit(f"{pad}sb = cov._spec_buffer")
+            w.emit(f"{pad}if sb:")
+            w.emit(f"{pad}    cov.speculative.add_many(sb)")
+            w.emit(f"{pad}    sb.clear()")
+            w.emit(f"{pad}    cov.lazy_flushes += 1")
+        # NB: EM.dift is read per call (the hoisted ``D``) — the reset
+        # between runs builds a fresh BinaryDift, so it must not be bound
+        # at install.
+        if self.dift_on:
+            w.use("D")
+        call = f"CTRL.rollback(m, {self.dift_arg}, {reason!r})"
         if charge:
             w.param("CYC", "CYC")
-            w.param("RBC", "EM.cost_model.rollback_cost")
-            w.emit(f"{pad}CYC[0] += RBC(CTRL.rollback(m, EM.dift, "
-                   f"{reason!r}))")
+            w.param("RBB", "EM.cost_model.rollback_base")
+            w.param("RBE", "EM.cost_model.rollback_per_entry")
+            w.emit(f"{pad}CYC[0] += RBB + RBE * {call}")
         else:
-            w.emit(f"{pad}CTRL.rollback(m, EM.dift, {reason!r})")
+            w.emit(f"{pad}{call}")
         w.emit(f"{pad}return m.pc")
 
     # -- terminators / conditional exits -------------------------------------
@@ -840,16 +870,77 @@ class _BlockCompiler:
             w.emit(f"    return {_imm_target(instr)}")
         elif opcode is Opcode.CHECKPOINT:
             w.flush()
-            w.param("CTRL", "CTRL")
-            w.param("EM", "EM")
-            # positional: (machine, branch_address, resume_pc, dift)
-            w.emit(f"if CTRL.maybe_enter(m, {nxt}, {nxt}, EM.dift):")
-            w.emit(f"    return {_imm_target(instr)}")
+            self._emit_gate(w, nxt, _imm_target(instr))
         else:  # RESTORE_COND (sim variant)
             w.flush()
             w.param("CTRL", "CTRL")
             w.emit("if CTRL.spec_instruction_count >= CTRL.rob_budget:")
             self._emit_rollback(w, "budget", pad="    ")
+
+    def _emit_gate(self, w: _BlockWriter, site: int, target: int) -> None:
+        """Checkpoint entry at ``site``: jump to ``target`` when the nesting
+        policy admits a (possibly nested) simulation.
+
+        A built-in nesting policy's ``should_enter`` is emitted inline
+        over its encounter dict and parameters (bound at install as
+        ``GP``/``ENC``/``GMAX``/``GEAGER``/``GRAMP``), and an accept calls
+        the policy-free ``CTRL.enter``; the depth folds to 0 in the no-sim
+        variant.  Any other policy — or one swapped into the controller
+        after install — goes through ``CTRL.maybe_enter``.
+        """
+        w.param("CTRL", "CTRL")
+        if self.dift_on:
+            w.use("D")
+        args = f"m, {site}, {site}, {self.dift_arg}"
+        generic = f"CTRL.maybe_enter({args})"
+        gate = self.hooks["gate"]
+        if gate is None:
+            w.emit(f"if {generic}:")
+            w.emit(f"    return {target}")
+            return
+        w.param("GP", "GP")
+        if gate == "disabled":
+            # should_enter: depth == 0
+            if w.sim:
+                w.emit(f"if CTRL.policy is not GP and {generic}:")
+                w.emit(f"    return {target}")
+            else:
+                w.emit("if CTRL.policy is GP:")
+                w.emit(f"    CTRL.enter({args})")
+                w.emit(f"    return {target}")
+                w.emit(f"if {generic}:")
+                w.emit(f"    return {target}")
+            return
+        w.param("ENC", "ENC")
+        w.param("GMAX", "GMAX")
+        w.param("GRAMP", "GRAMP")
+        depth = "0"
+        if w.sim:
+            w.param("CPS", "CTRL.checkpoints")
+            depth = "d"
+        w.emit("if CTRL.policy is not GP:")
+        w.emit(f"    if {generic}:")
+        w.emit(f"        return {target}")
+        if gate == "teapot":
+            # depth >= max_depth rejects before counting; within the eager
+            # runs always accept; then depth < min(max_depth, 1 + c // ramp).
+            w.param("GEAGER", "GEAGER")
+            if w.sim:
+                w.emit("elif (d := len(CPS)) < GMAX:")
+            else:
+                w.emit("elif 0 < GMAX:")
+            w.emit(f"    c = ENC.get({site}, 0)")
+            w.emit(f"    ENC[{site}] = c + 1")
+            w.emit(f"    if c < GEAGER or {depth} <= c // GRAMP:")
+        else:  # specfuzz: depth < min(max_depth, 1 + c // ramp)
+            w.emit("else:")
+            if w.sim:
+                w.emit("    d = len(CPS)")
+            w.emit(f"    c = ENC.get({site}, 0)")
+            w.emit(f"    ENC[{site}] = c + 1")
+            w.emit(f"    if {depth} <= c // GRAMP and {depth} < GMAX:")
+        w.emit(f"        CTRL.enter({args})")
+        w.emit(f"        return {target}")
 
     def _emit_call(self, w: _BlockWriter, addr: int,
                    instr: Instruction) -> None:
@@ -859,8 +950,6 @@ class _BlockCompiler:
         w.use("regs")
         w.emit(f"new_sp = (regs[{SP_IDX}] - 8) & {MASK64}")
         self._emit_write(w, "new_sp", 8, str(nxt), str(nxt))
-        if w.sim:
-            w.emit(f"jn.entries.append((False, {SP_IDX}, regs[{SP_IDX}]))")
         w.emit(f"regs[{SP_IDX}] = new_sp")
         w.use("asan")
         w.emit("if asan is not None:")
@@ -884,9 +973,6 @@ class _BlockCompiler:
         w.use("asan")
         w.emit("if asan is not None:")
         w.emit("    asan.unpoison_return_slot(sp)")
-        if w.sim:
-            w.use("jn")
-            w.emit(f"jn.entries.append((False, {SP_IDX}, sp))")
         w.emit(f"regs[{SP_IDX}] = (sp + 8) & {MASK64}")
         if w.sim:
             w.emit(f"if target == {EXIT_SENTINEL}:")
@@ -960,29 +1046,30 @@ class _BlockCompiler:
             is_write = opcode is Opcode.POLICY_STORE
             if len(ops) > 1 and isinstance(ops[1], Imm):
                 is_write = bool(ops[1].value)
-            iname, mname = f"I_{addr:x}", f"M_{addr:x}"
-            w.param(iname, f"INSTRS[{addr}]")
-            w.param(mname, f"INSTRS[{addr}].operands[0]")
-            w.param("CTRL", "CTRL")
-            w.param("EM", "EM")
-            w.use("pol", "regs")
-            w.mark()
-            w.emit(f"promoted = pol.on_speculative_access({iname}, "
-                   f"{mname}, {_ea_expr(ops[0])}, {instr.size}, {is_write}, "
-                   "m, CTRL)")
-            w.emit("if promoted:")
-            w.emit("    EM._pending_promotion |= promoted")
+            self._emit_access_hook(w, addr, instr, is_write)
             return
 
         if opcode is Opcode.POLICY_BRANCH:
             if not self.sim or self.em.policy is None:
                 return
+            conditions = self.hooks["branch"]
+            if conditions is not None and not conditions:
+                return  # the policy declares the hook a no-op
             iname = f"I_{addr:x}"
             w.param(iname, f"INSTRS[{addr}]")
             w.param("CTRL", "CTRL")
             w.use("pol")
+            if conditions is None:
+                w.mark()
+                w.emit(f"pol.on_speculative_branch({iname}, m, CTRL)")
+                return
+            # flags_not_secret: only a secret flags tag can report.
+            w.use("D")
+            w.emit(f"if D.flags_tag & {TAG_ANY_SECRET}:")
+            w.pad += "    "
             w.mark()
             w.emit(f"pol.on_speculative_branch({iname}, m, CTRL)")
+            w.pad = w.pad[:-4]
             return
 
         if opcode is Opcode.ECALL:
@@ -1020,7 +1107,6 @@ class _BlockCompiler:
                     w.emit(f"rt[{di}] = rt[{int(ops[1].reg)}]")
                 else:
                     w.emit(f"rt[{di}] = 0")
-            w.journal_reg(di)
             if isinstance(ops[1], Reg):
                 w.emit(f"regs[{di}] = regs[{int(ops[1].reg)}]")
             else:
@@ -1036,7 +1122,6 @@ class _BlockCompiler:
                 tag = " | ".join(f"rt[{r}]" for r in regs_used) or "0"
                 w.emit(f"rt[{di}] = {tag}")
             w.emit(f"value = {_ea_expr(ops[1])}")
-            w.journal_reg(di)
             w.emit(f"regs[{di}] = value")
             return
 
@@ -1089,6 +1174,101 @@ class _BlockCompiler:
             w.emit("f.carry = False")
             w.emit("f.overflow = False")
 
+    def _emit_access_hook(self, w: _BlockWriter, addr: int,
+                          instr: Instruction, is_write: bool) -> None:
+        """A speculative access check: the policy's
+        ``on_speculative_access``, behind the inline test of its declared
+        no-op conditions (``address_untainted``, ``in_bounds``) when it
+        has any."""
+        mem = instr.operands[0]
+        size = instr.size
+        conditions = self.hooks["access"]
+        if conditions is not None and not conditions:
+            return  # the policy declares the hook a no-op
+        iname, mname = f"I_{addr:x}", f"M_{addr:x}"
+        w.param(iname, f"INSTRS[{addr}]")
+        w.param(mname, f"INSTRS[{addr}].operands[0]")
+        w.param("CTRL", "CTRL")
+        w.param("EM", "EM")
+        w.use("pol", "regs")
+        ea = _ea_expr(mem)
+        call = [f"promoted = pol.on_speculative_access({iname}, {mname}, "
+                f"a, {size}, {is_write}, m, CTRL)",
+                "if promoted:",
+                "    EM._pending_promotion |= promoted"]
+        w.emit(f"a = {ea}")
+        if conditions is None:
+            w.mark()
+            for line in call:
+                w.emit(line)
+            return
+        # ``c``: the call may report or promote.  Each declared condition
+        # that can fail at run time adds a test; the rest fold away.
+        tests = []
+        if "address_untainted" in conditions:
+            tags = [f"rt[{int(r)}]" for r in mem.registers()]
+            if tags:
+                w.use("rt")
+                tests.append(" | ".join(tags))
+        if "in_bounds" in conditions:
+            self._emit_out_of_bounds(w, mem, size, tests)
+        else:
+            w.emit(f"c = {' or '.join(tests) or '0'}")
+        w.emit("if c:")
+        w.pad += "    "
+        w.mark()
+        for line in call:
+            w.emit(line)
+        w.pad = w.pad[:-4]
+
+    def _emit_out_of_bounds(self, w: _BlockWriter, mem: Mem, size: int,
+                            tests: List[str]) -> None:
+        """Emit ``c = <access a/size may fail asan.check_access, or any
+        of tests holds>``.
+
+        In bounds for certain: a user-memory address, on a page the memory
+        has published as fully mapped (or, for a constant address, an
+        exactly published range), within that page, with zero ASan shadow
+        bytes for every granule the access covers (an absent shadow page
+        reads as zero).  Anything else is left to the policy.  Granules
+        are ASan's 8 bytes, each with the shadow byte ``(addr >> 3) +
+        offset``.
+        """
+        lo_end, hi_start, hi_end, offset = self.hooks["user_memory"]
+        const = _const_ea(mem)
+        quick = list(tests)
+        if const is not None:
+            if not (const <= lo_end or hi_start <= const <= hi_end):
+                w.emit("c = 1")
+                return
+            w.use("memory", "fpc")
+            quick.append(f"fpc({(const << 4) | size}) is None")
+            first = (const >> 3) + offset
+            second = first + 1 if (const & 7) > 8 - size else None
+        else:
+            w.use("memory", "fpg")
+            quick.append(f"not (a <= {lo_end} or {hi_start} <= a <= {hi_end})")
+            if size > 1:
+                quick.append(f"(a & 4095) > {4096 - size}")
+            quick.append("fpg(a >> 12) is None")
+            first = f"(a >> 3) + {offset}"
+            second = "g + 1" if size > 1 else None
+        w.use("pages")
+        w.emit(f"c = {' or '.join(quick)}")
+        w.emit("if not c:")
+        w.emit(f"    g = {first}")
+        w.emit("    sp = pages.get(g >> 12)")
+        w.emit("    c = sp is not None and sp[g & 4095]")
+        if second is not None:
+            # the access also covers the next granule
+            if const is None:
+                w.emit(f"    if not c and (a & 7) > {8 - size}:")
+            else:
+                w.emit("    if not c:")
+            w.emit(f"        g = {second}")
+            w.emit("        sp = pages.get(g >> 12)")
+            w.emit("        c = sp is not None and sp[g & 4095]")
+
     # -- memory-operation emitters ------------------------------------------
     def _page_lookup(self, w: _BlockWriter, addr_var: str, size: int,
                      const: Optional[int]) -> str:
@@ -1134,7 +1314,7 @@ class _BlockCompiler:
         w.emit("else:")
         if w.sim:
             w.use("jn")
-            w.emit(f"    jn.entries.append((True, {addr_var}, "
+            w.emit(f"    jn.entries.append(({addr_var}, "
                    f"bytes(page[{off}:{off} + {size}])))")
         w.emit(f"    P{size}(page, {off}, {masked})")
 
@@ -1267,7 +1447,6 @@ class _BlockCompiler:
         if self.dift_on:
             self._emit_read_tags(w, f"rt[{di}]", "a", size)
         self._emit_read(w, "value", "a", size, _const_ea(instr.operands[1]))
-        w.journal_reg(di)
         w.emit(f"regs[{di}] = value")
         self._promotion_tail(w, di)
 
@@ -1316,8 +1495,6 @@ class _BlockCompiler:
             written = str(to_unsigned(src.value))
         w.emit(f"new_sp = (regs[{SP_IDX}] - 8) & {MASK64}")
         self._emit_write(w, "new_sp", 8, written, written)
-        if w.sim:
-            w.emit(f"jn.entries.append((False, {SP_IDX}, regs[{SP_IDX}]))")
         w.emit(f"regs[{SP_IDX}] = new_sp")
 
     def _emit_pop(self, w: _BlockWriter, instr: Instruction) -> None:
@@ -1328,12 +1505,8 @@ class _BlockCompiler:
         if self.dift_on:
             self._emit_read_tags(w, f"rt[{di}]", "sp", 8)
         self._emit_read(w, "value", "sp", 8)
-        w.journal_reg(di)
         w.emit(f"regs[{di}] = value")
         w.emit(f"new_sp = (regs[{SP_IDX}] + 8) & {MASK64}")
-        if w.sim:
-            w.use("jn")
-            w.emit(f"jn.entries.append((False, {SP_IDX}, regs[{SP_IDX}]))")
         w.emit(f"regs[{SP_IDX}] = new_sp")
         self._promotion_tail(w, di)
 
@@ -1407,9 +1580,6 @@ class _BlockCompiler:
                 w.emit(f"f.sign = r >= {S}")
                 w.emit("f.carry = False")
                 w.emit("f.overflow = False")
-        if w.sim:
-            w.use("jn")
-            w.emit(f"jn.entries.append((False, {di}, a))")
         w.emit(f"regs[{di}] = r")
 
 
@@ -1541,11 +1711,49 @@ class JitEmulator(Emulator):
             # presence of these is constant-folded into the functions
             "policy": self.policy is not None,
             "coverage": self.coverage is not None,
+            "hooks": self._hooks,
         }
         blob = json.dumps(payload, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
 
+    def _speculation_hooks(self) -> Dict[str, object]:
+        """The compile-time shape of the speculation hooks.
+
+        ``gate``: the built-in nesting policy compiled inline at
+        checkpoints (``None``: call ``maybe_enter``).  ``access`` /
+        ``branch``: the policy's declared no-op conditions per callback
+        (``None``: call it every time), kept only when the sanitizer they
+        read is on.  ``user_memory``: the layout constants of the
+        in-bounds test.
+        """
+        controller = self.controller
+        policy = self.policy
+        gate = None
+        if (controller is not None and self._pht_enabled
+                and type(controller).maybe_enter
+                is JournalingSpeculationController.maybe_enter):
+            gate = _NESTING_GATES.get(type(controller.policy))
+
+        def noops(hook: str) -> Optional[List[str]]:
+            conditions = (None if policy is None
+                          else noop_conditions(policy, hook))
+            if conditions is None or not all(
+                    getattr(policy, _CONDITION_NEEDS[name])
+                    for name in conditions):
+                return None  # undeclared, or a condition's sanitizer is off
+            return list(conditions)
+
+        layout = self.layout
+        return {
+            "gate": gate,
+            "access": noops("on_speculative_access"),
+            "branch": noops("on_speculative_branch"),
+            "user_memory": [layout.lowmem_end, layout.highmem_start,
+                            layout.highmem_end, layout.asan_shadow_offset],
+        }
+
     def _compile_blocks(self) -> None:
+        self._hooks = self._speculation_hooks()
         cache = shared_cache()
         self._jit_cache = cache
         binary_hash = self._binary_hash
@@ -1595,6 +1803,7 @@ class JitEmulator(Emulator):
             "P1": _PACKERS[1], "P2": _PACKERS[2],
             "P4": _PACKERS[4], "P8": _PACKERS[8],
             "EXTERNALS": self.externals._externals,
+            **self._gate_bindings(),
             "BLOCKS": {},
             "NBLOCKS": {},
             "SSPANS": {},
@@ -1611,6 +1820,20 @@ class JitEmulator(Emulator):
         self._block_spans_nosim = namespace["NSPANS"]
         self._jit_inline_instructions = sum(
             len(span) for span in self._block_spans_nosim.values())
+
+    def _gate_bindings(self) -> Dict[str, object]:
+        """The compiled nesting gate's policy and parameters, bound at
+        install (``GP``: the policy the gate was compiled for)."""
+        if self._hooks["gate"] is None:
+            return {}
+        policy = self.controller.policy
+        return {
+            "GP": policy,
+            "ENC": getattr(policy, "_encounters", None),
+            "GMAX": getattr(policy, "max_depth", None),
+            "GEAGER": getattr(policy, "eager_runs", None),
+            "GRAMP": getattr(policy, "ramp", None),
+        }
 
     def _build_single(self, addr: int, sim: bool) -> Optional[Callable]:
         """The single-instruction function at ``addr`` (``None`` off code).
@@ -1772,6 +1995,4 @@ class JitEmulator(Emulator):
 @register_engine("jit")
 def _jit_engine_plugin():
     """Block-compiled execution paired with copy-on-write journal rollback."""
-    from repro.runtime.speculation import JournalingSpeculationController
-
     return JitEmulator, JournalingSpeculationController

@@ -17,27 +17,28 @@ PAGE_MASK = PAGE_SIZE - 1
 
 
 class StateJournal:
-    """Copy-on-write undo log over registers and guest memory.
+    """Copy-on-write undo log over guest memory.
 
-    While a speculation simulation is active the machine appends the *old*
-    value of every mutated register and every overwritten guest memory range
-    to this journal; a rollback replays the entries in reverse instead of
-    restoring a full snapshot.  Nested speculation works with *marks*: each
-    checkpoint remembers ``len(entries)`` at entry and rolling back pops only
-    the segment recorded since that mark.
+    While a speculation simulation is active the machine's memory appends
+    the *old* contents of every overwritten guest range to this journal; a
+    rollback replays the entries in reverse instead of restoring a full
+    memory snapshot.  Registers are not journaled: each checkpoint copies
+    the 16-entry register file, which is cheaper than one undo entry per
+    register write.  Nested speculation works with *marks*: each
+    checkpoint remembers ``len(entries)`` at entry and rolling back pops
+    only the segment recorded since that mark.
 
-    Entries are ``(is_memory, key, old)`` tuples: ``(False, reg_index,
-    old_value)`` for register writes and ``(True, address, old_bytes)`` for
-    guest memory writes.  The journal is attached to a
-    :class:`MachineState` and its :class:`Memory` through their ``journal``
-    attributes; ``None`` (the default) disables journaling entirely, so the
-    non-speculative fast path pays only a single ``is not None`` test.
+    Entries are ``(address, old_bytes)`` tuples.  The journal is attached
+    to a :class:`MachineState` and its :class:`Memory` through their
+    ``journal`` attributes; ``None`` (the default) disables journaling
+    entirely, so the non-speculative fast path pays only a single ``is not
+    None`` test.
     """
 
     __slots__ = ("entries",)
 
     def __init__(self) -> None:
-        self.entries: List[Tuple[bool, int, object]] = []
+        self.entries: List[Tuple[int, bytes]] = []
 
     def mark(self) -> int:
         """The current journal position (stored by checkpoints)."""
@@ -48,33 +49,27 @@ class StateJournal:
 
         Restoration writes bypass the journal and the guest mapping check —
         every undone range was mapped when its write was logged.  Returns
-        the number of *memory* entries undone, which is the quantity the
-        cost model charges for (register undos ride inside the fixed
-        rollback base cost, exactly like the registers of a legacy
-        full-snapshot restore).
+        the number of entries undone, which is the quantity the cost model
+        charges for (registers ride inside the fixed rollback base cost,
+        exactly like the registers of a legacy full-snapshot restore).
         """
         entries = self.entries
-        registers = machine.registers
         memory = machine.memory
         pages = memory._pages
-        undone_memory = 0
         for index in range(len(entries) - 1, mark - 1, -1):
-            is_memory, key, old = entries[index]
-            if is_memory:
-                # An in-page range goes straight into its page (it exists:
-                # the logged write touched it); a page-crossing one is split.
-                offset = key & PAGE_MASK
-                end = offset + len(old)
-                page = pages.get(key >> 12)
-                if page is not None and end <= PAGE_SIZE:
-                    page[offset:end] = old
-                else:
-                    memory._write_raw(key, old)
-                undone_memory += 1
+            address, old = entries[index]
+            # An in-page range goes straight into its page (it exists: the
+            # logged write touched it); a page-crossing one is split.
+            offset = address & PAGE_MASK
+            end = offset + len(old)
+            page = pages.get(address >> 12)
+            if page is not None and end <= PAGE_SIZE:
+                page[offset:end] = old
             else:
-                registers[key] = old
+                memory._write_raw(address, old)
+        undone = len(entries) - mark
         del entries[mark:]
-        return undone_memory
+        return undone
 
     def clear(self) -> None:
         """Drop all entries (end of the outermost simulation or of a run)."""
@@ -338,7 +333,7 @@ class Memory:
             raise MemoryFault(addr, len(data), write=True)
         journal = self.journal
         if journal is not None:
-            journal.entries.append((True, addr, self._read_raw(addr, len(data))))
+            journal.entries.append((addr, self._read_raw(addr, len(data))))
         self._write_raw(addr, data)
 
     def read_int(self, addr: int, size: int) -> int:
@@ -357,8 +352,7 @@ class Memory:
             offset = addr & PAGE_MASK
             journal = self.journal
             if journal is not None:
-                journal.entries.append(
-                    (True, addr, bytes(page[offset:offset + size])))
+                journal.entries.append((addr, bytes(page[offset:offset + size])))
             page[offset:offset + size] = data
             return
         self.write_bytes(addr, data)
@@ -400,8 +394,9 @@ class MachineState:
     flags: Flags = field(default_factory=Flags)
     pc: int = 0
     memory: Memory = field(init=False)
-    #: copy-on-write undo log; attached while a speculation simulation is
-    #: active (shared with ``memory.journal``), ``None`` otherwise.
+    #: copy-on-write memory undo log; attached while a speculation
+    #: simulation is active (shared with ``memory.journal``), ``None``
+    #: otherwise.
     journal: Optional[StateJournal] = field(init=False, default=None)
 
     def __post_init__(self) -> None:
@@ -409,8 +404,7 @@ class MachineState:
 
     # -- journaling ----------------------------------------------------------------
     def attach_journal(self, journal: Optional[StateJournal]) -> None:
-        """Attach (or detach, with ``None``) an undo log to registers and
-        guest memory."""
+        """Attach (or detach, with ``None``) an undo log to guest memory."""
         self.journal = journal
         self.memory.journal = journal
 
@@ -421,11 +415,7 @@ class MachineState:
 
     def set_reg(self, reg: Register, value: int) -> None:
         """Write a register (value wrapped to 64 bits)."""
-        index = int(reg)
-        journal = self.journal
-        if journal is not None:
-            journal.entries.append((False, index, self.registers[index]))
-        self.registers[index] = to_unsigned(value)
+        self.registers[int(reg)] = to_unsigned(value)
 
     def snapshot_registers(self) -> Tuple[int, ...]:
         """Capture all registers (used by checkpoints)."""

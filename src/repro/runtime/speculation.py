@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.runtime.machine import PAGE_MASK, StateJournal
@@ -44,50 +45,38 @@ class Checkpoint:
     model: str = "pht"
 
 
-class JournalCheckpoint:
+class JournalCheckpoint(tuple):
     """A lightweight checkpoint: a mark into the copy-on-write journal.
 
-    Unlike :class:`Checkpoint` it stores no register copy and no memory log
-    index — entering speculation records only *positions* (journal mark,
-    taint-log index) plus the O(1) flags word and the DIFT register tags.
-    The state itself is reconstructed at rollback by replaying the machine's
-    :class:`~repro.runtime.machine.StateJournal` in reverse.
+    Unlike :class:`Checkpoint` it stores no memory log index — memory is
+    reconstructed at rollback by replaying the machine's
+    :class:`~repro.runtime.machine.StateJournal` in reverse from
+    ``journal_mark``.  Registers, the flags word and the DIFT register
+    tags are copied: a 16-entry list copy per entry is cheaper than an
+    undo entry per register write.
 
-    A plain ``__slots__`` class (not a dataclass): checkpoints are allocated
-    on every speculation entry, which makes construction cost part of the
-    hot path.
+    A tuple of the fields in :attr:`FIELDS` order, built as
+    ``JournalCheckpoint((branch_address, ...))``: checkpoints are
+    allocated on every speculation entry, and a tuple is built without a
+    Python-level ``__init__``.  The fields read by name as well.
     """
 
-    __slots__ = (
-        "branch_address",
-        "resume_pc",
-        "journal_mark",
-        "flags",
-        "taint_log_index",
-        "register_tags",
-        "flags_tag",
-        "model",
-    )
+    __slots__ = ()
 
-    def __init__(
-        self,
-        branch_address: int,
-        resume_pc: int,
-        journal_mark: int,
-        flags: Tuple[bool, bool, bool, bool],
-        taint_log_index: int,
-        register_tags: Optional[Tuple[int, ...]],
-        flags_tag: int,
-        model: str = "pht",
-    ) -> None:
-        self.branch_address = branch_address
-        self.resume_pc = resume_pc
-        self.journal_mark = journal_mark
-        self.flags = flags
-        self.taint_log_index = taint_log_index
-        self.register_tags = register_tags
-        self.flags_tag = flags_tag
-        self.model = model
+    FIELDS = ("branch_address", "resume_pc", "journal_mark", "registers",
+              "flags", "taint_log_index", "register_tags", "flags_tag",
+              "model")
+
+    branch_address = property(itemgetter(0))
+    resume_pc = property(itemgetter(1))
+    journal_mark = property(itemgetter(2))
+    registers = property(itemgetter(3))
+    flags = property(itemgetter(4))
+    taint_log_index = property(itemgetter(5))
+    register_tags = property(itemgetter(6))
+    flags_tag = property(itemgetter(7))
+    #: speculation model that opened this simulation ("pht", "btb", ...).
+    model = property(itemgetter(8))
 
 
 class NestedSpeculationPolicy(abc.ABC):
@@ -476,12 +465,14 @@ class SpeculationController:
 class JournalingSpeculationController(SpeculationController):
     """Speculation controller backed by copy-on-write journaling.
 
-    Instead of copying all registers and keeping a controller-side memory
-    log, this controller attaches a :class:`StateJournal` to the machine
-    while ≥ 1 checkpoint is live.  Every register and guest-memory write is
-    then recorded as an ``(old value)`` undo entry by the machine itself,
-    and rollback replays the journal segment since the innermost
-    checkpoint's mark.  Nested speculation simply pops journal segments.
+    Instead of keeping a controller-side memory log, this controller
+    attaches a :class:`StateJournal` to the machine while ≥ 1 checkpoint
+    is live.  Every guest-memory write is then recorded as an ``(address,
+    old bytes)`` undo entry by the machine itself, and rollback replays the
+    journal segment since the innermost checkpoint's mark.  Nested
+    speculation simply pops journal segments.  Registers are copied into
+    each checkpoint and restored in place (slice assignment), so the
+    compiled engines' hoisted register list stays valid.
 
     Behaviour (rollback results, statistics and the ``undone`` memory-entry
     count the cost model charges for) is bit-identical to the legacy
@@ -511,18 +502,29 @@ class JournalingSpeculationController(SpeculationController):
         self.journal.clear()
 
     # -- entry -------------------------------------------------------------------
-    # ``maybe_enter`` and ``rollback`` run once per speculation episode
-    # (tens of times per execution), so unlike the snapshot controller
-    # they work on locals in one pass: no ``depth``/``in_simulation``
-    # properties, no snapshot/restore helper calls, and the shared
-    # ``_finish_rollback`` tail inlined.  The results are identical.
+    # ``enter`` and ``rollback`` run once per speculation episode (tens of
+    # times per execution), so unlike the snapshot controller they work on
+    # locals in one pass: no ``depth``/``in_simulation`` properties, no
+    # snapshot/restore helper calls, and the shared ``_finish_rollback``
+    # tail inlined.  The results are identical.
     def maybe_enter(self, machine, branch_address: int, resume_pc: int,
                     dift=None, model: str = "pht") -> bool:
-        """Decide whether to enter simulation; push a journal-mark checkpoint."""
+        """Decide whether to enter simulation; push a checkpoint on accept."""
+        if not self.policy.should_enter(branch_address,
+                                        len(self.checkpoints)):
+            return False
+        self.enter(machine, branch_address, resume_pc, dift, model)
+        return True
+
+    def enter(self, machine, branch_address: int, resume_pc: int,
+              dift=None, model: str = "pht") -> None:
+        """Push a checkpoint for an entry the nesting policy accepted.
+
+        :meth:`maybe_enter` without the policy call: the compiled engines
+        evaluate the built-in nesting gates inline and call this on accept.
+        """
         checkpoints = self.checkpoints
         depth = len(checkpoints)
-        if not self.policy.should_enter(branch_address, depth):
-            return False
         stats = self.stats
         journal = self.journal
         if depth:
@@ -540,24 +542,22 @@ class JournalingSpeculationController(SpeculationController):
             register_tags = None
             flags_tag = 0
         else:
-            register_tags = tuple(dift.register_tags)
+            register_tags = dift.register_tags[:]
             flags_tag = dift.flags_tag
         flags = machine.flags
-        checkpoints.append(
-            JournalCheckpoint(
-                branch_address,
-                resume_pc,
-                len(journal.entries),
-                (flags.zero, flags.sign, flags.carry, flags.overflow),
-                len(self.taint_log),
-                register_tags,
-                flags_tag,
-                model,
-            )
-        )
+        checkpoints.append(JournalCheckpoint((
+            branch_address,
+            resume_pc,
+            len(journal.entries),
+            machine.registers[:],
+            (flags.zero, flags.sign, flags.carry, flags.overflow),
+            len(self.taint_log),
+            register_tags,
+            flags_tag,
+            model,
+        )))
         if depth >= stats.max_depth_reached:
             stats.max_depth_reached = depth + 1
-        return True
 
     # -- logging -----------------------------------------------------------------
     def log_memory_write(self, address: int, old_bytes: bytes) -> None:
@@ -569,32 +569,35 @@ class JournalingSpeculationController(SpeculationController):
         checkpoints = self.checkpoints
         if not checkpoints:
             raise RuntimeError("rollback requested outside speculation simulation")
-        checkpoint = checkpoints.pop()
+        (_, resume_pc, mark, registers, saved_flags, taint_mark,
+         register_tags, flags_tag, model) = checkpoints.pop()
 
-        undone = self.journal.rollback_to(checkpoint.journal_mark, machine)
-        if undone > self.undo_depth_max:
-            self.undo_depth_max = undone
+        if len(self.journal.entries) > mark:
+            undone = self.journal.rollback_to(mark, machine)
+            if undone > self.undo_depth_max:
+                self.undo_depth_max = undone
+        else:
+            undone = 0
+        machine.registers[:] = registers
         taint_log = self.taint_log
-        mark = checkpoint.taint_log_index
-        if len(taint_log) > mark:
+        if len(taint_log) > taint_mark:
             page_of = machine.memory._page
-            for index in range(len(taint_log) - 1, mark - 1, -1):
+            for index in range(len(taint_log) - 1, taint_mark - 1, -1):
                 shadow_address, old_tag = taint_log[index]
                 page_of(shadow_address)[shadow_address & PAGE_MASK] = (
                     old_tag & 0xFF)
-            del taint_log[mark:]
+            del taint_log[taint_mark:]
 
         flags = machine.flags
-        (flags.zero, flags.sign, flags.carry,
-         flags.overflow) = checkpoint.flags
-        resume_pc = checkpoint.resume_pc
+        flags.zero, flags.sign, flags.carry, flags.overflow = saved_flags
         machine.pc = resume_pc
         # Dynamic models resume *at* their entry instruction; arm the skip
         # so its hook lets the architectural re-execution retire.
-        self.skip_site = resume_pc if checkpoint.model != "pht" else None
-        if dift is not None and checkpoint.register_tags is not None:
-            dift.register_tags = list(checkpoint.register_tags)
-            dift.flags_tag = checkpoint.flags_tag
+        self.skip_site = resume_pc if model != "pht" else None
+        if dift is not None and register_tags is not None:
+            # the popped checkpoint's copy is no longer shared
+            dift.register_tags = register_tags
+            dift.flags_tag = flags_tag
 
         stats = self.stats
         stats.rollbacks += 1

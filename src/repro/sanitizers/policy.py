@@ -27,7 +27,7 @@ execute inside speculation simulation; the policy emits
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.isa.instructions import Instruction
 from repro.isa.operands import Mem
@@ -42,6 +42,42 @@ from repro.sanitizers.dift import (
 )
 from repro.sanitizers.reports import AttackerClass, Channel, GadgetReport
 
+#: Conditions a policy may name in :attr:`DetectionPolicy.speculative_noops`:
+#:
+#: ``"address_untainted"``
+#:     (access hook) every register of the effective address has DIFT tag 0;
+#: ``"in_bounds"``
+#:     (access hook) ``asan.check_access(addr, size)`` holds.  The compiled
+#:     engines test a conservative form: a user-memory address on a fully
+#:     mapped page, no page crossing, and zero ASan shadow bytes;
+#: ``"flags_not_secret"``
+#:     (branch hook) ``dift.flags_tag`` carries no secret bit.
+NOOP_CONDITIONS = frozenset({"address_untainted", "in_bounds",
+                             "flags_not_secret"})
+
+
+def noop_conditions(policy: "DetectionPolicy",
+                    hook: str) -> Optional[Tuple[str, ...]]:
+    """The conditions under which ``policy``'s ``hook`` does nothing.
+
+    The declaration counts only when it sits in the same class body as
+    the hook's implementation: a subclass that overrides a hook without
+    re-declaring it (or patches it onto the instance) gets ``None``, and
+    so does a declaration naming a condition outside
+    :data:`NOOP_CONDITIONS`.  ``None`` means "call the hook every time";
+    ``()`` means the hook never needs a call.
+    """
+    if hook in vars(policy):
+        return None
+    for klass in type(policy).__mro__:
+        if hook in vars(klass):
+            declared = vars(klass).get("speculative_noops", {})
+            conditions = declared.get(hook)
+            if conditions is None or not NOOP_CONDITIONS.issuperset(conditions):
+                return None
+            return tuple(sorted(conditions))
+    return None
+
 
 class DetectionPolicy:
     """Base class: no-op policy (used for pure performance runs)."""
@@ -52,6 +88,17 @@ class DetectionPolicy:
     needs_asan = False
     #: whether the policy needs DIFT propagation
     needs_dift = False
+    #: When each speculative callback is a no-op, as data: ``{hook name:
+    #: conditions}``.  Whenever every named condition (see
+    #: :data:`NOOP_CONDITIONS`) holds, the hook neither reports, promotes
+    #: nor changes any state, so the compiled engines test the conditions
+    #: inline and skip the call.  ``()`` means the hook never does
+    #: anything.  A declaration covers only the hooks defined in the same
+    #: class body (see :func:`noop_conditions`).
+    speculative_noops: Dict[str, Tuple[str, ...]] = {
+        "on_speculative_access": (),
+        "on_speculative_branch": (),
+    }
 
     def __init__(self) -> None:
         self.reports: List[GadgetReport] = []
@@ -131,6 +178,12 @@ class KasperPolicy(DetectionPolicy):
     tool_name = "teapot"
     needs_asan = True
     needs_dift = True
+    # An untainted in-bounds access reports nothing and promotes nothing;
+    # a branch only reports on a secret flags tag.
+    speculative_noops = {
+        "on_speculative_access": ("address_untainted", "in_bounds"),
+        "on_speculative_branch": ("flags_not_secret",),
+    }
 
     def __init__(self, massage_enabled: bool = True) -> None:
         super().__init__()
@@ -218,6 +271,7 @@ class SpecFuzzPolicy(DetectionPolicy):
     tool_name = "specfuzz"
     needs_asan = True
     needs_dift = False
+    speculative_noops = {"on_speculative_access": ("in_bounds",)}
 
     def on_speculative_access(self, instr, mem, addr, size, is_write, machine, context):
         assert self.asan is not None
@@ -244,6 +298,7 @@ class SpecTaintPolicy(DetectionPolicy):
     tool_name = "spectaint"
     needs_asan = False
     needs_dift = True
+    speculative_noops = {"on_speculative_access": ("address_untainted",)}
 
     def on_speculative_access(self, instr, mem, addr, size, is_write, machine, context):
         assert self.dift is not None

@@ -6,7 +6,7 @@ issued before the store's address is known, speculatively reading the
 architectural stores — each record holds the overwritten bytes (and their
 DIFT tags) exactly the way a :class:`~repro.runtime.machine.StateJournal`
 undo entry does, and indeed the records are kept as journal-style
-``(True, addr, old_bytes)`` tuples in a :class:`StateJournal` instance.
+``(addr, old_bytes)`` tuples in a :class:`StateJournal` instance.
 
 When a load matches a window entry the emulator enters a simulation,
 **rewinds the stored range to its stale contents** (through the normal
@@ -48,7 +48,7 @@ class StlModel(SpeculationModel):
     def __init__(self, window: int = DEFAULT_WINDOW) -> None:
         self.window = window
         #: journal-style undo records of recent architectural stores;
-        #: entries are ``(True, addr, old_bytes)`` like any memory undo.
+        #: entries are ``(addr, old_bytes)`` like any memory undo.
         self.journal = StateJournal()
         #: per-record DIFT tags of the *stored value* (the emulator's tag
         #: propagation runs before the store handler, so the tags read at
@@ -78,7 +78,7 @@ class StlModel(SpeculationModel):
             tags = bytes(
                 dift.get_mem_tag(addr + i, 1) for i in range(size)
             )
-        self.journal.entries.append((True, addr, old))
+        self.journal.entries.append((addr, old))
         self._value_tags.append(tags)
         if len(self.journal.entries) > self.window:
             del self.journal.entries[0]
@@ -93,7 +93,7 @@ class StlModel(SpeculationModel):
         """
         entries = self.journal.entries
         for index in range(len(entries) - 1, -1, -1):
-            _, rec_addr, old = entries[index]
+            rec_addr, old = entries[index]
             if rec_addr == addr and len(old) == size:
                 return index
         return None
@@ -105,10 +105,10 @@ class StlModel(SpeculationModel):
         the next-older in-window store to the same address, which is the
         store that wrote those stale bytes.  With no older record the
         provenance is unknown and the stale bytes count as untainted."""
-        _, addr, old = self.journal.entries[index]
+        addr, old = self.journal.entries[index]
         tags: Optional[bytes] = None
         for older in range(index - 1, -1, -1):
-            _, older_addr, older_old = self.journal.entries[older]
+            older_addr, older_old = self.journal.entries[older]
             if older_addr == addr and len(older_old) == len(old):
                 tags = self._value_tags[older]
                 break

@@ -199,16 +199,20 @@ def test_campaign_grows_coverage_and_finds_gadgets(fuzz_runtime):
 
 
 class _StubRuntime:
-    """Deterministic fake runtime: every run reports the same spec stats."""
+    """Deterministic fake runtime: every run enters two simulations and
+    rolls back once; like a real runtime it reports cumulative stats."""
 
     def __init__(self):
         from repro.runtime.emulator import ExecutionResult
         self._result_cls = ExecutionResult
+        self._runs = 0
 
     def run(self, data):
+        self._runs += 1
         return self._result_cls(
             status="exit", steps=10, cycles=100,
-            spec_stats={"simulations_started": 2, "rollbacks": 1},
+            spec_stats={"simulations_started": 2 * self._runs,
+                        "rollbacks": self._runs},
         )
 
 
@@ -217,6 +221,19 @@ def test_campaign_accumulates_spec_stats():
     fuzzer = Fuzzer(FuzzTarget(_StubRuntime()), seeds=[b"x"], seed=0)
     result = fuzzer.run_campaign(5)
     assert result.spec_stats == {"simulations_started": 10, "rollbacks": 5}
+
+
+def test_campaign_spec_stats_equal_the_runtime_counters():
+    """A runtime's spec_stats are cumulative: a campaign over a fresh
+    runtime reports exactly its controller's totals, also when split into
+    chunks (a sum of running totals would grow quadratically)."""
+    instrumented = TeapotRewriter().instrument(compile_source(FUZZ_SOURCE))
+    runtime = TeapotRuntime(instrumented)
+    fuzzer = Fuzzer(FuzzTarget(runtime), seeds=[b"\x01\x02\x03"], seed=9)
+    result = fuzzer.run_chunk(15)
+    fuzzer.run_chunk(15, into=result)
+    assert result.spec_stats == runtime.controller.stats.as_dict()
+    assert result.spec_stats["rollbacks"] > 0
 
 
 def test_run_chunk_resumes_identically():

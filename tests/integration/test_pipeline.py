@@ -65,6 +65,15 @@ def test_figure2_switch_lowering_shape():
     assert chain.conditional_branches > table.conditional_branches
 
 
+def test_figure2_counts_each_speculation_entry_once():
+    """The eight runs share one runtime, whose ``spec_stats`` are
+    cumulative: the entries are its final count, not a sum of running
+    totals."""
+    results = {r.lowering: r for r in run_figure2()}
+    assert results["branch_chain"].speculation_entries == 37
+    assert results["jump_table"].speculation_entries == 16
+
+
 def test_case_study_lzma_offset_manipulation_detected():
     """Appendix A.1: the dictionary-size offset gadget is a User-* gadget."""
     binary = LZMA_CASE_STUDY.compile()

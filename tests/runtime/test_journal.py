@@ -4,6 +4,8 @@ Random interleavings of register writes, guest-memory writes, checkpoints
 and rollbacks must restore byte-identical machine state — and the
 journaling controller must agree with the legacy snapshot controller on
 every observable (restored state, rollback ``undone`` counts, statistics).
+The journal holds memory only; registers are restored from the
+controller's checkpoints.
 """
 
 from __future__ import annotations
@@ -150,22 +152,19 @@ def test_journaling_controller_matches_legacy_snapshots(ops):
              min_size=0, max_size=20),
 )
 def test_state_journal_nested_marks(reg_writes, mem_writes):
-    """Popping journal segments restores exactly to each nested mark."""
+    """Popping journal segments restores memory exactly to each nested
+    mark; the controller's checkpoints restore the registers with it."""
     machine = _machine()
     journal = StateJournal()
     machine.attach_journal(journal)
 
     before_outer = _state(machine)
     outer_mark = journal.mark()
-    for index, value in reg_writes:
-        machine.set_reg(index, value)
     for offset, data in mem_writes:
         machine.memory.write_bytes(REGION_START + offset, data)
 
     before_inner = _state(machine)
     inner_mark = journal.mark()
-    for index, value in reg_writes:
-        machine.set_reg(index, value ^ 0xDEAD)
     for offset, data in mem_writes:
         machine.memory.write_bytes(REGION_START + offset, bytes(len(data)))
 
@@ -178,6 +177,29 @@ def test_state_journal_nested_marks(reg_writes, mem_writes):
     assert outer_undone == len(mem_writes)
     assert len(journal) == 0
     machine.attach_journal(None)
+
+    # Registers and memory together, through nested controller checkpoints.
+    controller = JournalingSpeculationController(AlwaysNest())
+    before_outer = _state(machine)
+    assert controller.maybe_enter(machine, branch_address=1, resume_pc=10)
+    for index, value in reg_writes:
+        machine.set_reg(index, value)
+    for offset, data in mem_writes:
+        machine.memory.write_bytes(REGION_START + offset, data)
+
+    before_inner = _state(machine)
+    assert controller.maybe_enter(machine, branch_address=2, resume_pc=20)
+    for index, value in reg_writes:
+        machine.set_reg(index, value ^ 0xDEAD)
+    for offset, data in mem_writes:
+        machine.memory.write_bytes(REGION_START + offset, bytes(len(data)))
+
+    assert controller.rollback(machine) == len(mem_writes)
+    assert _state(machine) == before_inner
+    assert controller.rollback(machine) == len(mem_writes)
+    assert _state(machine) == before_outer
+    assert len(controller.journal) == 0
+    assert machine.journal is None
 
 
 def test_nested_speculation_pops_journal_segments():
@@ -381,16 +403,20 @@ def test_begin_run_clears_stale_journal():
     machine = _machine()
     controller = JournalingSpeculationController(SpecFuzzNestingPolicy())
     assert controller.maybe_enter(machine, branch_address=1, resume_pc=10)
+    assert controller.checkpoints[-1].registers == [0] * 16
     machine.set_reg(0, 42)
+    machine.memory.write_int(REGION_START, 42, 8)
     assert len(controller.journal) == 1
 
     controller.begin_run()
     assert not controller.in_simulation
     assert len(controller.journal) == 0
     assert machine.journal is None
-    # A fresh simulation starts from a clean journal.
+    # A fresh simulation starts from a clean journal and checkpoints the
+    # registers as they are now.
     assert controller.maybe_enter(machine, branch_address=1, resume_pc=10)
     assert controller.checkpoints[-1].journal_mark == 0
+    assert controller.checkpoints[-1].registers == [42] + [0] * 15
 
 
 def test_rollback_to_restores_page_crossing_and_page_end_entries():
@@ -408,9 +434,19 @@ def test_rollback_to_restores_page_crossing_and_page_end_entries():
     memory.write_bytes(page_end - 8, b"\xaa" * 8)    # ends at offset 4096
     memory.write_bytes(page_end - 4, b"\xbb" * 8)    # crosses the page
     memory.write_int(page_end - 12, 0xCCCC, 4)       # in-page, mid-page
-    machine.set_reg(5, 7)
     assert journal.rollback_to(mark, machine) == 3
     machine.attach_journal(None)
+    assert _state(machine) == before
+    assert memory.read_bytes(page_end - 16, 32) == bytes(range(1, 33))
+
+    # The same writes plus a register write, undone by a controller rollback.
+    controller = JournalingSpeculationController(AlwaysNest())
+    assert controller.maybe_enter(machine, branch_address=1, resume_pc=10)
+    memory.write_bytes(page_end - 8, b"\xaa" * 8)
+    memory.write_bytes(page_end - 4, b"\xbb" * 8)
+    memory.write_int(page_end - 12, 0xCCCC, 4)
+    machine.set_reg(5, 7)
+    assert controller.rollback(machine) == 3
     assert _state(machine) == before
     assert memory.read_bytes(page_end - 16, 32) == bytes(range(1, 33))
 
