@@ -40,9 +40,8 @@ def pytest_configure(config):
 def _provenance() -> Dict[str, object]:
     """Stable artifact provenance: when/where/what produced the numbers.
 
-    ``repro bench diff`` and ``repro bench history`` key their trajectory
-    views on these fields; all are additive to the pre-existing payload
-    (old artifacts without them still diff fine).
+    Lets a reader tell which commit and host a ``BENCH_*.json`` snapshot
+    came from; all fields are additive to the pre-existing payload.
     """
     import platform
     import subprocess

@@ -76,8 +76,7 @@ from repro.telemetry import (
     aggregate_trace,
     read_trace,
 )
-from repro.telemetry.benchdiff import diff_bench
-from repro.telemetry.export import render_prometheus, serve_metrics
+from repro.telemetry.export import render_prometheus
 from repro.telemetry.runs import RunDirectory, RunRegistry
 
 
@@ -156,7 +155,5 @@ __all__ = [
     # campaign observatory
     "RunDirectory",
     "RunRegistry",
-    "diff_bench",
     "render_prometheus",
-    "serve_metrics",
 ]

@@ -7,18 +7,20 @@ Subcommands::
     repro harden --target gadgets --strategy mask --iterations 400
     repro report --in run.json
     repro bench --target jsmn --input-size 200
-    repro bench diff baseline/ candidate/       # exits 1 on regression
-    repro bench history v1/ v2/ v3/
     repro targets --json
     repro stats trace.jsonl --html report.html --flamegraph stacks.txt
-    repro monitor --runs-root runs              # serve a recorded run
     repro top http://127.0.0.1:8642             # live service dashboard
+    repro top runs/<run-id>                     # a recorded run
+    repro runs show <run-id> --json
     repro runs list
 
 ``fuzz``, ``report``, ``bench`` and ``targets`` are implemented directly
 over :mod:`repro.api`'s Pipeline builder and :class:`~repro.api.result.
 RunResult` artifact; ``campaign`` and ``harden`` forward to the
-subsystem CLIs.
+subsystem CLIs.  The only HTTP server is the service API
+(:mod:`repro.service.httpapi`): ``repro serve`` runs it standalone and
+``repro campaign --serve`` binds it over the campaign's ephemeral
+service.  ``repro top`` reads either that API or a run directory.
 """
 
 from __future__ import annotations
@@ -155,23 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="RunResult JSON whose engine profile feeds the "
                             "HTML hot-spot tables")
 
-    monitor = sub.add_parser(
-        "monitor", help="serve /metrics + /status for a recorded run "
-                        "directory (live while the campaign runs)")
-    monitor.add_argument("--runs-root", default="runs", metavar="ROOT",
-                         help="run registry root (default: runs/)")
-    monitor.add_argument("--run", default=None, metavar="RUN_ID",
-                         help="run id to serve (default: the newest run)")
-    monitor.add_argument("--serve", metavar="[HOST:]PORT", default="",
-                         help="bind address (default 127.0.0.1:9753; "
-                              "port 0 = OS-assigned)")
-    monitor.add_argument("--once", action="store_true",
-                         help="print the Prometheus exposition once to "
-                              "stdout and exit (no server)")
-
     top = sub.add_parser(
-        "top", help="live dashboard over a running service URL or a "
-                    "run directory")
+        "top", help="live dashboard over a service URL (repro serve, or "
+                    "a campaign run with --serve) or a run directory")
     top.add_argument("target", nargs="?", default="http://127.0.0.1:8642",
                      metavar="URL|RUN_DIR",
                      help="service base URL or run-directory path "
@@ -200,40 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     runs_gc.add_argument("--root", default="runs")
     runs_gc.add_argument("--keep", type=int, default=10)
     runs_gc.add_argument("--dry-run", action="store_true")
-    return parser
-
-
-def _bench_diff_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro bench diff",
-        description="Compare two BENCH_*.json snapshots (files or "
-                    "directories); exits 1 when a metric regressed "
-                    "beyond the threshold.")
-    parser.add_argument("old", metavar="OLD",
-                        help="baseline BENCH_*.json file or directory")
-    parser.add_argument("new", metavar="NEW",
-                        help="candidate BENCH_*.json file or directory")
-    parser.add_argument("--threshold", type=float, default=None,
-                        metavar="FRACTION",
-                        help="relative change that flags a metric "
-                             "(default: 0.05 = 5%%)")
-    parser.add_argument("--show-ok", action="store_true",
-                        help="also list metrics within the threshold")
-    parser.add_argument("--json", action="store_true",
-                        help="emit the full diff as JSON")
-    return parser
-
-
-def _bench_history_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro bench history",
-        description="Line several BENCH_*.json snapshots up "
-                    "chronologically, one column per snapshot.")
-    parser.add_argument("snapshots", metavar="SNAPSHOT", nargs="+",
-                        help="BENCH_*.json files or directories, oldest "
-                             "first")
-    parser.add_argument("--json", action="store_true",
-                        help="emit rows as JSON")
     return parser
 
 
@@ -359,40 +313,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_monitor(args: argparse.Namespace) -> int:
-    from repro.telemetry.export import (
-        MetricsExporter,
-        parse_address,
-        render_prometheus,
-    )
-    from repro.telemetry.runs import RunRegistry
-
-    registry = RunRegistry(args.runs_root)
-    try:
-        if args.run:
-            run = registry.get(args.run)
-        else:
-            runs = registry.runs()
-            if not runs:
-                print(f"error: no runs under {args.runs_root} "
-                      "(start one with `repro campaign --run-dir`)",
-                      file=sys.stderr)
-                return 2
-            run = runs[0]
-    except KeyError as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
-    if args.once:
-        sys.stdout.write(render_prometheus(run))
-        return 0
-    host, port = parse_address(args.serve)
-    exporter = MetricsExporter(run, registry=registry, host=host, port=port)
-    print(f"[monitor] serving run {run.run_id} on {exporter.url} "
-          "(/metrics, /status, /runs; Ctrl-C to stop)", file=sys.stderr)
-    exporter.serve_forever()
-    return 0
-
-
 def _cmd_top(args: argparse.Namespace) -> int:
     from repro.telemetry import top as telemetry_top
 
@@ -495,49 +415,6 @@ def _cmd_runs(args: argparse.Namespace) -> int:
     return 2
 
 
-def _cmd_bench_diff(argv: Sequence[str]) -> int:
-    from repro.telemetry import benchdiff
-
-    args = _bench_diff_parser().parse_args(argv)
-    threshold = (args.threshold if args.threshold is not None
-                 else benchdiff.DEFAULT_THRESHOLD)
-    try:
-        old = benchdiff.load_bench_snapshot(args.old)
-        new = benchdiff.load_bench_snapshot(args.new)
-    except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    entries = benchdiff.diff_bench(old, new, threshold=threshold)
-    flagged = benchdiff.regressions(entries)
-    if args.json:
-        print(json.dumps({"threshold": threshold, "entries": entries,
-                          "regressions": len(flagged)},
-                         indent=1, sort_keys=True))
-    else:
-        print(benchdiff.format_diff_table(entries, show_ok=args.show_ok))
-    return 1 if flagged else 0
-
-
-def _cmd_bench_history(argv: Sequence[str]) -> int:
-    from repro.telemetry import benchdiff
-
-    args = _bench_history_parser().parse_args(argv)
-    snapshots = []
-    for path in args.snapshots:
-        try:
-            snapshots.append(benchdiff.load_bench_snapshot(path))
-        except (OSError, ValueError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    headers, rows = benchdiff.bench_history(snapshots)
-    if args.json:
-        print(json.dumps({"headers": headers, "rows": rows},
-                         indent=1, sort_keys=True))
-    else:
-        print(benchdiff.format_history_table(headers, rows))
-    return 0
-
-
 def _cmd_targets(args: argparse.Namespace) -> int:
     listing = api.target_listing()
     if args.json:
@@ -566,14 +443,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.service import cli as service_cli
 
         return service_cli.main(argv, prog="repro")
-    # `bench diff`/`bench history` compare artifacts instead of running a
-    # measurement; they take positional paths, so route before argparse
-    # sees the measurement flags.
-    if len(argv) >= 2 and argv[0] == "bench" and argv[1] == "diff":
-        return _cmd_bench_diff(argv[2:])
-    if len(argv) >= 2 and argv[0] == "bench" and argv[1] == "history":
-        return _cmd_bench_history(argv[2:])
-
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
@@ -585,7 +454,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "bench": _cmd_bench,
         "targets": _cmd_targets,
         "stats": _cmd_stats,
-        "monitor": _cmd_monitor,
         "top": _cmd_top,
         "runs": _cmd_runs,
     }[args.command]

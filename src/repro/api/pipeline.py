@@ -237,15 +237,19 @@ class Pipeline:
         resulting snapshot lands in :attr:`RunResult.telemetry` either way.
         Results are bit-identical with or without telemetry.
 
-        Two observatory options work with either form: ``serve`` starts a
-        live HTTP exporter for the run (``/metrics`` in Prometheus text
-        format plus ``/status``; pass ``True`` for the default local
-        address, a port number, or a ``"host:port"`` string — bind port 0
-        to let the OS pick) and ``runs_root`` records the run into a
-        durable run directory under the given root (``True`` for the
-        default ``runs/``): manifest, JSONL trace (when no explicit
-        ``trace`` path is given), metrics snapshots and the final ``RunResult`` — browsable with ``repro
-        runs`` and servable after the fact with ``repro monitor``.
+        Two observatory options work with either form: ``serve`` binds
+        each campaign's service HTTP API while the campaign runs (live
+        ``/metrics`` in Prometheus text format, ``/v1/campaigns``,
+        ``/v1/fleet``; pass ``True`` for the default local address, a
+        port number, or a ``"host:port"`` string — bind port 0 to let the
+        OS pick; refused with :class:`ValueError` by the ``serial``
+        scheduler and with ``profile_engine``), and ``runs_root`` records
+        the run into a durable run directory under the given root
+        (``True`` for the default ``runs/``): manifest, JSONL trace (when
+        no explicit ``trace`` path is given), metrics snapshots and the
+        final ``RunResult`` — browsable with ``repro runs`` and ``repro
+        top``.  A malformed ``serve`` address raises :class:`ValueError`
+        here.
         """
         if telemetry is not None:
             self._telemetry = telemetry
@@ -258,6 +262,15 @@ class Pipeline:
                 "interval": float(interval),
                 "profile_engine": bool(profile_engine),
             }
+        if serve is None or serve is False:  # (0 == False: port 0 serves)
+            serve = None
+        else:
+            from repro.telemetry.export import parse_address
+
+            serve = parse_address(
+                serve if isinstance(serve, str)
+                else (str(serve) if isinstance(serve, int)
+                      and not isinstance(serve, bool) else ""))
         self._observatory = {"serve": serve, "runs_root": runs_root}
         return self
 
@@ -452,31 +465,15 @@ class Session:
                 handler(**stage.params)
             return self.result
 
-        import os
-
         from repro.telemetry.context import session as telemetry_session
 
         self._telemetry = telemetry
-        exporter = None
         status = "completed"
         try:
             if run_dir is not None:
                 telemetry.run_dir = run_dir
-            serve = observatory.get("serve")
-            if serve not in (None, False):
-                from repro.telemetry.export import parse_address, serve_metrics
-                from repro.telemetry.runs import RunRegistry
-
-                host, port = parse_address(
-                    serve if isinstance(serve, str)
-                    else (str(serve) if isinstance(serve, int)
-                          and not isinstance(serve, bool) else ""))
-                registry = (RunRegistry(os.path.dirname(run_dir.path))
-                            if run_dir is not None else None)
-                exporter = serve_metrics(telemetry, registry=registry,
-                                         host=host, port=port)
-                self._progress(f"serving /metrics and /status on "
-                               f"{exporter.url}")
+            if observatory.get("serve") is not None:
+                telemetry.serve = observatory["serve"]
             with telemetry_session(telemetry):
                 with telemetry.span("pipeline"):
                     for stage in self.builder._stages:
@@ -488,8 +485,6 @@ class Session:
             status = "failed"
             raise
         finally:
-            if exporter is not None:
-                exporter.stop()
             if run_dir is not None:
                 try:
                     run_dir.write_metrics_snapshot(telemetry)

@@ -131,17 +131,18 @@ def build_parser(prog: str = "repro campaign") -> argparse.ArgumentParser:
                              "(inspect with `repro stats PATH`)")
     parser.add_argument("--serve", metavar="[HOST:]PORT", nargs="?",
                         const="", default=None,
-                        help="serve live /metrics (Prometheus text format) "
-                             "and /status over HTTP for the duration of "
-                             "the campaign (default 127.0.0.1:9753; "
-                             "port 0 = OS-assigned)")
+                        help="serve the campaign's service API (live "
+                             "/metrics, /v1/campaigns, /v1/fleet; see "
+                             "`repro top URL`) for the duration of the "
+                             "campaign (default 127.0.0.1:9753; port 0 = "
+                             "OS-assigned; needs --scheduler pool/service)")
     parser.add_argument("--run-dir", metavar="ROOT", nargs="?",
                         const="runs", default=None, dest="run_dir",
                         help="record the campaign into a durable run "
                              "directory under ROOT (default: runs/) — "
                              "manifest, trace, metrics snapshots; "
-                             "browse with `repro runs`, serve with "
-                             "`repro monitor`")
+                             "browse with `repro runs` or `repro top "
+                             "ROOT/<run-id>`")
     return parser
 
 
@@ -208,21 +209,26 @@ def main(argv: Optional[Sequence[str]] = None,
     progress = None if args.quiet else (
         lambda message: print(f"[campaign] {message}", file=sys.stderr)
     )
+    serve = None
+    if args.serve is not None:
+        from repro.telemetry.export import parse_address
+
+        try:
+            serve = parse_address(args.serve)
+        except ValueError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
     telemetry = None
-    exporter = None
     run_dir = None
-    observatory = args.serve is not None or args.run_dir is not None
-    if args.progress or args.trace or observatory:
+    if args.progress or args.trace or serve or args.run_dir is not None:
         from repro.telemetry import Telemetry
         from repro.telemetry.context import session as telemetry_session
 
-        run_registry = None
         trace = args.trace
         if args.run_dir is not None:
             from repro.telemetry.runs import RunRegistry
 
-            run_registry = RunRegistry(args.run_dir)
-            run_dir = run_registry.create_run(
+            run_dir = RunRegistry(args.run_dir).create_run(
                 command="campaign",
                 target=",".join(targets),
                 engine=args.engine,
@@ -243,15 +249,7 @@ def main(argv: Optional[Sequence[str]] = None,
                           "fingerprint": spec.fingerprint()},
         )
         telemetry.run_dir = run_dir
-        if args.serve is not None:
-            from repro.telemetry.export import parse_address, serve_metrics
-
-            host, port = parse_address(args.serve)
-            exporter = serve_metrics(telemetry, registry=run_registry,
-                                     host=host, port=port)
-            if not args.quiet:
-                print(f"[campaign] serving /metrics and /status on "
-                      f"{exporter.url}", file=sys.stderr)
+        telemetry.serve = serve
     started = time.time()
     status = "completed"
     try:
@@ -264,7 +262,7 @@ def main(argv: Optional[Sequence[str]] = None,
             summary = run_campaign(spec, checkpoint_path=args.checkpoint,
                                    resume=args.resume, progress=progress,
                                    scheduler=args.scheduler)
-    except ValueError as error:
+    except (ValueError, OSError) as error:
         status = "failed"
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -272,8 +270,6 @@ def main(argv: Optional[Sequence[str]] = None,
         status = "failed"
         raise
     finally:
-        if exporter is not None:
-            exporter.stop()
         if run_dir is not None and telemetry is not None:
             try:
                 run_dir.write_metrics_snapshot(telemetry)

@@ -15,7 +15,8 @@ Two execution paths share that loop's rules (:func:`seeds_for_job`,
 
 * ``serial`` — :class:`CampaignScheduler`, defined here, runs every job
   in the calling process.  It never forks, so it cannot stop a job at a
-  deadline and refuses specs with a job timeout.
+  deadline and refuses specs with a job timeout; it runs no service, so
+  it refuses a telemetry session with a ``serve`` address too.
 * ``pool`` and ``service`` — one class,
   :class:`repro.service.scheduler.ServiceCampaignScheduler`: an
   ephemeral fuzzing service whose ``max(1, workers)`` workers each run
@@ -182,8 +183,12 @@ class CampaignScheduler:
                 "the serial scheduler cannot enforce a job timeout; use "
                 "--scheduler pool/service, which run jobs in worker "
                 "processes")
-        state = self._initial_state(resume)
         telemetry = _active_telemetry()
+        if telemetry is not None and telemetry.serve is not None:
+            raise ValueError(
+                "the serial scheduler runs no service whose API --serve "
+                "could bind; use --scheduler pool/service")
+        state = self._initial_state(resume)
         if telemetry is not None:
             telemetry.event(
                 "campaign_start",

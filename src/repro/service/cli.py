@@ -102,7 +102,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.telemetry.export import parse_address
     from repro.telemetry.logging import StructuredLogger
 
-    host, port = parse_address(args.address, default_port=DEFAULT_PORT)
+    try:
+        host, port = parse_address(args.address, default_port=DEFAULT_PORT)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     log = None
     if args.log_json:
         sink = sys.stderr if args.log_json == "-" else args.log_json
@@ -110,8 +114,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = FuzzService(args.root, workers=max(1, args.workers),
                           visibility_timeout=args.visibility_timeout,
                           observe=not args.no_observe, log=log)
+    try:
+        server = ServiceApiServer(service, host=host, port=port)
+    except OSError as error:
+        print(f"error: cannot serve on {host}:{port}: {error}",
+              file=sys.stderr)
+        if log is not None:
+            log.close()
+        return 2
     service.start()
-    server = ServiceApiServer(service, host=host, port=port)
     print(f"[repro] fuzzing service on {server.url} "
           f"({len(service.fleet.workers)} workers, root {service.root})",
           file=sys.stderr)

@@ -45,6 +45,7 @@ from repro.service.queue import JobQueue
 from repro.service.worker import WorkerFleet
 from repro.telemetry import Telemetry
 from repro.telemetry.logging import StructuredLogger
+from repro.telemetry.metrics import merge_counts
 from repro.telemetry.runs import RunRegistry
 from repro.telemetry.tracing import derive_span_id, new_trace_id
 
@@ -378,22 +379,36 @@ class FuzzService:
 
     # -- observation ---------------------------------------------------------
     def metrics_view(self):
-        """A render-ready view of the service-level metrics.
+        """A render-ready view of the service's metrics.
 
         Refreshes the pull-style gauges (queue depth, fleet liveness,
         per-worker utilization) from the live queue and fleet, then
         returns a :class:`~repro.telemetry.export.MetricsView` the
-        Prometheus renderer accepts.  With ``observe=False`` the view is
-        empty — ``/metrics`` then serves no families rather than 404ing,
+        Prometheus renderer accepts.  The registries of campaigns
+        submitted with a caller's ``telemetry`` bundle (a served
+        ``repro campaign``) are merged in, so ``/metrics`` shows their
+        ``campaign.*``/``engine.*`` totals growing as jobs merge.  With
+        ``observe=False`` the service-level families are absent —
+        ``/metrics`` then serves no service families rather than 404ing,
         so scrapers keep a stable target.
         """
         from repro.telemetry.export import MetricsView
 
-        if self.telemetry is None:
-            return MetricsView()
-        self.queue.observe_gauges()
-        self.fleet.observe_gauges()
-        return MetricsView.from_telemetry(self.telemetry)
+        view = MetricsView()
+        if self.telemetry is not None:
+            self.queue.observe_gauges()
+            self.fleet.observe_gauges()
+            view = MetricsView.from_telemetry(self.telemetry)
+        with self._lock:
+            bundles = {id(campaign.telemetry): campaign.telemetry
+                       for campaign in self._campaigns.values()
+                       if campaign.telemetry is not None}
+        for bundle in bundles.values():
+            part = MetricsView.from_telemetry(bundle)
+            merge_counts(view.counters, part.counters)
+            view.gauges.update(part.gauges)
+            view.histograms.update(part.histograms)
+        return view
 
     def health(self) -> Dict[str, object]:
         """The ``/healthz`` body: liveness plus identity."""

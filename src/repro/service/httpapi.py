@@ -1,9 +1,11 @@
 """The service's HTTP/JSON API: submit, watch and cancel campaigns.
 
 A deliberately thin veneer over :class:`~repro.service.core.FuzzService`
-on the stdlib ``ThreadingHTTPServer`` (same daemon-thread idiom as the
-telemetry :class:`~repro.telemetry.export.MetricsExporter`; zero
-dependencies).  Routes::
+on the stdlib ``ThreadingHTTPServer`` (a daemon thread; zero
+dependencies).  It is the repository's only HTTP server: ``repro serve``
+runs it over a long-lived service, and a campaign run with ``--serve``
+(``Pipeline.telemetry(serve=...)``) binds it over the campaign's
+ephemeral service for the campaign's duration.  Routes::
 
     GET  /                          help text
     GET  /v1/campaigns              every campaign's status record
@@ -13,7 +15,9 @@ dependencies).  Routes::
     POST /v1/campaigns/<id>/cancel  request cancellation
     GET  /v1/queue                  queue-depth and fleet counters
     GET  /v1/fleet                  per-worker status (heartbeat, job)
-    GET  /metrics                   Prometheus exposition (service.*)
+    GET  /metrics                   Prometheus exposition (service.*,
+                                    plus campaign.*/engine.* when served
+                                    by a campaign)
     GET  /healthz                   liveness (always 200 while serving)
     GET  /readyz                    readiness (503 until workers run)
 
@@ -22,6 +26,12 @@ shape) either bare or wrapped as ``{"spec": {...}}``; extra top-level
 keys ``resume`` (bool) are honoured.  Errors come back as JSON
 ``{"error": ...}`` with 400 (bad request body or headers), 404 (unknown
 campaign or route), 413 (body over :data:`MAX_BODY_BYTES`) or 500.
+
+Trust model: there is no authentication.  Any client that reaches the
+port can submit and cancel campaigns — on a served campaign's port too,
+where a submitted campaign runs on the ephemeral fleet until the served
+campaign ends.  Both entry points bind to 127.0.0.1 unless given
+another host.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ serial run's.
 Round boundaries trigger the same durability work the serial scheduler
 does between rounds: ``completed_rounds`` advances, the checkpoint file
 is rewritten atomically, and a metrics snapshot lands in the campaign's
-run directory so ``repro runs show`` / ``repro monitor`` observe the
-live service.
+run directory so ``repro runs show`` / ``repro top RUN_DIR`` observe
+the live service.
 
 The ingestor is also where a job's *distributed* lifecycle lands in the
 campaign trace: ``offer`` accepts the completion record's observability

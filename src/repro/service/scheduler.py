@@ -13,10 +13,14 @@ child process, a job timeout kills the job.
 
 When the caller has a telemetry session active, the service drives the
 campaign under it: ``campaign.*`` counters, round spans and metrics
-snapshots land in the caller's registry, trace and run directory, and
-live exporters see them grow as each job merges.  A session with an
-engine profiler is the exception: the profiler wraps emulators in this
-process, so such a campaign runs in-process on the ``serial`` loop.
+snapshots land in the caller's registry, trace and run directory as
+each job merges.  When that session carries a ``serve`` address
+(``repro campaign --serve``, ``Pipeline.telemetry(serve=...)``), the
+ephemeral service's HTTP API (:mod:`repro.service.httpapi`) is bound
+there for the campaign's duration; its ``/metrics`` includes the
+session's live registry.  A session with an engine profiler is the
+exception: the profiler wraps emulators in this process, so such a
+campaign runs in-process on the ``serial`` loop, and cannot serve.
 
 Set ``REPRO_SERVICE_DIR`` to keep the queue/run directories around for
 inspection instead of using (and deleting) a temp directory, and
@@ -69,6 +73,7 @@ class ServiceCampaignScheduler:
 
     def run(self, resume: bool = False) -> CampaignSummary:
         telemetry = active_telemetry()
+        serve = telemetry.serve if telemetry is not None else None
         if telemetry is not None and telemetry.profiler is not None:
             # The profiler sees only emulators of this process; fuzzing
             # in a worker's child would leave the profile empty.
@@ -76,6 +81,10 @@ class ServiceCampaignScheduler:
                 raise ValueError(
                     "engine profiling runs jobs in this process and "
                     "cannot enforce a job timeout; drop one of the two")
+            if serve is not None:
+                raise ValueError(
+                    "engine profiling runs jobs in this process, without "
+                    "a service to serve; drop --serve or the profiler")
             return CampaignScheduler(
                 self.spec, checkpoint_path=self.checkpoint_path,
                 progress=self._progress).run(resume=resume)
@@ -90,7 +99,19 @@ class ServiceCampaignScheduler:
             visibility_timeout=self.visibility_timeout,
             observe=os.environ.get(SERVICE_OBSERVE_ENV, "1") != "0",
         )
+        api = None
         try:
+            if serve is not None:
+                from repro.service.httpapi import serve_api
+
+                try:
+                    api = serve_api(service, *serve)
+                except OSError as error:
+                    raise OSError(
+                        f"cannot serve the campaign API on "
+                        f"{serve[0]}:{serve[1]}: {error}") from error
+                if self._progress is not None:
+                    self._progress(f"serving the campaign API on {api.url}")
             campaign_id = service.submit(
                 self.spec, resume=resume,
                 checkpoint_path=self.checkpoint_path or "",
@@ -111,6 +132,8 @@ class ServiceCampaignScheduler:
                     + ")")
             return summary
         finally:
+            if api is not None:
+                api.stop()
             service.stop()
             if scratch is not None:
                 shutil.rmtree(scratch, ignore_errors=True)

@@ -28,18 +28,7 @@ from typing import Dict, Optional
 
 from repro._version import __version__
 from repro.telemetry import context
-from repro.telemetry.benchdiff import (
-    bench_history,
-    diff_bench,
-    format_diff_table,
-    load_bench_snapshot,
-)
-from repro.telemetry.export import (
-    PROMETHEUS_CONTENT_TYPE,
-    MetricsExporter,
-    render_prometheus,
-    serve_metrics,
-)
+from repro.telemetry.export import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from repro.telemetry.logging import LEVELS, StructuredLogger, parse_level
 from repro.telemetry.metrics import (
     LATENCY_BUCKETS_S,
@@ -105,6 +94,9 @@ class Telemetry:
         #: optional :class:`~repro.telemetry.runs.RunDirectory` this run
         #: records into (manifest + trace + metrics snapshots).
         self.run_dir = None
+        #: optional ``(host, port)`` on which a campaign run under this
+        #: bundle serves its ephemeral service's HTTP API.
+        self.serve = None
 
     @classmethod
     def create(
@@ -258,20 +250,14 @@ __all__ = [
     "context",
     "__version__",
     # campaign observatory (PR 8)
-    "MetricsExporter",
     "PROMETHEUS_CONTENT_TYPE",
     "render_prometheus",
-    "serve_metrics",
     "RunDirectory",
     "RunRegistry",
     "RUN_KIND",
     "RUN_SCHEMA_VERSION",
     "render_html_report",
     "render_flamegraph",
-    "diff_bench",
-    "bench_history",
-    "format_diff_table",
-    "load_bench_snapshot",
     # service observatory (PR 10)
     "StructuredLogger",
     "parse_level",

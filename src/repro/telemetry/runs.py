@@ -16,7 +16,7 @@ canonical JSON of the run's configuration, so two runs of the same setup
 are recognizably siblings.  A campaign rewrites its latest metrics
 snapshot after every merged job under ``pool``/``service`` and after
 every round under ``serial``, which lets a *separate* process
-(``repro monitor --run``) serve live totals.
+(``repro top RUN_DIR``, ``repro runs show``) read live totals.
 
 The :class:`RunRegistry` scans a root directory (default ``runs/``) and
 backs the ``repro runs list/show/gc`` commands.  Everything here is

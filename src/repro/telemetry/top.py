@@ -7,7 +7,7 @@ is every worker doing right now*.  Two targets share the renderer:
 * **Service URL** (``repro top http://127.0.0.1:8642``) — samples the
   HTTP API's ``/healthz``, ``/v1/queue``, ``/v1/fleet`` and
   ``/v1/campaigns`` endpoints (stdlib ``urllib`` only, same as ``repro
-  submit``).
+  submit``) of ``repro serve`` or of a campaign run with ``--serve``.
 * **Run directory** (``repro top runs/<id>``) — samples a
   :class:`~repro.telemetry.runs.RunDirectory` manifest plus its live
   counters, for campaigns recorded by any scheduler in any process.
@@ -229,9 +229,9 @@ def _render_service(current: Dict[str, object],
 
 #: run-dir counters worth a dashboard row, in display order.
 _RUN_COUNTS = (
-    "campaign.jobs_completed",
+    "campaign.jobs_done",
     "campaign.rounds_completed",
-    "campaign.unique_sites",
+    "campaign.reports_unique",
     "engine.executions",
     "engine.instructions",
     "fuzz.executions",

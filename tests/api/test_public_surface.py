@@ -58,9 +58,7 @@ EXPECTED_SURFACE = sorted([
     # campaign observatory
     "RunDirectory",
     "RunRegistry",
-    "diff_bench",
     "render_prometheus",
-    "serve_metrics",
 ])
 
 

@@ -1,24 +1,27 @@
-"""Metrics export: Prometheus exposition conformance + HTTP endpoints."""
+"""Metrics export: Prometheus exposition, its HTTP side, address parsing.
+
+The service API is the only exporter: ``/metrics`` renders the service's
+own families merged with the registries of campaigns submitted with a
+caller's telemetry bundle.  ``tests/service/test_served_campaign.py``
+scrapes a ``--serve`` campaign mid-run.
+"""
 
 from __future__ import annotations
 
 import json
 import re
+import time
+import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.campaign.spec import CampaignSpec
+from repro.service.core import FuzzService
+from repro.service.httpapi import ServiceApiServer, serve_api
 from repro.telemetry import Telemetry
 from repro.telemetry.export import (
-    PROMETHEUS_CONTENT_TYPE,
-    MetricsExporter,
-    MetricsView,
-    parse_address,
-    render_prometheus,
-    serve_metrics,
-    status_snapshot,
-)
-from repro.telemetry.runs import RunRegistry
+    PROMETHEUS_CONTENT_TYPE, parse_address, render_prometheus)
 
 
 def _telemetry_with_counts() -> Telemetry:
@@ -76,73 +79,64 @@ def test_prometheus_renders_merged_worker_counts_live():
     assert "repro_engine_jit_cache_memo_hits_total 4" in lines
 
 
-def test_status_snapshot_progress_digest():
-    record = status_snapshot(_telemetry_with_counts())
-    assert record["kind"] == "repro.telemetry/status"
-    assert record["schema_version"] == 1
-    progress = record["progress"]
-    assert progress["executions"] == 400
-    assert progress["sites"] == {"btb": 1, "pht": 3}
-    assert record["counts"]["campaign.executions"] == 400
-
-
 def test_exporter_serves_metrics_status_runs_and_404(tmp_path):
-    registry = RunRegistry(str(tmp_path / "runs"))
-    run = registry.create_run(command="campaign", target="jsmn",
-                              engine="jit", config={"seed": 0})
-    bundle = _telemetry_with_counts()
-    bundle.run_dir = run
-    exporter = serve_metrics(bundle, registry=registry)
+    # A campaign submitted with a caller's bundle: /metrics carries the
+    # bundle's counts on top of the service's own families.
+    service = FuzzService(str(tmp_path / "svc"), workers=1).start()
+    api = serve_api(service)
     try:
         def fetch(path):
-            return urllib.request.urlopen(exporter.url + path, timeout=5)
+            return urllib.request.urlopen(api.url + path, timeout=10)
+
+        bundle = _telemetry_with_counts()
+        spec = CampaignSpec(targets=("gadgets",), tools=("teapot",),
+                            iterations=20, rounds=1, shards=1, seed=3)
+        campaign_id = service.submit(spec, checkpoint_path="",
+                                     telemetry=bundle)
+        deadline = time.monotonic() + 120.0
+        while service.status(campaign_id)["status"] not in (
+                "completed", "failed", "cancelled"):
+            assert time.monotonic() < deadline, "campaign never finished"
+            time.sleep(0.05)
 
         reply = fetch("/metrics")
         assert reply.headers["Content-Type"] == PROMETHEUS_CONTENT_TYPE
-        body = reply.read().decode("utf-8")
-        assert "repro_fuzz_executions_total 400" in body
+        lines = reply.read().decode("utf-8").splitlines()
+        executions = bundle.registry.counters()["campaign.executions"].value
+        assert executions > 400  # the campaign's jobs merged in
+        assert f"repro_campaign_executions_total {executions}" in lines
+        assert any(l.startswith("repro_service_queue_") for l in lines)
 
-        status = json.load(fetch("/status"))
-        assert status["progress"]["executions"] == 400
-        assert status["run"]["run_id"] == run.run_id
-
-        runs = json.load(fetch("/runs"))
-        assert [m["run_id"] for m in runs] == [run.run_id]
+        status = json.load(fetch(f"/v1/campaigns/{campaign_id}"))
+        assert status["status"] == "completed"
+        assert "summary" in status
+        listing = json.load(fetch("/v1/campaigns"))["campaigns"]
+        assert [c["campaign_id"] for c in listing] == [campaign_id]
+        # The campaign's run directory is one of the service's runs.
+        assert status["run_id"] in [m["run_id"] for m in
+                                    service.registry.list_manifests()]
 
         with pytest.raises(urllib.error.HTTPError) as info:
             fetch("/nope")
         assert info.value.code == 404
     finally:
-        exporter.stop()
+        api.stop()
+        service.stop()
 
 
-def test_exporter_from_run_dir_cross_process_view(tmp_path):
-    # Simulate the `repro monitor` flow: a campaign in another process
-    # rewrites its snapshot as jobs merge; the exporter process only has
-    # the run directory.
-    registry = RunRegistry(str(tmp_path / "runs"))
-    run = registry.create_run(command="campaign", config={})
-    bundle = _telemetry_with_counts()
-    run.write_metrics_snapshot(bundle)
-    bundle.registry.counter("fuzz.executions").inc(25)
-    run.write_metrics_snapshot(bundle)  # the next merged job
-    view = MetricsView.from_run_dir(run)
-    assert view.counters["fuzz.executions"] == 425
-    assert view.gauges["campaign.sites.pht"] == 3
-    assert "engine.instructions_per_exec" in view.histograms
-    lines = render_prometheus(run).splitlines()
-    assert "repro_fuzz_executions_total 425" in lines
-    # Type fidelity survives the JSON round trip: counters stay counters.
-    assert "# TYPE repro_campaign_executions_total counter" in lines
-
-
-def test_exporter_picks_free_port_and_stops_cleanly():
-    exporter = MetricsExporter(Telemetry()).start()
-    port = exporter.port
+def test_exporter_picks_free_port_and_stops_cleanly(tmp_path):
+    service = FuzzService(str(tmp_path / "svc"), workers=1)
+    api = ServiceApiServer(service, port=0).start()
+    port = api.port
     assert port > 0
-    exporter.stop()
-    # A second exporter can bind a fresh port after the first closed.
-    again = MetricsExporter(Telemetry()).start()
+    with urllib.request.urlopen(api.url + "/healthz", timeout=5) as reply:
+        assert json.load(reply)["status"] == "ok"
+    url = api.url
+    api.stop()
+    with pytest.raises(urllib.error.URLError):
+        urllib.request.urlopen(url + "/healthz", timeout=5)
+    # A second server can bind a fresh port after the first closed.
+    again = ServiceApiServer(service, port=0).start()
     assert again.port > 0
     again.stop()
 
@@ -153,6 +147,14 @@ def test_exporter_picks_free_port_and_stops_cleanly():
     (":9090", ("127.0.0.1", 9090)),
     ("0.0.0.0:8000", ("0.0.0.0", 8000)),
     ("localhost", ("localhost", 9753)),
+    ("127.0.0.1:notaport", ValueError),
+    (":99999", ValueError),
+    ("65536", ValueError),
+    ("0.0.0.0:-1", ValueError),
 ])
 def test_parse_address(text, expected):
-    assert parse_address(text) == expected
+    if expected is ValueError:
+        with pytest.raises(ValueError, match="0-65535"):
+            parse_address(text)
+    else:
+        assert parse_address(text) == expected

@@ -6,7 +6,7 @@ import io
 
 import pytest
 
-from repro.telemetry import top
+from repro.telemetry import Telemetry, top
 from repro.telemetry.runs import RunRegistry
 
 
@@ -67,6 +67,22 @@ def test_render_run_dir_frame(tmp_path):
     frame = top.render_frame(sample)
     assert f"run {run.run_id}" in frame
     assert "campaign" in frame
+
+    # A snapshot carrying the counters the campaign merge really emits:
+    # the headline rows lead the table, in display order.
+    bundle = Telemetry()
+    for name, value in {"campaign.jobs_done": 8,
+                        "campaign.reports_unique": 6,
+                        "campaign.dedup_hits": 24}.items():
+        bundle.registry.counter(name).inc(value)
+    bundle.registry.gauge("campaign.rounds_completed").set(4)
+    run.write_metrics_snapshot(bundle)
+    frame = top.render_frame(top.sample_run_dir(run.path))
+    rows = [line.split() for line in frame.splitlines()
+            if line.startswith("campaign.")]
+    assert rows[:3] == [["campaign.jobs_done", "8"],
+                        ["campaign.rounds_completed", "4"],
+                        ["campaign.reports_unique", "6"]]
 
 
 def test_sample_dispatch_and_errors(tmp_path):
