@@ -46,16 +46,19 @@ Bit-identity with the legacy reference interpreter (enforced by
   arch)`` tuple) before re-raising — so at every observable point
   (faults, rollbacks, checkpoint entries, run end) the counters equal
   the legacy engine's per-instruction sums.
-* **Simulation-specialized variants.**  Every function is compiled in
-  two variants: a *no-sim* variant (dispatched while no checkpoint is
-  live) with all journal undo-logging, speculation bookkeeping and
-  policy hooks constant-folded away, and a *sim* variant (dispatched
-  inside speculation) with the ``in-simulation?`` tests folded to true —
+* **Simulation-specialized variants.**  A function comes in two
+  variants: a *no-sim* variant (dispatched while no checkpoint is live)
+  with all journal undo-logging, speculation bookkeeping and policy
+  hooks constant-folded away, and a *sim* variant (dispatched inside
+  speculation) with the ``in-simulation?`` tests folded to true —
   journal appends unguarded, instruction counts batched.  The dispatch
   loop re-selects the variant on every iteration from the controller's
   live-checkpoint list, and every transition between the two states
   (checkpoint entry, rollback) exits the function, so the folded truth
-  value can never go stale.
+  value can never go stale.  In a binary with Speculation Shadows each
+  block is compiled only in the mode its copy runs in (Real Copy
+  no-sim, Shadow Copy sim, marker nops both); see
+  ``_BlockCompiler._leader_modes``.
 * **Fuel gate.**  A block of ``n`` steps only runs when ``steps + n <=
   max_steps``; otherwise the loop steps single-instruction functions, so
   fuel expiry lands on exactly the same instruction as the legacy
@@ -102,7 +105,7 @@ from repro.sanitizers.dift import ALL_TAGS, TAG_ANY_SECRET
 from repro.sanitizers.policy import noop_conditions
 
 #: bump to invalidate every cached module when the emitted code changes.
-_CODEGEN_VERSION = 18
+_CODEGEN_VERSION = 19
 
 SIGN_BIT = 1 << 63
 TWO64 = 1 << 64
@@ -608,6 +611,24 @@ class _BlockCompiler:
         return leaders
 
     # -- module generation ---------------------------------------------------
+    def _leader_modes(self, instr: Instruction) -> Tuple[bool, ...]:
+        """The variants compiled for the block at ``instr``.
+
+        With Speculation Shadows each copy runs in one mode: the Real
+        Copy architecturally (no-sim), the Shadow Copy only inside a
+        simulation (sim).  Marker nops are the one Real-Copy site that
+        also runs simulated: a speculative ``ret`` lands there and
+        ``spec.redirect`` bounces it back into the Shadow Copy.  Any
+        other (leader, mode) pair falls back to single-instruction
+        functions, so dropping its block changes no result.
+        """
+        if not self.have_controller:
+            return (False,)
+        em = self.em
+        if not em.has_shadows or instr.opcode is Opcode.MARKER_NOP:
+            return (False, True)
+        return (True,) if em._in_shadow_copy(instr.address) else (False,)
+
     def compile_source(self) -> str:
         """Source of the block module: every block of two or more steps
         (for a shorter one the single-instruction function is just as
@@ -616,11 +637,11 @@ class _BlockCompiler:
             f"# generated by repro.runtime.jit codegen v{_CODEGEN_VERSION}"
             " -- do not edit",
         ]
-        modes = (False, True) if self.have_controller else (False,)
         for leader in sorted(self.leaders()):
-            if leader not in self.instructions:
+            instr = self.instructions.get(leader)
+            if instr is None:
                 continue
-            for sim in modes:
+            for sim in self._leader_modes(instr):
                 name = _fn_name("b", leader, sim)
                 source, need, span = self._compile_block(
                     leader, sim, self.em.max_block, name)
@@ -1819,7 +1840,9 @@ class JitEmulator(Emulator):
         self._block_spans_sim = namespace["SSPANS"]
         self._block_spans_nosim = namespace["NSPANS"]
         self._jit_inline_instructions = sum(
-            len(span) for span in self._block_spans_nosim.values())
+            len(span) for spans in (self._block_spans_nosim,
+                                    self._block_spans_sim)
+            for span in spans.values())
 
     def _gate_bindings(self) -> Dict[str, object]:
         """The compiled nesting gate's policy and parameters, bound at

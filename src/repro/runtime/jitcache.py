@@ -32,8 +32,9 @@ One file per (binary, options) pair under the cache directory::
 Each file is a single JSON header line followed by the raw
 ``marshal.dumps`` payload of the compiled module::
 
-    {"format": 1, "binary": "<full sha256>", "options": "<full digest>",
-     "version": "0.5.0", "magic": "<hex of importlib MAGIC_NUMBER>", ...}
+    {"format": 2, "binary": "<full sha256>", "options": "<full digest>",
+     "version": "0.5.0", "magic": "<hex of importlib MAGIC_NUMBER>",
+     "payload": "<sha256 of the marshal bytes>", ...}
     <marshal bytes>
 
 Invalidation keys
@@ -52,23 +53,33 @@ entry overwrites the stale file):
 * the interpreter's bytecode ``MAGIC_NUMBER`` (marshalled code objects
   are not portable across Python bytecode versions).
 
-Unreadable or truncated files (killed worker mid-write, disk
-corruption) are counted as **corrupt**, deleted, and recompiled; writes
-go through a temp file + atomic ``os.replace`` so a crashed writer can
-never publish a half-written entry.  The cache is best-effort
-throughout: any ``OSError`` degrades to plain recompilation.
+Unreadable or truncated files and payloads whose SHA-256 differs from
+the header's ``payload`` digest (killed worker mid-write, disk
+corruption) are counted as **corrupt**, deleted, and recompiled: a
+damaged payload is never handed to ``marshal.loads``, which can crash
+the interpreter on malformed input.  Writes go through a temp file +
+atomic ``os.replace`` so a crashed writer can never publish a
+half-written entry.  The cache is best-effort throughout: any
+``OSError`` degrades to plain recompilation.
 
 The cache directory defaults to ``<tempdir>/repro-jit-cache-<uid>`` and
 is overridden with ``REPRO_JIT_CACHE`` (set to ``0``/``off`` to disable
-persistence; the in-process memo stays on).
+persistence; the in-process memo stays on).  It is created with mode
+``0o700`` and trusted only while the current user owns it and neither
+group nor others can write to it: loaded entries are executed, so a
+directory another user could plant entries in leaves the cache
+memo-only, as if persistence were disabled.  Platforms without
+``os.getuid`` skip the check.
 """
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import marshal
 import os
+import stat
 import sys
 import tempfile
 from typing import Dict, Optional, Tuple
@@ -76,7 +87,7 @@ from typing import Dict, Optional, Tuple
 from repro._version import __version__
 
 #: bump when the on-disk layout changes.
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 #: hex of the interpreter's bytecode magic; marshalled code objects are
 #: only valid for the exact bytecode version that produced them.
@@ -101,6 +112,27 @@ def default_cache_dir() -> Optional[str]:
     except AttributeError:  # non-POSIX
         uid = 0
     return os.path.join(tempfile.gettempdir(), f"repro-jit-cache-{uid}")
+
+
+def _trusted_dir(directory: str) -> bool:
+    """Whether ``directory`` is safe to read code from and write code to.
+
+    It must be a directory owned by the current user that neither group
+    nor others can write to; a symlink to it must be the user's too (a
+    link another user owns can be re-pointed at any time).
+    """
+    getuid = getattr(os, "getuid", None)
+    if getuid is None:  # non-POSIX: no ownership model to check
+        return True
+    try:
+        link = os.lstat(directory)
+        target = os.stat(directory)
+    except OSError:
+        return False
+    uid = getuid()
+    return (link.st_uid == uid and target.st_uid == uid
+            and stat.S_ISDIR(target.st_mode)
+            and not target.st_mode & (stat.S_IWGRP | stat.S_IWOTH))
 
 
 class BlockCache:
@@ -128,7 +160,7 @@ class BlockCache:
             "disk_hits": 0,   # valid entry loaded from the cache dir
             "misses": 0,      # no entry anywhere; compiled from scratch
             "stale": 0,       # entry rejected (hash/options/version/magic)
-            "corrupt": 0,     # entry unreadable; deleted and recompiled
+            "corrupt": 0,     # unreadable or digest mismatch; deleted
             "stores": 0,      # entries written
         }
 
@@ -161,7 +193,7 @@ class BlockCache:
             self.stats["memo_hits"] += 1
             return memo
         path = self.path_for(binary_hash, options_digest)
-        if path is None:
+        if path is None or not _trusted_dir(self.directory):
             self.stats["misses"] += 1
             return None
         try:
@@ -192,8 +224,11 @@ class BlockCache:
             if header.get(field) != expected[field]:
                 self.stats["stale"] += 1
                 return None
+        payload = data[newline + 1:]
+        if header.get("payload") != hashlib.sha256(payload).hexdigest():
+            return self._reject_corrupt(path)
         try:
-            code = marshal.loads(data[newline + 1:])
+            code = marshal.loads(payload)
         except (EOFError, ValueError, TypeError):
             return self._reject_corrupt(path)
         if not hasattr(code, "co_code"):
@@ -221,14 +256,18 @@ class BlockCache:
         if path is None:
             return
         header = self._header(binary_hash, options_digest)
-        payload = (json.dumps(header, sort_keys=True).encode("utf-8")
-                   + b"\n" + marshal.dumps(code))
+        module = marshal.dumps(code)
+        header["payload"] = hashlib.sha256(module).hexdigest()
+        entry = (json.dumps(header, sort_keys=True).encode("utf-8")
+                 + b"\n" + module)
         try:
-            os.makedirs(self.directory, exist_ok=True)
+            os.makedirs(self.directory, mode=0o700, exist_ok=True)
+            if not _trusted_dir(self.directory):
+                return  # another user could plant entries: memo only
             fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             try:
                 with os.fdopen(fd, "wb") as handle:
-                    handle.write(payload)
+                    handle.write(entry)
                 os.replace(tmp, path)  # atomic publish
             except BaseException:
                 try:

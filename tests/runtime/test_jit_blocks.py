@@ -12,7 +12,9 @@ rollback and the restored state agree between the journaling engines.
 A third property generates whole random *minic* programs (calls, loops,
 arrays, both switch lowerings), compiles and Teapot-instruments them per
 speculation variant, and requires every engine to produce the same
-execution record.
+execution record.  The last tests pin copy-aware compilation: in a
+binary with Speculation Shadows each block is compiled only in the mode
+its copy runs in.
 """
 
 from __future__ import annotations
@@ -23,9 +25,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from differential import result_record
+from repro.baselines.specfuzz import (SpecFuzzConfig, SpecFuzzRewriter,
+                                      SpecFuzzRuntime)
 from repro.core.config import TeapotConfig
 from repro.core.teapot import TeapotRewriter, TeapotRuntime
 from repro.coverage.sancov import CoverageRuntime
+from repro.fuzzing.fuzzer import Fuzzer, FuzzTarget
 from repro.isa.assembler import AsmProgram, Assembler
 from repro.isa.builder import FunctionBuilder
 from repro.isa.instructions import Opcode
@@ -38,6 +43,8 @@ from repro.runtime.emulator import Emulator
 from repro.runtime.fastpath import resolve_engine
 from repro.runtime.speculation import TeapotNestingPolicy
 from repro.sanitizers.policy import KasperPolicy
+from repro.targets import get_target
+from repro.telemetry import Telemetry
 
 ENGINES = ("legacy", "fast", "jit")
 
@@ -492,3 +499,88 @@ def test_speculative_ret_escape_targets_match_across_engines():
     assert min(simulated["shadow"], simulated["marker"]) > simulated["real"]
     assert records["real"]["spec_stats"]["forced_rollbacks"] == 1
     assert records["inside"]["status"] == "crash"
+
+
+# -- copy-aware block compilation ---------------------------------------------
+
+def _shadow_partition(emulator):
+    """(in_shadow, is_marker) predicates over the emulator's addresses."""
+    instructions = emulator.instructions
+
+    def is_marker(addr):
+        return instructions[addr].opcode is Opcode.MARKER_NOP
+
+    return emulator._in_shadow_copy, is_marker
+
+
+def _assert_copy_partition(emulator):
+    in_shadow, is_marker = _shadow_partition(emulator)
+    assert emulator._blocks_nosim and emulator._blocks_sim
+    assert not any(in_shadow(addr) for addr in emulator._blocks_nosim)
+    assert all(in_shadow(addr) or is_marker(addr)
+               for addr in emulator._blocks_sim)
+
+
+def test_blocks_compile_only_in_their_copys_mode():
+    """With Speculation Shadows, Real-Copy blocks exist only in the
+    no-sim table and Shadow-Copy blocks only in the sim table; marker
+    nops (where a speculative ``ret`` lands in the Real Copy) keep both.
+    A SpecFuzz binary has no shadows and keeps both tables whole."""
+    vanilla = get_target("gadgets").compile()
+    binary = TeapotRewriter(TeapotConfig()).instrument(vanilla)
+    _assert_copy_partition(
+        TeapotRuntime(binary, config=TeapotConfig()).emulator)
+
+    # gadgets has no marker nops; this binary's call leaves one.
+    emulator = _build_emulator(_speculative_ret_binary(), "jit")
+    _assert_copy_partition(emulator)
+    _, is_marker = _shadow_partition(emulator)
+    markers = [addr for addr in emulator._blocks_sim if is_marker(addr)]
+    assert markers
+    assert all(addr in emulator._blocks_nosim for addr in markers)
+
+    config = SpecFuzzConfig()
+    baseline = SpecFuzzRuntime(SpecFuzzRewriter(config).instrument(vanilla),
+                               config=config).emulator
+    assert not baseline.has_shadows
+    assert baseline._blocks_nosim
+    assert baseline._blocks_nosim.keys() == baseline._blocks_sim.keys()
+
+
+@pytest.mark.parametrize("extra", [(), ("btb",), ("rsb",), ("stl",)])
+def test_fuzzing_needs_no_single_for_a_dropped_block(extra):
+    """Over a fuzz run no single-instruction function stands in for a
+    block the copy-aware compiler dropped: none in sim mode at a
+    Real-Copy leader other than a marker nop, none in no-sim mode at a
+    Shadow-Copy leader."""
+    target = get_target("gadgets")
+    config = TeapotConfig().with_variants("pht", *extra)
+    binary = TeapotRewriter(config).instrument(target.compile())
+    runtime = TeapotRuntime(binary, config=config)
+    Fuzzer(FuzzTarget(runtime), seeds=list(target.seeds),
+           seed=3).run_campaign(300)
+    emulator = runtime.emulator
+    in_shadow, is_marker = _shadow_partition(emulator)
+    leaders = emulator._compiler.leaders()
+    assert not [addr for addr in emulator._singles_sim
+                if addr in leaders and not in_shadow(addr)
+                and not is_marker(addr)]
+    assert not [addr for addr in emulator._singles_nosim
+                if addr in leaders and in_shadow(addr)]
+
+
+def test_inlined_instructions_gauge_counts_both_tables():
+    """``engine.jit.inlined_instructions`` sums the spans of both block
+    tables, so it still covers the whole program when each copy is
+    compiled in one mode only."""
+    binary = TeapotRewriter(TeapotConfig()).instrument(
+        get_target("gadgets").compile())
+    emulator = TeapotRuntime(binary, config=TeapotConfig()).emulator
+    telemetry = Telemetry()
+    telemetry.record_execution(emulator, emulator.run(b"\x00" * 9))
+    expected = sum(len(span) for spans in (emulator._block_spans_nosim,
+                                           emulator._block_spans_sim)
+                   for span in spans.values())
+    assert emulator._block_spans_sim and emulator._block_spans_nosim
+    gauges = telemetry.registry.snapshot()
+    assert gauges["engine.jit.inlined_instructions"] == expected

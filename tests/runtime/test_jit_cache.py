@@ -6,7 +6,8 @@ processes.  These tests pin the accounting (cold miss → store, warm
 memo/disk hits), cross-process reuse (pool-scheduler campaign workers
 and sequential invocations), rejection of stale entries (rebuilt binary,
 bumped codegen version, changed engine options) and recovery from
-corrupted cache files.
+corrupted cache files, and the directory trust rule (a cache directory
+other users can write to is never read from or written to).
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ def test_cold_then_warm_hit_accounting(cache_dir, gadgets_binary):
     assert second._jit_cache_event == "hit"
     assert cache.stats["memo_hits"] == 1
     assert cache.stats["misses"] == 1
+
+    # The directory is private to the user.
+    assert os.stat(cache_dir).st_mode & 0o777 == 0o700
 
     # Fresh cache instance over the same directory: served from disk.
     fresh = BlockCache(cache_dir)
@@ -233,7 +237,7 @@ def test_engine_options_change_keys_new_entry(cache_dir, gadgets_binary):
 
 
 @pytest.mark.parametrize("damage", ["truncate", "garbage", "no_newline",
-                                    "bad_payload"])
+                                    "bad_payload", "bitflip"])
 def test_corrupted_cache_file_recovery(cache_dir, gadgets_binary, damage):
     """Unreadable entries are counted corrupt, deleted, and recompiled."""
     emulator = JitEmulator(gadgets_binary)
@@ -247,8 +251,13 @@ def test_corrupted_cache_file_recovery(cache_dir, gadgets_binary, damage):
         damaged = b"\xde\xad\xbe\xef" * 8
     elif damage == "no_newline":
         damaged = payload.replace(b"\n", b" ")
-    else:  # valid header, unmarshalable payload
+    elif damage == "bad_payload":  # valid header, unmarshalable payload
         damaged = payload[: payload.find(b"\n") + 1] + b"not marshal data"
+    else:  # one flipped bit in the middle of a marshalable payload
+        start = payload.find(b"\n") + 1
+        flip = start + (len(payload) - start) // 2
+        damaged = (payload[:flip] + bytes([payload[flip] ^ 0x01])
+                   + payload[flip + 1:])
     with open(path, "wb") as handle:
         handle.write(damaged)
 
@@ -278,3 +287,31 @@ def test_disabled_cache_keeps_memo_only(tmp_path, monkeypatch,
     second = JitEmulator(gadgets_binary)
     assert second._jit_cache_event == "hit"
     assert second._jit_cache.stats["memo_hits"] == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "getuid"), reason="no file ownership")
+def test_writable_cache_dir_is_not_trusted(cache_dir, tmp_path,
+                                           gadgets_binary):
+    """A cache directory group or others can write to (another user may
+    have pre-created it and planted entries) is neither read nor written:
+    the cache runs memo-only."""
+    planted = JitEmulator(gadgets_binary)  # publishes a valid entry
+    path = planted._jit_cache.path_for(*planted._jit_key)
+    with open(path, "rb") as handle:
+        entry = handle.read()
+
+    shared = str(tmp_path / "world-writable")
+    os.mkdir(shared)
+    os.chmod(shared, 0o777)
+    target = os.path.join(shared, os.path.basename(path))
+    with open(target, "wb") as handle:
+        handle.write(entry)
+
+    cache = BlockCache(shared)
+    assert cache.load(*planted._jit_key) is None
+    cache.store(*planted._jit_key, planted._block_code)
+    assert cache.stats == {"memo_hits": 0, "disk_hits": 0, "misses": 1,
+                           "stale": 0, "corrupt": 0, "stores": 0}
+    assert sorted(os.listdir(shared)) == [os.path.basename(path)]
+    with open(target, "rb") as handle:
+        assert handle.read() == entry
