@@ -53,12 +53,18 @@ Bit-identity with the legacy reference interpreter (enforced by
   speculation) with the ``in-simulation?`` tests folded to true —
   journal appends unguarded, instruction counts batched.  The dispatch
   loop re-selects the variant on every iteration from the controller's
-  live-checkpoint list, and every transition between the two states
-  (checkpoint entry, rollback) exits the function, so the folded truth
-  value can never go stale.  In a binary with Speculation Shadows each
-  block is compiled only in the mode its copy runs in (Real Copy
-  no-sim, Shadow Copy sim, marker nops both); see
-  ``_BlockCompiler._leader_modes``.
+  live-checkpoint list.  A rollback exits the function, and a checkpoint
+  entry runs its whole episode as a call that returns at the depth it
+  started from, so the folded truth value can never go stale.  In a
+  binary with Speculation Shadows each block is compiled only in the
+  mode its copy runs in (Real Copy no-sim, Shadow Copy sim, marker nops
+  both); see ``_BlockCompiler._leader_modes``.
+* **Episodes as calls.**  An accepted checkpoint entry evaluates its
+  folded trampoline inline, re-enters the engine's one dispatch loop
+  until its checkpoint is rolled back, and resumes the block right after
+  the checkpoint (``_BlockCompiler._emit_episode``), so neither resume
+  points nor trampolines need blocks of their own.  Fuel, exit and crash
+  end the run from any depth through :class:`_RunEnd`.
 * **Fuel gate.**  A block of ``n`` steps only runs when ``steps + n <=
   max_steps``; otherwise the loop steps single-instruction functions, so
   fuel expiry lands on exactly the same instruction as the legacy
@@ -105,7 +111,11 @@ from repro.sanitizers.dift import ALL_TAGS, TAG_ANY_SECRET
 from repro.sanitizers.policy import noop_conditions
 
 #: bump to invalidate every cached module when the emitted code changes.
-_CODEGEN_VERSION = 19
+_CODEGEN_VERSION = 20
+
+#: nesting depth up to which an accepted entry runs its episode in place
+#: (each level nests two Python frames: the gate's block and the loop).
+_INPLACE_DEPTH = 64
 
 SIGN_BIT = 1 << 63
 TWO64 = 1 << 64
@@ -365,7 +375,8 @@ class _BlockWriter:
         count), the fuel check in front of an ender, and every block exit
         (the dispatch loop reads the step cell).  Batching is safe in
         between: nothing in a straight-line segment reads them, and
-        simulation state cannot change without exiting the block.
+        simulation state cannot change without exiting the block (a
+        checkpoint gate, which runs an episode in place, flushes first).
         """
         self.lines.extend(self._flush_lines(self.pad))
         self.pend_steps = self.pend_cycles = self.pend_arch = 0
@@ -469,8 +480,9 @@ class _BlockCompiler:
         """``inline`` | ``cexit`` | ``term`` | ``ender``.
 
         ``cexit`` instructions *conditionally* leave the block (taken
-        branches, checkpoint entries, triggered rollbacks) and otherwise
-        fall through, so superblocks extend across them; ``term`` always
+        branches, triggered rollbacks) or run an episode in place
+        (checkpoint entries) and otherwise fall through, so superblocks
+        extend across them; ``term`` always
         exits in-block; ``ender`` ends the block and tail-calls its
         single-instruction function, which runs the legacy handler
         (:meth:`JitEmulator._make_fallback`), so intricate semantics
@@ -587,28 +599,52 @@ class _BlockCompiler:
     def leaders(self) -> Set[int]:
         """Every address a compiled block may start at.
 
-        Function entries, immediate branch/checkpoint targets, the
-        fall-through successor of every ender and every direct call
-        (return sites — ``ret`` returns there dynamically) and
-        checkpoint resume points (rollback lands there).  Control
-        transfers into the *middle* of a block (dynamic-model resumes,
-        stale targets) are always safe: the main loop simply steps
-        single-instruction functions until the next leader.
+        Function entries, immediate branch targets, the fall-through
+        successor of every ender and every direct call (return sites —
+        ``ret`` returns there dynamically) and of every inert checkpoint.
+        A compiled checkpoint gate runs its episode as a call and resumes
+        in place (:meth:`_emit_episode`), so neither its resume point nor
+        its trampoline — folded into the gate — is a leader; only a
+        trampoline the gate cannot fold is.  Control transfers into the
+        *middle* of a block (dynamic-model resumes, stale targets) are
+        always safe: the main loop simply steps single-instruction
+        functions until the next leader.
         """
+        self.sim = False  # ecall classification differs per variant
         leaders: Set[int] = set()
         for sym in self.em.binary.function_symbols():
             leaders.add(sym.address)
         for addr, instr in self.instructions.items():
+            kind = self._kind(instr)
+            if instr.opcode is Opcode.CHECKPOINT and kind == "cexit":
+                target = _imm_target(instr)
+                if self._trampoline(target) is None:
+                    leaders.add(target)
+                continue
             if instr.opcode in _BRANCH_OPS:
                 target = _imm_target(instr)
                 if target is not None:
                     leaders.add(target)
-            if (self._kind(instr) == "ender"
+            if (kind == "ender"
                     or instr.opcode in (Opcode.CHECKPOINT, Opcode.CALL)):
                 nxt = self.next_address.get(addr)
                 if nxt is not None:
                     leaders.add(nxt)
         return leaders
+
+    def _trampoline(self, target: int) -> Optional[Tuple[Instruction,
+                                                         Instruction]]:
+        """The ``(tramp.jcc, jmp)`` pair at a checkpoint target, when it is
+        the two-instruction trampoline a gate folds, else ``None``."""
+        jcc = self.instructions.get(target)
+        if (jcc is None or jcc.opcode is not Opcode.TRAMP_JCC
+                or self._kind(jcc) != "cexit"):
+            return None
+        jmp = self.instructions.get(self.next_address[target])
+        if (jmp is None or jmp.opcode is not Opcode.JMP
+                or self._kind(jmp) == "ender"):
+            return None
+        return jcc, jmp
 
     # -- module generation ---------------------------------------------------
     def _leader_modes(self, instr: Instruction) -> Tuple[bool, ...]:
@@ -637,14 +673,15 @@ class _BlockCompiler:
             f"# generated by repro.runtime.jit codegen v{_CODEGEN_VERSION}"
             " -- do not edit",
         ]
-        for leader in sorted(self.leaders()):
+        leaders = self.leaders()
+        for leader in sorted(leaders):
             instr = self.instructions.get(leader)
             if instr is None:
                 continue
             for sim in self._leader_modes(instr):
                 name = _fn_name("b", leader, sim)
                 source, need, span = self._compile_block(
-                    leader, sim, self.em.max_block, name)
+                    leader, sim, self.em.max_block, name, leaders)
                 if need < 2:
                     continue
                 table = "BLOCKS" if sim else "NBLOCKS"
@@ -663,9 +700,14 @@ class _BlockCompiler:
             return None
         return self._compile_block(addr, sim, 1, _fn_name("i", addr, sim))[0]
 
-    def _compile_block(self, leader: int, sim: bool, cap: int, name: str):
+    def _compile_block(self, leader: int, sim: bool, cap: int, name: str,
+                       leaders: Set[int] = frozenset()):
         """``(source, steps, span)`` of the block at ``leader`` holding
-        at most ``cap`` inline instructions."""
+        at most ``cap`` inline instructions.
+
+        A block that reaches the cap ends in front of the last of
+        ``leaders`` in its sequence, so its exit lands on a compiled
+        block; with none there it exits at the cap."""
         self.sim = sim
         # Phase 1: walk the block to collect its instruction sequence (the
         # emission below follows this list verbatim), so liveness analysis
@@ -696,7 +738,13 @@ class _BlockCompiler:
             if kind == "term":
                 break
             if len(seq) >= cap:
-                tail = ("goto", self.next_address[addr])
+                cut = next((i for i in range(len(seq) - 1, 0, -1)
+                            if seq[i][0] in leaders), None)
+                if cut is None:
+                    tail = ("goto", self.next_address[addr])
+                else:
+                    tail = ("goto", seq[cut][0])
+                    del seq[cut:]
                 break
             addr = self.next_address[addr]
         self._dead_flags = self._dead_flag_addrs(seq)
@@ -726,7 +774,7 @@ class _BlockCompiler:
             elif kind == "term":
                 self._emit_term(writer, addr, instr)
             elif kind == "cexit":
-                self._emit_cexit(writer, addr, instr)
+                self._emit_cexit(writer, addr, instr, len(seq) - i - 1)
             else:
                 self._emit_inline(writer, addr, instr)
             span.append(addr)
@@ -869,17 +917,19 @@ class _BlockCompiler:
         else:  # JMP / SPEC_REDIRECT(sim): direct target
             w.emit(f"return {_imm_target(instr)}")
 
-    def _emit_cexit(self, w: _BlockWriter, addr: int,
-                    instr: Instruction) -> None:
+    def _emit_cexit(self, w: _BlockWriter, addr: int, instr: Instruction,
+                    rest: int) -> None:
         """Conditional block exit; the fall-through path stays in-block.
 
-        Taken branches, checkpoint entries and triggered rollbacks
-        ``return``; the (usually far more common) fall-through case
-        continues executing the superblock without re-dispatching.
-        Branches flush *inside* the taken arm (nothing on the
-        fall-through path reads the counters); checkpoint entries and
-        budget restores flush up front because ``maybe_enter`` and the
-        ROB-budget test read the in-simulation instruction count.
+        Taken branches and triggered rollbacks ``return``; the (usually
+        far more common) fall-through case continues executing the
+        superblock without re-dispatching.  A checkpoint entry runs its
+        episode in place and then falls through as well (``rest``: the
+        steps the block has left after this instruction).  Branches flush
+        *inside* the taken arm (nothing on the fall-through path reads
+        the counters); checkpoint entries and budget restores flush up
+        front because ``maybe_enter`` and the ROB-budget test read the
+        in-simulation instruction count.
         """
         opcode = instr.opcode
         nxt = self.next_address[addr]
@@ -891,23 +941,25 @@ class _BlockCompiler:
             w.emit(f"    return {_imm_target(instr)}")
         elif opcode is Opcode.CHECKPOINT:
             w.flush()
-            self._emit_gate(w, nxt, _imm_target(instr))
+            self._emit_gate(w, nxt, _imm_target(instr), rest)
         else:  # RESTORE_COND (sim variant)
             w.flush()
             w.param("CTRL", "CTRL")
             w.emit("if CTRL.spec_instruction_count >= CTRL.rob_budget:")
             self._emit_rollback(w, "budget", pad="    ")
 
-    def _emit_gate(self, w: _BlockWriter, site: int, target: int) -> None:
-        """Checkpoint entry at ``site``: jump to ``target`` when the nesting
-        policy admits a (possibly nested) simulation.
+    def _emit_gate(self, w: _BlockWriter, site: int, target: int,
+                   rest: int) -> None:
+        """Checkpoint entry at ``site``: run the episode at ``target`` when
+        the nesting policy admits a (possibly nested) simulation.
 
         A built-in nesting policy's ``should_enter`` is emitted inline
         over its encounter dict and parameters (bound at install as
         ``GP``/``ENC``/``GMAX``/``GEAGER``/``GRAMP``), and an accept calls
         the policy-free ``CTRL.enter``; the depth folds to 0 in the no-sim
         variant.  Any other policy — or one swapped into the controller
-        after install — goes through ``CTRL.maybe_enter``.
+        after install — goes through ``CTRL.maybe_enter``.  Every accept
+        runs :meth:`_emit_episode`.
         """
         w.param("CTRL", "CTRL")
         if self.dift_on:
@@ -915,22 +967,26 @@ class _BlockCompiler:
         args = f"m, {site}, {site}, {self.dift_arg}"
         generic = f"CTRL.maybe_enter({args})"
         gate = self.hooks["gate"]
+
+        def episode(depth: Optional[str], pad: str) -> None:
+            self._emit_episode(w, site, target, rest, depth, pad)
+
         if gate is None:
             w.emit(f"if {generic}:")
-            w.emit(f"    return {target}")
+            episode(None, "    ")
             return
         w.param("GP", "GP")
         if gate == "disabled":
             # should_enter: depth == 0
             if w.sim:
                 w.emit(f"if CTRL.policy is not GP and {generic}:")
-                w.emit(f"    return {target}")
+                episode(None, "    ")
             else:
                 w.emit("if CTRL.policy is GP:")
                 w.emit(f"    CTRL.enter({args})")
-                w.emit(f"    return {target}")
-                w.emit(f"if {generic}:")
-                w.emit(f"    return {target}")
+                episode(None, "    ")
+                w.emit(f"elif {generic}:")
+                episode(None, "    ")
             return
         w.param("ENC", "ENC")
         w.param("GMAX", "GMAX")
@@ -941,7 +997,7 @@ class _BlockCompiler:
             depth = "d"
         w.emit("if CTRL.policy is not GP:")
         w.emit(f"    if {generic}:")
-        w.emit(f"        return {target}")
+        episode(None, "        ")
         if gate == "teapot":
             # depth >= max_depth rejects before counting; within the eager
             # runs always accept; then depth < min(max_depth, 1 + c // ramp).
@@ -961,7 +1017,72 @@ class _BlockCompiler:
             w.emit(f"    ENC[{site}] = c + 1")
             w.emit(f"    if {depth} <= c // GRAMP and {depth} < GMAX:")
         w.emit(f"        CTRL.enter({args})")
-        w.emit(f"        return {target}")
+        episode(depth, "        ")
+
+    def _emit_episode(self, w: _BlockWriter, site: int, target: int,
+                      rest: int, depth: Optional[str], pad: str) -> None:
+        """An accepted entry's episode, run as a call from the checkpoint.
+
+        The folded trampoline picks the wrong path's first address and
+        charges its own steps and cycles (when both its instructions fit
+        the fuel; otherwise the loop steps them one by one), then the
+        engine's dispatch loop (``RUN``) runs the episode until this
+        gate's checkpoint is popped.  Rollback has restored registers and
+        flags in place and set ``m.pc`` to ``site``, so the block resumes
+        right here: only ``rt`` is re-hoisted (rollback hands DIFT the
+        checkpoint's tag list), and the rest of the block runs only if it
+        still fits the fuel.  ``depth`` is the expression of the depth
+        before the entry in the sim variant (``None``: read it back; the
+        no-sim variant enters from depth 0).  Past
+        ``_INPLACE_DEPTH`` the gate returns the trampoline to the
+        dispatch loop instead, bounding the Python recursion.
+        """
+        w.param("RUN", "RUN")
+        w.param("STP", "STP")
+        if not w.sim:
+            depth = "0"
+        else:
+            w.param("CPS", "CTRL.checkpoints")
+            if depth is None:
+                depth = "d"
+                w.emit(f"{pad}d = len(CPS) - 1")
+            w.emit(f"{pad}if {depth} >= {_INPLACE_DEPTH}:")
+            w.emit(f"{pad}    return {target}")
+        max_steps = self.em.max_steps
+        folded = self._trampoline(target)
+        if folded is None:
+            w.emit(f"{pad}m.pc = {target}")
+        else:
+            # The trampoline's counters, as a sim-variant flush would
+            # emit them after its first and after both instructions.
+            jcc, jmp = folded
+            charge = _BlockWriter(sim=True)
+            charge.account(self.cost(jcc.opcode),
+                           jcc.opcode not in _PSEUDO_SET)
+            taken = charge._flush_lines(pad + "        ")
+            charge.account(self.cost(jmp.opcode),
+                           jmp.opcode not in _PSEUDO_SET)
+            through = charge._flush_lines(pad + "        ")
+            for name in charge.params:
+                w.param(name, name)
+            w.use("f")
+            w.emit(f"{pad}if STP[0] < {max_steps - 1}:")
+            w.emit(f"{pad}    if {_CC_EXPR[jcc.cc]}:")
+            for line in taken:
+                w.emit(line)
+            w.emit(f"{pad}        m.pc = {_imm_target(jcc)}")
+            w.emit(f"{pad}    else:")
+            for line in through:
+                w.emit(line)
+            w.emit(f"{pad}        m.pc = {_imm_target(jmp)}")
+            w.emit(f"{pad}else:")
+            w.emit(f"{pad}    m.pc = {target}")
+        w.emit(f"{pad}RUN(m, {depth})")
+        if self.dift_on:
+            w.emit(f"{pad}rt = D.register_tags")
+        if rest:
+            w.emit(f"{pad}if STP[0] > {max_steps - rest}:")
+            w.emit(f"{pad}    return {site}")
 
     def _emit_call(self, w: _BlockWriter, addr: int,
                    instr: Instruction) -> None:
@@ -1604,6 +1725,20 @@ class _BlockCompiler:
         w.emit(f"regs[{di}] = r")
 
 
+class _RunEnd(BaseException):
+    """Ends a run from any episode depth: ``(status, exit_status,
+    crash_reason)`` for fuel, exit or crash.
+
+    A ``BaseException`` so that it passes the dispatch loops' fault
+    handlers and the blocks' flush-and-reraise handlers of every
+    enclosing episode on its way to ``JitEmulator._execute``.
+    """
+
+    def __init__(self, status: str, exit_status: int = 0,
+                 crash_reason: str = "") -> None:
+        super().__init__(status, exit_status, crash_reason)
+
+
 class _SingleTable(dict):
     """addr -> single-instruction function of one variant, built on first use.
 
@@ -1807,6 +1942,10 @@ class JitEmulator(Emulator):
             lambda addr: self._build_single(addr, False))
         self._singles_sim = _SingleTable(
             lambda addr: self._build_single(addr, True))
+        #: addr -> (block fn, fuel need), one map per simulation state.
+        self._blocks_sim: Dict[int, Tuple[Callable, int]] = {}
+        self._blocks_nosim: Dict[int, Tuple[Callable, int]] = {}
+        self._run = self._dispatch_loop()
         namespace = {
             "EM": self,
             "CTRL": self.controller,
@@ -1825,17 +1964,15 @@ class JitEmulator(Emulator):
             "P4": _PACKERS[4], "P8": _PACKERS[8],
             "EXTERNALS": self.externals._externals,
             **self._gate_bindings(),
-            "BLOCKS": {},
-            "NBLOCKS": {},
+            "RUN": self._run,
+            "BLOCKS": self._blocks_sim,
+            "NBLOCKS": self._blocks_nosim,
             "SSPANS": {},
             "NSPANS": {},
         }
         if self._block_code is not None:
             exec(self._block_code, namespace)
         self._namespace = namespace
-        #: addr -> (block fn, fuel need), one map per simulation state.
-        self._blocks_sim = namespace["BLOCKS"]
-        self._blocks_nosim = namespace["NBLOCKS"]
         #: addr -> covered instruction addresses (profiler attribution).
         self._block_spans_sim = namespace["SSPANS"]
         self._block_spans_nosim = namespace["NSPANS"]
@@ -1918,101 +2055,99 @@ class JitEmulator(Emulator):
         return single
 
     # -- main loop -----------------------------------------------------------
-    def _execute(self) -> ExecutionResult:
-        machine = self.machine
+    def _dispatch_loop(self) -> Callable:
+        """The engine's one dispatch loop, bound to this install's tables.
+
+        ``run(machine, floor)`` dispatches blocks and single-instruction
+        functions from ``machine.pc`` and returns once no more than
+        ``floor`` checkpoints are live: a compiled gate calls it with the
+        depth before its entry, so the call returns when the episode's
+        rollback pops the gate's checkpoint, and ``_execute`` calls it
+        with ``-1``.  Fuel, exit and crash end the run at any depth by
+        raising :class:`_RunEnd`.
+        """
+        em = self
         controller = self.controller
         cost_model = self.cost_model
-        sim_get = self._blocks_sim.get
-        nosim_get = self._blocks_nosim.get
-        sim_singles = self._singles_sim
-        nosim_singles = self._singles_nosim
         # live-checkpoint list: truthy exactly while simulating.  The
-        # controller clears it in place (never reassigns), so the hoisted
-        # reference stays valid for the whole run.
+        # controller clears it in place (never reassigns), so the bound
+        # reference stays valid for every run of this install.
         cps = controller.checkpoints if controller is not None else ()
-        max_steps = self.max_steps
+
+        def squash(machine) -> None:
+            """Roll back the innermost simulation after a speculative
+            fault, exactly like the legacy engine."""
+            undone = controller.rollback(machine, em.dift, reason="exception")
+            em._cycles_cell[0] += cost_model.rollback_cost(undone)
+            if em.coverage is not None:
+                em.coverage.flush_speculative()
+            em._after_exception_rollback()
+
+        def run(machine, floor, cps=cps, sim_get=self._blocks_sim.get,
+                nosim_get=self._blocks_nosim.get,
+                sim_singles=self._singles_sim,
+                nosim_singles=self._singles_nosim, stp=self._steps_cell,
+                max_steps=self.max_steps) -> None:
+            while len(cps) > floor:
+                steps = stp[0]
+                if steps >= max_steps:
+                    raise _RunEnd("fuel")
+                pc = machine.pc
+                if pc == EXIT_SENTINEL:
+                    raise _RunEnd("exit", to_signed(machine.registers[RET_IDX]))
+                entry = (sim_get if cps else nosim_get)(pc)
+                if entry is not None and steps + entry[1] <= max_steps:
+                    # Whole block fits in the remaining fuel: one call runs
+                    # it (the block advances the counters itself).
+                    fn = entry[0]
+                else:
+                    # One step; the function advances the counters itself.
+                    fn = (sim_singles if cps else nosim_singles)[pc]
+                    if fn is None:
+                        if em._dynamic_models and cps:
+                            # Speculative wrong path reached non-code (stale
+                            # model target): squash the simulation.
+                            squash(machine)
+                            continue
+                        raise _RunEnd(
+                            "crash", crash_reason="jump to non-code address "
+                            f"{pc:#x}")
+                try:
+                    new_pc = fn(machine)
+                except (MemoryFault, ArithmeticFault) as exc:
+                    if cps:
+                        squash(machine)
+                        continue
+                    raise _RunEnd("crash", crash_reason=str(exc))
+                except ProgramExit as exc:
+                    raise _RunEnd("exit", exc.status)
+                except ProgramCrash as exc:
+                    if cps:
+                        undone = controller.rollback(machine, em.dift,
+                                                     reason="exception")
+                        em._cycles_cell[0] += cost_model.rollback_cost(undone)
+                        continue
+                    raise _RunEnd("crash", crash_reason=str(exc))
+                if new_pc is not None:
+                    # (None: the handler already set machine.pc.)
+                    machine.pc = new_pc
+
+        return run
+
+    def _execute(self) -> ExecutionResult:
         cyc = self._cycles_cell
         arc = self._arch_cell
         stp = self._steps_cell
         cyc[0] = 0
         arc[0] = 0
         stp[0] = 0
-
-        result = ExecutionResult(status="exit")
-
-        while True:
-            steps = stp[0]
-            if steps >= max_steps:
-                result.status = "fuel"
-                break
-            pc = machine.pc
-            if pc == EXIT_SENTINEL:
-                result.exit_status = to_signed(machine.registers[RET_IDX])
-                break
-            entry = (sim_get if cps else nosim_get)(pc)
-            if entry is not None and steps + entry[1] <= max_steps:
-                # Whole block fits in the remaining fuel: one call runs
-                # it (the block advances the counters itself).
-                fn = entry[0]
-            else:
-                # One step; the function advances the counters itself.
-                fn = (sim_singles if cps else nosim_singles)[pc]
-                if fn is None:
-                    if (
-                        self._dynamic_models
-                        and controller is not None
-                        and controller.in_simulation
-                    ):
-                        # Speculative wrong path reached non-code (stale
-                        # model target): squash the simulation, exactly
-                        # like the legacy engine.
-                        undone = controller.rollback(machine, self.dift,
-                                                     reason="exception")
-                        cyc[0] += cost_model.rollback_cost(undone)
-                        if self.coverage is not None:
-                            self.coverage.flush_speculative()
-                        self._after_exception_rollback()
-                        continue
-                    result.status = "crash"
-                    result.crash_reason = f"jump to non-code address {pc:#x}"
-                    break
-
-            try:
-                new_pc = fn(machine)
-            except (MemoryFault, ArithmeticFault) as exc:
-                if controller is not None and controller.in_simulation:
-                    undone = controller.rollback(machine, self.dift,
-                                                 reason="exception")
-                    cyc[0] += cost_model.rollback_cost(undone)
-                    if self.coverage is not None:
-                        self.coverage.flush_speculative()
-                    self._after_exception_rollback()
-                    continue
-                result.status = "crash"
-                result.crash_reason = str(exc)
-                break
-            except ProgramExit as exc:
-                result.exit_status = exc.status
-                break
-            except ProgramCrash as exc:
-                if controller is not None and controller.in_simulation:
-                    undone = controller.rollback(machine, self.dift,
-                                                 reason="exception")
-                    cyc[0] += cost_model.rollback_cost(undone)
-                    continue
-                result.status = "crash"
-                result.crash_reason = str(exc)
-                break
-
-            if new_pc is None:
-                # Handler already set machine.pc (rollbacks, redirects).
-                continue
-            machine.pc = new_pc
-
-        result.steps = stp[0]
-        result.cycles = cyc[0]
-        result.arch_instructions = arc[0]
-        return result
+        try:
+            self._run(self.machine, -1)
+        except _RunEnd as end:
+            status, exit_status, crash_reason = end.args
+        return ExecutionResult(status=status, exit_status=exit_status,
+                               crash_reason=crash_reason, steps=stp[0],
+                               cycles=cyc[0], arch_instructions=arc[0])
 
 
 @register_engine("jit")

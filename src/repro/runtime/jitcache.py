@@ -41,8 +41,8 @@ Invalidation keys
 -----------------
 
 A cached entry is only used when *all* of the following match; anything
-else is rejected as **stale** and transparently recompiled (the fresh
-entry overwrites the stale file):
+else is rejected as **stale**, deleted and transparently recompiled (the
+fresh entry takes its place):
 
 * the full SHA-256 of the serialized binary (a rebuilt binary whose
   hash prefix collides must not reuse old blocks),
@@ -53,8 +53,9 @@ entry overwrites the stale file):
 * the interpreter's bytecode ``MAGIC_NUMBER`` (marshalled code objects
   are not portable across Python bytecode versions).
 
-Unreadable or truncated files and payloads whose SHA-256 differs from
-the header's ``payload`` digest (killed worker mid-write, disk
+Unreadable or truncated files, payloads whose SHA-256 differs from the
+header's ``payload`` digest and headers that are not byte for byte the
+line ``store`` writes for that payload (killed worker mid-write, disk
 corruption) are counted as **corrupt**, deleted, and recompiled: a
 damaged payload is never handed to ``marshal.loads``, which can crash
 the interpreter on malformed input.  Writes go through a temp file +
@@ -133,6 +134,11 @@ def _trusted_dir(directory: str) -> bool:
     return (link.st_uid == uid and target.st_uid == uid
             and stat.S_ISDIR(target.st_mode)
             and not target.st_mode & (stat.S_IWGRP | stat.S_IWOTH))
+
+
+def _encode_header(header: Dict[str, object]) -> bytes:
+    """The header line of a cache entry (without its newline)."""
+    return json.dumps(header, sort_keys=True).encode("utf-8")
 
 
 class BlockCache:
@@ -223,9 +229,13 @@ class BlockCache:
         for field in ("format", "binary", "options", "version", "magic"):
             if header.get(field) != expected[field]:
                 self.stats["stale"] += 1
+                self._unlink(path)
                 return None
         payload = data[newline + 1:]
-        if header.get("payload") != hashlib.sha256(payload).hexdigest():
+        # Byte for byte what ``store`` writes for this payload: a damaged
+        # payload digest, field or separator is corrupt.
+        expected["payload"] = hashlib.sha256(payload).hexdigest()
+        if data[:newline] != _encode_header(expected):
             return self._reject_corrupt(path)
         try:
             code = marshal.loads(payload)
@@ -238,11 +248,15 @@ class BlockCache:
 
     def _reject_corrupt(self, path: str):
         self.stats["corrupt"] += 1
+        self._unlink(path)
+        return None
+
+    @staticmethod
+    def _unlink(path: str) -> None:
         try:
             os.unlink(path)
         except OSError:
             pass
-        return None
 
     # -- store ---------------------------------------------------------------
     def store(self, binary_hash: str, options_digest: str, code) -> None:
@@ -258,8 +272,7 @@ class BlockCache:
         header = self._header(binary_hash, options_digest)
         module = marshal.dumps(code)
         header["payload"] = hashlib.sha256(module).hexdigest()
-        entry = (json.dumps(header, sort_keys=True).encode("utf-8")
-                 + b"\n" + module)
+        entry = _encode_header(header) + b"\n" + module
         try:
             os.makedirs(self.directory, mode=0o700, exist_ok=True)
             if not _trusted_dir(self.directory):

@@ -12,9 +12,11 @@ rollback and the restored state agree between the journaling engines.
 A third property generates whole random *minic* programs (calls, loops,
 arrays, both switch lowerings), compiles and Teapot-instruments them per
 speculation variant, and requires every engine to produce the same
-execution record.  The last tests pin copy-aware compilation: in a
+execution record.  The last tests pin copy-aware compilation (in a
 binary with Speculation Shadows each block is compiled only in the mode
-its copy runs in.
+its copy runs in) and the compile shape of episodes run as calls (no
+block at a resume point or a folded trampoline, a bounded module, no
+dispatch outside blocks while fuzzing).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from repro.minic.codegen import CompilerOptions, SwitchLowering
 from repro.minic.compiler import compile_source
 from repro.runtime.emulator import Emulator
 from repro.runtime.fastpath import resolve_engine
+from repro.runtime.jit import _BRANCH_OPS, _imm_target
 from repro.runtime.speculation import TeapotNestingPolicy
 from repro.sanitizers.policy import KasperPolicy
 from repro.targets import get_target
@@ -584,3 +587,75 @@ def test_inlined_instructions_gauge_counts_both_tables():
     assert emulator._block_spans_sim and emulator._block_spans_nosim
     gauges = telemetry.registry.snapshot()
     assert gauges["engine.jit.inlined_instructions"] == expected
+
+
+# -- episodes as calls: compile shape -----------------------------------------
+
+def _gadgets_builds():
+    """The gadgets target as a Teapot and as a SpecFuzz (single-copy)
+    runtime."""
+    vanilla = get_target("gadgets").compile()
+    config = TeapotConfig()
+    specfuzz = SpecFuzzConfig()
+    return {
+        "teapot": TeapotRuntime(
+            TeapotRewriter(config).instrument(vanilla), config=config),
+        "specfuzz": SpecFuzzRuntime(
+            SpecFuzzRewriter(specfuzz).instrument(vanilla), config=specfuzz),
+    }
+
+
+def _episode_only_leaders(emulator):
+    """Addresses that would be leaders only as a compiled checkpoint
+    gate's resume point or trampoline target."""
+    compiler = emulator._compiler
+    compiler.sim = False
+    nxt = emulator.next_address
+    episode = set()
+    other = {sym.address for sym in emulator.binary.function_symbols()}
+    for addr, instr in emulator.instructions.items():
+        kind = compiler._kind(instr)
+        target = _imm_target(instr)
+        if instr.opcode is Opcode.CHECKPOINT and kind == "cexit":
+            episode.update((nxt[addr], target))
+            continue
+        if instr.opcode in _BRANCH_OPS and target is not None:
+            other.add(target)
+        if kind == "ender" or instr.opcode in (Opcode.CHECKPOINT,
+                                               Opcode.CALL):
+            other.add(nxt[addr])
+    return episode - other
+
+
+def test_no_block_starts_where_only_an_episode_resumes():
+    """A compiled gate runs its episode as a call and resumes in place, so
+    no block is compiled at an address that only a checkpoint resume or
+    a (folded) trampoline would reach."""
+    for name, runtime in _gadgets_builds().items():
+        emulator = runtime.emulator
+        episode_only = _episode_only_leaders(emulator)
+        assert episode_only, name
+        blocks = set(emulator._blocks_sim) | set(emulator._blocks_nosim)
+        assert not blocks & episode_only, name
+
+
+def test_gadgets_block_module_size():
+    """The gadgets block module stays small, and its source is
+    deterministic."""
+    emulator = _gadgets_builds()["teapot"].emulator
+    source = emulator._compiler.compile_source()
+    assert len(source) <= 440_000
+    assert emulator._compiler.compile_source() == source
+
+
+def test_fuzzing_dispatches_only_to_blocks():
+    """Over a 250-execution campaign the dispatch loop always finds a
+    block: episodes resume in place and cap exits end on leaders, so no
+    single-instruction function is ever built."""
+    target = get_target("gadgets")
+    for name, runtime in _gadgets_builds().items():
+        Fuzzer(FuzzTarget(runtime), seeds=list(target.seeds),
+               seed=3).run_campaign(250)
+        emulator = runtime.emulator
+        assert not emulator._singles_sim, name
+        assert not emulator._singles_nosim, name

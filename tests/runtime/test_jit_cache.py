@@ -6,8 +6,10 @@ processes.  These tests pin the accounting (cold miss → store, warm
 memo/disk hits), cross-process reuse (pool-scheduler campaign workers
 and sequential invocations), rejection of stale entries (rebuilt binary,
 bumped codegen version, changed engine options) and recovery from
-corrupted cache files, and the directory trust rule (a cache directory
-other users can write to is never read from or written to).
+corrupted cache files, with a Hypothesis harness of byte flips,
+truncations, extensions and header edits of a real entry, and the
+directory trust rule (a cache directory other users can write to is
+never read from or written to).
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ import subprocess
 import sys
 
 import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.runtime.jit as jit_module
 from repro.campaign.scheduler import run_campaign
@@ -315,3 +320,88 @@ def test_writable_cache_dir_is_not_trusted(cache_dir, tmp_path,
     assert sorted(os.listdir(shared)) == [os.path.basename(path)]
     with open(target, "rb") as handle:
         assert handle.read() == entry
+
+
+# -- hostile entries (Hypothesis) ---------------------------------------------
+
+def _entry_edits(entry: bytes):
+    """Byte flips, truncations, extensions and header field edits of one
+    cache entry; each draws a different file."""
+    size = len(entry)
+    header = json.loads(entry[:entry.find(b"\n")])
+    flips = st.tuples(st.just("flip"), st.integers(0, size - 1),
+                      st.integers(1, 255))
+    truncations = st.tuples(st.just("truncate"), st.integers(0, size - 1))
+    extensions = st.tuples(st.just("extend"),
+                           st.binary(min_size=1, max_size=64))
+    values = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                       st.text(max_size=8), st.lists(st.integers(),
+                                                     max_size=2))
+    fields = st.tuples(st.just("field"),
+                       st.sampled_from(sorted(header) + ["extra"]), values)
+    return st.one_of(flips, truncations, extensions, fields).filter(
+        lambda edit: edit[0] != "field" or header.get(edit[1]) != edit[2])
+
+
+def _apply_edit(entry: bytes, edit) -> bytes:
+    kind = edit[0]
+    if kind == "flip":
+        _, at, mask = edit
+        return entry[:at] + bytes([entry[at] ^ mask]) + entry[at + 1:]
+    if kind == "truncate":
+        return entry[:edit[1]]
+    if kind == "extend":
+        return entry + edit[1]
+    _, field, value = edit
+    newline = entry.find(b"\n")
+    header = json.loads(entry[:newline])
+    header[field] = value
+    return json.dumps(header, sort_keys=True).encode("utf-8") + entry[newline:]
+
+
+GADGETS_INPUT = b"\x00" + b"\x05" * 8
+
+
+@pytest.fixture(scope="module")
+def cold_entry(tmp_path_factory):
+    """A real gadgets entry, its cache key and the cold run's record."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_JIT_CACHE", str(tmp_path_factory.mktemp("cold")))
+        patch.setattr(jitcache, "_shared", None)
+        patch.setattr(jitcache, "_shared_dir", None)
+        emulator = JitEmulator(get_target("gadgets").compile())
+        with open(emulator._jit_cache.path_for(*emulator._jit_key),
+                  "rb") as handle:
+            entry = handle.read()
+        return entry, emulator._jit_key, emulator.run(GADGETS_INPUT).__dict__
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_entries_are_counted_misses(cold_entry, gadgets_binary,
+                                            monkeypatch, tmp_path_factory,
+                                            data):
+    """Any flipped byte, truncation, extension or header field edit of a
+    real entry makes ``load`` return a miss counted ``stale`` or
+    ``corrupt``, deletes the entry and raises nothing; the engine then
+    recompiles, and its run equals the cold run."""
+    entry, key, record = cold_entry
+    edit = data.draw(_entry_edits(entry))
+    directory = str(tmp_path_factory.mktemp("hostile"))
+    cache = BlockCache(directory)
+    path = cache.path_for(*key)
+    with open(path, "wb") as handle:
+        handle.write(_apply_edit(entry, edit))
+
+    assert cache.load(*key) is None
+    stats = cache.stats
+    assert stats["stale"] + stats["corrupt"] == 1, (edit, stats)
+    assert stats["disk_hits"] == stats["misses"] == 0
+    assert not os.path.exists(path)
+
+    monkeypatch.setenv("REPRO_JIT_CACHE", directory)
+    recompiled = JitEmulator(gadgets_binary)
+    assert recompiled._jit_cache_event == "miss"
+    assert recompiled.run(GADGETS_INPUT).__dict__ == record
+    assert os.path.exists(path)
