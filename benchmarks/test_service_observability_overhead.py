@@ -20,8 +20,9 @@ import time
 import pytest
 
 from benchmarks.conftest import SCALE
-from repro.campaign import CampaignSpec, run_campaign
-from repro.service.scheduler import SERVICE_OBSERVE_ENV
+from repro.campaign import CampaignSpec
+from repro.service.scheduler import (SERVICE_OBSERVE_ENV,
+                                     ServiceCampaignScheduler)
 
 #: tolerated instrumented-over-disabled wall-clock ratio (the ISSUE bar).
 MAX_OVERHEAD_RATIO = 1.05
@@ -34,7 +35,7 @@ def _timed_run(spec, observe):
     os.environ[SERVICE_OBSERVE_ENV] = "1" if observe else "0"
     try:
         started = time.perf_counter()
-        summary = run_campaign(spec, scheduler="service")
+        summary = ServiceCampaignScheduler(spec).run()
         return summary, time.perf_counter() - started
     finally:
         os.environ.pop(SERVICE_OBSERVE_ENV, None)

@@ -1,10 +1,10 @@
 """Fuzzing-service overhead — durable queue vs in-process execution.
 
-Not a paper figure: this pins the cost of running a campaign through the
-``service`` scheduler (durable on-disk job queue + worker fleet with a
-child process per worker + streaming ingestion) against the in-process
-``serial`` scheduler on the same spec (``pool`` names the service
-scheduler itself, so it is no baseline).  The service path adds a
+Not a paper figure: this pins the cost of running a campaign on the
+service fleet (:class:`ServiceCampaignScheduler`: durable on-disk job
+queue + worker fleet with a child process per worker + streaming
+ingestion) against the in-process :class:`CampaignScheduler` loop on the
+same spec.  The service path adds a
 filesystem round-trip per job (submit → lease → done record), a pipe
 round-trip to the worker's child plus event-driven result harvesting;
 the bar this benchmark holds is that the detour stays within
@@ -24,7 +24,8 @@ import time
 import pytest
 
 from benchmarks.conftest import SCALE
-from repro.campaign import CampaignSpec, run_campaign
+from repro.campaign import CampaignScheduler, CampaignSpec
+from repro.service.scheduler import ServiceCampaignScheduler
 
 #: tolerated service-over-serial wall-clock ratio (the acceptance bar).
 MAX_OVERHEAD_RATIO = 1.25
@@ -33,9 +34,9 @@ MAX_OVERHEAD_RATIO = 1.25
 PAIRS = 3
 
 
-def _timed_run(spec, scheduler):
+def _timed_run(spec, runner):
     started = time.perf_counter()
-    summary = run_campaign(spec, scheduler=scheduler)
+    summary = runner(spec).run()
     return summary, time.perf_counter() - started
 
 
@@ -61,8 +62,10 @@ def test_service_throughput(benchmark, bench_record):
     def timed_pairs(campaign_spec):
         serial_summary = service_summary = None
         for _ in range(PAIRS):
-            serial_summary, serial_s = _timed_run(campaign_spec, "serial")
-            service_summary, service_s = _timed_run(campaign_spec, "service")
+            serial_summary, serial_s = _timed_run(campaign_spec,
+                                                  CampaignScheduler)
+            service_summary, service_s = _timed_run(campaign_spec,
+                                                    ServiceCampaignScheduler)
             measurements["pairs"].append((serial_s, service_s))
         return serial_summary, service_summary
 
@@ -101,6 +104,6 @@ def test_service_throughput(benchmark, bench_record):
     assert service_summary.rounds_completed == spec.rounds
     # …and must stay within the overhead budget.
     assert best_ratio <= MAX_OVERHEAD_RATIO, (
-        f"service scheduler overhead {best_ratio:.2f}x in the best "
+        f"service fleet overhead {best_ratio:.2f}x in the best "
         f"matched pair (median {median_ratio:.2f}x) exceeds the "
         f"{MAX_OVERHEAD_RATIO}x budget")

@@ -13,10 +13,10 @@ Three layers, one import::
                .fuzz(400).harden("mask").refuzz().report()
 
 * **Plugin registries** — targets, emulator engines, hardening
-  strategies and campaign schedulers are named plugins; third-party code
+  strategies and speculation models are named plugins; third-party code
   extends the system with :func:`register_target`,
   :func:`register_engine`, :func:`register_pass` and
-  :func:`register_scheduler` and the new names work everywhere a
+  :func:`register_model` and the new names work everywhere a
   built-in would (builder stages, the CLI, campaign specs).
 
 * **CLI** — the ``repro`` console script (``python -m repro.api``)
@@ -49,7 +49,6 @@ from repro.plugins import (
     ENGINE_REGISTRY,
     MODEL_REGISTRY,
     PASS_REGISTRY,
-    SCHEDULER_REGISTRY,
     DuplicatePluginError,
     PluginError,
     PluginRegistry,
@@ -59,9 +58,7 @@ from repro.plugins import (
     register_engine,
     register_model,
     register_pass,
-    register_scheduler,
     register_target,
-    scheduler_names,
     strategy_names,
     target_names,
     target_registry,
@@ -122,7 +119,6 @@ __all__ = [
     "ENGINE_REGISTRY",
     "MODEL_REGISTRY",
     "PASS_REGISTRY",
-    "SCHEDULER_REGISTRY",
     "DuplicatePluginError",
     "PluginError",
     "PluginRegistry",
@@ -132,9 +128,7 @@ __all__ = [
     "register_engine",
     "register_model",
     "register_pass",
-    "register_scheduler",
     "register_target",
-    "scheduler_names",
     "strategy_names",
     "target_names",
     "target_registry",

@@ -78,12 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--iterations", type=int, default=400)
     fuzz.add_argument("--rounds", type=int, default=1)
     fuzz.add_argument("--shards", type=int, default=1)
-    fuzz.add_argument("--workers", type=int, default=1)
-    fuzz.add_argument("--scheduler", default="pool",
-                      help="campaign scheduler plugin "
-                           f"({', '.join(api.scheduler_names())}; "
-                           "default: pool, jobs in worker processes); "
-                           "results are identical across schedulers")
+    fuzz.add_argument("--workers", type=int, default=1,
+                      help="worker processes (default: 1 = in this process)")
     fuzz.add_argument("--seed", type=int, default=1234)
     fuzz.add_argument("--max-input-size", type=int, default=1024)
     fuzz.add_argument("--checkpoint", metavar="PATH", default=None)
@@ -220,7 +216,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                .variants(*spec_variants)
                .fuzz(iterations=args.iterations, rounds=args.rounds,
                      shards=args.shards, checkpoint=args.checkpoint,
-                     resume=args.resume, scheduler=args.scheduler))
+                     resume=args.resume))
         if args.progress or args.trace or args.profile_engine:
             run = run.telemetry(trace=args.trace, progress=args.progress,
                                 interval=args.progress_interval,

@@ -24,7 +24,7 @@ selection all apply), ``harden``/``refuzz`` are the
 patch → verify loop, ``campaign`` runs a whole multi-target matrix, and
 ``bench`` measures native-vs-instrumented cycle counts the way the
 paper's Figure 7 does.  Every name a stage takes (target, engine, tool,
-strategy, scheduler) resolves through the plugin registries in
+strategy) resolves through the plugin registries in
 :mod:`repro.plugins`, so third-party plugins flow through the same
 builder.
 """
@@ -46,10 +46,8 @@ from repro.hardening.pipeline import (
 )
 from repro.plugins import (
     DEFAULT_ENGINE,
-    SCHEDULER_REGISTRY,
     engine_names,
     model_names,
-    scheduler_names,
     strategy_names,
     target_registry,
 )
@@ -61,13 +59,6 @@ ProgressFn = Callable[[str], None]
 #: The measurement order of the Figure-7 runtime comparison (and the
 #: ``bench`` stage, which reproduces it bit for bit).
 BENCH_TOOLS = ("teapot", "specfuzz", "spectaint")
-
-
-def _check_scheduler(name: str) -> None:
-    """Validate a scheduler name (unknown names list the options)."""
-    if name not in SCHEDULER_REGISTRY:
-        scheduler_names()  # registers the service-backed "pool"/"service"
-    SCHEDULER_REGISTRY.get(name)
 
 
 class PipelineError(ValueError):
@@ -242,8 +233,8 @@ class Pipeline:
         ``/metrics`` in Prometheus text format, ``/v1/campaigns``,
         ``/v1/fleet``; pass ``True`` for the default local address, a
         port number, or a ``"host:port"`` string — bind port 0 to let the
-        OS pick; refused with :class:`ValueError` by the ``serial``
-        scheduler and with ``profile_engine``), and ``runs_root`` records
+        OS pick; refused with :class:`ValueError` together with
+        ``profile_engine``), and ``runs_root`` records
         the run into a durable run directory under the given root
         (``True`` for the default ``runs/``): manifest, JSONL trace (when
         no explicit ``trace`` path is given), metrics snapshots and the
@@ -282,15 +273,13 @@ class Pipeline:
         shards: int = 1,
         checkpoint: Optional[str] = None,
         resume: bool = False,
-        scheduler: str = "pool",
     ) -> "Pipeline":
         """Fuzz the target: one campaign group through the scheduler."""
         self._require_target("fuzz")
-        _check_scheduler(scheduler)
         self._stages.append(_Stage("fuzz", {
             "iterations": int(iterations), "rounds": int(rounds),
             "shards": int(shards), "checkpoint": checkpoint,
-            "resume": bool(resume), "scheduler": scheduler,
+            "resume": bool(resume),
         }))
         return self
 
@@ -320,23 +309,18 @@ class Pipeline:
         return self
 
     def refuzz(self, iterations: Optional[int] = None,
-               rounds: Optional[int] = None,
-               scheduler: Optional[str] = None) -> "Pipeline":
+               rounds: Optional[int] = None) -> "Pipeline":
         """Verify the hardened binary by re-running the detection campaign.
 
-        Defaults to the preceding fuzz stage's budget and scheduler (or
-        400 iterations / 1 round / the ``pool`` scheduler after a
-        ``reports`` stage), mirroring
+        Defaults to the preceding fuzz stage's budget (or 400 iterations /
+        1 round after a ``reports`` stage), mirroring
         :func:`repro.hardening.pipeline.run_hardening`.
         """
         if not any(s.kind == "harden" for s in self._stages):
             raise PipelineError("refuzz() verifies a hardened binary: add a "
                                 "harden() stage first")
-        if scheduler is not None:
-            _check_scheduler(scheduler)
         self._stages.append(_Stage("refuzz", {
             "iterations": iterations, "rounds": rounds,
-            "scheduler": scheduler,
         }))
         return self
 
@@ -351,7 +335,6 @@ class Pipeline:
         shards: int = 1,
         checkpoint: Optional[str] = None,
         resume: bool = False,
-        scheduler: str = "pool",
     ) -> "Pipeline":
         """Run a whole (target × tool × variant) campaign matrix.
 
@@ -359,7 +342,6 @@ class Pipeline:
         control, or the keyword shorthand (``targets`` defaults to every
         registered target; ``tools``/``variants`` to the builder's).
         """
-        _check_scheduler(scheduler)
         if spec is None:
             spec = CampaignSpec(
                 targets=tuple(targets if targets is not None
@@ -378,7 +360,6 @@ class Pipeline:
             )
         self._stages.append(_Stage("campaign", {
             "spec": spec, "checkpoint": checkpoint, "resume": bool(resume),
-            "scheduler": scheduler,
         }))
         return self
 
@@ -444,8 +425,6 @@ class Session:
         self._reports: Optional[List[GadgetReport]] = None
         #: the detection campaign spec (refuzz reruns it verbatim).
         self._detect_spec: Optional[CampaignSpec] = None
-        #: the detection campaign's scheduler plugin (refuzz reuses it).
-        self._detect_scheduler = "pool"
         #: executions the detection campaign performed.
         self._detect_executions = 0
         #: the last harden stage's patch outcome (with cycle accounting).
@@ -563,19 +542,16 @@ class Session:
         )
 
     def _run_fuzz(self, iterations: int, rounds: int, shards: int,
-                  checkpoint: Optional[str], resume: bool,
-                  scheduler: str) -> None:
+                  checkpoint: Optional[str], resume: bool) -> None:
         b = self.builder
         spec = self._group_spec(iterations, rounds, shards=shards)
         self._progress(f"fuzzing {b._target}/{b._variant} with {b._tool} "
                        f"({iterations} executions)")
         summary = run_campaign(spec, checkpoint_path=checkpoint,
-                               resume=resume, progress=b._progress,
-                               scheduler=scheduler)
+                               resume=resume, progress=b._progress)
         row = summary.row(b._target, b._tool, b._variant)
         self._reports = row.collection.reports()
         self._detect_spec = spec
-        self._detect_scheduler = scheduler
         self._detect_executions = row.executions
         self.result.summary = summary
         payload = row.as_campaign_result().to_dict()
@@ -622,8 +598,7 @@ class Session:
         })
 
     def _run_refuzz(self, iterations: Optional[int],
-                    rounds: Optional[int],
-                    scheduler: Optional[str]) -> None:
+                    rounds: Optional[int]) -> None:
         b = self.builder
         patch = self._patch
         if self._detect_spec is not None:
@@ -638,10 +613,8 @@ class Session:
                 iterations if iterations is not None else 400,
                 rounds if rounds is not None else 1,
             )
-        if scheduler is None:
-            scheduler = self._detect_scheduler
         self._progress(f"re-fuzzing hardened binary ({patch.strategy})")
-        verification = verify_patch(patch, spec, scheduler=scheduler)
+        verification = verify_patch(patch, spec)
 
         native, hardened_cycles = self._patch_cycles
         hardening = HardeningResult(
@@ -673,13 +646,12 @@ class Session:
         self.result.add_stage("refuzz", patch.strategy, payload)
 
     def _run_campaign(self, spec: CampaignSpec, checkpoint: Optional[str],
-                      resume: bool, scheduler: str) -> None:
+                      resume: bool) -> None:
         self._progress(
             f"campaign matrix: {len(spec.groups())} groups x "
             f"{spec.iterations} executions")
         summary = run_campaign(spec, checkpoint_path=checkpoint,
-                               resume=resume, progress=self.builder._progress,
-                               scheduler=scheduler)
+                               resume=resume, progress=self.builder._progress)
         self.result.summary = summary
         self.result.add_stage("campaign", f"{len(spec.groups())} groups", {
             "spec": spec.to_dict(),

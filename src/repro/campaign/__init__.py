@@ -6,11 +6,11 @@ once:
 
 * :class:`CampaignSpec` describes the matrix and expands it into
   deterministic :class:`JobSpec` work units;
-* :func:`run_campaign` runs the jobs — by default on an ephemeral
-  :mod:`repro.service` fleet whose workers each run jobs in a child
-  process; :class:`CampaignScheduler` is the in-process ``serial``
-  reference — syncs sharded corpora between rounds, and checkpoints
-  after each;
+* :func:`run_campaign` runs the jobs — in this process
+  (:class:`CampaignScheduler`) when nothing needs worker processes, else
+  on an ephemeral :mod:`repro.service` fleet whose workers each run jobs
+  in a child process — syncs sharded corpora between rounds, and
+  checkpoints after each;
 * :class:`ReportStore` deduplicates gadget reports by site across workers;
 * :func:`summarize` renders the Table-3/Table-4-style summary;
 * ``repro campaign`` (or ``python -m repro.campaign``) drives the whole

@@ -26,9 +26,9 @@ from typing import List, Optional, Sequence
 
 from repro.campaign.scheduler import run_campaign
 from repro.campaign.spec import TOOLS, VARIANTS, CampaignSpec
-from repro.plugins import DEFAULT_ENGINE, scheduler_names
+from repro.plugins import DEFAULT_ENGINE
 from repro.runtime.fastpath import engine_names
-from repro.targets import injectable_targets, runnable_targets
+from repro.targets import runnable_targets
 
 
 def _parse_list(text: str, choices: Sequence[str], what: str) -> List[str]:
@@ -49,10 +49,6 @@ def build_parser(prog: str = "repro campaign") -> argparse.ArgumentParser:
         description="Parallel multi-target Spectre-gadget fuzzing campaigns.",
     )
     parser.add_argument(
-        "--list-targets", action="store_true",
-        help="print the registered target names (and which support the "
-             "'injected' variant) and exit")
-    parser.add_argument(
         "--targets", default="all",
         help="comma-separated target names, or 'all' for the whole suite "
              f"({', '.join(runnable_targets())})")
@@ -72,7 +68,7 @@ def build_parser(prog: str = "repro campaign") -> argparse.ArgumentParser:
                         help="total executions per (target, tool, variant) "
                              "group (default: 200)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes (default: 1 = serial)")
+                        help="worker processes (default: 1 = in this process)")
     parser.add_argument("--shards", type=int, default=0,
                         help="corpus shards per group (default: = workers); "
                              "affects results, unlike --workers")
@@ -89,20 +85,11 @@ def build_parser(prog: str = "repro campaign") -> argparse.ArgumentParser:
                              "fast is the compiled engine one instruction "
                              "at a time, legacy keeps the reference "
                              "implementation selectable")
-    parser.add_argument("--scheduler", choices=tuple(scheduler_names()),
-                        default="pool",
-                        help="campaign scheduler plugin (default: pool — "
-                             "an ephemeral repro.service job queue whose "
-                             "workers each run jobs in a child process; "
-                             "service is the same scheduler; serial runs "
-                             "jobs in this process and never forks); "
-                             "results are identical across schedulers")
     parser.add_argument("--job-timeout", type=float, default=0.0,
                         metavar="SECONDS", dest="job_timeout",
                         help="per-job wall-clock cap (default: 0 = "
                              "unlimited); a timed-out job's process is "
-                             "killed and the job recorded as failed "
-                             "(needs --scheduler pool/service)")
+                             "killed and the job recorded as failed")
     parser.add_argument("--job-retries", type=int, default=0, metavar="N",
                         dest="job_retries",
                         help="retries per failing/timed-out job with "
@@ -135,7 +122,7 @@ def build_parser(prog: str = "repro campaign") -> argparse.ArgumentParser:
                              "/metrics, /v1/campaigns, /v1/fleet; see "
                              "`repro top URL`) for the duration of the "
                              "campaign (default 127.0.0.1:9753; port 0 = "
-                             "OS-assigned; needs --scheduler pool/service)")
+                             "OS-assigned)")
     parser.add_argument("--run-dir", metavar="ROOT", nargs="?",
                         const="runs", default=None, dest="run_dir",
                         help="record the campaign into a durable run "
@@ -150,16 +137,6 @@ def main(argv: Optional[Sequence[str]] = None,
          prog: str = "repro campaign") -> int:
     parser = build_parser(prog=prog)
     args = parser.parse_args(argv)
-
-    if args.list_targets:
-        print("note: --list-targets is deprecated; use `repro targets` "
-              "(--json for machine-readable output)", file=sys.stderr)
-        injectable = set(injectable_targets())
-        print("runnable targets:")
-        for name in runnable_targets():
-            note = "  (supports --variants injected)" if name in injectable else ""
-            print(f"  {name}{note}")
-        return 0
 
     try:
         if args.targets.strip() == "all":
@@ -256,12 +233,10 @@ def main(argv: Optional[Sequence[str]] = None,
         if telemetry is not None:
             with telemetry_session(telemetry):
                 summary = run_campaign(spec, checkpoint_path=args.checkpoint,
-                                       resume=args.resume, progress=progress,
-                                       scheduler=args.scheduler)
+                                       resume=args.resume, progress=progress)
         else:
             summary = run_campaign(spec, checkpoint_path=args.checkpoint,
-                                   resume=args.resume, progress=progress,
-                                   scheduler=args.scheduler)
+                                   resume=args.resume, progress=progress)
     except (ValueError, OSError) as error:
         status = "failed"
         print(f"error: {error}", file=sys.stderr)

@@ -10,21 +10,21 @@ reports, counters — is written to a JSON checkpoint, so a killed
 campaign resumes from the last completed round and finishes with a
 summary identical to an uninterrupted run.
 
-Two execution paths share that loop's rules (:func:`seeds_for_job`,
-:func:`merge_worker_result`):
+Two runners share that loop's rules (:func:`seeds_for_job`,
+:func:`merge_worker_result`), and :func:`run_campaign` picks one from
+the spec and the active telemetry session:
 
-* ``serial`` — :class:`CampaignScheduler`, defined here, runs every job
-  in the calling process.  It never forks, so it cannot stop a job at a
+* :class:`CampaignScheduler`, defined here, runs every job in the
+  calling process.  It never forks, so it cannot stop a job at a
   deadline and refuses specs with a job timeout; it runs no service, so
   it refuses a telemetry session with a ``serve`` address too.
-* ``pool`` and ``service`` — one class,
-  :class:`repro.service.scheduler.ServiceCampaignScheduler`: an
+* :class:`repro.service.scheduler.ServiceCampaignScheduler` runs an
   ephemeral fuzzing service whose ``max(1, workers)`` workers each run
   their jobs in a forked child, so a timed-out job is killed.
 
 Determinism: job RNG seeds derive from (campaign seed, target, tool,
 variant, round, shard) and merging happens in job order, so neither the
-scheduler nor the worker count affects results — only ``shards`` does,
+runner nor the worker count affects results — only ``shards`` does,
 and that is part of the spec fingerprint.
 """
 
@@ -38,8 +38,6 @@ from repro.campaign.store import CampaignState, GroupKey, group_key_str
 from repro.campaign.summary import CampaignSummary, summarize
 from repro.campaign.worker import WorkerResult, execute_task
 from repro.fuzzing.corpus import Corpus
-from repro.plugins import (SCHEDULER_REGISTRY, register_scheduler,
-                           scheduler_names)
 from repro.targets import get_target
 from repro.telemetry.context import active as _active_telemetry
 from repro.telemetry.metrics import merge_counts
@@ -52,8 +50,8 @@ def seeds_for_job(state: CampaignState, job: JobSpec) -> Optional[List[bytes]]:
 
     Round 0 of a fresh campaign starts from the target's seed inputs;
     later rounds start from the merged cross-worker corpus of the
-    previous round, sharded round-robin.  Shared by the serial
-    scheduler and the service dispatcher so both hand out identical
+    previous round, sharded round-robin.  Shared by the in-process
+    loop and the service dispatcher so both hand out identical
     shards.
     """
     corpus = state.corpus(job.group)
@@ -67,8 +65,8 @@ def merge_worker_result(state: CampaignState, result: WorkerResult,
                         progress: Optional[ProgressFn] = None) -> int:
     """Fold one worker result into the campaign state; returns new sites.
 
-    This is the single merge rule of the whole system — the serial
-    scheduler applies it job by job, and the service's streaming
+    This is the single merge rule of the whole system — the in-process
+    loop applies it job by job, and the service's streaming
     ingestor applies it result by result (also in job order) — so every
     execution strategy produces bit-identical campaign state.
     The rules (sum counters, max the coverage gauges, dedup reports by
@@ -153,14 +151,13 @@ def merge_worker_result(state: CampaignState, result: WorkerResult,
     return new_sites
 
 
-@register_scheduler("serial")
 class CampaignScheduler:
     """The in-process campaign loop: rounds, corpus sync, checkpoints.
 
     Runs every job in the calling process, one after another, so it
-    never forks; it is the reference the process-backed ``pool`` and
-    ``service`` schedulers must match bit for bit.  Subclass it to write
-    a scheduler plugin.
+    never forks; it is the reference the process-backed
+    :class:`~repro.service.scheduler.ServiceCampaignScheduler` must match
+    bit for bit.
     """
 
     def __init__(
@@ -180,14 +177,15 @@ class CampaignScheduler:
             # Pure-Python jobs have no cancellation point: only a job in
             # its own process can be stopped at a deadline.
             raise ValueError(
-                "the serial scheduler cannot enforce a job timeout; use "
-                "--scheduler pool/service, which run jobs in worker "
-                "processes")
+                "the in-process campaign loop cannot enforce a job "
+                "timeout; without an engine profiler, run_campaign runs "
+                "such a spec on worker processes")
         telemetry = _active_telemetry()
         if telemetry is not None and telemetry.serve is not None:
             raise ValueError(
-                "the serial scheduler runs no service whose API --serve "
-                "could bind; use --scheduler pool/service")
+                "the in-process campaign loop runs no service whose API "
+                "--serve could bind; without an engine profiler, "
+                "run_campaign serves from worker processes")
         state = self._initial_state(resume)
         if telemetry is not None:
             telemetry.event(
@@ -269,22 +267,27 @@ def run_campaign(
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
     progress: Optional[ProgressFn] = None,
-    scheduler: str = "pool",
 ) -> CampaignSummary:
-    """Convenience wrapper: schedule and run one campaign.
+    """Schedule and run one campaign; the summary is the same either way.
 
-    ``scheduler`` names a plugin from
-    :data:`repro.plugins.SCHEDULER_REGISTRY`: ``"pool"`` (the default)
-    and ``"service"`` — one process-backed scheduler, an ephemeral
-    :mod:`repro.service` fleet — ``"serial"``, plus any
-    ``@register_scheduler`` plugin.
+    The campaign runs in this process (:class:`CampaignScheduler`) when
+    nothing needs worker processes: one worker, no job timeout and no
+    ``serve`` address on the active telemetry session.  Otherwise it runs
+    on an ephemeral service fleet
+    (:class:`~repro.service.scheduler.ServiceCampaignScheduler`).  A
+    session with an engine profiler always runs in this process — the
+    profiler sees only this process's emulators — so it refuses a job
+    timeout and ``serve``.
     """
-    if scheduler not in SCHEDULER_REGISTRY:
-        # Registers the schedulers defined outside this module
-        # (repro.service's "pool"/"service") before rejecting the name.
-        scheduler_names()
-    scheduler_cls = SCHEDULER_REGISTRY.get(scheduler)
-    runner = scheduler_cls(spec, checkpoint_path=checkpoint_path,
-                           progress=progress)
-    return runner.run(resume=resume)
+    telemetry = _active_telemetry()
+    profiled = telemetry is not None and telemetry.profiler is not None
+    serve = telemetry.serve if telemetry is not None else None
+    if profiled or (spec.workers <= 1 and spec.job_timeout_s == 0
+                    and serve is None):
+        runner = CampaignScheduler
+    else:
+        from repro.service.scheduler import ServiceCampaignScheduler
 
+        runner = ServiceCampaignScheduler
+    return runner(spec, checkpoint_path=checkpoint_path,
+                  progress=progress).run(resume=resume)

@@ -70,7 +70,7 @@ class JobSpec:
     #: wall-clock execution cap in seconds (0 = unlimited, the historic
     #: behavior).  A job past its deadline is killed with its worker's
     #: child process and reported as a failed job instead of stalling its
-    #: worker forever; the in-process serial scheduler refuses a cap.
+    #: worker forever; a capped spec always runs on worker processes.
     timeout_s: float = 0.0
     #: how many times the worker attempts the job before reporting the
     #: failure (1 = no retries, the historic behavior).

@@ -15,7 +15,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.fuzzing.corpus import Corpus
 from repro.sanitizers.reports import ReportCollection
@@ -24,6 +24,38 @@ from repro.sanitizers.reports import ReportCollection
 CHECKPOINT_VERSION = 1
 
 GroupKey = Tuple[str, str, str]
+
+_T = TypeVar("_T")
+
+
+class CheckpointError(ValueError):
+    """A checkpoint that is not a campaign state: names the bad field."""
+
+
+def _field(name: str, parse: Callable[[object], _T], value: object) -> _T:
+    """``parse(value)``; any failure is a :class:`CheckpointError` on ``name``."""
+    try:
+        return parse(value)
+    except CheckpointError:
+        raise
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as error:
+        raise CheckpointError(
+            f"malformed checkpoint field {name!r}: "
+            f"{type(error).__name__}: {error}") from error
+
+
+def _mapping(value: object) -> Dict[str, object]:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def _count(value: object) -> int:
+    count = int(value)
+    if count < 0:
+        raise ValueError(f"negative count {count}")
+    return count
 
 
 def group_key_str(key: GroupKey) -> str:
@@ -89,7 +121,9 @@ class GroupStats:
             normal_coverage=int(record.get("normal_coverage", 0)),
             speculative_coverage=int(record.get("speculative_coverage", 0)),
             failed_jobs=int(record.get("failed_jobs", 0)),
-            spec_stats=dict(record.get("spec_stats", {})),
+            spec_stats={
+                str(k): int(v) for k, v in record.get("spec_stats", {}).items()
+            },
             telemetry_counts={
                 str(k): int(v)
                 for k, v in record.get("telemetry_counts", {}).items()
@@ -196,23 +230,44 @@ class CampaignState:
         }
 
     @classmethod
-    def from_dict(cls, record: Dict[str, object]) -> "CampaignState":
-        version = int(record.get("version", 0))
+    def from_dict(cls, record: object) -> "CampaignState":
+        """Rebuild a state from :meth:`to_dict` output.
+
+        Raises :class:`CheckpointError`, naming the field, for anything
+        else — valid JSON of the wrong shape included.
+        """
+        if not isinstance(record, dict):
+            raise CheckpointError("a checkpoint is a JSON object, not "
+                                  f"{type(record).__name__}")
+        version = _field("version", int, record.get("version", 0))
         if version != CHECKPOINT_VERSION:
-            raise ValueError(
+            raise CheckpointError(
                 f"unsupported checkpoint version {version} "
                 f"(expected {CHECKPOINT_VERSION})"
             )
+        for name in ("fingerprint", "spec"):
+            if name not in record:
+                raise CheckpointError(f"checkpoint has no {name!r} field")
+        fingerprint = record["fingerprint"]
+        if not isinstance(fingerprint, str):
+            raise CheckpointError("malformed checkpoint field 'fingerprint': "
+                                  "expected a string")
         state = cls(
-            fingerprint=str(record["fingerprint"]),
-            spec_dict=dict(record["spec"]),
-            completed_rounds=int(record.get("completed_rounds", 0)),
+            fingerprint=fingerprint,
+            spec_dict=dict(_field("spec", _mapping, record["spec"])),
+            completed_rounds=_field("completed_rounds", _count,
+                                    record.get("completed_rounds", 0)),
         )
-        for key_text, entries in record.get("corpora", {}).items():
-            state.corpora[parse_group_key(key_text)] = Corpus.from_dicts(entries)
-        for key_text, stats in record.get("stats", {}).items():
-            state.stats[parse_group_key(key_text)] = GroupStats.from_dict(stats)
-        state.store = ReportStore.from_dict(record.get("reports", {}))
+        state.corpora = _field("corpora", lambda value: {
+            parse_group_key(key): Corpus.from_dicts(entries)
+            for key, entries in _mapping(value).items()
+        }, record.get("corpora", {}))
+        state.stats = _field("stats", lambda value: {
+            parse_group_key(key): GroupStats.from_dict(stats)
+            for key, stats in _mapping(value).items()
+        }, record.get("stats", {}))
+        state.store = _field("reports", lambda value: ReportStore.from_dict(
+            _mapping(value)), record.get("reports", {}))
         return state
 
     def save(self, path: str) -> None:
@@ -234,4 +289,9 @@ class CampaignState:
     def load(cls, path: str) -> "CampaignState":
         """Read a checkpoint written by :meth:`save`."""
         with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+            try:
+                record = json.load(handle)
+            except ValueError as error:
+                raise CheckpointError(
+                    f"checkpoint {path} is not JSON: {error}") from error
+        return cls.from_dict(record)

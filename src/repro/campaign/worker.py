@@ -47,7 +47,7 @@ def binary_override(target_name: str, variant: str, binary: TelfBinary):
     and :func:`instrumented_binary` instruments it afresh on every call
     (bypassing the per-process memo, which would otherwise serve the
     original build).  A process forked before the override was installed
-    will not see it; the schedulers' workers fork their children on
+    will not see it; a service fleet's workers fork their children on
     their first job, so campaigns started inside the context do.
     """
     key = (target_name, variant)
@@ -305,7 +305,7 @@ def execute_task(task: Tuple[JobSpec, Optional[List[bytes]]],
     instead of propagating (and tearing the whole round down with it): the
     scheduler records the failure and the campaign's other jobs survive.
     Each attempt goes through ``run_attempt`` — :func:`run_job` in the
-    calling process by default (the serial scheduler), or the service
+    calling process by default (the in-process loop), or the service
     fleet's runner that executes the attempt in the worker's own process
     and kills it at the job's timeout (see :mod:`repro.service.worker`) —
     so the retry and backoff policy below is the same everywhere.

@@ -201,18 +201,16 @@ def patch_binary(target: str, strategy: str, variant: str = "vanilla",
     )
 
 
-def verify_patch(patch: PatchOutcome, spec: CampaignSpec,
-                 scheduler: str = "pool") -> VerifyOutcome:
+def verify_patch(patch: PatchOutcome, spec: CampaignSpec) -> VerifyOutcome:
     """Re-fuzz a hardened binary and classify every baseline site.
 
     Substitutes the hardened binary for the target's compiled build
     (``binary_override``), re-runs the campaign described by ``spec``
-    (through the named scheduler plugin) and sorts the baseline sites
-    into eliminated/residual — plus any new sites the re-fuzz surfaced
-    (ordinal-translated back where possible).
+    and sorts the baseline sites into eliminated/residual — plus any new
+    sites the re-fuzz surfaced (ordinal-translated back where possible).
     """
     with binary_override(patch.target, patch.variant, patch.hardened):
-        verification = run_campaign(spec, scheduler=scheduler)
+        verification = run_campaign(spec)
         verify_instrumented = instrumented_binary(
             patch.target, patch.tool, patch.variant)
     verify_row = verification.row(patch.target, patch.tool, patch.variant)

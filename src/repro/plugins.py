@@ -2,7 +2,7 @@
 
 One tiny, dependency-free module that every subsystem can import without
 cycles.  A :class:`PluginRegistry` maps names to plugins (target programs,
-emulator engines, hardening passes, campaign schedulers) and enforces the
+emulator engines, hardening passes, speculation models) and enforces the
 two contracts the facade's error messages rely on:
 
 * registering a duplicate name raises :class:`DuplicatePluginError`, and
@@ -12,7 +12,7 @@ two contracts the facade's error messages rely on:
 The concrete registries live here too, but the *registrations* happen in
 the subsystems that own the plugins (``repro.runtime.fastpath`` registers
 the engines, ``repro.hardening.passes`` the mitigation strategies,
-``repro.campaign.scheduler`` the schedulers, and each module under
+``repro.specmodels`` the speculation models, and each module under
 ``repro.targets`` its workload).  Third-party code extends the system with
 the decorators re-exported by :mod:`repro.api`::
 
@@ -142,13 +142,6 @@ DEFAULT_ENGINE = "jit"
 #: Populated by :mod:`repro.hardening.passes`.
 PASS_REGISTRY = PluginRegistry("hardening strategy")
 
-#: Campaign schedulers: name -> scheduler class with the
-#: :class:`repro.campaign.scheduler.CampaignScheduler` constructor shape.
-#: Populated by :mod:`repro.campaign.scheduler` (``serial``) and
-#: :mod:`repro.service.scheduler` (``pool`` and ``service``);
-#: :func:`scheduler_names` imports both.
-SCHEDULER_REGISTRY = PluginRegistry("campaign scheduler")
-
 #: Speculation models: name -> zero-arg factory returning a fresh
 #: :class:`repro.specmodels.base.SpeculationModel` instance.  Populated by
 #: :mod:`repro.specmodels` (pht, btb, rsb, stl).
@@ -239,22 +232,6 @@ def register_pass(name: str, factory: Optional[Callable] = None,
     return decorator(factory)
 
 
-def register_scheduler(name: str, scheduler_cls: Optional[type] = None,
-                       replace: bool = False):
-    """Register a campaign scheduler class under ``name``.
-
-    The class must accept ``(spec, checkpoint_path=None, progress=None)``
-    and expose ``run(resume=False) -> CampaignSummary`` (subclassing
-    :class:`~repro.campaign.scheduler.CampaignScheduler` is the easy way).
-    """
-    def decorator(cls):
-        return SCHEDULER_REGISTRY.register(name, cls, replace=replace)
-
-    if scheduler_cls is None:
-        return decorator
-    return decorator(scheduler_cls)
-
-
 def register_model(name: str, factory: Optional[Callable] = None,
                    replace: bool = False):
     """Register a speculation model under ``name``.
@@ -286,14 +263,6 @@ def strategy_names() -> List[str]:
     import repro.hardening.passes  # noqa: F401  (registers built-ins)
 
     return PASS_REGISTRY.names()
-
-
-def scheduler_names() -> List[str]:
-    """Registered campaign-scheduler names."""
-    import repro.campaign.scheduler  # noqa: F401  (registers "serial")
-    import repro.service.scheduler  # noqa: F401  (registers "pool", "service")
-
-    return SCHEDULER_REGISTRY.names()
 
 
 def model_names() -> List[str]:

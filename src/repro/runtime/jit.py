@@ -68,7 +68,8 @@ Bit-identity with the legacy reference interpreter (enforced by
 * **Fuel gate.**  A block of ``n`` steps only runs when ``steps + n <=
   max_steps``; otherwise the loop steps single-instruction functions, so
   fuel expiry lands on exactly the same instruction as the legacy
-  engine.
+  engine.  The limit is bound at install (``FUEL``), not compiled in, so
+  emulators that differ only in ``max_steps`` share one module.
 
 The compiled block module is persistently cached across processes by
 :mod:`repro.runtime.jitcache`, keyed by (binary hash, repro version,
@@ -111,7 +112,7 @@ from repro.sanitizers.dift import ALL_TAGS, TAG_ANY_SECRET
 from repro.sanitizers.policy import noop_conditions
 
 #: bump to invalidate every cached module when the emitted code changes.
-_CODEGEN_VERSION = 20
+_CODEGEN_VERSION = 21
 
 #: nesting depth up to which an accepted entry runs its episode in place
 #: (each level nests two Python frames: the gate's block and the loop).
@@ -1048,7 +1049,7 @@ class _BlockCompiler:
                 w.emit(f"{pad}d = len(CPS) - 1")
             w.emit(f"{pad}if {depth} >= {_INPLACE_DEPTH}:")
             w.emit(f"{pad}    return {target}")
-        max_steps = self.em.max_steps
+        w.param("FUEL", "FUEL")
         folded = self._trampoline(target)
         if folded is None:
             w.emit(f"{pad}m.pc = {target}")
@@ -1066,7 +1067,7 @@ class _BlockCompiler:
             for name in charge.params:
                 w.param(name, name)
             w.use("f")
-            w.emit(f"{pad}if STP[0] < {max_steps - 1}:")
+            w.emit(f"{pad}if STP[0] < FUEL - 1:")
             w.emit(f"{pad}    if {_CC_EXPR[jcc.cc]}:")
             for line in taken:
                 w.emit(line)
@@ -1081,7 +1082,7 @@ class _BlockCompiler:
         if self.dift_on:
             w.emit(f"{pad}rt = D.register_tags")
         if rest:
-            w.emit(f"{pad}if STP[0] > {max_steps - rest}:")
+            w.emit(f"{pad}if STP[0] > FUEL - {rest}:")
             w.emit(f"{pad}    return {site}")
 
     def _emit_call(self, w: _BlockWriter, addr: int,
@@ -1143,8 +1144,9 @@ class _BlockCompiler:
         # Ender: one step of its (self-counting) single-instruction
         # function, behind the dispatch loop's fuel check.
         w.param("STP", "STP")
+        w.param("FUEL", "FUEL")
         w.param("T", "SSINGLES" if w.sim else "NSINGLES")
-        w.emit(f"if STP[0] >= {self.em.max_steps}:")
+        w.emit("if STP[0] >= FUEL:")
         w.emit(f"    return {addr}")
         w.emit(f"return T[{addr}](m)")
 
@@ -1856,7 +1858,6 @@ class JitEmulator(Emulator):
             "max_block": self.max_block,
             "costs": {op.name: self.cost_model.instruction_cost(op)
                       for op in Opcode},
-            "max_steps": self.max_steps,
             "flip": self.layout.tag_flip_bit,
             "pht": self._pht_enabled,
             "models": sorted(model.name for model in self.spec_models),
@@ -1952,6 +1953,7 @@ class JitEmulator(Emulator):
             "CYC": self._cycles_cell,
             "ARC": self._arch_cell,
             "STP": self._steps_cell,
+            "FUEL": self.max_steps,
             "NSINGLES": self._singles_nosim,
             "SSINGLES": self._singles_sim,
             "INSTRS": self.instructions,

@@ -47,7 +47,7 @@ fresh entry takes its place):
 * the full SHA-256 of the serialized binary (a rebuilt binary whose
   hash prefix collides must not reuse old blocks),
 * the engine-options digest (cost model, speculation variants, DIFT
-  on/off, ``max_steps``, codegen version — see
+  on/off, codegen version — see
   ``JitEmulator._options_digest``),
 * the ``repro`` package version,
 * the interpreter's bytecode ``MAGIC_NUMBER`` (marshalled code objects

@@ -88,7 +88,8 @@ class GadgetReport:
             channel=Channel(record["channel"]),
             attacker=AttackerClass(record["attacker"]),
             pc=int(record["pc"]),
-            branch_addresses=tuple(record.get("branch_addresses", ())),
+            branch_addresses=tuple(
+                int(address) for address in record.get("branch_addresses", ())),
             depth=int(record.get("depth", 0)),
             description=str(record.get("description", "")),
             variant=str(record.get("variant", "pht")),

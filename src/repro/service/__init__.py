@@ -13,7 +13,7 @@ into a long-running service:
   renewing their leases from a shared heartbeat.
 * :mod:`repro.service.ingest` — streaming result ingestion: worker
   results merge into the campaign state *as they arrive* (in job order,
-  so the outcome is bit-identical to the batch schedulers) with
+  so the outcome is bit-identical to the in-process loop) with
   per-round checkpoints and metrics snapshots.
 * :mod:`repro.service.core` — the :class:`FuzzService` façade gluing
   the three together, one driver thread per submitted campaign.
@@ -22,10 +22,10 @@ into a long-running service:
 * :mod:`repro.service.cli` — the ``repro serve`` / ``repro submit`` /
   ``repro status`` commands.
 
-:mod:`repro.service.scheduler` registers the ``pool`` (default) and
-``service`` campaign-scheduler names for one class, so ``run_campaign``
-drives a whole campaign through an ephemeral service instance and
-returns a summary identical to the in-process ``serial`` scheduler's.
+:mod:`repro.service.scheduler` holds the runner ``run_campaign`` uses
+when a campaign needs worker processes: it drives the whole campaign
+through an ephemeral service instance and returns a summary identical
+to the in-process loop's.
 """
 
 __all__ = ["FuzzService", "JobQueue", "JobLease"]

@@ -14,8 +14,8 @@ directory::
 thread expands the spec round by round, enqueues each round's jobs with
 their corpus shards, and feeds completions to a
 :class:`~repro.service.ingest.StreamingIngestor` (which merges them in
-job order, so the final summary is bit-identical to the batch
-schedulers').  Rounds are sequential by construction — round ``r+1``'s
+job order, so the final summary is bit-identical to the in-process
+loop's).  Rounds are sequential by construction — round ``r+1``'s
 seeds derive from the corpus merged out of round ``r`` — but every job
 *within* a round runs concurrently across the fleet, and completions
 merge as they arrive.

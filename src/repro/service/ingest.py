@@ -1,6 +1,6 @@
 """Streaming result ingestion: merge worker results as they complete.
 
-The serial scheduler runs and merges jobs one by one in job order.  The
+The in-process loop runs and merges jobs one by one in job order.  The
 service gets completions in *arrival* order — whichever worker finishes
 first — but
 :meth:`repro.fuzzing.corpus.Corpus.merge` is coverage-novelty greedy and
@@ -10,10 +10,10 @@ determinism with an ordered-prefix buffer: results are held per job and
 folded into the campaign state with
 :func:`repro.campaign.scheduler.merge_worker_result` the moment the
 *next job in round order* is available.  The merged prefix grows as
-completions trickle in, and the final state is bit-identical to a
-serial run's.
+completions trickle in, and the final state is bit-identical to an
+in-process run's.
 
-Round boundaries trigger the same durability work the serial scheduler
+Round boundaries trigger the same durability work the in-process loop
 does between rounds: ``completed_rounds`` advances, the checkpoint file
 is rewritten atomically, and a metrics snapshot lands in the campaign's
 run directory so ``repro runs show`` / ``repro top RUN_DIR`` observe

@@ -1,13 +1,14 @@
-"""The ``pool``/``service`` campaign-scheduler plugin.
+"""The campaign runner that needs worker processes.
 
-``run_campaign(spec)`` — the default ``pool`` scheduler, and therefore
+:func:`~repro.campaign.scheduler.run_campaign` — and therefore
 ``repro campaign``, ``Pipeline.fuzz()`` and the hardening re-fuzz —
-runs the campaign through an ephemeral
-:class:`~repro.service.core.FuzzService`: a durable queue plus
-``max(1, spec.workers)`` workers (each a thread with its own job
-process) in a scratch directory, torn down when the campaign finishes.
-``"pool"`` and ``"service"`` name this same class.  Results are
-bit-identical to the in-process ``serial`` scheduler (the streaming
+hands a campaign to :class:`ServiceCampaignScheduler` when it has more
+than one worker, a job timeout or a ``serve`` address.  The runner
+drives an ephemeral :class:`~repro.service.core.FuzzService`: a durable
+queue plus ``max(1, spec.workers)`` workers (each a thread with its own
+job process) in a scratch directory, torn down when the campaign
+finishes.  Results are bit-identical to the in-process
+:class:`~repro.campaign.scheduler.CampaignScheduler` (the streaming
 ingestor merges in job order), and since every job runs in a worker's
 child process, a job timeout kills the job.
 
@@ -18,9 +19,9 @@ each job merges.  When that session carries a ``serve`` address
 (``repro campaign --serve``, ``Pipeline.telemetry(serve=...)``), the
 ephemeral service's HTTP API (:mod:`repro.service.httpapi`) is bound
 there for the campaign's duration; its ``/metrics`` includes the
-session's live registry.  A session with an engine profiler is the
-exception: the profiler wraps emulators in this process, so such a
-campaign runs in-process on the ``serial`` loop, and cannot serve.
+session's live registry.  A session with an engine profiler never
+reaches this runner: the profiler wraps emulators in this process, so
+``run_campaign`` keeps such a campaign in-process.
 
 Set ``REPRO_SERVICE_DIR`` to keep the queue/run directories around for
 inspection instead of using (and deleting) a temp directory, and
@@ -36,10 +37,9 @@ import shutil
 import tempfile
 from typing import Optional
 
-from repro.campaign.scheduler import CampaignScheduler, ProgressFn
+from repro.campaign.scheduler import ProgressFn
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.summary import CampaignSummary
-from repro.plugins import register_scheduler
 from repro.service.core import FuzzService
 from repro.telemetry.context import active as active_telemetry
 
@@ -50,7 +50,6 @@ SERVICE_DIR_ENV = "REPRO_SERVICE_DIR"
 SERVICE_OBSERVE_ENV = "REPRO_SERVICE_OBSERVE"
 
 
-@register_scheduler("pool")
 class ServiceCampaignScheduler:
     """Run one campaign through a private, short-lived fuzzing service."""
 
@@ -74,20 +73,6 @@ class ServiceCampaignScheduler:
     def run(self, resume: bool = False) -> CampaignSummary:
         telemetry = active_telemetry()
         serve = telemetry.serve if telemetry is not None else None
-        if telemetry is not None and telemetry.profiler is not None:
-            # The profiler sees only emulators of this process; fuzzing
-            # in a worker's child would leave the profile empty.
-            if self.spec.job_timeout_s > 0:
-                raise ValueError(
-                    "engine profiling runs jobs in this process and "
-                    "cannot enforce a job timeout; drop one of the two")
-            if serve is not None:
-                raise ValueError(
-                    "engine profiling runs jobs in this process, without "
-                    "a service to serve; drop --serve or the profiler")
-            return CampaignScheduler(
-                self.spec, checkpoint_path=self.checkpoint_path,
-                progress=self._progress).run(resume=resume)
         root = os.environ.get(SERVICE_DIR_ENV)
         scratch = None
         if not root:
@@ -121,7 +106,7 @@ class ServiceCampaignScheduler:
             if summary is None:
                 failure = service.failure(campaign_id)
                 if failure is not None:
-                    # What the serial scheduler would have raised (a
+                    # What the in-process loop would have raised (a
                     # mismatched checkpoint, an unknown target, ...).
                     raise failure
                 status = service.status(campaign_id)
@@ -137,6 +122,3 @@ class ServiceCampaignScheduler:
             service.stop()
             if scratch is not None:
                 shutil.rmtree(scratch, ignore_errors=True)
-
-
-register_scheduler("service", ServiceCampaignScheduler)

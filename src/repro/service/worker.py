@@ -14,7 +14,7 @@ GIL with the campaign drivers and the HTTP handlers.
 Execution goes through the ordinary
 :func:`repro.campaign.worker.execute_task` entry point, with an attempt
 runner that hands the attempt to the child, so the per-job retry and
-backoff policy and the error boxing are exactly the serial scheduler's
+backoff policy and the error boxing are exactly the in-process loop's
 (an exception becomes an error-carrying
 :class:`~repro.campaign.worker.WorkerResult`, recorded as a failed job
 — it never poisons the queue).  The thread waits at most

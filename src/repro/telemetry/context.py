@@ -15,9 +15,9 @@ Campaigns whose jobs run in worker children still get telemetry — each
 child counts under its own bundle and the campaign folds the counts
 carried by each :class:`~repro.campaign.worker.WorkerResult` into the
 parent registry, and the heartbeat ticks once per merged job.  Engine
-profiling needs the fuzzing in the profiler's own process, so the
-``pool``/``service`` scheduler runs a campaign in-process (the
-``serial`` loop) when the session has a profiler.
+profiling needs the fuzzing in the profiler's own process, so
+:func:`~repro.campaign.scheduler.run_campaign` runs a campaign
+in-process when the session has a profiler.
 """
 
 from __future__ import annotations

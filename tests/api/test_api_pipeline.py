@@ -138,8 +138,6 @@ def test_bad_names_fail_at_build_time():
         api.pipeline(target="gadgets", variant="mystery")
     with pytest.raises(api.PipelineError):
         api.pipeline(target="gadgets", tool="angr")
-    with pytest.raises(api.UnknownPluginError):
-        api.pipeline(target="gadgets").fuzz(10, scheduler="cluster")
     with pytest.raises(api.PipelineError):
         api.pipeline(target="gadgets").bench(tools=("valgrind",))
 

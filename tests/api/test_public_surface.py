@@ -25,7 +25,6 @@ EXPECTED_SURFACE = sorted([
     "ENGINE_REGISTRY",
     "MODEL_REGISTRY",
     "PASS_REGISTRY",
-    "SCHEDULER_REGISTRY",
     "DuplicatePluginError",
     "PluginError",
     "PluginRegistry",
@@ -35,9 +34,7 @@ EXPECTED_SURFACE = sorted([
     "register_engine",
     "register_model",
     "register_pass",
-    "register_scheduler",
     "register_target",
-    "scheduler_names",
     "strategy_names",
     "target_names",
     "target_registry",

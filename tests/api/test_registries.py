@@ -89,7 +89,6 @@ def test_unregister_and_container_protocol():
 def test_builtin_registries_contain_the_expected_plugins():
     assert set(api.engine_names()) >= {"fast", "legacy"}
     assert set(api.strategy_names()) >= {"fence", "mask", "fence-all"}
-    assert set(api.scheduler_names()) >= {"pool", "serial"}
     assert {"gadgets", "jsmn", "libyaml", "libhtp", "brotli",
             "openssl"} <= set(api.target_names())
 
@@ -99,8 +98,6 @@ def test_duplicate_builtin_names_are_rejected_everywhere():
         api.register_engine("fast", lambda: None)
     with pytest.raises(api.DuplicatePluginError):
         api.register_pass("fence", lambda sites: None)
-    with pytest.raises(api.DuplicatePluginError):
-        api.register_scheduler("pool", object)
     with pytest.raises(api.DuplicatePluginError):
         api.register_target(api.TargetProgram(
             name="jsmn", source="int main() { return 0; }", seeds=[b""]))
@@ -157,31 +154,3 @@ def test_third_party_target_is_discoverable_end_to_end(plugin_target):
     payload = run.stage("fuzz").payload
     assert payload["executions"] == 30
     assert payload["spec"]["targets"] == ["apitest-plugin"]
-
-
-def test_third_party_scheduler_runs_a_pipeline(plugin_target):
-    calls = []
-
-    from repro.campaign.scheduler import CampaignScheduler
-
-    @api.register_scheduler("apitest-sched")
-    class _TracingScheduler(CampaignScheduler):
-        def run(self, resume=False):
-            calls.append("run")
-            return super().run(resume=resume)
-
-    try:
-        run = (api.pipeline(target="apitest-plugin", seed=11)
-               .fuzz(iterations=30, scheduler="apitest-sched")
-               .harden("fence")
-               .refuzz()
-               .report())
-        baseline = (api.pipeline(target="apitest-plugin", seed=11)
-                    .fuzz(iterations=30)
-                    .report())
-    finally:
-        api.SCHEDULER_REGISTRY.unregister("apitest-sched")
-    # The verification campaign reuses the detection stage's scheduler.
-    assert calls == ["run", "run"]
-    # A scheduler is pure execution strategy: results cannot change.
-    assert run.stage("fuzz").payload == baseline.stage("fuzz").payload

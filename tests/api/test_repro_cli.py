@@ -24,11 +24,16 @@ def test_targets_json_is_machine_readable(capsys):
 
 
 def test_targets_human_listing(capsys):
+    from repro.targets import injectable_targets, runnable_targets
+
     assert main(["targets"]) == 0
     out = capsys.readouterr().out
-    for name in api.target_names():
-        assert name in out
-    assert "injectable" in out
+    rows = {line.split()[0]: line for line in out.splitlines()[1:]}
+    assert set(rows) == set(api.target_names()) >= set(runnable_targets())
+    # Injectable targets are flagged; pure drivers (gadgets) are not.
+    for name in injectable_targets():
+        assert "injectable (" in rows[name]
+    assert "injectable" not in rows["gadgets"]
 
 
 def test_fuzz_writes_runresult_artifact(tmp_path, capsys):

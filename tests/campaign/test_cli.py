@@ -7,20 +7,6 @@ import pytest
 from repro.campaign.cli import main
 
 
-def test_cli_list_targets(capsys):
-    from repro.targets import injectable_targets, runnable_targets
-
-    exit_code = main(["--list-targets"])
-    assert exit_code == 0
-    out = capsys.readouterr().out
-    for name in runnable_targets():
-        assert name in out
-    # Injectable targets are flagged; pure drivers (gadgets) are not.
-    for name in injectable_targets():
-        assert f"{name}  (supports --variants injected)" in out
-    assert "gadgets  (supports" not in out
-
-
 def test_cli_runs_a_small_campaign(capsys):
     exit_code = main([
         "--targets", "gadgets", "--iterations", "20", "--rounds", "2",
@@ -82,3 +68,18 @@ def test_cli_resume_with_mismatched_spec_fails(tmp_path, capsys):
 def test_cli_rejects_unknown_target(capsys):
     with pytest.raises(SystemExit):
         main(["--targets", "no-such-target"])
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_malformed_checkpoint_exits_2(tmp_path, capsys, workers):
+    # Valid JSON, not a checkpoint: a typed error on either runner, not
+    # a traceback.
+    checkpoint = tmp_path / "bad.json"
+    checkpoint.write_text("[]")
+    exit_code = main([
+        "--targets", "gadgets", "--iterations", "10", "--rounds", "1",
+        "--workers", workers, "--quiet", "--checkpoint", str(checkpoint),
+        "--resume",
+    ])
+    assert exit_code == 2
+    assert "error: a checkpoint is a JSON object" in capsys.readouterr().err

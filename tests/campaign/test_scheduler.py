@@ -139,3 +139,64 @@ def test_summary_table_renders():
     assert "gadgets" in table
     assert "teapot" in table
     assert "unique gadget sites" in table
+
+
+# ---------------------------------------------------------------------------
+# Routing: run_campaign decides whether a campaign needs worker processes
+# ---------------------------------------------------------------------------
+
+class _ReachedFleet(Exception):
+    """Raised by the stand-in FuzzService: the campaign went to the fleet."""
+
+
+def _refuse_fleet(monkeypatch):
+    """Make constructing the ephemeral service fleet raise."""
+    import repro.service.scheduler as service_scheduler
+
+    def refuse(*args, **kwargs):
+        raise _ReachedFleet
+
+    monkeypatch.setattr(service_scheduler, "FuzzService", refuse)
+
+
+def test_default_campaign_runs_in_process_and_matches_the_fleet(
+        monkeypatch, baseline_summary):
+    from repro.service.scheduler import ServiceCampaignScheduler
+
+    fleet = ServiceCampaignScheduler(small_spec()).run()
+    _refuse_fleet(monkeypatch)
+    summary = run_campaign(small_spec())
+    assert summary.to_dict() == fleet.to_dict() == baseline_summary.to_dict()
+
+
+def test_profiled_campaign_stays_in_process_at_any_worker_count(monkeypatch):
+    from repro.telemetry import EngineProfiler, Telemetry
+    from repro.telemetry.context import session
+
+    _refuse_fleet(monkeypatch)
+    telemetry = Telemetry(profiler=EngineProfiler())
+    with session(telemetry):
+        summary = run_campaign(small_spec(workers=2, rounds=1))
+    assert summary.total_executions() == 30
+    assert telemetry.profiler.hot_spots()
+
+
+@pytest.mark.parametrize("overrides,serve", [
+    ({"workers": 2}, False),
+    ({"job_timeout_s": 30.0}, False),
+    ({}, True),
+], ids=["workers", "job_timeout", "serve"])
+def test_campaigns_needing_worker_processes_reach_the_fleet(
+        monkeypatch, overrides, serve):
+    from repro.telemetry import Telemetry
+    from repro.telemetry.context import session
+
+    _refuse_fleet(monkeypatch)
+    telemetry = Telemetry()
+    if serve:
+        telemetry.serve = ("127.0.0.1", 0)
+    with session(telemetry):
+        with pytest.raises(_ReachedFleet):
+            run_campaign(small_spec(**overrides))
+    # Nothing ran in this process before the fleet was asked for.
+    assert telemetry.registry.counters() == {}

@@ -3,9 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.campaign.store import (
     CampaignState,
+    CheckpointError,
     GroupStats,
     ReportStore,
     group_key_str,
@@ -132,3 +134,85 @@ def test_group_stats_round_trip():
     stats = GroupStats(executions=10, crashes=2, normal_coverage=5,
                        spec_stats={"a": 1})
     assert GroupStats.from_dict(stats.to_dict()) == stats
+
+
+def _valid_checkpoint():
+    state = CampaignState(fingerprint="abc123", spec_dict={"targets": ["jsmn"]},
+                          completed_rounds=1)
+    state.corpora[KEY] = Corpus([b"seed"])
+    state.group_stats(KEY).spec_stats["rollbacks"] = 9
+    state.store.add_serialized(KEY, report_dicts(0x100))
+    return state.to_dict()
+
+
+def _with(**fields):
+    record = _valid_checkpoint()
+    record.update(fields)
+    return record
+
+
+@pytest.mark.parametrize("record,field", [
+    ([], "JSON object"),
+    ("str", "JSON object"),
+    (5, "JSON object"),
+    ({"version": 1}, "'fingerprint'"),
+    (_with(corpora=5), "'corpora'"),
+    (_with(stats={group_key_str(KEY): {"spec_stats": {"rollbacks": "x"}}}),
+     "'stats'"),
+    (_with(stats={group_key_str(KEY): []}), "'stats'"),
+    (_with(reports={group_key_str(KEY): {"reports": [{"pc": 1}]}}),
+     "'reports'"),
+    (_with(reports={"not-a-group": {}}), "'reports'"),
+], ids=["list", "string", "number", "no-fingerprint", "corpora-number",
+        "stats-bad-counter", "stats-list", "reports-bad-entry",
+        "reports-bad-key"])
+def test_malformed_checkpoints_raise_checkpoint_errors(tmp_path, record,
+                                                       field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(record))
+    with pytest.raises(CheckpointError, match=field):
+        CampaignState.load(str(path))
+
+
+def test_checkpoint_that_is_not_json_is_a_checkpoint_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    with pytest.raises(CheckpointError, match="not JSON"):
+        CampaignState.load(str(path))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8)
+
+_PATHS = [(), ("version",), ("fingerprint",), ("spec",),
+          ("completed_rounds",), ("corpora",), ("corpora", "jsmn/teapot/vanilla"),
+          ("stats",), ("stats", "jsmn/teapot/vanilla"),
+          ("stats", "jsmn/teapot/vanilla", "spec_stats"),
+          ("reports",), ("reports", "jsmn/teapot/vanilla"),
+          ("reports", "jsmn/teapot/vanilla", "reports")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(path=st.sampled_from(_PATHS), value=_JSON)
+def test_any_json_in_any_checkpoint_field_loads_or_raises_typed(path, value):
+    """Replacing any field of a valid checkpoint (or the whole of it) with
+    any small JSON value either loads a state that round-trips, or raises
+    :class:`CheckpointError` — never another exception."""
+    record = _valid_checkpoint()
+    if path:
+        parent = record
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        record = value
+    try:
+        state = CampaignState.from_dict(record)
+    except CheckpointError:
+        return
+    again = CampaignState.from_dict(json.loads(json.dumps(state.to_dict())))
+    assert again.to_dict() == state.to_dict()

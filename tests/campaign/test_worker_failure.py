@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import repro.campaign.worker as worker_module
-from repro.campaign.scheduler import run_campaign
+from repro.campaign.scheduler import CampaignScheduler
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.worker import execute_task
 from repro.telemetry import Telemetry, read_trace
@@ -37,7 +37,7 @@ def test_execute_task_converts_exceptions_to_error_results(monkeypatch):
 
 def test_scheduler_counts_failed_jobs_in_summary(monkeypatch):
     monkeypatch.setattr(worker_module, "run_job", _raise_run_job)
-    summary = run_campaign(_spec(), scheduler="serial")
+    summary = CampaignScheduler(_spec()).run()
     row = summary.row("gadgets", "teapot")
     assert row.failed_jobs == 1
     assert row.executions == 0
@@ -51,7 +51,7 @@ def test_failed_jobs_survive_checkpoint_round_trip(tmp_path, monkeypatch):
 
     monkeypatch.setattr(worker_module, "run_job", _raise_run_job)
     checkpoint = tmp_path / "campaign.json"
-    run_campaign(_spec(), checkpoint_path=str(checkpoint), scheduler="serial")
+    CampaignScheduler(_spec(), checkpoint_path=str(checkpoint)).run()
     state = CampaignState.load(str(checkpoint))
     assert state.group_stats(("gadgets", "teapot", "vanilla")).failed_jobs == 1
 
@@ -61,7 +61,7 @@ def test_failure_emits_job_failed_trace_event(tmp_path, monkeypatch):
     trace_path = tmp_path / "trace.jsonl"
     telemetry = Telemetry.create(trace=str(trace_path))
     with telemetry_context.session(telemetry):
-        run_campaign(_spec(), scheduler="serial")
+        CampaignScheduler(_spec()).run()
     telemetry.close()
     records = read_trace(str(trace_path))
     failed = [r for r in records if r.get("type") == "job_failed"]
@@ -72,6 +72,6 @@ def test_failure_emits_job_failed_trace_event(tmp_path, monkeypatch):
 
 
 def test_healthy_campaign_reports_zero_failures():
-    summary = run_campaign(_spec(), scheduler="serial")
+    summary = CampaignScheduler(_spec()).run()
     assert summary.total_failed_jobs() == 0
     assert "FAILED" not in summary.format_table()

@@ -9,8 +9,7 @@ import time
 import pytest
 
 import repro.campaign.worker as worker_module
-from repro.campaign.cli import main as campaign_cli
-from repro.campaign.scheduler import run_campaign
+from repro.campaign.scheduler import CampaignScheduler, run_campaign
 from repro.campaign.spec import CampaignSpec, JobSpec
 from repro.campaign.worker import JobTimeoutError, WorkerResult, execute_task
 
@@ -97,9 +96,9 @@ def _live_children():
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
 def test_pool_timeout_kills_a_spinning_job_at_one_worker(monkeypatch):
-    # The default pool scheduler at its default single worker: a job that
-    # never returns is stopped at its deadline, not abandoned on a thread
-    # that keeps spinning in the caller's process.
+    # A job timeout sends even a single-worker campaign to worker
+    # processes: a job that never returns is stopped at its deadline, not
+    # abandoned on a thread that keeps spinning in the caller's process.
     real_run_job = worker_module.run_job
 
     def spins_on_shard_0(job, seeds=None):
@@ -114,7 +113,7 @@ def test_pool_timeout_kills_a_spinning_job_at_one_worker(monkeypatch):
     messages = []
     summary = run_campaign(
         _spec(shards=3, workers=1, job_timeout_s=0.5),
-        progress=messages.append, scheduler="pool")
+        progress=messages.append)
     failures = [m for m in messages if "FAILED" in m]
     assert len(failures) == 1
     assert (f"{JobTimeoutError.__name__}: job exceeded its 0.5s "
@@ -127,8 +126,8 @@ def test_pool_timeout_kills_a_spinning_job_at_one_worker(monkeypatch):
 
 
 def test_serial_scheduler_refuses_job_timeouts():
-    with pytest.raises(ValueError, match="--scheduler pool/service"):
-        run_campaign(_spec(job_timeout_s=1.0), scheduler="serial")
+    with pytest.raises(ValueError, match="cannot enforce a job timeout"):
+        CampaignScheduler(_spec(job_timeout_s=1.0)).run()
 
 
 def test_profiled_pool_campaign_refuses_job_timeouts():
@@ -139,15 +138,7 @@ def test_profiled_pool_campaign_refuses_job_timeouts():
 
     with session(Telemetry(profiler=EngineProfiler())):
         with pytest.raises(ValueError, match="cannot enforce a job timeout"):
-            run_campaign(_spec(job_timeout_s=1.0), scheduler="pool")
-
-
-def test_cli_serial_with_job_timeout_exits_2(capsys):
-    exit_code = campaign_cli([
-        "--targets", "gadgets", "--iterations", "10", "--rounds", "1",
-        "--scheduler", "serial", "--job-timeout", "1", "--quiet"])
-    assert exit_code == 2
-    assert "--scheduler pool/service" in capsys.readouterr().err
+            run_campaign(_spec(job_timeout_s=1.0))
 
 
 def test_spec_threads_robustness_knobs_into_jobs():

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 
-from repro.campaign.scheduler import run_campaign
+from repro.campaign.scheduler import CampaignScheduler, run_campaign
 from repro.campaign.spec import CampaignSpec, JobSpec
 from repro.campaign.store import GroupStats
 from repro.campaign.worker import WorkerResult
+from repro.service.scheduler import ServiceCampaignScheduler
 from repro.service.worker import _child_attempt
 from repro.telemetry import Telemetry
 from repro.telemetry.context import session as telemetry_session
@@ -60,12 +61,12 @@ def test_child_attempt_returns_job_counts():
 
 
 def test_serial_campaign_counts_stay_in_parent_registry():
-    # The serial scheduler runs jobs in-process: the parent registry
+    # The in-process loop runs jobs here: the parent registry
     # counts live and WorkerResult.telemetry_counts stays empty (no
     # double counting).
     telemetry = Telemetry()
     with telemetry_session(telemetry):
-        summary = run_campaign(small_spec(), scheduler="serial")
+        summary = CampaignScheduler(small_spec()).run()
     assert telemetry.registry.counter("fuzz.executions").value == 30
     assert telemetry.registry.counter("campaign.executions").value == 30
     assert summary.groups[0].telemetry_counts == {}
@@ -106,10 +107,10 @@ def test_service_campaign_counts_match_serial_under_a_session():
     # Service jobs run in forked children, where the session reads None;
     # their counter deltas must still reach the session, once each, and
     # the campaign.* counters of the driver land there too, once each.
-    def counts(scheduler):
+    def counts(runner):
         telemetry = Telemetry()
         with telemetry_session(telemetry):
-            run_campaign(small_spec(workers=2), scheduler=scheduler)
+            runner(small_spec(workers=2)).run()
         # Children report non-zero deltas only, and the jit cache
         # statistics (engine.jit.cache.*) only exist out of process.
         return {name: counter.value
@@ -118,8 +119,8 @@ def test_service_campaign_counts_match_serial_under_a_session():
                 and name.startswith(("fuzz.", "engine.", "campaign."))
                 and not name.startswith("engine.jit.cache.")}
 
-    serial = counts("serial")
+    serial = counts(CampaignScheduler)
     assert serial["fuzz.executions"] == 30
     assert serial["campaign.executions"] == 30
     assert serial["campaign.jobs_done"] == 4  # 2 shards x 2 rounds
-    assert counts("service") == serial
+    assert counts(ServiceCampaignScheduler) == serial

@@ -15,11 +15,14 @@ import json
 
 import pytest
 
+import repro.hardening.pipeline as hardening_pipeline
 from repro.analysis.experiments import run_hardening_matrix
+from repro.campaign.scheduler import CampaignScheduler
 from repro.campaign.spec import CampaignSpec
 from repro.hardening.cli import main as harden_main
 from repro.hardening.pipeline import (detect_reports, patch_binary,
                                       run_hardening, verify_patch)
+from repro.service.scheduler import ServiceCampaignScheduler
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +98,7 @@ def test_hardening_without_reports_is_a_no_op():
     assert not result.all_eliminated  # nothing to eliminate is not success
 
 
-def test_service_verification_fuzzes_the_hardened_binary():
+def test_service_verification_fuzzes_the_hardened_binary(monkeypatch):
     # The service's job processes must see binary_override: re-fuzzing
     # the original build with the detection spec would re-find every
     # site, so each would come back residual instead of eliminated.
@@ -104,8 +107,14 @@ def test_service_verification_fuzzes_the_hardened_binary():
     spec = CampaignSpec(targets=("gadgets",), tools=("teapot",),
                         iterations=150, rounds=1, shards=1, seed=7,
                         workers=1, skip_uninjectable=False)
-    serial = verify_patch(patch, spec, scheduler="serial")
-    service = verify_patch(patch, spec, scheduler="service")
+
+    def verify_with(runner):
+        monkeypatch.setattr(hardening_pipeline, "run_campaign",
+                            lambda spec: runner(spec).run())
+        return verify_patch(patch, spec)
+
+    serial = verify_with(CampaignScheduler)
+    service = verify_with(ServiceCampaignScheduler)
     assert serial.eliminated and not serial.residual
     assert ((service.eliminated, service.residual, service.new_sites,
              service.executions) ==

@@ -80,7 +80,7 @@ NESTED_INPUT = bytes([200, 50, 200, 0, 50, 200, 0, 0])
 
 @pytest.fixture(autouse=True)
 def memo_only_cache(monkeypatch):
-    """Each fuel limit is its own compile key: keep them off the disk."""
+    """Keep the sweep's compiled modules off the disk."""
     monkeypatch.setenv("REPRO_JIT_CACHE", "0")
     monkeypatch.setattr(jitcache, "_shared", None)
     monkeypatch.setattr(jitcache, "_shared_dir", None)

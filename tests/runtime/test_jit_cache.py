@@ -3,7 +3,7 @@
 The jit engine's :class:`repro.runtime.jitcache.BlockCache` persists
 compiled block modules across emulator constructions and across
 processes.  These tests pin the accounting (cold miss → store, warm
-memo/disk hits), cross-process reuse (pool-scheduler campaign workers
+memo/disk hits), cross-process reuse (campaign worker processes
 and sequential invocations), rejection of stale entries (rebuilt binary,
 bumped codegen version, changed engine options) and recovery from
 corrupted cache files, with a Hypothesis harness of byte flips,
@@ -25,12 +25,19 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.runtime.jit as jit_module
+from differential import result_record
 from repro.campaign.scheduler import run_campaign
 from repro.campaign.spec import CampaignSpec
+from repro.core.config import TeapotConfig
+from repro.core.teapot import TeapotRewriter
+from repro.coverage.sancov import CoverageRuntime
 from repro.runtime import jitcache
-from repro.runtime.fastpath import FastEmulator
+from repro.runtime.costs import CostModel
+from repro.runtime.fastpath import FastEmulator, resolve_engine
 from repro.runtime.jit import JitEmulator
 from repro.runtime.jitcache import BlockCache
+from repro.runtime.speculation import TeapotNestingPolicy
+from repro.sanitizers.policy import KasperPolicy
 from repro.targets import get_target
 
 SRC_ROOT = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -157,12 +164,11 @@ def test_pool_scheduler_campaign_reuses_cache(cache_dir):
     # identical results; engine is execution mechanics, not fingerprint
     assert jit_dict == fast_dict
 
-    # a serial rerun in this process reuses the entries the workers
-    # published instead of compiling anything new
+    # a one-worker rerun, which runs in this process, reuses the entries
+    # the workers published instead of compiling anything new
     before = dict(jitcache.shared_cache().stats)
     serial = dict(params, workers=1)
-    rerun = run_campaign(CampaignSpec(engine="jit", **serial),
-                         scheduler="serial")
+    rerun = run_campaign(CampaignSpec(engine="jit", **serial))
     assert rerun.to_dict() == jit_dict
     after = jitcache.shared_cache().stats
     assert after["memo_hits"] + after["disk_hits"] > \
@@ -219,11 +225,13 @@ def test_codegen_version_bump_recompiles(cache_dir, gadgets_binary,
 
 
 def test_engine_options_change_keys_new_entry(cache_dir, gadgets_binary):
-    """Different engine options (here: max_steps) produce a different
-    digest — a fresh compile — and a cross-keyed lookup whose header
-    digest mismatches is rejected as stale."""
-    small = JitEmulator(gadgets_binary, max_steps=1_000)
-    large = JitEmulator(gadgets_binary, max_steps=2_000_000)
+    """Different engine options (here: the cost model, whose costs are
+    compiled in) produce a different digest — a fresh compile — and a
+    cross-keyed lookup whose header digest mismatches is rejected as
+    stale."""
+    small = JitEmulator(gadgets_binary)
+    large = JitEmulator(gadgets_binary,
+                        cost_model=CostModel(emulation_multiplier=50))
     assert small._jit_key != large._jit_key
     assert small._jit_cache.stats["misses"] == 2
 
@@ -239,6 +247,37 @@ def test_engine_options_change_keys_new_entry(cache_dir, gadgets_binary):
     fresh = BlockCache(cache_dir)
     assert fresh.load(binary_hash, crossed_digest) is None
     assert fresh.stats["stale"] == 1
+
+
+def test_fuel_limit_is_not_a_codegen_input(cache_dir):
+    """The fuel limit is bound at install, so two Teapot ``gadgets``
+    emulators that differ only in ``max_steps`` share one compiled
+    module, and each still stops on the legacy engine's step."""
+    binary = TeapotRewriter(TeapotConfig()).instrument(
+        get_target("gadgets").compile())
+    data = get_target("gadgets").seeds[0]
+
+    def run(engine, max_steps):
+        emulator_cls, controller_cls = resolve_engine(engine)
+        emulator = emulator_cls(
+            binary, controller=controller_cls(TeapotNestingPolicy()),
+            policy=KasperPolicy(), coverage=CoverageRuntime(),
+            max_steps=max_steps)
+        return emulator, result_record(emulator.run(data))
+
+    full = run("legacy", 5_000_000)[1]
+    assert full["spec_stats"]["simulations_started"] > 1
+    fuels = (5_000_000, full["steps"] // 2)
+    roomy, roomy_record = run("jit", fuels[0])
+    tight, tight_record = run("jit", fuels[1])
+    assert tight._jit_key == roomy._jit_key
+    assert (roomy._jit_cache_event, tight._jit_cache_event) == ("miss", "hit")
+    assert tight._block_code is roomy._block_code
+    assert roomy._jit_cache.stats["misses"] == 1
+    assert len(_cache_files(cache_dir)) == 1
+    assert roomy_record == full
+    assert tight_record == run("legacy", fuels[1])[1]
+    assert tight_record["status"] == "fuel"
 
 
 @pytest.mark.parametrize("damage", ["truncate", "garbage", "no_newline",

@@ -9,7 +9,7 @@ import urllib.request
 
 import pytest
 
-from repro.campaign.scheduler import run_campaign
+from repro.campaign.scheduler import CampaignScheduler
 from repro.campaign.spec import CampaignSpec
 from repro.service.core import FuzzService
 from repro.service.httpapi import ServiceApiServer
@@ -56,7 +56,7 @@ def server(tmp_path):
 
 @pytest.fixture(scope="module")
 def serial_summary():
-    return run_campaign(CampaignSpec(**SPEC), scheduler="serial")
+    return CampaignScheduler(CampaignSpec(**SPEC)).run()
 
 
 def test_http_submit_to_completion_matches_serial(server, serial_summary):

@@ -1,11 +1,12 @@
 """``--serve``: a campaign binds its ephemeral service's HTTP API.
 
-A default (``pool``) campaign run under a telemetry session with a
-``serve`` address serves the service API for exactly the campaign's
+A campaign run under a telemetry session with a ``serve`` address runs
+on an ephemeral service and serves its API for exactly the campaign's
 duration; ``/metrics`` carries the session's live ``campaign.*``
-counters, and ``repro top URL`` reads it.  Where no service exists — the ``serial`` loop, a profiled
-session — ``serve`` is refused before any job runs, and malformed or
-unbindable addresses are clean ``error:`` exits of both CLIs.
+counters, and ``repro top URL`` reads it.  Where no service exists — the
+in-process loop, a profiled session — ``serve`` is refused before any
+job runs, and malformed or unbindable addresses are clean ``error:``
+exits of both CLIs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import urllib.request
 import pytest
 
 from repro.api.cli import main as repro_main
-from repro.campaign.scheduler import run_campaign
+from repro.campaign.scheduler import CampaignScheduler, run_campaign
 from repro.campaign.spec import CampaignSpec
 from repro.telemetry import Telemetry, top
 from repro.telemetry.context import session as telemetry_session
@@ -83,16 +84,23 @@ def test_served_campaign_exposes_live_metrics_and_closes_the_port():
         urllib.request.urlopen(served["url"] + "/healthz", timeout=5)
 
 
-@pytest.mark.parametrize("scheduler,profile_engine", [
+#: Where no service runs: the in-process loop called directly
+#: ("serial"), and ``run_campaign`` in a profiled session ("pool"), which
+#: it keeps in-process at any worker count.
+RUNNERS = {"serial": lambda spec: CampaignScheduler(spec).run(),
+           "pool": run_campaign}
+
+
+@pytest.mark.parametrize("runner,profile_engine", [
     ("serial", False),
     ("pool", True),
 ])
-def test_serve_is_refused_where_no_service_runs(scheduler, profile_engine):
+def test_serve_is_refused_where_no_service_runs(runner, profile_engine):
     telemetry = Telemetry.create(profile_engine=profile_engine)
     telemetry.serve = ("127.0.0.1", 0)
     with telemetry_session(telemetry):
         with pytest.raises(ValueError, match="serve"):
-            run_campaign(small_spec(), scheduler=scheduler)
+            RUNNERS[runner](small_spec())
     # Refused up front: no job ran, nothing was counted.
     assert telemetry.registry.counters() == {}
 

@@ -1,15 +1,15 @@
-"""The ``service`` scheduler plugin: bit-identical to the batch schedulers."""
+"""The service-fleet campaign runner: bit-identical to the in-process loop."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.campaign.scheduler import CampaignScheduler, run_campaign
+from repro.campaign.scheduler import CampaignScheduler
 from repro.campaign.spec import CampaignSpec, JobSpec
 from repro.campaign.store import CampaignState
 from repro.campaign.worker import WorkerResult, run_job
-from repro.plugins import scheduler_names
 from repro.service.ingest import StreamingIngestor
+from repro.service.scheduler import ServiceCampaignScheduler
 
 
 def small_spec(**overrides):
@@ -21,29 +21,25 @@ def small_spec(**overrides):
 
 @pytest.fixture(scope="module")
 def serial_summary():
-    return run_campaign(small_spec(), scheduler="serial")
-
-
-def test_service_is_a_registered_scheduler():
-    assert "service" in scheduler_names()
+    return CampaignScheduler(small_spec()).run()
 
 
 def test_service_scheduler_matches_serial(serial_summary):
-    summary = run_campaign(small_spec(), scheduler="service")
+    summary = ServiceCampaignScheduler(small_spec()).run()
     assert summary.to_dict() == serial_summary.to_dict()
 
 
 def test_service_scheduler_multi_variant_matches_serial():
     spec = small_spec(spec_variants=("pht", "btb"), iterations=40)
-    serial = run_campaign(spec, scheduler="serial")
-    service = run_campaign(spec, scheduler="service")
+    serial = CampaignScheduler(spec).run()
+    service = ServiceCampaignScheduler(spec).run()
     assert service.to_dict() == serial.to_dict()
     assert service.row("gadgets", "teapot").by_variant == \
         serial.row("gadgets", "teapot").by_variant
 
 
 def test_service_resumes_a_batch_checkpoint(tmp_path, serial_summary):
-    """Cross-scheduler resume: round 1 batch, round 2 via the service."""
+    """Cross-runner resume: round 1 in-process, round 2 via the service."""
     spec = small_spec()
     ckpt = str(tmp_path / "campaign.json")
     scheduler = CampaignScheduler(spec, checkpoint_path=ckpt)
@@ -56,8 +52,8 @@ def test_service_resumes_a_batch_checkpoint(tmp_path, serial_summary):
         scheduler.run()
     assert CampaignState.load(ckpt).completed_rounds == 1
 
-    resumed = run_campaign(spec, checkpoint_path=ckpt, resume=True,
-                           scheduler="service")
+    resumed = ServiceCampaignScheduler(spec, checkpoint_path=ckpt).run(
+        resume=True)
     assert resumed.to_dict() == serial_summary.to_dict()
 
 

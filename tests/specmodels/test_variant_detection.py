@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign.scheduler import run_campaign
+from repro.campaign.scheduler import CampaignScheduler
 from repro.campaign.spec import CampaignSpec
 from repro.core.config import TeapotConfig
 from repro.core.teapot import TeapotRewriter, TeapotRuntime
@@ -130,8 +130,7 @@ def test_campaign_variant_axis_and_resume_across_variant_sets(tmp_path):
         targets=("gadgets-stl",), tools=("teapot",), iterations=24,
         rounds=2, seed=5, spec_variants=("pht",),
     )
-    first = run_campaign(base, checkpoint_path=str(checkpoint),
-                         scheduler="serial")
+    first = CampaignScheduler(base, checkpoint_path=str(checkpoint)).run()
     row = first.row("gadgets-stl", "teapot")
     assert set(row.by_variant) <= {"pht"}
 
@@ -149,8 +148,8 @@ def test_campaign_variant_axis_and_resume_across_variant_sets(tmp_path):
     # The fingerprint ignores the variant axis, so the PHT checkpoint
     # resumes under the grown variant set (finished rounds stay cached).
     assert grown.fingerprint() == base.fingerprint()
-    resumed = run_campaign(grown, checkpoint_path=str(checkpoint),
-                           resume=True, scheduler="serial")
+    resumed = CampaignScheduler(grown, checkpoint_path=str(checkpoint)).run(
+        resume=True)
     resumed_row = resumed.row("gadgets-stl", "teapot")
     assert resumed_row.executions == row.executions
     assert resumed_row.by_variant == row.by_variant
@@ -161,7 +160,7 @@ def test_campaign_multi_variant_reports_are_attributed(tmp_path):
         targets=("gadgets-stl",), tools=("teapot",), iterations=16,
         rounds=1, seed=5, spec_variants=("pht", "stl"),
     )
-    summary = run_campaign(spec, scheduler="serial")
+    summary = CampaignScheduler(spec).run()
     row = summary.row("gadgets-stl", "teapot")
     assert row.by_variant.get("stl", 0) >= 2
     assert row.to_dict()["by_variant"] == row.by_variant
