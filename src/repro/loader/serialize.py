@@ -67,7 +67,20 @@ def _read_u64(src: BinaryIO) -> int:
 
 def _read_str(src: BinaryIO) -> str:
     length = _read_u32(src)
-    return _read_exact(src, length).decode("utf-8")
+    try:
+        return _read_exact(src, length).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TelfFormatError(f"string is not UTF-8: {exc.reason}") from None
+
+
+def _read_kind(src: BinaryIO, kind):
+    """Read a string and convert it to the enum ``kind``."""
+    value = _read_str(src)
+    try:
+        return kind(value)
+    except ValueError:
+        raise TelfFormatError(
+            f"{value[:32]!r} is not a valid {kind.__name__}") from None
 
 
 def _read_bytes(src: BinaryIO) -> bytes:
@@ -143,7 +156,7 @@ def loads_binary(data: bytes) -> TelfBinary:
         name = _read_str(src)
         address = _read_u64(src)
         size = _read_u64(src)
-        kind = SymbolKind(_read_str(src))
+        kind = _read_kind(src, SymbolKind)
         section = _read_str(src)
         symbols.append(Symbol(name, address, size, kind, section))
 
@@ -156,7 +169,7 @@ def loads_binary(data: bytes) -> TelfBinary:
         addend = _read_u64(src)
         if addend >= 1 << 63:
             addend -= 1 << 64
-        kind = RelocationKind(_read_str(src))
+        kind = _read_kind(src, RelocationKind)
         relocations.append(Relocation(address, symbol, addend, kind))
 
     metadata = {}

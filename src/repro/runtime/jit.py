@@ -11,8 +11,11 @@ code:
 
 * **Blocks.**  Each basic block (and straight-line superblock) of up to
   ``max_block`` instructions becomes one function, compiled once per
-  binary into one module.  Executing a block is one dict lookup and one
-  call for *n* instructions instead of *n* of each.
+  binary as a code object of its own, so a cold build never holds more
+  than one block's syntax tree.  Only blocks that some dispatch can
+  reach are compiled (``_BlockCompiler.reachable_blocks``).  Executing
+  a block is one dict lookup and one call for *n* instructions instead
+  of *n* of each.
 * **Single-instruction functions.**  The same compiler run with a cap of
   one instruction.  The dispatch loop steps through them wherever no
   whole block applies: at addresses that start no block, and at the fuel
@@ -71,10 +74,11 @@ Bit-identity with the legacy reference interpreter (enforced by
   engine.  The limit is bound at install (``FUEL``), not compiled in, so
   emulators that differ only in ``max_steps`` share one module.
 
-The compiled block module is persistently cached across processes by
-:mod:`repro.runtime.jitcache`, keyed by (binary hash, repro version,
-engine-options digest, bytecode magic); single-instruction functions are
-memoized per process under the same key.  See ``docs/emulator.md``.
+The block module, the tuple of per-block code objects, is persistently
+cached across processes by :mod:`repro.runtime.jitcache`, keyed by
+(binary hash, repro version, engine-options digest, bytecode magic);
+single-instruction functions are memoized per process under the same
+key.  See ``docs/emulator.md``.
 """
 
 from __future__ import annotations
@@ -111,8 +115,9 @@ from repro.runtime.speculation import (
 from repro.sanitizers.dift import ALL_TAGS, TAG_ANY_SECRET
 from repro.sanitizers.policy import noop_conditions
 
-#: bump to invalidate every cached module when the emitted code changes.
-_CODEGEN_VERSION = 21
+#: bump to invalidate every cached module when the emitted code or the
+#: set of compiled blocks changes.
+_CODEGEN_VERSION = 22
 
 #: nesting depth up to which an accepted entry runs its episode in place
 #: (each level nests two Python frames: the gate's block and the loop).
@@ -318,9 +323,24 @@ class _BlockWriter:
         #: ``(steps, cycles, arch)`` at fault-site marker ``i`` (entry 0
         #: is the just-flushed sentinel).  Emitted as the ``_P`` tuple.
         self.fault_entries: List[Tuple[int, int, int]] = [(0, 0, 0)]
+        #: static addresses the block hands to the dispatch loop: its
+        #: ``return N`` exits, an episode's ``m.pc = N`` before ``RUN``
+        #: and an ender tail's ``T[N]``
+        #: (see ``_BlockCompiler.reachable_blocks``).
+        self.exits: Set[int] = set()
 
     def emit(self, line: str) -> None:
         self.lines.append(self.pad + line)
+
+    def goto(self, addr: int, pad: str = "") -> None:
+        """Exit the block to the static address ``addr``."""
+        self.exits.add(addr)
+        self.emit(f"{pad}return {addr}")
+
+    def resume_at(self, addr: int, pad: str = "") -> None:
+        """Point the machine at ``addr`` for the dispatch loop (``RUN``)."""
+        self.exits.add(addr)
+        self.emit(f"{pad}m.pc = {addr}")
 
     def param(self, name: str, expr: str) -> None:
         self.params.setdefault(name, expr)
@@ -598,40 +618,49 @@ class _BlockCompiler:
 
     # -- block discovery -----------------------------------------------------
     def leaders(self) -> Set[int]:
-        """Every address a compiled block may start at.
+        """Every address a compiled block may start at: the roots and the
+        immediate branch targets of :meth:`_leader_sets`."""
+        roots, targets = self._leader_sets()
+        return roots | targets
 
-        Function entries, immediate branch targets, the fall-through
+    def _leader_sets(self) -> Tuple[Set[int], Set[int]]:
+        """``(roots, branch targets)``: the two reasons an address leads.
+
+        Roots are the addresses the dispatch loop reaches without a
+        compiled block naming them: function entries, the fall-through
         successor of every ender and every direct call (return sites —
-        ``ret`` returns there dynamically) and of every inert checkpoint.
+        ``ret`` returns there dynamically) and of every inert checkpoint,
+        and a trampoline a checkpoint gate cannot fold.  Branch targets
+        are the immediate targets of direct branches; such a leader gets
+        a block only when some block exits to it (:meth:`reachable_blocks`).
         A compiled checkpoint gate runs its episode as a call and resumes
         in place (:meth:`_emit_episode`), so neither its resume point nor
-        its trampoline — folded into the gate — is a leader; only a
-        trampoline the gate cannot fold is.  Control transfers into the
-        *middle* of a block (dynamic-model resumes, stale targets) are
-        always safe: the main loop simply steps single-instruction
-        functions until the next leader.
+        its trampoline — folded into the gate — is a leader.  Control
+        transfers into the *middle* of a block (dynamic-model resumes,
+        stale targets) are always safe: the main loop simply steps
+        single-instruction functions until the next leader.
         """
         self.sim = False  # ecall classification differs per variant
-        leaders: Set[int] = set()
-        for sym in self.em.binary.function_symbols():
-            leaders.add(sym.address)
+        roots: Set[int] = {sym.address
+                            for sym in self.em.binary.function_symbols()}
+        targets: Set[int] = set()
         for addr, instr in self.instructions.items():
             kind = self._kind(instr)
             if instr.opcode is Opcode.CHECKPOINT and kind == "cexit":
                 target = _imm_target(instr)
                 if self._trampoline(target) is None:
-                    leaders.add(target)
+                    roots.add(target)
                 continue
             if instr.opcode in _BRANCH_OPS:
                 target = _imm_target(instr)
                 if target is not None:
-                    leaders.add(target)
+                    targets.add(target)
             if (kind == "ender"
                     or instr.opcode in (Opcode.CHECKPOINT, Opcode.CALL)):
                 nxt = self.next_address.get(addr)
                 if nxt is not None:
-                    leaders.add(nxt)
-        return leaders
+                    roots.add(nxt)
+        return roots, targets
 
     def _trampoline(self, target: int) -> Optional[Tuple[Instruction,
                                                          Instruction]]:
@@ -666,31 +695,59 @@ class _BlockCompiler:
             return (False, True)
         return (True,) if em._in_shadow_copy(instr.address) else (False,)
 
-    def compile_source(self) -> str:
-        """Source of the block module: every block of two or more steps
-        (for a shorter one the single-instruction function is just as
-        fast), registered in its variant's table."""
-        chunks = [
-            f"# generated by repro.runtime.jit codegen v{_CODEGEN_VERSION}"
-            " -- do not edit",
-        ]
-        leaders = self.leaders()
-        for leader in sorted(leaders):
+    def reachable_blocks(self) -> Dict[Tuple[int, bool],
+                                       Tuple[str, int, List[int], Set[int]]]:
+        """``(leader, sim) -> (source, steps, span, exits)`` of every block
+        some dispatch can reach.
+
+        The walk starts at the roots and adds the recorded exits
+        (:attr:`_BlockWriter.exits`) of each block it compiles until
+        nothing new is reached.  A leader that is only the target of
+        in-block forward skips (``_forward_skips``) is never dispatched
+        to, so it gets no block.  Blocks of fewer than two steps are
+        walked too: the single-instruction function dispatched in their
+        place exits to the same addresses.  Every block is compiled
+        against all leaders, so its cap cut, and hence its source, does
+        not depend on what else is reached.
+        """
+        roots, targets = self._leader_sets()
+        leaders = roots | targets
+        blocks = {}
+        reached = set(roots)
+        work = sorted(roots)
+        while work:
+            leader = work.pop()
             instr = self.instructions.get(leader)
             if instr is None:
                 continue
             for sim in self._leader_modes(instr):
-                name = _fn_name("b", leader, sim)
-                source, need, span = self._compile_block(
-                    leader, sim, self.em.max_block, name, leaders)
-                if need < 2:
-                    continue
-                table = "BLOCKS" if sim else "NBLOCKS"
-                spans = "SSPANS" if sim else "NSPANS"
-                chunks.append(source)
-                chunks.append(f"{table}[{leader}] = ({name}, {need})")
-                chunks.append(f"{spans}[{leader}] = {tuple(span)!r}")
-        return "\n\n".join(chunks) + "\n"
+                block = self._compile_block(
+                    leader, sim, self.em.max_block, _fn_name("b", leader, sim),
+                    leaders)
+                blocks[(leader, sim)] = block
+                fresh = (block[3] & leaders) - reached
+                reached |= fresh
+                work.extend(sorted(fresh))
+        return blocks
+
+    def compile_source(self) -> List[str]:
+        """Sources of the block module, one per block: every reachable
+        block of two or more steps (for a shorter one the
+        single-instruction function is just as fast), each registered in
+        its variant's table.  Each compiles on its own, so compiling the
+        module never holds more than one block's syntax tree."""
+        sources = []
+        for (leader, sim), (source, need, span, _) in sorted(
+                self.reachable_blocks().items()):
+            if need < 2:
+                continue
+            name = _fn_name("b", leader, sim)
+            table = "BLOCKS" if sim else "NBLOCKS"
+            spans = "SSPANS" if sim else "NSPANS"
+            sources.append(
+                f"{source}\n\n{table}[{leader}] = ({name}, {need})\n\n"
+                f"{spans}[{leader}] = {tuple(span)!r}\n")
+        return sources
 
     def compile_single(self, addr: int, sim: bool) -> Optional[str]:
         """Source of the single-instruction function at ``addr``: the
@@ -703,8 +760,8 @@ class _BlockCompiler:
 
     def _compile_block(self, leader: int, sim: bool, cap: int, name: str,
                        leaders: Set[int] = frozenset()):
-        """``(source, steps, span)`` of the block at ``leader`` holding
-        at most ``cap`` inline instructions.
+        """``(source, steps, span, exits)`` of the block at ``leader``
+        holding at most ``cap`` inline instructions.
 
         A block that reaches the cap ends in front of the last of
         ``leaders`` in its sequence, so its exit lands on a compiled
@@ -781,7 +838,7 @@ class _BlockCompiler:
             span.append(addr)
         if tail is not None:
             self._emit_tail(writer, tail)
-        return writer.render(name), writer.total_steps, span
+        return writer.render(name), writer.total_steps, span, writer.exits
 
     @staticmethod
     def _forward_skips(seq) -> Dict[int, int]:
@@ -912,11 +969,11 @@ class _BlockCompiler:
             self._emit_rollback(w, "forced", charge=False)
         elif opcode is Opcode.CALL:
             self._emit_call(w, addr, instr)
-            w.emit(f"return {_imm_target(instr)}")
+            w.goto(_imm_target(instr))
         elif opcode is Opcode.RET:
             self._emit_ret(w, addr, instr)
         else:  # JMP / SPEC_REDIRECT(sim): direct target
-            w.emit(f"return {_imm_target(instr)}")
+            w.goto(_imm_target(instr))
 
     def _emit_cexit(self, w: _BlockWriter, addr: int, instr: Instruction,
                     rest: int) -> None:
@@ -939,7 +996,7 @@ class _BlockCompiler:
             w.use("f")
             w.emit(f"if {_CC_EXPR[instr.cc]}:")
             w.flush_exit()
-            w.emit(f"    return {_imm_target(instr)}")
+            w.goto(_imm_target(instr), "    ")
         elif opcode is Opcode.CHECKPOINT:
             w.flush()
             self._emit_gate(w, nxt, _imm_target(instr), rest)
@@ -1048,11 +1105,11 @@ class _BlockCompiler:
                 depth = "d"
                 w.emit(f"{pad}d = len(CPS) - 1")
             w.emit(f"{pad}if {depth} >= {_INPLACE_DEPTH}:")
-            w.emit(f"{pad}    return {target}")
+            w.goto(target, pad + "    ")
         w.param("FUEL", "FUEL")
         folded = self._trampoline(target)
         if folded is None:
-            w.emit(f"{pad}m.pc = {target}")
+            w.resume_at(target, pad)
         else:
             # The trampoline's counters, as a sim-variant flush would
             # emit them after its first and after both instructions.
@@ -1071,19 +1128,19 @@ class _BlockCompiler:
             w.emit(f"{pad}    if {_CC_EXPR[jcc.cc]}:")
             for line in taken:
                 w.emit(line)
-            w.emit(f"{pad}        m.pc = {_imm_target(jcc)}")
+            w.resume_at(_imm_target(jcc), pad + "        ")
             w.emit(f"{pad}    else:")
             for line in through:
                 w.emit(line)
-            w.emit(f"{pad}        m.pc = {_imm_target(jmp)}")
+            w.resume_at(_imm_target(jmp), pad + "        ")
             w.emit(f"{pad}else:")
-            w.emit(f"{pad}    m.pc = {target}")
+            w.resume_at(target, pad + "    ")
         w.emit(f"{pad}RUN(m, {depth})")
         if self.dift_on:
             w.emit(f"{pad}rt = D.register_tags")
         if rest:
             w.emit(f"{pad}if STP[0] > FUEL - {rest}:")
-            w.emit(f"{pad}    return {site}")
+            w.goto(site, pad + "    ")
 
     def _emit_call(self, w: _BlockWriter, addr: int,
                    instr: Instruction) -> None:
@@ -1139,7 +1196,7 @@ class _BlockCompiler:
         kind, addr = tail
         w.flush()
         if kind == "goto":
-            w.emit(f"return {addr}")
+            w.goto(addr)
             return
         # Ender: one step of its (self-counting) single-instruction
         # function, behind the dispatch loop's fuel check.
@@ -1147,7 +1204,7 @@ class _BlockCompiler:
         w.param("FUEL", "FUEL")
         w.param("T", "SSINGLES" if w.sim else "NSINGLES")
         w.emit("if STP[0] >= FUEL:")
-        w.emit(f"    return {addr}")
+        w.goto(addr, "    ")
         w.emit(f"return T[{addr}](m)")
 
     # -- inline instruction emitters -----------------------------------------
@@ -1917,26 +1974,28 @@ class JitEmulator(Emulator):
         digest = self._options_digest()
         self._jit_key = (binary_hash, digest)
         self._compiler = _BlockCompiler(self)
-        code = None
+        code = ()
         if self.max_block > 1:
             code = cache.load(binary_hash, digest)
             if code is None:
-                source = self._compiler.compile_source()
-                code = compile(source, "<repro-jit>", "exec")
+                code = tuple(compile(source, "<repro-jit>", "exec")
+                             for source in self._compiler.compile_source())
                 cache.store(binary_hash, digest, code)
                 self._jit_cache_event = "miss"
             else:
                 self._jit_cache_event = "hit"
+        #: one code object per block (empty at a block cap of one).
         self._block_code = code
         self._install_blocks()
 
     def _install_blocks(self) -> None:
-        """Bind the compiled module to this instance's live objects.
+        """Bind the compiled blocks to this instance's live objects.
 
         The generated source is instance-independent (every constant is
         a literal); instance objects enter through the exec namespace,
-        which each generated function captures via keyword-parameter
-        defaults evaluated at exec time.  Single-instruction functions
+        into which every block's code object is exec'd and which each
+        generated function captures via keyword-parameter defaults
+        evaluated at exec time.  Single-instruction functions
         are exec'd into the same namespace as they are first dispatched.
         """
         self._singles_nosim = _SingleTable(
@@ -1972,8 +2031,8 @@ class JitEmulator(Emulator):
             "SSPANS": {},
             "NSPANS": {},
         }
-        if self._block_code is not None:
-            exec(self._block_code, namespace)
+        for code in self._block_code:
+            exec(code, namespace)
         self._namespace = namespace
         #: addr -> covered instruction addresses (profiler attribution).
         self._block_spans_sim = namespace["SSPANS"]

@@ -1,17 +1,18 @@
 """Persistent compiled-block cache for the ``jit`` engine.
 
 The jit engine (:mod:`repro.runtime.jit`) compiles decoded basic blocks
-into generated Python source and ``compile()``s it into one code object
-per binary.  Source generation and byte-compilation dominate emulator
+into generated Python source and ``compile()``s each block on its own,
+so the block module of a binary is a tuple of code objects, one per
+block.  Source generation and byte-compilation dominate emulator
 construction time, and fuzzing campaigns construct many emulators over
 the *same* instrumented binary — one per worker process, one per variant
 run, one per re-fuzz.  This module shares that work:
 
 * **In-process memo** — constructing a second ``JitEmulator`` over the
   same (binary, options) pair in one process reuses the compiled code
-  object directly (a "memo" hit; the differential tests construct
+  objects directly (a "memo" hit; the differential tests construct
   dozens of emulators per binary).
-* **On-disk cache** — the code object is marshalled to a cache file so
+* **On-disk cache** — the tuple is marshalled to a cache file so
   *other* processes (campaign worker children, sequential
   ``repro fuzz`` invocations) skip compilation entirely (a "disk" hit).
 * **Single-instruction memo** — the engines compile single-instruction
@@ -30,9 +31,10 @@ One file per (binary, options) pair under the cache directory::
     <sha256(binary)[:16]>-<options_digest[:16]>.jitblk
 
 Each file is a single JSON header line followed by the raw
-``marshal.dumps`` payload of the compiled module::
+``marshal.dumps`` payload of the compiled module, the tuple of per-block
+code objects::
 
-    {"format": 2, "binary": "<full sha256>", "options": "<full digest>",
+    {"format": 3, "binary": "<full sha256>", "options": "<full digest>",
      "version": "0.5.0", "magic": "<hex of importlib MAGIC_NUMBER>",
      "payload": "<sha256 of the marshal bytes>", ...}
     <marshal bytes>
@@ -51,14 +53,17 @@ fresh entry takes its place):
   ``JitEmulator._options_digest``),
 * the ``repro`` package version,
 * the interpreter's bytecode ``MAGIC_NUMBER`` (marshalled code objects
-  are not portable across Python bytecode versions).
+  are not portable across Python bytecode versions),
+* the cache ``format`` (format-2 entries hold one code object for the
+  whole module).
 
 Unreadable or truncated files, payloads whose SHA-256 differs from the
 header's ``payload`` digest and headers that are not byte for byte the
 line ``store`` writes for that payload (killed worker mid-write, disk
 corruption) are counted as **corrupt**, deleted, and recompiled: a
 damaged payload is never handed to ``marshal.loads``, which can crash
-the interpreter on malformed input.  Writes go through a temp file +
+the interpreter on malformed input.  So is a payload that unmarshals to
+anything but a tuple of code objects.  Writes go through a temp file +
 atomic ``os.replace`` so a crashed writer can never publish a
 half-written entry.  The cache is best-effort throughout: any
 ``OSError`` degrades to plain recompilation.
@@ -83,12 +88,13 @@ import os
 import stat
 import sys
 import tempfile
+import types
 from typing import Dict, Optional, Tuple
 
 from repro._version import __version__
 
 #: bump when the on-disk layout changes.
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 #: hex of the interpreter's bytecode magic; marshalled code objects are
 #: only valid for the exact bytecode version that produced them.
@@ -149,7 +155,8 @@ class BlockCache:
         #: on-disk location; ``None`` disables persistence (memo only).
         self.directory = directory
         self.version = version
-        #: in-process memo: (binary_hash, options_digest) -> code object.
+        #: in-process memo: (binary_hash, options_digest) -> tuple of
+        #: per-block code objects.
         self._memo: Dict[Tuple[str, str], object] = {}
         #: in-process memo of single-instruction functions:
         #: (binary_hash, options_digest, address, sim variant) -> code
@@ -192,7 +199,8 @@ class BlockCache:
 
     # -- lookup --------------------------------------------------------------
     def load(self, binary_hash: str, options_digest: str):
-        """Return the cached code object, or ``None`` (then compile+store)."""
+        """Return the cached per-block code objects, or ``None`` (then
+        compile + store)."""
         key = (binary_hash, options_digest)
         memo = self._memo.get(key)
         if memo is not None:
@@ -241,7 +249,8 @@ class BlockCache:
             code = marshal.loads(payload)
         except (EOFError, ValueError, TypeError):
             return self._reject_corrupt(path)
-        if not hasattr(code, "co_code"):
+        if not isinstance(code, tuple) or not all(
+                isinstance(block, types.CodeType) for block in code):
             return self._reject_corrupt(path)
         self.stats["disk_hits"] += 1
         return code

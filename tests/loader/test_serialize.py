@@ -1,14 +1,19 @@
 """Tests for TELF serialisation."""
 
+import struct
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.loader import (
+    TelfBinary,
     TelfFormatError,
     dumps_binary,
     load_binary,
     loads_binary,
     save_binary,
 )
+from repro.targets import get_target
 
 
 def test_round_trip_preserves_everything(simple_binary):
@@ -59,3 +64,64 @@ def test_binary_queries(simple_binary):
         simple_binary.symbol("missing")
     with pytest.raises(KeyError):
         simple_binary.import_index("printf")
+
+
+# -- hostile images (Hypothesis) ----------------------------------------------
+
+@pytest.fixture(scope="module")
+def gadgets_image():
+    return dumps_binary(get_target("gadgets").compile())
+
+
+def _image_edits(size: int):
+    """Byte overwrites, truncations and insertions of an image of ``size``
+    bytes."""
+    overwrites = st.tuples(st.just("set"), st.integers(0, size - 1),
+                           st.binary(min_size=1, max_size=4))
+    truncations = st.tuples(st.just("truncate"), st.integers(0, size - 1))
+    insertions = st.tuples(st.just("insert"), st.integers(0, size),
+                           st.binary(min_size=1, max_size=8))
+    return st.lists(st.one_of(overwrites, truncations, insertions),
+                    min_size=1, max_size=3)
+
+
+def _apply_image_edit(image: bytes, edit) -> bytes:
+    kind, at = edit[0], edit[1]
+    if kind == "truncate":
+        return image[:at]
+    if kind == "insert":
+        return image[:at] + edit[2] + image[at:]
+    return image[:at] + edit[2] + image[at + len(edit[2]):]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_image_loads_or_raises_telf_error(gadgets_image, data):
+    """A byte-mutated, truncated or extended gadgets image either loads
+    or raises :class:`TelfFormatError`: bad UTF-8 in a string and an
+    unknown symbol or relocation kind are format errors too."""
+    image = gadgets_image
+    for edit in data.draw(_image_edits(len(gadgets_image))):
+        image = _apply_image_edit(image, edit)
+    try:
+        binary = loads_binary(image)
+    except TelfFormatError:
+        return
+    assert isinstance(binary, TelfBinary)
+
+
+@pytest.mark.parametrize("old, new", [
+    (b"main", b"\xffain"),                 # the entry name: not UTF-8
+    (b"function", b"gadget"),               # an unknown symbol kind
+    (b"abs64_code", b"\x1ebs64_code"),      # an unknown relocation kind
+])
+def test_bad_strings_and_kinds_are_format_errors(gadgets_image, old, new):
+    """A string that is not UTF-8 and an unknown symbol or relocation
+    kind are format errors, not ``UnicodeDecodeError`` or ``ValueError``."""
+    framed = struct.pack("<I", len(old)) + old
+    assert framed in gadgets_image
+    image = gadgets_image.replace(
+        framed, struct.pack("<I", len(new)) + new, 1)
+    with pytest.raises(TelfFormatError):
+        loads_binary(image)

@@ -14,9 +14,11 @@ arrays, both switch lowerings), compiles and Teapot-instruments them per
 speculation variant, and requires every engine to produce the same
 execution record.  The last tests pin copy-aware compilation (in a
 binary with Speculation Shadows each block is compiled only in the mode
-its copy runs in) and the compile shape of episodes run as calls (no
+its copy runs in), the compile shape of episodes run as calls (no
 block at a resume point or a folded trampoline, a bounded module, no
-dispatch outside blocks while fuzzing).
+dispatch outside blocks while fuzzing) and the reachability walk (a
+block only where a dispatch can land, and no fuzz run ever needing a
+dropped one).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from repro.runtime.fastpath import resolve_engine
 from repro.runtime.jit import _BRANCH_OPS, _imm_target
 from repro.runtime.speculation import TeapotNestingPolicy
 from repro.sanitizers.policy import KasperPolicy
-from repro.targets import get_target
+from repro.targets import get_target, inject_gadgets
 from repro.telemetry import Telemetry
 
 ENGINES = ("legacy", "fast", "jit")
@@ -550,19 +552,45 @@ def test_blocks_compile_only_in_their_copys_mode():
     assert baseline._blocks_nosim.keys() == baseline._blocks_sim.keys()
 
 
-@pytest.mark.parametrize("extra", [(), ("btb",), ("rsb",), ("stl",)])
+def _singles_for_dropped_blocks(emulator):
+    """Single-instruction functions built at a leader, in a mode where the
+    block there would run two or more steps: each one stands in for a
+    block the compiler dropped (by copy or by reachability)."""
+    compiler = emulator._compiler
+    leaders = compiler.leaders()
+    dropped = []
+    for sim, singles in ((False, emulator._singles_nosim),
+                         (True, emulator._singles_sim)):
+        for addr in singles:
+            if addr in leaders and compiler._compile_block(
+                    addr, sim, emulator.max_block, "probe", leaders)[1] >= 2:
+                dropped.append((hex(addr), sim))
+    return dropped
+
+
+@pytest.mark.parametrize("extra", [(), ("btb",), ("rsb",), ("stl",),
+                                   "specfuzz"])
 def test_fuzzing_needs_no_single_for_a_dropped_block(extra):
     """Over a fuzz run no single-instruction function stands in for a
-    block the copy-aware compiler dropped: none in sim mode at a
-    Real-Copy leader other than a marker nop, none in no-sim mode at a
-    Shadow-Copy leader."""
+    block the compiler dropped: none in sim mode at a Real-Copy leader
+    other than a marker nop, none in no-sim mode at a Shadow-Copy leader,
+    and none at any leader, in either mode, where a block of two or more
+    steps would start (so no leader the reachability walk drops is ever
+    dispatched to).  Singles at leaders whose block would take fewer
+    steps (``stl`` makes stores enders) are expected."""
     target = get_target("gadgets")
-    config = TeapotConfig().with_variants("pht", *extra)
-    binary = TeapotRewriter(config).instrument(target.compile())
-    runtime = TeapotRuntime(binary, config=config)
+    if extra == "specfuzz":
+        runtime = _gadgets_builds()["specfuzz"]
+    else:
+        config = TeapotConfig().with_variants("pht", *extra)
+        binary = TeapotRewriter(config).instrument(target.compile())
+        runtime = TeapotRuntime(binary, config=config)
     Fuzzer(FuzzTarget(runtime), seeds=list(target.seeds),
            seed=3).run_campaign(300)
     emulator = runtime.emulator
+    assert not _singles_for_dropped_blocks(emulator)
+    if not emulator.has_shadows:
+        return
     in_shadow, is_marker = _shadow_partition(emulator)
     leaders = emulator._compiler.leaders()
     assert not [addr for addr in emulator._singles_sim
@@ -570,6 +598,21 @@ def test_fuzzing_needs_no_single_for_a_dropped_block(extra):
                 and not is_marker(addr)]
     assert not [addr for addr in emulator._singles_nosim
                 if addr in leaders and in_shadow(addr)]
+
+
+def test_injected_jsmn_fuzzing_needs_no_single_for_a_dropped_block():
+    """The same over a short campaign on the Table-3 jsmn build, whose
+    parser loops are full of in-block forward skips."""
+    target = get_target("jsmn")
+    config = TeapotConfig()
+    binary = TeapotRewriter(config).instrument(inject_gadgets(target).binary)
+    runtime = TeapotRuntime(binary, config=config)
+    Fuzzer(FuzzTarget(runtime), seeds=list(target.seeds),
+           seed=3).run_campaign(10)
+    compiler = runtime.emulator._compiler
+    reached = {addr for addr, _ in compiler.reachable_blocks()}
+    assert compiler.leaders() - reached
+    assert not _singles_for_dropped_blocks(runtime.emulator)
 
 
 def test_inlined_instructions_gauge_counts_both_tables():
@@ -640,12 +683,35 @@ def test_no_block_starts_where_only_an_episode_resumes():
 
 
 def test_gadgets_block_module_size():
-    """The gadgets block module stays small, and its source is
-    deterministic."""
+    """The gadgets block module stays small, and its per-block sources
+    are deterministic."""
     emulator = _gadgets_builds()["teapot"].emulator
-    source = emulator._compiler.compile_source()
-    assert len(source) <= 440_000
-    assert emulator._compiler.compile_source() == source
+    sources = emulator._compiler.compile_source()
+    assert sum(len(source) for source in sources) <= 300_000
+    assert emulator._compiler.compile_source() == sources
+
+
+def test_every_block_is_a_root_or_an_exit_target():
+    """A block is compiled only where a dispatch can land: at a root, or
+    at a recorded exit target of another compiled block.  On gadgets
+    some leaders are only targets of in-block forward skips, so they get
+    no block."""
+    builds = _gadgets_builds()
+    for name, runtime in builds.items():
+        emulator = runtime.emulator
+        compiler = emulator._compiler
+        roots, _ = compiler._leader_sets()
+        compiled = {(addr, False) for addr in emulator._blocks_nosim}
+        compiled |= {(addr, True) for addr in emulator._blocks_sim}
+        blocks = compiler.reachable_blocks()
+        assert compiled <= blocks.keys(), name
+        for key in compiled:
+            entered = {exit for other in compiled - {key}
+                       for exit in blocks[other][3]}
+            assert key[0] in roots or key[0] in entered, (name, hex(key[0]))
+    compiler = builds["teapot"].emulator._compiler
+    reached = {addr for addr, _ in compiler.reachable_blocks()}
+    assert compiler.leaders() - reached
 
 
 def test_fuzzing_dispatches_only_to_blocks():

@@ -5,19 +5,23 @@ compiled block modules across emulator constructions and across
 processes.  These tests pin the accounting (cold miss → store, warm
 memo/disk hits), cross-process reuse (campaign worker processes
 and sequential invocations), rejection of stale entries (rebuilt binary,
-bumped codegen version, changed engine options) and recovery from
-corrupted cache files, with a Hypothesis harness of byte flips,
-truncations, extensions and header edits of a real entry, and the
+bumped codegen version, changed engine options, format-2 entries),
+recovery from corrupted cache files (including payloads that are not a
+tuple of per-block code objects), with a Hypothesis harness of byte
+flips, truncations, extensions and header edits of a real entry, the
 directory trust rule (a cache directory other users can write to is
-never read from or written to).
+never read from or written to) and the memory peak of a cold build.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import marshal
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -29,7 +33,7 @@ from differential import result_record
 from repro.campaign.scheduler import run_campaign
 from repro.campaign.spec import CampaignSpec
 from repro.core.config import TeapotConfig
-from repro.core.teapot import TeapotRewriter
+from repro.core.teapot import TeapotRewriter, TeapotRuntime
 from repro.coverage.sancov import CoverageRuntime
 from repro.runtime import jitcache
 from repro.runtime.costs import CostModel
@@ -359,6 +363,77 @@ def test_writable_cache_dir_is_not_trusted(cache_dir, tmp_path,
     assert sorted(os.listdir(shared)) == [os.path.basename(path)]
     with open(target, "rb") as handle:
         assert handle.read() == entry
+
+
+def _rewrite_entry(path, payload, **fields):
+    """Replace the entry at ``path`` with ``payload`` under its own header
+    with ``fields`` changed and a matching payload digest: only the edited
+    field or the payload's shape can make it a miss."""
+    with open(path, "rb") as handle:
+        header = json.loads(handle.read().split(b"\n", 1)[0])
+    header.update(fields, payload=hashlib.sha256(payload).hexdigest())
+    with open(path, "wb") as handle:
+        handle.write(json.dumps(header, sort_keys=True).encode("utf-8")
+                     + b"\n" + payload)
+
+
+@pytest.mark.parametrize("shape", ["one_code_object", "list", "non_code"])
+def test_payload_that_is_not_a_tuple_of_code_objects_is_corrupt(
+        cache_dir, gadgets_binary, shape):
+    """A format-3 payload is the tuple of per-block code objects; a single
+    code object (the format-2 module), a list of them or a tuple holding
+    anything else is corrupt even under a valid header."""
+    emulator = JitEmulator(gadgets_binary)
+    blocks = emulator._block_code
+    assert isinstance(blocks, tuple) and len(blocks) > 1
+    payload = {"one_code_object": blocks[0], "list": list(blocks),
+               "non_code": blocks[:1] + (1,)}[shape]
+    path = emulator._jit_cache.path_for(*emulator._jit_key)
+    _rewrite_entry(path, marshal.dumps(payload))
+
+    fresh = BlockCache(cache_dir)
+    assert fresh.load(*emulator._jit_key) is None
+    assert fresh.stats["corrupt"] == 1
+    assert fresh.stats["stale"] == 0
+    assert not os.path.exists(path)
+
+
+def test_format_2_entry_is_stale(cache_dir, gadgets_binary):
+    """An entry written under format 2 (one code object for the whole
+    module) is stale: deleted, recompiled and replaced by format 3."""
+    emulator = JitEmulator(gadgets_binary)
+    path = emulator._jit_cache.path_for(*emulator._jit_key)
+    _rewrite_entry(path, marshal.dumps(emulator._block_code[0]), format=2)
+
+    fresh = BlockCache(cache_dir)
+    assert fresh.load(*emulator._jit_key) is None
+    assert fresh.stats["stale"] == 1
+    assert fresh.stats["corrupt"] == 0
+    assert not os.path.exists(path)
+
+    jitcache._shared = None
+    jitcache._shared_dir = None
+    recompiled = JitEmulator(gadgets_binary)
+    assert recompiled._jit_cache_event == "miss"
+    with open(path, "rb") as handle:
+        assert json.loads(handle.readline())["format"] == 3
+
+
+def test_cold_build_peak_memory(cache_dir):
+    """A cold Teapot gadgets build compiles block by block, so its
+    ``tracemalloc`` peak stays far below one whole-module syntax tree
+    (36 MB when the module compiled as one)."""
+    config = TeapotConfig()
+    binary = TeapotRewriter(config).instrument(get_target("gadgets").compile())
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        runtime = TeapotRuntime(binary, config=config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert runtime.emulator._jit_cache_event == "miss"
+    assert peak <= 8_000_000, f"{peak / 1e6:.1f} MB"
 
 
 # -- hostile entries (Hypothesis) ---------------------------------------------
