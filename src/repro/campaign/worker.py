@@ -182,6 +182,13 @@ class WorkerResult:
     #: Additive field: older results deserialize with it empty.
     telemetry_counts: Dict[str, int] = field(default_factory=dict)
 
+    @classmethod
+    def for_job(cls, job: JobSpec, **fields: object) -> "WorkerResult":
+        """A result carrying ``job``'s identity plus ``fields``."""
+        return cls(job_id=job.job_id, target=job.target, tool=job.tool,
+                   variant=job.variant, shard=job.shard,
+                   round_index=job.round_index, **fields)
+
     @property
     def group(self) -> Tuple[str, str, str]:
         return (self.target, self.tool, self.variant)
@@ -266,13 +273,8 @@ def run_job(job: JobSpec, seeds: Optional[Sequence[bytes]] = None) -> WorkerResu
         max_input_size=job.max_input_size,
     )
     result = fuzzer.run_chunk(job.iterations)
-    return WorkerResult(
-        job_id=job.job_id,
-        target=job.target,
-        tool=job.tool,
-        variant=job.variant,
-        shard=job.shard,
-        round_index=job.round_index,
+    return WorkerResult.for_job(
+        job,
         executions=result.executions,
         crashes=result.crashes,
         hangs=result.hangs,
@@ -328,13 +330,8 @@ def execute_task(task: Tuple[JobSpec, Optional[List[bytes]]],
                 time.sleep(job.retry_backoff_s * (2 ** (attempt - 1)))
                 continue
             suffix = (f" (after {attempts} attempts)" if attempts > 1 else "")
-            result = WorkerResult(
-                job_id=job.job_id,
-                target=job.target,
-                tool=job.tool,
-                variant=job.variant,
-                shard=job.shard,
-                round_index=job.round_index,
+            result = WorkerResult.for_job(
+                job,
                 error=f"{type(exc).__name__}: {exc}{suffix}",
                 traceback=_traceback.format_exc(),
             )

@@ -101,29 +101,6 @@ class CampaignResult:
         """Unique gadget counts per ``Attacker-Channel`` category."""
         return self.reports.count_by_category()
 
-    def merge(self, other: "CampaignResult") -> None:
-        """Fold another result in (campaign aggregation across chunks/workers).
-
-        Counters sum, reports deduplicate by gadget site, and the coverage /
-        corpus-size gauges take the maximum (they are absolute sizes, not
-        increments).  The campaign scheduler applies the same rules when
-        folding serialized worker results into its checkpointable state —
-        keep :func:`repro.campaign.scheduler.merge_worker_result` in step
-        with any change here.
-        """
-        self.executions += other.executions
-        self.total_cycles += other.total_cycles
-        self.total_steps += other.total_steps
-        self.crashes += other.crashes
-        self.hangs += other.hangs
-        self.corpus_size = max(self.corpus_size, other.corpus_size)
-        self.normal_coverage = max(self.normal_coverage, other.normal_coverage)
-        self.speculative_coverage = max(
-            self.speculative_coverage, other.speculative_coverage
-        )
-        self.reports.merge(other.reports)
-        merge_counts(self.spec_stats, other.spec_stats)
-
     def to_dict(self) -> Dict[str, object]:
         """Stable JSON-ready form (mirrors ``ExecutionResult``'s fields the
         way ``Corpus``/``GadgetReport`` serialize theirs), so campaign

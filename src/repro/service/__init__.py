@@ -11,12 +11,10 @@ into a long-running service:
   and executing them, each in its own forked child process, through the
   ordinary :func:`repro.campaign.worker.execute_task` entry point,
   renewing their leases from a shared heartbeat.
-* :mod:`repro.service.ingest` — streaming result ingestion: worker
-  results merge into the campaign state *as they arrive* (in job order,
-  so the outcome is bit-identical to the in-process loop) with
-  per-round checkpoints and metrics snapshots.
 * :mod:`repro.service.core` — the :class:`FuzzService` façade gluing
-  the three together, one driver thread per submitted campaign.
+  the two together, one driver thread per submitted campaign; each
+  campaign runs through the round loop of
+  :mod:`repro.campaign.scheduler`, which states the round protocol.
 * :mod:`repro.service.httpapi` — a thin stdlib HTTP/JSON API
   (``POST /v1/campaigns``, ``GET /v1/campaigns/<id>``, ...).
 * :mod:`repro.service.cli` — the ``repro serve`` / ``repro submit`` /

@@ -10,15 +10,12 @@ directory::
         runs/     # one telemetry run directory per campaign
         state/    # per-campaign checkpoint files
 
-``submit`` registers a campaign and returns immediately; a driver
-thread expands the spec round by round, enqueues each round's jobs with
-their corpus shards, and feeds completions to a
-:class:`~repro.service.ingest.StreamingIngestor` (which merges them in
-job order, so the final summary is bit-identical to the in-process
-loop's).  Rounds are sequential by construction — round ``r+1``'s
-seeds derive from the corpus merged out of round ``r`` — but every job
-*within* a round runs concurrently across the fleet, and completions
-merge as they arrive.
+``submit`` registers a campaign and returns immediately; a driver thread
+runs it through the campaign round loop
+(:class:`repro.campaign.scheduler.RoundLoop`), so its summary is
+bit-identical to the in-process runner's.  Only a round's jobs run
+differently: every job of the round is queued at once, runs concurrently
+across the fleet, and is offered to the loop's ingestor as it completes.
 
 The service survives worker deaths (expired leases re-offer jobs) and
 its own restarts (checkpoints resume a campaign mid-flight); the HTTP
@@ -35,12 +32,12 @@ import time
 from typing import Dict, List, Optional
 
 from repro._version import __version__
-from repro.campaign.scheduler import ProgressFn, seeds_for_job
-from repro.campaign.spec import CampaignSpec
-from repro.campaign.store import CampaignState, group_key_str
-from repro.campaign.summary import CampaignSummary, summarize
+from repro.campaign.scheduler import (ProgressFn, RoundLoop,
+                                     StreamingIngestor, Task)
+from repro.campaign.spec import CampaignSpec, JobSpec
+from repro.campaign.store import group_key_str
+from repro.campaign.summary import CampaignSummary
 from repro.campaign.worker import WorkerResult
-from repro.service.ingest import StreamingIngestor
 from repro.service.queue import JobQueue
 from repro.service.worker import WorkerFleet
 from repro.telemetry import Telemetry
@@ -63,14 +60,21 @@ class UnknownCampaignError(KeyError):
         return self.args[0]
 
 
-class _Campaign:
-    """One submitted campaign's mutable service-side record."""
+class _Campaign(RoundLoop):
+    """One submitted campaign: its service-side record and its rounds.
 
-    def __init__(self, campaign_id: str, spec: CampaignSpec,
-                 checkpoint_path: str, run_dir, telemetry=None) -> None:
+    As a :class:`RoundLoop` it runs each round's jobs on the fleet: it
+    enqueues them with their corpus shards and offers each completion to
+    the ingestor as it lands.
+    """
+
+    def __init__(self, service: "FuzzService", campaign_id: str,
+                 spec: CampaignSpec, checkpoint_path: str, run_dir,
+                 telemetry=None, progress: Optional[ProgressFn] = None,
+                 ) -> None:
+        super().__init__(spec, checkpoint_path, progress)
+        self.service = service
         self.campaign_id = campaign_id
-        self.spec = spec
-        self.checkpoint_path = checkpoint_path
         self.run_dir = run_dir
         #: the caller's telemetry bundle to drive under (None: a private
         #: bundle recording into :attr:`run_dir`).
@@ -86,10 +90,87 @@ class _Campaign:
         self.finished_at: Optional[float] = None
         self.jobs_total = 0
         self.jobs_done = 0
-        self.rounds_completed = 0
         self.cancel_event = threading.Event()
         self.done_event = threading.Event()
         self.lock = threading.Lock()
+
+    def finish(self, status: str, manifest: Optional[Dict[str, object]] = None,
+               **fields: object) -> None:
+        """Record the end: ``fields`` here, ``manifest`` in the run dir."""
+        with self.lock:
+            self.status = status
+            self.finished_at = time.time()
+            for name, value in fields.items():
+                setattr(self, name, value)
+        self.run_dir.finalize(status=status, **(manifest or {}))
+
+    def _run_jobs(self, round_index: int, tasks: List[Task],
+                  ingestor: StreamingIngestor) -> None:
+        queue = self.service.queue
+        if self.cancel_event.is_set():
+            raise _Cancelled()
+        round_span_id = derive_span_id(self.trace_id, "round", round_index)
+        pending: Dict[str, JobSpec] = {}
+        for job, seeds in tasks:
+            trace = self._trace_context(job, round_span_id)
+            pending[queue.submit(self.campaign_id, job, seeds,
+                                 trace=trace)] = job
+        with self.lock:
+            self.jobs_total += len(tasks)
+        running = ingestor.telemetry.registry.gauge("campaign.jobs_running")
+        while pending:
+            if self.cancel_event.is_set():
+                raise _Cancelled()
+            token = queue.change_token()
+            harvested = False
+            for fingerprint in list(pending):
+                record = queue.result(fingerprint)
+                if record is None:
+                    continue
+                job = pending.pop(fingerprint)
+                harvested = True
+                if record.get("status") == "completed":
+                    result = WorkerResult.from_dict(record["result"])
+                else:
+                    # The queue failed or cancelled the job itself: merge
+                    # that as this job's failure, even when its record was
+                    # too damaged to name the job.
+                    result = WorkerResult.for_job(
+                        job, error=str(record["result"]["error"]))
+                ingestor.offer(result,
+                               lifecycle=self._lifecycle(fingerprint, record))
+                with self.lock:
+                    self.jobs_done += 1
+                running.set(len(pending))
+            if not harvested:
+                # Completions signal the queue's condition variable; the
+                # poll interval only bounds cross-process lag and the
+                # cancel-check latency.
+                queue.wait_for_change(token, self.service.poll_interval)
+
+    # -- distributed tracing -------------------------------------------------
+    def _trace_context(self, job: JobSpec,
+                       round_span_id: str) -> Optional[Dict[str, object]]:
+        """The trace context stamped into one queued job record."""
+        if not self.service.observe:
+            return None
+        return {
+            "trace_id": self.trace_id,
+            "span_id": derive_span_id(self.trace_id, job.job_id, "submit"),
+            "parent_span_id": round_span_id,
+            "campaign_id": self.campaign_id,
+        }
+
+    def _lifecycle(self, fingerprint: str, record: Dict[str, object],
+                   ) -> Optional[Dict[str, object]]:
+        """A completion record → the ingestor's lifecycle block."""
+        if not self.service.observe:
+            return None
+        meta = record.get("meta")
+        if not isinstance(meta, dict):
+            return None  # v1 record, or a terminal failure (no worker ran)
+        return dict(meta, fingerprint=fingerprint,
+                    completed_at=record.get("completed_at"))
 
 
 class FuzzService:
@@ -188,8 +269,8 @@ class FuzzService:
             config=spec.to_dict(),
             extra={"campaign_id": campaign_id},
         )
-        campaign = _Campaign(campaign_id, spec, checkpoint_path, run_dir,
-                             telemetry=telemetry)
+        campaign = _Campaign(self, campaign_id, spec, checkpoint_path,
+                             run_dir, telemetry=telemetry, progress=progress)
         self.log.info("campaign_submitted", logger="service.core",
                       campaign_id=campaign_id, trace_id=campaign.trace_id,
                       fingerprint=fingerprint, run_id=run_dir.run_id,
@@ -197,7 +278,7 @@ class FuzzService:
         with self._lock:
             self._campaigns[campaign_id] = campaign
             driver = threading.Thread(
-                target=self._drive, args=(campaign, resume, progress),
+                target=self._drive, args=(campaign, resume),
                 name=f"repro-service-driver-{campaign_id}", daemon=True)
             self._drivers[campaign_id] = driver
         self.start()
@@ -205,8 +286,7 @@ class FuzzService:
         return campaign_id
 
     # -- the driver ----------------------------------------------------------
-    def _drive(self, campaign: _Campaign, resume: bool,
-               progress: Optional[ProgressFn]) -> None:
+    def _drive(self, campaign: _Campaign, resume: bool) -> None:
         telemetry = campaign.telemetry
         owned = telemetry is None
         if owned:
@@ -216,166 +296,33 @@ class FuzzService:
                             campaign_id=campaign.campaign_id,
                             trace_id=campaign.trace_id)
         try:
-            state = self._initial_state(campaign, resume)
+            state = campaign.open_state(resume)
             with campaign.lock:
                 campaign.status = "running"
-                campaign.rounds_completed = state.completed_rounds
-            telemetry.event(
-                "campaign_start",
-                fingerprint=state.fingerprint,
-                trace_id=campaign.trace_id,
-                rounds=campaign.spec.rounds,
-                completed_rounds=state.completed_rounds,
-                workers=len(self.fleet.workers),
-            )
             log.info("campaign_started", fingerprint=state.fingerprint,
                      rounds=campaign.spec.rounds,
                      resumed_rounds=state.completed_rounds,
                      run_id=campaign.run_dir.run_id)
-            ingestor = StreamingIngestor(
-                state, telemetry=telemetry, progress=progress,
-                checkpoint_path=campaign.checkpoint_path,
-                run_dir=telemetry.run_dir)
-            for round_index in range(state.completed_rounds,
-                                     campaign.spec.rounds):
-                if campaign.cancel_event.is_set():
-                    raise _Cancelled()
-                self._run_round(campaign, state, ingestor, round_index,
-                                telemetry, progress)
-                with campaign.lock:
-                    campaign.rounds_completed = state.completed_rounds
-            summary = summarize(state)
-            with campaign.lock:
-                campaign.summary = summary
-                campaign.status = "completed"
-                campaign.finished_at = time.time()
-            campaign.run_dir.finalize(
-                status="completed",
-                unique_gadgets=summary.total_unique_gadgets(),
-                executions=summary.total_executions(),
-            )
-            log.info("campaign_completed",
-                     unique_gadgets=summary.total_unique_gadgets(),
-                     executions=summary.total_executions())
+            summary = campaign.run_rounds(state, telemetry,
+                                          workers=len(self.fleet.workers),
+                                          trace_id=campaign.trace_id)
+            totals = {"unique_gadgets": summary.total_unique_gadgets(),
+                      "executions": summary.total_executions()}
+            campaign.finish("completed", manifest=totals, summary=summary)
+            log.info("campaign_completed", **totals)
         except _Cancelled:
             self.queue.cancel(campaign.campaign_id)
-            with campaign.lock:
-                campaign.status = "cancelled"
-                campaign.finished_at = time.time()
-            campaign.run_dir.finalize(status="cancelled")
+            campaign.finish("cancelled")
             log.warning("campaign_cancelled")
         except Exception as error:  # noqa: BLE001 - surfaced via status
-            with campaign.lock:
-                campaign.status = "failed"
-                campaign.error = f"{type(error).__name__}: {error}"
-                campaign.exception = error
-                campaign.finished_at = time.time()
-            campaign.run_dir.finalize(status="failed", error=campaign.error)
-            log.error("campaign_failed", error=campaign.error)
+            message = f"{type(error).__name__}: {error}"
+            campaign.finish("failed", manifest={"error": message},
+                            error=message, exception=error)
+            log.error("campaign_failed", error=message)
         finally:
             if owned:
                 telemetry.close()
             campaign.done_event.set()
-
-    def _initial_state(self, campaign: _Campaign,
-                       resume: bool) -> CampaignState:
-        fingerprint = campaign.spec.fingerprint()
-        if resume and campaign.checkpoint_path:
-            try:
-                state = CampaignState.load(campaign.checkpoint_path)
-            except FileNotFoundError:
-                state = None
-            if state is not None:
-                if state.fingerprint != fingerprint:
-                    raise ValueError(
-                        "checkpoint was produced by a different campaign "
-                        f"spec (fingerprint {state.fingerprint} != "
-                        f"{fingerprint}); refusing to resume")
-                return state
-        return CampaignState(fingerprint=fingerprint,
-                             spec_dict=campaign.spec.to_dict())
-
-    def _run_round(self, campaign: _Campaign, state: CampaignState,
-                   ingestor: StreamingIngestor, round_index: int,
-                   telemetry, progress: Optional[ProgressFn]) -> None:
-        spec = campaign.spec
-        jobs = spec.jobs_for_round(round_index)
-        if progress is not None:
-            progress(f"round {round_index + 1}/{spec.rounds}: "
-                     f"{len(jobs)} jobs over "
-                     f"{len(self.fleet.workers)} worker(s)")
-        ingestor.begin_round(jobs)
-        round_span_id = derive_span_id(campaign.trace_id,
-                                       "round", round_index)
-        fingerprints = [
-            self.queue.submit(campaign.campaign_id, job,
-                              seeds_for_job(state, job),
-                              trace=self._job_trace_context(
-                                  campaign, job, round_span_id))
-            for job in jobs
-        ]
-        with campaign.lock:
-            campaign.jobs_total += len(jobs)
-        registry = telemetry.registry
-        registry.counter("campaign.jobs_queued").inc(len(jobs))
-        registry.gauge("campaign.jobs_running").set(len(jobs))
-        with telemetry.span(f"round:{round_index}"):
-            pending = dict(zip(fingerprints, jobs))
-            while pending:
-                if campaign.cancel_event.is_set():
-                    raise _Cancelled()
-                token = self.queue.change_token()
-                harvested = False
-                for fingerprint in list(pending):
-                    record = self.queue.result(fingerprint)
-                    if record is None:
-                        continue
-                    del pending[fingerprint]
-                    harvested = True
-                    result = WorkerResult.from_dict(record["result"])
-                    ingestor.offer(result,
-                                   lifecycle=self._job_lifecycle(
-                                       fingerprint, record))
-                    with campaign.lock:
-                        campaign.jobs_done += 1
-                    registry.gauge("campaign.jobs_running").set(len(pending))
-                if not harvested:
-                    # Completions signal the queue's condition variable;
-                    # the poll interval only bounds cross-process lag and
-                    # the cancel-check latency.
-                    self.queue.wait_for_change(token, self.poll_interval)
-        registry.gauge("campaign.jobs_running").set(0)
-        ingestor.finish_round()
-
-    # -- distributed tracing -------------------------------------------------
-    def _job_trace_context(self, campaign: _Campaign, job,
-                           round_span_id: str) -> Optional[Dict[str, object]]:
-        """The trace context stamped into one queued job record."""
-        if not self.observe:
-            return None
-        return {
-            "trace_id": campaign.trace_id,
-            "span_id": derive_span_id(campaign.trace_id, job.job_id,
-                                      "submit"),
-            "parent_span_id": round_span_id,
-            "campaign_id": campaign.campaign_id,
-        }
-
-    def _job_lifecycle(self, fingerprint: str,
-                       record: Dict[str, object],
-                       ) -> Optional[Dict[str, object]]:
-        """A completion record → the ingestor's lifecycle block."""
-        if not self.observe:
-            return None
-        meta = record.get("meta")
-        if not isinstance(meta, dict):
-            return None  # v1 record, or a terminal failure (no worker ran)
-        lifecycle: Dict[str, object] = dict(meta)
-        lifecycle["fingerprint"] = fingerprint
-        completed = record.get("completed_at")
-        if isinstance(completed, (int, float)):
-            lifecycle["completed_at"] = completed
-        return lifecycle
 
     # -- observation ---------------------------------------------------------
     def metrics_view(self):
@@ -521,3 +468,4 @@ class FuzzService:
 
 class _Cancelled(Exception):
     """Internal control flow: the campaign's cancel event fired."""
+

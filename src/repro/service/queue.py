@@ -18,7 +18,10 @@ semantics:
   filesystem arbitrates racing claimants.  An *expired* lease (its
   holder missed every renewal for the visibility timeout) is taken over
   by atomically replacing the lease file with a fresh one carrying a
-  new token and an incremented attempt counter.
+  new token and an incremented attempt counter.  Claim parses the job
+  record once (:class:`JobRecord`); one that does not parse
+  (:class:`JobRecordError`) gets a terminal ``failed`` done record
+  naming the field, and the claim moves on to the next job.
 * **complete** hard-links a fully-written temp record into ``done/`` —
   ``os.link`` fails with ``EEXIST`` if a record is already there, which
   makes completion exactly-once even if an expired worker wakes up and
@@ -78,6 +81,65 @@ def job_fingerprint(campaign_id: str, job: JobSpec) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:32]
 
 
+class JobRecordError(ValueError):
+    """A job record that does not parse; the message names the field."""
+
+
+@dataclass(frozen=True)
+class JobRecord:
+    """A parsed job record: what a worker runs, and its submit metadata."""
+
+    campaign_id: str
+    job: JobSpec
+    seeds: Optional[List[bytes]]
+    #: wall-clock second of submission (None when the record has none).
+    enqueued_at: Optional[float]
+    #: the trace context stamped at submit (None on v1 records).
+    trace: Optional[Dict[str, object]]
+
+    @property
+    def trace_id(self) -> Optional[object]:
+        return self.trace.get("trace_id") if self.trace is not None else None
+
+    @classmethod
+    def parse(cls, text: str) -> "JobRecord":
+        """Check and convert one record; :class:`JobRecordError` if bad.
+
+        Job records are written once, atomically, so text that is not
+        JSON is damage, not a write in progress.
+        """
+        try:
+            record = json.loads(text)
+        except ValueError:
+            raise JobRecordError("record: not JSON") from None
+        if not isinstance(record, dict):
+            raise JobRecordError("record: not a JSON object")
+        for name, kind in (("campaign_id", str), ("job", dict),
+                           ("seeds", list), ("enqueued_at", (int, float)),
+                           ("trace", dict)):
+            value = record.get(name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, kind)):
+                raise JobRecordError(f"{name}: wrong type")
+        try:
+            job = JobSpec.from_dict(record.get("job") or {})
+        except KeyError as error:
+            raise JobRecordError(f"job.{error.args[0]}: missing") from None
+        except (TypeError, ValueError, OverflowError) as error:
+            raise JobRecordError(f"job: {error}") from None
+        seeds = record.get("seeds")
+        try:
+            if seeds is not None:
+                seeds = [bytes.fromhex(entry) for entry in seeds]
+        except (TypeError, ValueError) as error:
+            raise JobRecordError(f"seeds: {error}") from None
+        enqueued_at = record.get("enqueued_at")
+        return cls(campaign_id=record.get("campaign_id") or "", job=job,
+                   seeds=seeds, trace=record.get("trace"),
+                   enqueued_at=(None if enqueued_at is None
+                                else float(enqueued_at)))
+
+
 @dataclass
 class JobLease:
     """One claimed job: what to run plus the renewal credentials."""
@@ -88,28 +150,24 @@ class JobLease:
     deadline: float
     #: 1 on the first claim, +1 per expired-lease takeover.
     attempt: int
-    #: the full job record (``campaign_id``, ``job`` dict, ``seeds`` hex).
-    record: Dict[str, object]
+    #: the job record, parsed at claim.
+    record: JobRecord
     #: wall-clock second this lease (re)started — queue-wait attribution.
     claimed_at: float = 0.0
 
     @property
     def campaign_id(self) -> str:
-        return str(self.record.get("campaign_id", ""))
+        return self.record.campaign_id
 
     def trace_context(self) -> Optional[Dict[str, object]]:
         """The trace context stamped at submit (None on v1 records)."""
-        trace = self.record.get("trace")
-        return trace if isinstance(trace, dict) else None
+        return self.record.trace
 
     def job_spec(self) -> JobSpec:
-        return JobSpec.from_dict(self.record["job"])
+        return self.record.job
 
     def seeds(self) -> Optional[List[bytes]]:
-        entries = self.record.get("seeds")
-        if entries is None:
-            return None
-        return [bytes.fromhex(text) for text in entries]
+        return self.record.seeds
 
 
 def _atomic_write_json(path: str, record: Dict[str, object]) -> None:
@@ -134,6 +192,44 @@ def _read_json(path: str) -> Optional[Dict[str, object]]:
         # Missing, or mid-replace: the caller treats both as "not there
         # right now" and moves on.
         return None
+
+
+def _link_json(path: str, record: Dict[str, object]) -> bool:
+    """Write ``record`` at ``path`` unless a file is there; True if written.
+
+    The record is written in full to a temp file and hard-linked into
+    place: ``os.link`` fails with ``EEXIST`` if ``path`` exists, so the
+    first writer wins and no reader ever sees a partial record.
+    """
+    fd, tmp_path = tempfile.mkstemp(prefix=".done-", suffix=".tmp",
+                                    dir=os.path.dirname(path))
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            json.dump(record, handle, sort_keys=True)
+        try:
+            os.link(tmp_path, path)
+        except FileExistsError:
+            return False
+        return True
+    finally:
+        os.unlink(tmp_path)
+
+
+def _unlink_quietly(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+
+
+def _read_job_record(path: str) -> Optional[JobRecord]:
+    """The parsed job record at ``path``; ``None`` when there is none."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError:
+        return None
+    return JobRecord.parse(text)
 
 
 class JobQueue:
@@ -267,10 +363,17 @@ class JobQueue:
 
     def _try_acquire(self, fingerprint: str, owner: str,
                      visibility_timeout: float) -> Optional[JobLease]:
-        job_record = _read_json(self._job_path(fingerprint))
+        lease_path = self._lease_path(fingerprint)
+        try:
+            job_record = _read_job_record(self._job_path(fingerprint))
+        except JobRecordError as error:
+            # Running it again cannot help: fail it for good, once.
+            self._write_done(fingerprint, None, status="failed",
+                             error=f"JobRecordError: {error}")
+            _unlink_quietly(lease_path)
+            return None
         if job_record is None:
             return None
-        lease_path = self._lease_path(fingerprint)
         now = time.time()
         existing = _read_json(lease_path)
         if existing is None:
@@ -316,19 +419,17 @@ class JobQueue:
             self._count("service.queue.lease_takeovers")
             self._log("warning", "lease_takeover", fingerprint=fingerprint,
                       owner=owner, previous_owner=existing.get("owner"),
-                      attempt=attempt,
-                      trace_id=(job_record.get("trace") or {}).get(
-                          "trace_id"))
+                      attempt=attempt, trace_id=job_record.trace_id)
         self._count("service.queue.claims")
         if attempt == 1:
             # Queue wait is submit → *first* claim; a takeover's wait is
             # the previous holder's visibility timeout, not queue depth.
-            enqueued = float(job_record.get("enqueued_at", now) or now)
+            enqueued = job_record.enqueued_at or now
             self._observe("service.job.queue_wait_s", max(0.0, now - enqueued))
         self._log("debug", "job_claimed", fingerprint=fingerprint,
                   owner=owner, attempt=attempt,
-                  campaign_id=job_record.get("campaign_id"),
-                  trace_id=(job_record.get("trace") or {}).get("trace_id"))
+                  campaign_id=job_record.campaign_id,
+                  trace_id=job_record.trace_id)
         return JobLease(fingerprint=fingerprint, token=token, owner=owner,
                         deadline=lease_record["deadline"], attempt=attempt,
                         record=job_record, claimed_at=now)
@@ -364,7 +465,6 @@ class JobQueue:
         completion wins.
         """
         now = time.time()
-        done_path = self._done_path(fingerprint)
         record: Dict[str, object] = {
             "kind": QUEUE_KIND,
             "schema_version": QUEUE_SCHEMA_VERSION,
@@ -376,42 +476,29 @@ class JobQueue:
         }
         if meta is not None:
             record["meta"] = dict(meta)
-        directory = os.path.dirname(done_path)
-        fd, tmp_path = tempfile.mkstemp(prefix=".done-", suffix=".tmp",
-                                        dir=directory)
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(record, handle, sort_keys=True)
-            try:
-                os.link(tmp_path, done_path)  # EXCL: first completion wins
-            except FileExistsError:
+            if not _link_json(self._done_path(fingerprint), record):
+                # Someone completed it first: this result is discarded.
                 self._count("service.queue.stale_completions")
                 self._log("debug", "stale_completion",
                           fingerprint=fingerprint)
                 return False
             self._count("service.queue.jobs_completed")
             if self.registry is not None:
-                job_record = _read_json(self._job_path(fingerprint)) or {}
-                enqueued = job_record.get("enqueued_at")
-                if isinstance(enqueued, (int, float)):
+                job_record = self._job_record(fingerprint)
+                if job_record is not None and job_record.enqueued_at:
                     self._observe("service.job.e2e_s",
-                                  max(0.0, now - float(enqueued)))
-            trace_id = None
-            if meta is not None:
-                trace_id = (meta.get("trace") or {}).get("trace_id") \
-                    if isinstance(meta.get("trace"), dict) else None
+                                  max(0.0, now - job_record.enqueued_at))
+            trace = (meta or {}).get("trace")
+            trace_id = trace.get("trace_id") if isinstance(trace, dict) else None
             self._log("debug", "job_completed", fingerprint=fingerprint,
                       trace_id=trace_id)
             return True
         finally:
-            os.unlink(tmp_path)
             lease_path = self._lease_path(fingerprint)
             lease = _read_json(lease_path)
             if lease is not None and lease.get("token") == token:
-                try:
-                    os.unlink(lease_path)
-                except OSError:
-                    pass
+                _unlink_quietly(lease_path)
             self.signal_change()
 
     def fail(self, fingerprint: str, token: str, error: str,
@@ -430,13 +517,9 @@ class JobQueue:
             return False
         attempt = int(lease.get("attempt", 1))
         if attempt >= self.max_lease_attempts:
-            job_record = _read_json(self._job_path(fingerprint)) or {}
-            self._write_done(fingerprint, job_record, status="failed",
-                             error=error)
-            try:
-                os.unlink(lease_path)
-            except OSError:
-                pass
+            self._write_done(fingerprint, self._job_record(fingerprint),
+                             status="failed", error=error)
+            _unlink_quietly(lease_path)
             return True
         cooldown: Dict[str, object] = {
             "fingerprint": fingerprint,
@@ -454,66 +537,50 @@ class JobQueue:
         self.signal_change()
         return True
 
-    def _write_done(self, fingerprint: str, job_record: Dict[str, object],
+    def _job_record(self, fingerprint: str) -> Optional[JobRecord]:
+        """The parsed job record; ``None`` when missing or damaged."""
+        try:
+            return _read_job_record(self._job_path(fingerprint))
+        except JobRecordError:
+            return None
+
+    def _write_done(self, fingerprint: str, job_record: Optional[JobRecord],
                     status: str, error: str = "") -> None:
         """Terminal record for a job that will never produce a result.
 
-        The payload is an error-shaped worker result, so the ingestor's
-        ordinary merge path records it as a failed job.
+        The payload is an error-shaped worker result: the campaign driver
+        merges it as a failure of the job it submitted under
+        ``fingerprint``, which names the job here when ``job_record`` is
+        ``None`` (a damaged record).
         """
-        job = dict(job_record.get("job", {}))
-        spec = JobSpec.from_dict(job) if job else None
-        result: Dict[str, object] = {
-            "job_id": spec.job_id if spec is not None else fingerprint,
-            "target": job.get("target", ""),
-            "tool": job.get("tool", ""),
-            "variant": job.get("variant", "vanilla"),
-            "shard": job.get("shard", 0),
-            "round_index": job.get("round_index", 0),
-            "error": error or f"job {status}",
-        }
         record: Dict[str, object] = {
             "kind": QUEUE_KIND,
             "schema_version": QUEUE_SCHEMA_VERSION,
             "fingerprint": fingerprint,
             "status": status,
             "completed_at": time.time(),
-            "result": result,
+            "result": {"job_id": (job_record.job.job_id
+                                  if job_record is not None else fingerprint),
+                       "error": error or f"job {status}"},
         }
-        done_path = self._done_path(fingerprint)
-        directory = os.path.dirname(done_path)
-        fd, tmp_path = tempfile.mkstemp(prefix=".done-", suffix=".tmp",
-                                        dir=directory)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(record, handle, sort_keys=True)
-            try:
-                os.link(tmp_path, done_path)
-            except FileExistsError:
-                pass
-            else:
-                self._count(f"service.queue.jobs_{status}")
-                self._log("warning", f"job_{status}",
-                          fingerprint=fingerprint, error=error or None,
-                          trace_id=(job_record.get("trace") or {}).get(
-                              "trace_id"))
-        finally:
-            os.unlink(tmp_path)
-            self.signal_change()
+        if _link_json(self._done_path(fingerprint), record):
+            self._count(f"service.queue.jobs_{status}")
+            self._log("warning", f"job_{status}",
+                      fingerprint=fingerprint, error=error or None,
+                      trace_id=(job_record.trace_id
+                                if job_record is not None else None))
+        self.signal_change()
 
     def cancel(self, campaign_id: str) -> int:
         """Terminally mark every pending job of one campaign as cancelled."""
         cancelled = 0
         with self._claim_lock:
             for fingerprint in self._pending_fingerprints():
-                record = _read_json(self._job_path(fingerprint))
-                if record is None or record.get("campaign_id") != campaign_id:
+                record = self._job_record(fingerprint)
+                if record is None or record.campaign_id != campaign_id:
                     continue
                 self._write_done(fingerprint, record, status="cancelled")
-                try:
-                    os.unlink(self._lease_path(fingerprint))
-                except OSError:
-                    pass
+                _unlink_quietly(self._lease_path(fingerprint))
                 cancelled += 1
         return cancelled
 

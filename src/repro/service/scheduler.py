@@ -1,27 +1,23 @@
 """The campaign runner that needs worker processes.
 
-:func:`~repro.campaign.scheduler.run_campaign` — and therefore
-``repro campaign``, ``Pipeline.fuzz()`` and the hardening re-fuzz —
-hands a campaign to :class:`ServiceCampaignScheduler` when it has more
-than one worker, a job timeout or a ``serve`` address.  The runner
-drives an ephemeral :class:`~repro.service.core.FuzzService`: a durable
-queue plus ``max(1, spec.workers)`` workers (each a thread with its own
-job process) in a scratch directory, torn down when the campaign
-finishes.  Results are bit-identical to the in-process
-:class:`~repro.campaign.scheduler.CampaignScheduler` (the streaming
-ingestor merges in job order), and since every job runs in a worker's
-child process, a job timeout kills the job.
+:func:`~repro.campaign.scheduler.run_campaign` hands a campaign to
+:class:`ServiceCampaignScheduler` when it has more than one worker, a
+job timeout or a ``serve`` address.  The runner submits it to an
+ephemeral :class:`~repro.service.core.FuzzService` (a durable queue plus
+``max(1, spec.workers)`` workers, each running jobs in a forked child,
+so a job timeout kills the job) in a scratch directory, torn down when
+the campaign finishes.  The service drives the campaign through the same
+round loop as the in-process
+:class:`~repro.campaign.scheduler.CampaignScheduler`, so results are
+bit-identical.
 
-When the caller has a telemetry session active, the service drives the
-campaign under it: ``campaign.*`` counters, round spans and metrics
-snapshots land in the caller's registry, trace and run directory as
-each job merges.  When that session carries a ``serve`` address
-(``repro campaign --serve``, ``Pipeline.telemetry(serve=...)``), the
-ephemeral service's HTTP API (:mod:`repro.service.httpapi`) is bound
-there for the campaign's duration; its ``/metrics`` includes the
-session's live registry.  A session with an engine profiler never
-reaches this runner: the profiler wraps emulators in this process, so
-``run_campaign`` keeps such a campaign in-process.
+Under an active telemetry session the service drives the campaign in
+that session: counters, round spans and metrics snapshots land in the
+caller's registry, trace and run directory.  When the session carries a
+``serve`` address (``repro campaign --serve``,
+``Pipeline.telemetry(serve=...)``), the service's HTTP API
+(:mod:`repro.service.httpapi`) is bound there while the campaign runs.
+A session with an engine profiler never reaches this runner.
 
 Set ``REPRO_SERVICE_DIR`` to keep the queue/run directories around for
 inspection instead of using (and deleting) a temp directory, and
@@ -55,8 +51,8 @@ class ServiceCampaignScheduler:
 
     #: visibility timeout for the ephemeral fleet.  Jobs run in the
     #: workers' child processes; the leases are renewed by a heartbeat
-    #: thread in this process, which shares its GIL only with the driver
-    #: and ingest threads.  Generous all the same, so that a loaded host
+    #: thread in this process, which shares its GIL only with the
+    #: driver and worker threads.  Generous all the same, so that a loaded host
     #: never costs a busy worker its lease.
     visibility_timeout = 60.0
 

@@ -260,8 +260,7 @@ class ServiceWorker(threading.Thread):
                 self._active = (lease.fingerprint, lease.token)
                 self._current = {
                     "fingerprint": lease.fingerprint,
-                    "job_id": str(lease.record.get("job", {}).get(
-                        "job_id", "")) or None,
+                    "job_id": lease.job_spec().job_id,
                     "campaign_id": lease.campaign_id,
                     "attempt": lease.attempt,
                     "claimed_at": lease.claimed_at,
@@ -407,9 +406,8 @@ class ServiceWorker(threading.Thread):
             "claimed_at": lease.claimed_at,
             "exec_elapsed_s": round(exec_elapsed_s, 6),
         }
-        enqueued = lease.record.get("enqueued_at")
-        if isinstance(enqueued, (int, float)):
-            meta["enqueued_at"] = enqueued
+        if lease.record.enqueued_at is not None:
+            meta["enqueued_at"] = lease.record.enqueued_at
         trace = lease.trace_context()
         if trace is not None:
             meta["trace"] = dict(trace)

@@ -41,10 +41,9 @@ def merge_counts(into: Dict[str, int],
 
     This is the single merge rule for ``spec_stats`` (and any other
     name → count mapping): every key of ``other`` is added to ``into``,
-    missing keys start at zero.  :meth:`repro.fuzzing.fuzzer.
-    CampaignResult.merge`, the fuzzer's per-execution accumulation and
-    :func:`repro.campaign.scheduler.merge_worker_result` all
-    route through here, so the three aggregation paths cannot drift.
+    missing keys start at zero.  The fuzzer's per-execution accumulation
+    and :func:`repro.campaign.scheduler.merge_worker_result` both route
+    through here, so the two aggregation paths cannot drift.
     """
     for key, value in other.items():
         into[key] = into.get(key, 0) + value

@@ -14,8 +14,7 @@ The manifest follows the repo-wide versioned-artifact pattern (``kind`` +
 ``schema_version`` headers); its ``config_digest`` is a sha256 over the
 canonical JSON of the run's configuration, so two runs of the same setup
 are recognizably siblings.  A campaign rewrites its latest metrics
-snapshot after every merged job on a service fleet and after every
-round in-process, which lets a *separate* process
+snapshot whenever a round closes, which lets a *separate* process
 (``repro top RUN_DIR``, ``repro runs show``) read live totals.
 
 The :class:`RunRegistry` scans a root directory (default ``runs/``) and
@@ -194,8 +193,7 @@ class RunDirectory:
     def write_metrics_snapshot(self, telemetry) -> str:
         """Persist one registry snapshot.
 
-        Called by the campaigns (after each merged job on a service
-        fleet, after each round in-process) and by
+        Called by the campaign round loop when a round closes and by
         pipeline sessions at the end of a run.
         """
         self._snapshot_seq += 1

@@ -66,13 +66,3 @@ def test_from_dict_tolerates_missing_optionals():
     assert rebuilt.executions == 5
     assert rebuilt.gadget_count() == 0
     assert rebuilt.spec_stats == {}
-
-
-def test_round_trip_then_merge_matches_direct_merge():
-    # Serialization must not break the campaign merge algebra.
-    a, b = _sample_result(), _sample_result()
-    direct = _sample_result()
-    direct.merge(_sample_result())
-    rebuilt = CampaignResult.from_dict(a.to_dict())
-    rebuilt.merge(CampaignResult.from_dict(b.to_dict()))
-    assert rebuilt.to_dict() == direct.to_dict()

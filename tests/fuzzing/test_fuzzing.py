@@ -277,30 +277,6 @@ def test_fuzzer_tags_corpus_entries_with_keep_reason():
     assert reasons & {"speculative", "both"}
 
 
-def test_campaign_result_merge():
-    from repro.fuzzing.fuzzer import CampaignResult
-    from repro.sanitizers.reports import AttackerClass, Channel, GadgetReport
-
-    def report(pc):
-        return GadgetReport(tool="teapot", channel=Channel.CACHE,
-                            attacker=AttackerClass.USER, pc=pc,
-                            branch_addresses=(), depth=1)
-
-    left = CampaignResult(executions=5, crashes=1, normal_coverage=10,
-                          spec_stats={"rollbacks": 2})
-    left.reports.extend([report(1), report(2)])
-    right = CampaignResult(executions=3, hangs=1, normal_coverage=12,
-                           spec_stats={"rollbacks": 1, "simulations_started": 4})
-    right.reports.extend([report(2), report(3)])
-
-    left.merge(right)
-    assert left.executions == 8
-    assert left.crashes == 1 and left.hangs == 1
-    assert left.normal_coverage == 12
-    assert left.spec_stats == {"rollbacks": 3, "simulations_started": 4}
-    assert left.gadget_count() == 3
-
-
 def test_campaign_counts_crashes():
     source = r"""
     int main() {

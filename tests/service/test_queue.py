@@ -4,10 +4,21 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
 
-from repro.campaign.spec import JobSpec
-from repro.service.queue import JobQueue, job_fingerprint
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro.service.queue as queue_module
+from repro.campaign.spec import CampaignSpec, JobSpec
+from repro.campaign.worker import WorkerResult
+from repro.service.core import FuzzService
+from repro.service.queue import (JobQueue, JobRecord, JobRecordError,
+                                 job_fingerprint)
+from repro.service.worker import ServiceWorker, WorkerFleet
+from repro.telemetry.export import wait_until
 
 
 def _job(**overrides):
@@ -160,3 +171,148 @@ def test_queue_survives_a_restart(tmp_path):
     lease = reopened.claim("w0", visibility_timeout=30)
     assert lease is not None
     assert lease.seeds() == [b"x"]
+
+
+# ---------------------------------------------------------------------------
+# Damaged job records: a terminal failed job, never a dead worker
+# ---------------------------------------------------------------------------
+
+#: Hand edits of an on-disk job record, each with the field its error names.
+DAMAGED_RECORDS = {
+    "enqueued_at": (lambda record: record.update(enqueued_at="x"),
+                    "enqueued_at"),
+    "trace": (lambda record: record.update(trace=[1]), "trace"),
+    "job": (lambda record: record.update(job=[1]), "job"),
+    "job_without_tool": (lambda record: record["job"].pop("tool"),
+                         "job.tool"),
+}
+
+
+def _damage(queue, fingerprint, edit):
+    path = os.path.join(queue.jobs_dir, fingerprint + ".json")
+    with open(path) as handle:
+        record = json.load(handle)
+    edit(record)
+    with open(path, "w") as handle:
+        json.dump(record, handle)
+
+
+@pytest.mark.parametrize("shape", sorted(DAMAGED_RECORDS))
+def test_damaged_record_fails_its_job_at_claim(tmp_path, shape):
+    edit, field = DAMAGED_RECORDS[shape]
+    queue = _queue(tmp_path)
+    bad = queue.submit("c1", _job())
+    _damage(queue, bad, edit)
+    good = queue.submit("c1", _job(shard=1, shard_count=2))
+    # The damaged job is failed for good; the claim moves on to the next.
+    lease = queue.claim("w0", visibility_timeout=30)
+    assert lease is not None and lease.fingerprint == good
+    record = queue.result(bad)
+    assert record["status"] == "failed"
+    assert record["result"]["error"].startswith(f"JobRecordError: {field}")
+    assert queue.stats()["failed"] == 1
+    # Not retried: nothing else is on offer.
+    assert queue.claim("w1", visibility_timeout=30) is None
+
+
+def test_parse_names_the_field():
+    record = {"campaign_id": "c1", "job": _job().to_dict()}
+    assert JobRecord.parse(json.dumps(record)).job == _job()
+    for edit, field in DAMAGED_RECORDS.values():
+        damaged = json.loads(json.dumps(record))
+        edit(damaged)
+        with pytest.raises(JobRecordError, match=f"^{field}"):
+            JobRecord.parse(json.dumps(damaged))
+    for text in (json.dumps([record]), "{"):
+        with pytest.raises(JobRecordError, match="^record"):
+            JobRecord.parse(text)
+
+
+@pytest.mark.parametrize("shape", sorted(DAMAGED_RECORDS))
+def test_worker_survives_a_damaged_record(tmp_path, monkeypatch, shape):
+    def synthetic(self, lease):
+        job = lease.job_spec()
+        return WorkerResult.for_job(job, executions=job.iterations)
+
+    monkeypatch.setattr(ServiceWorker, "_execute", synthetic)
+    queue = _queue(tmp_path)
+    bad = queue.submit("c1", _job())
+    _damage(queue, bad, DAMAGED_RECORDS[shape][0])
+    fleet = WorkerFleet(queue, count=1, visibility_timeout=5.0)
+    fleet.start()
+    try:
+        assert wait_until(lambda: queue.result(bad) is not None, timeout=10)
+        assert queue.result(bad)["result"]["error"].startswith(
+            "JobRecordError: ")
+        good = queue.submit("c1", _job(shard=1, shard_count=2))
+        assert wait_until(lambda: queue.result(good) is not None, timeout=10)
+        assert queue.result(good)["status"] == "completed"
+        assert fleet.counts()["alive"] == 1
+    finally:
+        fleet.stop()
+
+
+def test_campaign_records_a_damaged_job_as_failed(tmp_path, monkeypatch):
+    """The driver merges the queue's failure record as that job's failure."""
+    real_write = queue_module._atomic_write_json
+
+    def write(path, record):
+        job = record.get("job")
+        if isinstance(job, dict) and job.get("shard") == 0:
+            record = dict(record, job={k: v for k, v in job.items()
+                                       if k != "tool"})
+        real_write(path, record)
+
+    monkeypatch.setattr(queue_module, "_atomic_write_json", write)
+    service = FuzzService(str(tmp_path / "svc"), workers=1)
+    try:
+        spec = CampaignSpec(targets=("gadgets",), iterations=10, rounds=1,
+                            shards=2, seed=3)
+        summary = service.wait(service.submit(spec), timeout=60)
+    finally:
+        service.stop()
+    assert summary is not None
+    assert summary.total_failed_jobs() == 1
+    assert summary.total_executions() == 5
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(path=st.sampled_from([
+           ("campaign_id",), ("job",), ("seeds",), ("enqueued_at",),
+           ("trace",), ("job", "target"), ("job", "tool"), ("job", "shard"),
+           ("job", "iterations"), ("job", "timeout_s"), ("job", "seed")]),
+       value=st.one_of(
+           st.none(), st.booleans(), st.integers(), st.floats(),
+           st.text(max_size=8),
+           st.lists(st.one_of(st.integers(), st.text(max_size=4)),
+                    max_size=3),
+           st.dictionaries(st.text(max_size=4), st.integers(), max_size=2)),
+       delete=st.booleans())
+def test_any_record_edit_claims_or_fails_typed(path, value, delete):
+    with tempfile.TemporaryDirectory() as root:
+        queue = JobQueue(os.path.join(root, "queue"))
+        fingerprint = queue.submit("c1", _job(), seeds=[b"ab"],
+                                   trace={"trace_id": "t"})
+
+        def edit(record):
+            parent = record
+            for key in path[:-1]:
+                parent = parent[key]
+            if delete:
+                parent.pop(path[-1], None)
+            else:
+                parent[path[-1]] = value
+
+        _damage(queue, fingerprint, edit)
+        lease = queue.claim("w0", visibility_timeout=30)
+        if lease is None:
+            record = queue.result(fingerprint)
+            assert record["status"] == "failed"
+            assert record["result"]["error"].startswith("JobRecordError: ")
+        else:
+            assert isinstance(lease.job_spec(), JobSpec)
+            seeds = lease.seeds()
+            assert seeds is None or all(isinstance(s, bytes) for s in seeds)
+            assert lease.trace_context() is None or isinstance(
+                lease.trace_context(), dict)

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign.scheduler import CampaignScheduler
+from repro.campaign.scheduler import CampaignScheduler, StreamingIngestor
 from repro.campaign.spec import CampaignSpec, JobSpec
 from repro.campaign.store import CampaignState
 from repro.campaign.worker import WorkerResult, run_job
-from repro.service.ingest import StreamingIngestor
 from repro.service.scheduler import ServiceCampaignScheduler
 
 

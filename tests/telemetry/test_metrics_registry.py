@@ -88,16 +88,3 @@ def test_merge_counts_sums_and_returns_target():
     result = merge_counts(into, {"b": 3, "c": 4})
     assert result is into
     assert into == {"a": 1, "b": 5, "c": 4}
-
-
-def test_merge_counts_matches_campaign_result_merge():
-    # The shared helper is the single aggregation rule: CampaignResult.merge
-    # must produce exactly its output for spec_stats.
-    from repro.fuzzing.fuzzer import CampaignResult
-
-    left = CampaignResult(spec_stats={"simulations": 2, "rollbacks": 1})
-    right = CampaignResult(spec_stats={"simulations": 5, "nested": 3})
-    left.merge(right)
-    expected = merge_counts({"simulations": 2, "rollbacks": 1},
-                            {"simulations": 5, "nested": 3})
-    assert left.spec_stats == expected
