@@ -22,7 +22,11 @@ from typing import Dict, Iterable, Set, Tuple
 
 
 class CoverageMap:
-    """A set of covered guard IDs with new-coverage accounting."""
+    """A set of covered guard IDs with new-coverage accounting.
+
+    ``_covered`` is only ever updated in place: the compiled engines'
+    rollback function binds it at install.
+    """
 
     def __init__(self) -> None:
         self._covered: Set[int] = set()
@@ -77,7 +81,13 @@ class CoverageRuntime:
         self.spec_notes += 1
 
     def flush_speculative(self) -> int:
-        """Flush noted guard IDs into the speculative map (at rollback)."""
+        """Flush noted guard IDs into the speculative map (at rollback).
+
+        The compiled engines do the same inside their bound rollback
+        (``JournalingSpeculationController.rollback_function``): it holds
+        ``_spec_buffer`` and the speculative map's set, so both are
+        cleared and updated in place, never reassigned.
+        """
         if not self._spec_buffer:
             return 0
         new = self.speculative.add_many(self._spec_buffer)

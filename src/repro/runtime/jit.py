@@ -38,17 +38,19 @@ Bit-identity with the legacy reference interpreter (enforced by
   (as block terminators) unless a speculation model claims them as
   source sites.
 * **Batched-but-exact accounting.**  Step/cycle/arch counters and the
-  controller's in-simulation instruction count are accumulated per
-  block segment and flushed before every block exit and before any
-  instruction that *reads* them (checkpoint entries, rollback budget
-  checks, the fuel check in front of a tail-called ender).  Instructions
-  that can merely *fault* (loads, stores, push/pop) or call out
-  (policy/coverage hooks) do not flush; instead each such site stores a
-  fault-table index, and a per-block ``except BaseException`` handler
-  flushes the exact pending prefix (a precomputed ``(steps, cycles,
-  arch)`` tuple) before re-raising — so at every observable point
-  (faults, rollbacks, checkpoint entries, run end) the counters equal
-  the legacy engine's per-instruction sums.
+  controller's in-simulation counts (the ROB count and
+  ``simulated_instructions``) are accumulated per block segment and
+  flushed before every block exit and the fuel check in front of a
+  tail-called ender.  A checkpoint entry or a rollback budget check
+  flushes only what it reads — the steps and the ROB count — and
+  leaves the rest pending across the episode.  Instructions that can
+  merely *fault* (loads, stores, push/pop) or call out (policy/coverage
+  hooks) do not flush; instead each such site stores a fault-table
+  index, and a per-block ``except BaseException`` handler flushes the
+  exact pending prefix (a precomputed ``(steps, cycles, arch, rob)``
+  tuple) before re-raising — so at every observable point (faults,
+  rollbacks, checkpoint entries, run end) the counters equal the legacy
+  engine's per-instruction sums.
 * **Simulation-specialized variants.**  A function comes in two
   variants: a *no-sim* variant (dispatched while no checkpoint is live)
   with all journal undo-logging, speculation bookkeeping and policy
@@ -68,6 +70,16 @@ Bit-identity with the legacy reference interpreter (enforced by
   the checkpoint (``_BlockCompiler._emit_episode``), so neither resume
   points nor trampolines need blocks of their own.  Fuel, exit and crash
   end the run from any depth through :class:`_RunEnd`.
+* **Episode bookkeeping without controller calls.**  A built-in nesting
+  gate pushes its checkpoint inline (``_emit_checkpoint``), and every
+  compiled rollback site calls one function bound at install per (reason,
+  charged) pair: the controller's ``rollback_function``, the same code
+  ``JournalingSpeculationController.rollback`` runs, which also flushes
+  the speculative coverage notes and charges the rollback's cycles.
+* **One page split per guest access.**  A guest byte and its DIFT
+  shadow byte share the in-page offset (the tag flip bit is a multiple
+  of the page size), so one in-page test serves the tag and the data
+  access (``_BlockCompiler._emit_split``).
 * **Fuel gate.**  A block of ``n`` steps only runs when ``steps + n <=
   max_steps``; otherwise the loop steps single-instruction functions, so
   fuel expiry lands on exactly the same instruction as the legacy
@@ -108,6 +120,7 @@ from repro.runtime.jitcache import shared_cache
 from repro.runtime.machine import MASK64, to_signed, to_unsigned
 from repro.runtime.speculation import (
     DisabledNestingPolicy,
+    JournalCheckpoint,
     JournalingSpeculationController,
     SpecFuzzNestingPolicy,
     TeapotNestingPolicy,
@@ -117,7 +130,7 @@ from repro.sanitizers.policy import noop_conditions
 
 #: bump to invalidate every cached module when the emitted code or the
 #: set of compiled blocks changes.
-_CODEGEN_VERSION = 22
+_CODEGEN_VERSION = 23
 
 #: nesting depth up to which an accepted entry runs its episode in place
 #: (each level nests two Python frames: the gate's block and the loop).
@@ -243,13 +256,14 @@ def _val_expr(operand) -> Optional[str]:
 def _read_tag_range(m, addr: int, size: int, flip: int) -> int:
     """Equivalent of ``BinaryDift.get_mem_tag`` (generated code's ``RTR``).
 
-    Fast path: when the shadow range lives in one page (no bit-45
-    crossing, no page crossing), one dict lookup covers all bytes.
+    Fast path: when the range lives in one page, one dict lookup covers
+    all its shadow bytes (the flip bit is a multiple of the page size, so
+    an in-page range never straddles it).
     """
     pages = m.memory._pages
     sh = addr ^ flip
     off = sh & 4095
-    if off + size <= 4096 and addr >= 0 and (addr >> 45) == ((addr + size - 1) >> 45):
+    if off + size <= 4096 and addr >= 0:
         page = pages.get(sh >> 12)
         if page is None:
             return 0
@@ -269,10 +283,11 @@ def _read_tag_range(m, addr: int, size: int, flip: int) -> int:
 def _write_tag_range(d, m, addr: int, size: int, tag: int, flip: int) -> None:
     """Equivalent of ``BinaryDift.set_mem_tag`` with taint logging
     (generated code's ``WTR``)."""
-    memory = m.memory
-    pages = memory._pages
+    pages = m.memory._pages
     controller = d.controller
-    in_sim = controller is not None and controller.checkpoints
+    # the taint log, appended to directly (``log_taint_write``) in simulation
+    log = (controller.taint_log
+           if controller is not None and controller.checkpoints else None)
     tag &= 0xFF
     for off in range(size):
         sh = (addr + off) ^ flip
@@ -282,11 +297,27 @@ def _write_tag_range(d, m, addr: int, size: int, tag: int, flip: int) -> None:
         if page is None:
             page = bytearray(4096)
             pages[page_id] = page
-        if in_sim:
+        if log is not None:
             old = page[page_off]
             if old != tag:
-                controller.log_taint_write(sh, old)
+                log.append((sh, old))
         page[page_off] = tag
+
+
+#: the (reason, charged) pairs of the compiled rollback sites: budget
+#: restores and ``restore.always`` pay ``rollback_cost``, serializing
+#: instructions, external calls and exit-sentinel returns squash for free.
+_ROLLBACK_SITES = (("budget", True), ("forced", True), ("forced", False))
+
+
+#: a DIFT tag access as source lines: ``(in_page, other)`` (see
+#: ``_BlockCompiler._emit_split``).
+_TagLines = Tuple[List[str], List[str]]
+
+
+def _rollback_name(reason: str, charge: bool) -> str:
+    """Namespace name of the rollback function bound for a site kind."""
+    return f"RB_{reason}" if charge else f"RB_{reason}_free"
 
 
 def _fn_name(kind: str, addr: int, sim: bool) -> str:
@@ -311,18 +342,23 @@ class _BlockWriter:
         self.params: Dict[str, str] = {}
         #: per-call hoists the body needs (regs, f, memory, jn, ...).
         self.uses: Set[str] = set()
-        # pending (not yet emitted) counter contributions.
+        # pending (not yet emitted) counter contributions: steps, cycles,
+        # architectural instructions (in the sim variant also the pending
+        # ``simulated_instructions``) and, in the sim variant, the
+        # instructions not yet in the controller's ROB count.
         self.pend_steps = 0
         self.pend_cycles = 0
         self.pend_arch = 0
+        self.pend_rob = 0
         #: total steps the whole block consumes (the fuel-gate ``need``).
         self.total_steps = 0
         #: indentation of the statements being emitted (structured ifs).
         self.pad = ""
         #: exception-flush table: entry ``i`` is the pending
-        #: ``(steps, cycles, arch)`` at fault-site marker ``i`` (entry 0
-        #: is the just-flushed sentinel).  Emitted as the ``_P`` tuple.
-        self.fault_entries: List[Tuple[int, int, int]] = [(0, 0, 0)]
+        #: ``(steps, cycles, arch, rob)`` at fault-site marker ``i``
+        #: (entry 0 is the just-flushed sentinel).  Emitted as the ``_P``
+        #: tuple.
+        self.fault_entries: List[Tuple[int, int, int, int]] = [(0, 0, 0, 0)]
         #: static addresses the block hands to the dispatch loop: its
         #: ``return N`` exits, an episode's ``m.pc = N`` before ``RUN``
         #: and an ender tail's ``T[N]``
@@ -354,6 +390,8 @@ class _BlockWriter:
         self.pend_cycles += cost
         if is_arch:
             self.pend_arch += 1
+            if self.sim:
+                self.pend_rob += 1
 
     def mark(self) -> None:
         """Record a fault site: the next statements may raise.
@@ -364,15 +402,26 @@ class _BlockWriter:
         before re-raising, so counters are exact at every fault without
         a full flush on the non-faulting path.
         """
-        entry = (self.pend_steps, self.pend_cycles, self.pend_arch)
+        entry = (self.pend_steps, self.pend_cycles, self.pend_arch,
+                 self.pend_rob)
         self.fault_entries.append(entry)
         self.emit(f"_e = {len(self.fault_entries) - 1}")
 
-    def _flush_lines(self, pad: str = "") -> List[str]:
+    def _flush_lines(self, pad: str = "",
+                     read_only: bool = False) -> List[str]:
+        """The pending counter updates; ``read_only``: only the steps and
+        the ROB count (see :meth:`flush_read`)."""
         lines: List[str] = []
         if self.pend_steps:
             self.param("STP", "STP")
             lines.append(f"{pad}STP[0] += {self.pend_steps}")
+        if self.pend_rob:
+            # count_instruction() n times, batched: the ROB half ...
+            self.param("CTRL", "CTRL")
+            lines.append(
+                f"{pad}CTRL.spec_instruction_count += {self.pend_rob}")
+        if read_only:
+            return lines
         if self.pend_cycles:
             self.param("CYC", "CYC")
             lines.append(f"{pad}CYC[0] += {self.pend_cycles}")
@@ -380,29 +429,45 @@ class _BlockWriter:
             self.param("ARC", "ARC")
             lines.append(f"{pad}ARC[0] += {self.pend_arch}")
             if self.sim:
-                # CTRL.count_instructions(n), inlined.
-                self.param("CTRL", "CTRL")
+                # ... and the statistics half.
+                self.param("ST", "CTRL.stats")
                 lines.append(
-                    f"{pad}CTRL.spec_instruction_count += {self.pend_arch}")
-                lines.append(f"{pad}CTRL.stats.simulated_instructions "
-                             f"+= {self.pend_arch}")
+                    f"{pad}ST.simulated_instructions += {self.pend_arch}")
         return lines
 
     def flush(self) -> None:
         """Emit the pending counter updates and reset the fault marker.
 
-        Required before anything that *reads* the counters: checkpoint
-        entry and rollback (they read the controller's in-simulation
-        count), the fuel check in front of an ender, and every block exit
-        (the dispatch loop reads the step cell).  Batching is safe in
-        between: nothing in a straight-line segment reads them, and
-        simulation state cannot change without exiting the block (a
-        checkpoint gate, which runs an episode in place, flushes first).
+        Required before every block exit (the dispatch loop reads the
+        step cell, the run's end reads them all) and before the fuel
+        check in front of an ender.  Batching is safe in between: nothing
+        in a straight-line segment reads them, and simulation state
+        cannot change without exiting the block (a checkpoint gate, which
+        runs an episode in place, flushes what the episode reads first).
         """
         self.lines.extend(self._flush_lines(self.pad))
         self.pend_steps = self.pend_cycles = self.pend_arch = 0
+        self.pend_rob = 0
         if len(self.fault_entries) > 1:
             # a stale marker from before this flush must not double-count
+            self.emit("_e = 0")
+
+    def flush_read(self) -> None:
+        """Flush only what a checkpoint gate or a ROB-budget check reads.
+
+        That is the steps (the fuel the episode and the fuel-fit test
+        read) and, in the sim variant, the controller's ROB count (the
+        budget test, and nested episodes' budget tests).  Cycles, the
+        arch count and ``simulated_instructions`` stay pending until the
+        next block exit; the exit arms in between flush them with
+        :meth:`flush_exit`, and a fault marker keeps them exact when the
+        run ends inside the episode.
+        """
+        self.lines.extend(self._flush_lines(self.pad, read_only=True))
+        self.pend_steps = self.pend_rob = 0
+        if self.pend_cycles or self.pend_arch:
+            self.mark()
+        elif len(self.fault_entries) > 1:
             self.emit("_e = 0")
 
     def flush_exit(self, pad: str = "    ") -> None:
@@ -423,6 +488,7 @@ class _BlockWriter:
             self.param("ARC", "ARC")
             if self.sim:
                 self.param("CTRL", "CTRL")
+                self.param("ST", "CTRL.stats")
         uses = self.uses
         if uses & {"D", "rt", "cov", "pol", "asan"}:
             self.param("EM", "EM")
@@ -467,8 +533,8 @@ class _BlockWriter:
         out.append("        CYC[0] += _t[1]")
         out.append("        ARC[0] += _t[2]")
         if self.sim:
-            out.append("        if _t[2]:")
-            out.append("            CTRL.count_instructions(_t[2])")
+            out.append("        ST.simulated_instructions += _t[2]")
+            out.append("        CTRL.spec_instruction_count += _t[3]")
         out.append("        raise")
         return "\n".join(out)
 
@@ -481,6 +547,11 @@ class _BlockCompiler:
         self.instructions = emulator.instructions
         self.next_address = emulator.next_address
         self.flip = emulator.layout.tag_flip_bit
+        if self.flip & 4095:
+            # a guest access and its DIFT shadow share one page split
+            # (``_emit_split``) only if they share the in-page offset
+            raise ValueError("the DIFT tag flip bit must be a multiple of "
+                             "the page size")
         self.dift_on = (emulator.policy is not None
                         and emulator.policy.needs_dift)
         self.have_controller = emulator.controller is not None
@@ -916,36 +987,28 @@ class _BlockCompiler:
 
     def _emit_rollback(self, w: _BlockWriter, reason: str,
                        pad: str = "", charge: bool = True) -> None:
-        """Shared rollback sequence (sim variant; counters just flushed).
+        """Shared rollback sequence (sim variant).
 
-        ``charge`` mirrors the reference engines: only restore-site and
-        budget rollbacks pay ``rollback_cost`` (the paper's recovery-stub
-        cost); rollbacks forced by serializing instructions, external
-        calls and exit-sentinel returns squash for free.  The coverage
-        flush (``cov.flush_speculative()``) and ``rollback_cost`` are
-        inlined.
+        Flushes whatever counters are still pending, then calls the
+        rollback function bound at install for (``reason``, ``charge``)
+        (:func:`_rollback_name`, built by
+        ``JournalingSpeculationController.rollback_function``): it flushes
+        the noted speculative coverage, restores the checkpoint and
+        charges the rollback's cycles itself.  ``charge`` mirrors the
+        reference engines: only restore-site and budget rollbacks pay
+        ``rollback_cost`` (the paper's recovery-stub cost); rollbacks
+        forced by serializing instructions, external calls and
+        exit-sentinel returns squash for free.
         """
-        w.param("CTRL", "CTRL")
-        if self.em.coverage is not None:
-            w.use("cov")
-            w.emit(f"{pad}sb = cov._spec_buffer")
-            w.emit(f"{pad}if sb:")
-            w.emit(f"{pad}    cov.speculative.add_many(sb)")
-            w.emit(f"{pad}    sb.clear()")
-            w.emit(f"{pad}    cov.lazy_flushes += 1")
+        w.flush_exit(pad)
         # NB: EM.dift is read per call (the hoisted ``D``) — the reset
         # between runs builds a fresh BinaryDift, so it must not be bound
         # at install.
         if self.dift_on:
             w.use("D")
-        call = f"CTRL.rollback(m, {self.dift_arg}, {reason!r})"
-        if charge:
-            w.param("CYC", "CYC")
-            w.param("RBB", "EM.cost_model.rollback_base")
-            w.param("RBE", "EM.cost_model.rollback_per_entry")
-            w.emit(f"{pad}CYC[0] += RBB + RBE * {call}")
-        else:
-            w.emit(f"{pad}{call}")
+        name = _rollback_name(reason, charge)
+        w.param(name, name)
+        w.emit(f"{pad}{name}(m, {self.dift_arg})")
         w.emit(f"{pad}return m.pc")
 
     # -- terminators / conditional exits -------------------------------------
@@ -985,9 +1048,9 @@ class _BlockCompiler:
         episode in place and then falls through as well (``rest``: the
         steps the block has left after this instruction).  Branches flush
         *inside* the taken arm (nothing on the fall-through path reads
-        the counters); checkpoint entries and budget restores flush up
-        front because ``maybe_enter`` and the ROB-budget test read the
-        in-simulation instruction count.
+        the counters); checkpoint entries and budget restores flush the
+        steps and the ROB count up front (:meth:`_BlockWriter.flush_read`)
+        because the episode and the ROB-budget test read them.
         """
         opcode = instr.opcode
         nxt = self.next_address[addr]
@@ -998,10 +1061,10 @@ class _BlockCompiler:
             w.flush_exit()
             w.goto(_imm_target(instr), "    ")
         elif opcode is Opcode.CHECKPOINT:
-            w.flush()
+            w.flush_read()
             self._emit_gate(w, nxt, _imm_target(instr), rest)
         else:  # RESTORE_COND (sim variant)
-            w.flush()
+            w.flush_read()
             w.param("CTRL", "CTRL")
             w.emit("if CTRL.spec_instruction_count >= CTRL.rob_budget:")
             self._emit_rollback(w, "budget", pad="    ")
@@ -1013,17 +1076,16 @@ class _BlockCompiler:
 
         A built-in nesting policy's ``should_enter`` is emitted inline
         over its encounter dict and parameters (bound at install as
-        ``GP``/``ENC``/``GMAX``/``GEAGER``/``GRAMP``), and an accept calls
-        the policy-free ``CTRL.enter``; the depth folds to 0 in the no-sim
-        variant.  Any other policy — or one swapped into the controller
-        after install — goes through ``CTRL.maybe_enter``.  Every accept
-        runs :meth:`_emit_episode`.
+        ``GP``/``ENC``/``GMAX``/``GEAGER``/``GRAMP``), and an accept pushes
+        the checkpoint inline (:meth:`_emit_checkpoint`); the depth folds to 0
+        in the no-sim variant.  Any other policy — or one swapped into
+        the controller after install — goes through ``CTRL.maybe_enter``.
+        Every accept runs :meth:`_emit_episode`.
         """
         w.param("CTRL", "CTRL")
         if self.dift_on:
             w.use("D")
-        args = f"m, {site}, {site}, {self.dift_arg}"
-        generic = f"CTRL.maybe_enter({args})"
+        generic = f"CTRL.maybe_enter(m, {site}, {site}, {self.dift_arg})"
         gate = self.hooks["gate"]
 
         def episode(depth: Optional[str], pad: str) -> None:
@@ -1041,7 +1103,7 @@ class _BlockCompiler:
                 episode(None, "    ")
             else:
                 w.emit("if CTRL.policy is GP:")
-                w.emit(f"    CTRL.enter({args})")
+                self._emit_checkpoint(w, site, "    ")
                 episode(None, "    ")
                 w.emit(f"elif {generic}:")
                 episode(None, "    ")
@@ -1074,8 +1136,51 @@ class _BlockCompiler:
             w.emit(f"    c = ENC.get({site}, 0)")
             w.emit(f"    ENC[{site}] = c + 1")
             w.emit(f"    if {depth} <= c // GRAMP and {depth} < GMAX:")
-        w.emit(f"        CTRL.enter({args})")
+        self._emit_checkpoint(w, site, "        ")
         episode(depth, "        ")
+
+    def _emit_checkpoint(self, w: _BlockWriter, site: int, pad: str) -> None:
+        """A built-in gate's accept: push the checkpoint
+        ``JournalingSpeculationController.enter`` pushes, inline.
+
+        The no-sim variant enters from depth 0: it resets the ROB count,
+        counts a started simulation, clears and attaches the journal (so
+        the checkpoint's journal mark is 0) and records the machine for
+        ``begin_run`` to detach, as ``enter`` does.  The sim variant enters at
+        depth ``d`` >= 1 and counts a nested simulation.  Both record the
+        deepest nesting as ``enter`` does.
+        """
+        w.param("CPS", "CTRL.checkpoints")
+        w.param("ST", "CTRL.stats")
+        w.param("JE", "CTRL.journal.entries")
+        w.param("TL", "CTRL.taint_log")
+        w.param("JC", "JC")
+        w.use("regs", "f")
+        if w.sim:
+            w.emit(f"{pad}ST.nested_simulations += 1")
+            mark = "len(JE)"
+        else:
+            w.param("JN", "CTRL.journal")
+            w.emit(f"{pad}CTRL.spec_instruction_count = 0")
+            w.emit(f"{pad}ST.simulations_started += 1")
+            w.emit(f"{pad}JE.clear()")
+            w.emit(f"{pad}CTRL._machine = m")
+            w.emit(f"{pad}m.journal = m.memory.journal = JN")
+            mark = "0"
+        if self.dift_on:
+            w.use("rt")
+            tags = "rt[:], D.flags_tag"
+        else:
+            tags = "None, 0"
+        w.emit(f"{pad}CPS.append(JC(({site}, {site}, {mark}, regs[:], "
+               f"(f.zero, f.sign, f.carry, f.overflow), len(TL), {tags}, "
+               "'pht')))")
+        if w.sim:
+            w.emit(f"{pad}if d >= ST.max_depth_reached:")
+            w.emit(f"{pad}    ST.max_depth_reached = d + 1")
+        else:
+            w.emit(f"{pad}if not ST.max_depth_reached:")
+            w.emit(f"{pad}    ST.max_depth_reached = 1")
 
     def _emit_episode(self, w: _BlockWriter, site: int, target: int,
                       rest: int, depth: Optional[str], pad: str) -> None:
@@ -1093,7 +1198,9 @@ class _BlockCompiler:
         before the entry in the sim variant (``None``: read it back; the
         no-sim variant enters from depth 0).  Past
         ``_INPLACE_DEPTH`` the gate returns the trampoline to the
-        dispatch loop instead, bounding the Python recursion.
+        dispatch loop instead, bounding the Python recursion.  Both that
+        exit and the fuel-fit exit after the episode flush the counters
+        the gate left pending (:meth:`_BlockWriter.flush_read`).
         """
         w.param("RUN", "RUN")
         w.param("STP", "STP")
@@ -1105,6 +1212,7 @@ class _BlockCompiler:
                 depth = "d"
                 w.emit(f"{pad}d = len(CPS) - 1")
             w.emit(f"{pad}if {depth} >= {_INPLACE_DEPTH}:")
+            w.flush_exit(pad + "    ")
             w.goto(target, pad + "    ")
         w.param("FUEL", "FUEL")
         folded = self._trampoline(target)
@@ -1121,8 +1229,8 @@ class _BlockCompiler:
             charge.account(self.cost(jmp.opcode),
                            jmp.opcode not in _PSEUDO_SET)
             through = charge._flush_lines(pad + "        ")
-            for name in charge.params:
-                w.param(name, name)
+            for name, expr in charge.params.items():
+                w.param(name, expr)
             w.use("f")
             w.emit(f"{pad}if STP[0] < FUEL - 1:")
             w.emit(f"{pad}    if {_CC_EXPR[jcc.cc]}:")
@@ -1140,6 +1248,7 @@ class _BlockCompiler:
             w.emit(f"{pad}rt = D.register_tags")
         if rest:
             w.emit(f"{pad}if STP[0] > FUEL - {rest}:")
+            w.flush_exit(pad + "    ")
             w.goto(site, pad + "    ")
 
     def _emit_call(self, w: _BlockWriter, addr: int,
@@ -1471,45 +1580,85 @@ class _BlockCompiler:
             w.emit("        c = sp is not None and sp[g & 4095]")
 
     # -- memory-operation emitters ------------------------------------------
-    def _page_lookup(self, w: _BlockWriter, addr_var: str, size: int,
-                     const: Optional[int]) -> str:
-        """Emit ``page = <backing page of the access, or None>``; returns
-        the in-page offset expression.
+    def _emit_split(self, w: _BlockWriter, addr_var: str, size: int,
+                    const: Optional[int], tags: Optional[_TagLines] = None,
+                    guard: Optional[str] = None) -> str:
+        """Emit the one page split of a guest access at ``addr_var``.
 
-        A constant address (a global) looks its exact range up in the
-        memory's ``_fast_ranges``, which also holds ranges on partially
-        mapped pages; any other address looks its page up in
-        ``_fast_pages`` (fully mapped pages).  The checked ``Memory``
-        accessors publish both the first time they succeed.
+        Afterwards ``page`` is the backing page of the access, or ``None``
+        where the checked ``Memory`` accessors must do it; returns the
+        in-page offset expression.  A constant address (a global) looks
+        its exact range up in the memory's ``_fast_ranges``, which also
+        holds ranges on partially mapped pages; any other address looks
+        its page up in ``_fast_pages`` (fully mapped pages) when the
+        access fits its page.  The checked accessors publish both the
+        first time they succeed.
+
+        ``tags``: the DIFT tag access as ``(in_page, other)`` lines.  The
+        shadow byte of an address sits at the same in-page offset ``off``
+        (the flip bit is a multiple of the page size), so one in-page test
+        decides both.  ``guard``: a further condition of the tag's in-page
+        lines (a push's unmasked tag address is non-negative).
         """
         if const is not None:
             w.use("memory", "fpc")
+            off = const & 4095
+            if tags is not None:
+                w.emit(f"off = {off}")
+                for line in tags[0] if off <= 4096 - size else tags[1]:
+                    w.emit(line)
             w.emit(f"page = fpc({(const << 4) | size})")
-            return str(const & 4095)
+            return str(off)
         w.use("memory", "fpg")
         w.emit(f"off = {addr_var} & 4095")
-        w.emit(f"page = fpg({addr_var} >> 12) if off <= {4096 - size} "
-               "else None")
+        tests = [f"off <= {4096 - size}"] if size > 1 else []
+        if guard is not None and tags is not None:
+            tests.append(guard)
+        lookup = f"fpg({addr_var} >> 12)"
+        if not tests:
+            for line in tags[0] if tags is not None else ():
+                w.emit(line)
+            w.emit(f"page = {lookup}")
+        elif tags is None:
+            w.emit(f"page = {lookup} if {tests[0]} else None")
+        else:
+            w.emit(f"if {' and '.join(tests)}:")
+            for line in tags[0]:
+                w.emit(f"    {line}")
+            w.emit(f"    page = {lookup}")
+            w.emit("else:")
+            for line in tags[1]:
+                w.emit(f"    {line}")
+            w.emit("    page = None")
         return "off"
 
     def _emit_read(self, w: _BlockWriter, dest: str, addr_var: str,
-                   size: int, const: Optional[int] = None) -> None:
+                   size: int, const: Optional[int] = None,
+                   tags: Optional[_TagLines] = None) -> None:
         """``dest = <size-byte little-endian guest read at addr_var>``:
-        straight from the page when ``_page_lookup`` finds it, else the
+        straight from the page when :meth:`_emit_split` finds it, else the
         checked ``Memory.read_int``."""
         w.param(f"U{size}", f"U{size}")
-        off = self._page_lookup(w, addr_var, size, const)
+        off = self._emit_split(w, addr_var, size, const, tags)
         w.emit(f"{dest} = (memory.read_int({addr_var}, {size}) "
                f"if page is None else U{size}(page, {off})[0])")
 
     def _emit_write(self, w: _BlockWriter, addr_var: str, size: int,
                     value: str, masked: str,
-                    const: Optional[int] = None) -> None:
+                    const: Optional[int] = None,
+                    tags: Optional[_TagLines] = None,
+                    split_var: Optional[str] = None) -> None:
         """Guest write of ``value`` (``masked``: the same value wrapped to
         ``size`` bytes), undo-logged in the sim variant; the fast and slow
-        paths split as in :meth:`_emit_read`."""
+        paths split as in :meth:`_emit_read`.  ``split_var``: a push
+        splits on its unmasked tag address (guarded non-negative, so equal
+        to ``addr_var`` on the in-page path)."""
         w.param(f"P{size}", f"P{size}")
-        off = self._page_lookup(w, addr_var, size, const)
+        if split_var is None:
+            off = self._emit_split(w, addr_var, size, const, tags)
+        else:
+            off = self._emit_split(w, split_var, size, const, tags,
+                                   guard=f"{split_var} >= 0")
         w.emit("if page is None:")
         w.emit(f"    memory.write_int({addr_var}, {value}, {size})")
         w.emit("else:")
@@ -1533,78 +1682,56 @@ class _BlockCompiler:
         w.emit(f"    rt[{di}] |= p & {ALL_TAGS}")
         w.emit("    EM._pending_promotion = 0")
 
-    def _emit_read_tags(self, w: _BlockWriter, dest: str, addr_var: str,
-                        size: int) -> None:
-        """DIFT tag read with the single-page case fully inlined.
+    def _read_tags(self, w: _BlockWriter, dest: str, addr_var: str,
+                   size: int) -> _TagLines:
+        """``(in_page, other)`` lines of a DIFT tag read into ``dest``.
 
-        Mirrors ``_read_tag_range``'s single-page fast path (``addr_var``
-        is masked, so non-negative): an absent shadow page reads as tag
-        0, a present one as the OR of its bytes — folded from the
-        little-endian integer by halving shifts.  Only page- or
-        bit-45-crossing ranges take the helper.
+        In one page (``addr_var`` is masked, so non-negative) an absent
+        shadow page reads as tag 0, a present one as the OR of its bytes,
+        folded from the little-endian integer by halving shifts; any
+        other range takes the helper (``RTR``).
         """
         w.use("rt", "pages")
-        w.emit(f"sh = {addr_var} ^ {self.flip}")
-        w.emit("so = sh & 4095")
-        pad = ""
-        if size > 1:
-            w.param("RTR", "RTR")
-            w.emit(f"if so <= {4096 - size} and "
-                   f"{addr_var} >> 45 == ({addr_var} + {size - 1}) >> 45:")
-            pad = "    "
-        w.emit(f"{pad}spage = pages.get(sh >> 12)")
-        w.emit(f"{pad}if spage is None:")
-        w.emit(f"{pad}    {dest} = 0")
+        fast = [f"spage = pages.get(({addr_var} ^ {self.flip}) >> 12)",
+                "if spage is None:",
+                f"    {dest} = 0",
+                "else:"]
         if size == 1:
-            w.emit(f"{pad}else:")
-            w.emit(f"{pad}    {dest} = spage[so] & {ALL_TAGS}")
-        else:
-            w.param(f"U{size}", f"U{size}")
-            w.emit(f"{pad}else:")
-            w.emit(f"{pad}    t = U{size}(spage, so)[0]")
-            w.emit(f"{pad}    if t:")
-            shift = size * 4  # fold the high half down, then halve again
-            while shift >= 8:
-                w.emit(f"{pad}        t |= t >> {shift}")
-                shift //= 2
-            w.emit(f"{pad}        t &= {ALL_TAGS}")
-            w.emit(f"{pad}    {dest} = t")
-            w.emit("else:")
-            w.emit(f"    {dest} = RTR(m, {addr_var}, {size}, {self.flip})")
+            fast.append(f"    {dest} = spage[off] & {ALL_TAGS}")
+            return fast, []
+        w.param(f"U{size}", f"U{size}")
+        w.param("RTR", "RTR")
+        fast.append(f"    t = U{size}(spage, off)[0]")
+        fast.append("    if t:")
+        shift = size * 4  # fold the high half down, then halve again
+        while shift >= 8:
+            fast.append(f"        t |= t >> {shift}")
+            shift //= 2
+        fast.append(f"        t &= {ALL_TAGS}")
+        fast.append(f"    {dest} = t")
+        return fast, [f"{dest} = RTR(m, {addr_var}, {size}, {self.flip})"]
 
-    def _emit_write_tags(self, w: _BlockWriter, addr_var: str, size: int,
-                         tag: str, maybe_negative: bool) -> None:
-        """DIFT tag write with the single-page cases inlined.
+    def _write_tags(self, w: _BlockWriter, addr_var: str, size: int,
+                    tag: str) -> _TagLines:
+        """``(in_page, other)`` lines of a DIFT tag write.
 
-        Writing the tag over an unallocated single shadow page is a
-        no-op when the tag is 0 (absent pages read as 0, guest-side
-        mapping checks are region-based, and no taint-undo entry would
-        be written since old == new); a present page is written
-        directly outside simulation, and inside simulation the write is
-        skipped entirely when every byte already holds the tag (again
-        old == new, so the helper would neither log nor change
-        anything).  Page-crossing, negative and tag-changing simulation
-        cases call the helper.
+        Writing the tag over an unallocated shadow page is a no-op when
+        the tag is 0 (absent pages read as 0, guest-side mapping checks
+        are region-based, and no taint-undo entry would be written since
+        old == new); a present page is written directly outside
+        simulation, and inside simulation the write is skipped entirely
+        when every byte already holds the tag (again old == new, so the
+        helper would neither log nor change anything).  Page-crossing,
+        negative and tag-changing simulation cases call the helper
+        (``WTR``).
         """
         w.use("D", "pages")
         w.param("WTR", "WTR")
-        w.emit(f"sh = {addr_var} ^ {self.flip}")
-        w.emit("so = sh & 4095")
-        guards = []
-        if maybe_negative:
-            guards.append(f"{addr_var} >= 0")
-        if size > 1:
-            guards.append(f"so <= {4096 - size}")
-            guards.append(
-                f"{addr_var} >> 45 == ({addr_var} + {size - 1}) >> 45")
-        pad = ""
-        if guards:
-            w.emit(f"if {' and '.join(guards)}:")
-            pad = "    "
+        helper = f"WTR(D, m, {addr_var}, {size}, {tag}, {self.flip})"
         if size == 1:
-            read = "spage[so]"
+            read = "spage[off]"
             tb = tag
-            write = f"spage[so] = {tag}"
+            write = f"spage[off] = {tag}"
         else:
             # The tag byte replicated across the range, as one fixed-width
             # little-endian integer (0x01 repeated ``size`` times works as
@@ -1612,32 +1739,29 @@ class _BlockCompiler:
             rep = int.from_bytes(b"\x01" * size, "little")
             w.param(f"U{size}", f"U{size}")
             w.param(f"P{size}", f"P{size}")
-            read = f"U{size}(spage, so)[0]"
+            read = f"U{size}(spage, off)[0]"
             tb = "0" if tag == "0" else f"{tag} * {rep}"
-            write = f"P{size}(spage, so, {tb})"
-        w.emit(f"{pad}spage = pages.get(sh >> 12)")
-        w.emit(f"{pad}if spage is None:")
+            write = f"P{size}(spage, off, {tb})"
+        fast = [f"spage = pages.get(({addr_var} ^ {self.flip}) >> 12)"]
         if tag == "0":
-            w.emit(f"{pad}    pass")
+            fast.append("if spage is not None:")
         else:
-            w.emit(f"{pad}    if {tag}:")
+            fast.append("if spage is None:")
+            fast.append(f"    if {tag}:")
             if w.sim:
-                w.emit(f"{pad}        WTR(D, m, {addr_var}, {size}, {tag}, "
-                       f"{self.flip})")
+                fast.append(f"        {helper}")
             else:
-                w.emit(f"{pad}        spage = bytearray(4096)")
-                w.emit(f"{pad}        pages[sh >> 12] = spage")
-                w.emit(f"{pad}        {write}")
+                fast.append("        spage = bytearray(4096)")
+                fast.append(
+                    f"        pages[({addr_var} ^ {self.flip}) >> 12] = spage")
+                fast.append(f"        {write}")
+            fast.append("else:")
         if w.sim:
-            w.emit(f"{pad}elif {read} != {tb}:")
-            w.emit(f"{pad}    WTR(D, m, {addr_var}, {size}, {tag}, "
-                   f"{self.flip})")
+            fast.append(f"    if {read} != {tb}:")
+            fast.append(f"        {helper}")
         else:
-            w.emit(f"{pad}else:")
-            w.emit(f"{pad}    {write}")
-        if guards:
-            w.emit("else:")
-            w.emit(f"    WTR(D, m, {addr_var}, {size}, {tag}, {self.flip})")
+            fast.append(f"    {write}")
+        return fast, [helper]
 
     def _emit_load(self, w: _BlockWriter, instr: Instruction) -> None:
         di = int(instr.operands[0].reg)
@@ -1645,9 +1769,10 @@ class _BlockCompiler:
         w.use("regs")
         w.mark()
         w.emit(f"a = {_ea_expr(instr.operands[1])}")
-        if self.dift_on:
-            self._emit_read_tags(w, f"rt[{di}]", "a", size)
-        self._emit_read(w, "value", "a", size, _const_ea(instr.operands[1]))
+        tags = (self._read_tags(w, f"rt[{di}]", "a", size)
+                if self.dift_on else None)
+        self._emit_read(w, "value", "a", size, _const_ea(instr.operands[1]),
+                        tags)
         w.emit(f"regs[{di}] = value")
         self._promotion_tail(w, di)
 
@@ -1658,44 +1783,47 @@ class _BlockCompiler:
         w.use("regs")
         w.mark()
         w.emit(f"a = {_ea_expr(instr.operands[0])}")
+        tags = None
         if self.dift_on:
             if isinstance(src, Reg):
                 w.use("rt")
                 w.emit(f"t = rt[{int(src.reg)}]")
-                tag = "t"
+                tags = self._write_tags(w, "a", size, "t")
             else:
-                tag = "0"
-            self._emit_write_tags(w, "a", size, tag, False)
+                tags = self._write_tags(w, "a", size, "0")
         const = _const_ea(instr.operands[0])
         if isinstance(src, Reg):
             value = f"regs[{int(src.reg)}]"
-            self._emit_write(w, "a", size, value, f"{value} & {mask}", const)
+            self._emit_write(w, "a", size, value, f"{value} & {mask}", const,
+                             tags)
         else:
             value = to_unsigned(src.value)
             self._emit_write(w, "a", size, str(value), str(value & mask),
-                             const)
+                             const, tags)
 
     def _emit_push(self, w: _BlockWriter, instr: Instruction) -> None:
         src = instr.operands[0]
         w.use("regs")
         w.mark()
+        tags = split_var = None
         if self.dift_on:
             # NB: unmasked sp - 8, exactly like BinaryDift.propagate.
             w.emit(f"wa = regs[{SP_IDX}] - 8")
+            split_var = "wa"
             if isinstance(src, Reg):
                 w.use("rt")
                 w.emit(f"t = rt[{int(src.reg)}]")
-                tag = "t"
+                tags = self._write_tags(w, "wa", 8, "t")
             else:
-                tag = "0"
-            self._emit_write_tags(w, "wa", 8, tag, True)
+                tags = self._write_tags(w, "wa", 8, "0")
         if isinstance(src, Reg):
             w.emit(f"value = regs[{int(src.reg)}]")
             written = "value"
         else:
             written = str(to_unsigned(src.value))
         w.emit(f"new_sp = (regs[{SP_IDX}] - 8) & {MASK64}")
-        self._emit_write(w, "new_sp", 8, written, written)
+        self._emit_write(w, "new_sp", 8, written, written, tags=tags,
+                         split_var=split_var)
         w.emit(f"regs[{SP_IDX}] = new_sp")
 
     def _emit_pop(self, w: _BlockWriter, instr: Instruction) -> None:
@@ -1703,9 +1831,9 @@ class _BlockCompiler:
         w.use("regs")
         w.mark()
         w.emit(f"sp = regs[{SP_IDX}]")
-        if self.dift_on:
-            self._emit_read_tags(w, f"rt[{di}]", "sp", 8)
-        self._emit_read(w, "value", "sp", 8)
+        tags = (self._read_tags(w, f"rt[{di}]", "sp", 8)
+                if self.dift_on else None)
+        self._emit_read(w, "value", "sp", 8, tags=tags)
         w.emit(f"regs[{di}] = value")
         w.emit(f"new_sp = (regs[{SP_IDX}] + 8) & {MASK64}")
         w.emit(f"regs[{SP_IDX}] = new_sp")
@@ -1945,7 +2073,9 @@ class JitEmulator(Emulator):
         gate = None
         if (controller is not None and self._pht_enabled
                 and type(controller).maybe_enter
-                is JournalingSpeculationController.maybe_enter):
+                is JournalingSpeculationController.maybe_enter
+                and type(controller).enter
+                is JournalingSpeculationController.enter):
             gate = _NESTING_GATES.get(type(controller.policy))
 
         def noops(hook: str) -> Optional[List[str]]:
@@ -2024,7 +2154,9 @@ class JitEmulator(Emulator):
             "P1": _PACKERS[1], "P2": _PACKERS[2],
             "P4": _PACKERS[4], "P8": _PACKERS[8],
             "EXTERNALS": self.externals._externals,
+            "JC": JournalCheckpoint,
             **self._gate_bindings(),
+            **self._rollback_bindings(),
             "RUN": self._run,
             "BLOCKS": self._blocks_sim,
             "NBLOCKS": self._blocks_nosim,
@@ -2054,6 +2186,21 @@ class JitEmulator(Emulator):
             "GMAX": getattr(policy, "max_depth", None),
             "GEAGER": getattr(policy, "eager_runs", None),
             "GRAMP": getattr(policy, "ramp", None),
+        }
+
+    def _rollback_bindings(self) -> Dict[str, Callable]:
+        """The controller's rollback function per compiled site kind
+        (:data:`_ROLLBACK_SITES`), bound to this install's coverage and
+        cycle cell."""
+        controller = self.controller
+        if controller is None:
+            return {}
+        return {
+            _rollback_name(reason, charge): controller.rollback_function(
+                reason, coverage=self.coverage,
+                cycles=self._cycles_cell if charge else None,
+                cost_model=self.cost_model)
+            for reason, charge in _ROLLBACK_SITES
         }
 
     def _build_single(self, addr: int, sim: bool) -> Optional[Callable]:
@@ -2150,18 +2297,20 @@ class JitEmulator(Emulator):
                 nosim_singles=self._singles_nosim, stp=self._steps_cell,
                 max_steps=self.max_steps) -> None:
             while len(cps) > floor:
-                steps = stp[0]
-                if steps >= max_steps:
-                    raise _RunEnd("fuel")
                 pc = machine.pc
-                if pc == EXIT_SENTINEL:
-                    raise _RunEnd("exit", to_signed(machine.registers[RET_IDX]))
                 entry = (sim_get if cps else nosim_get)(pc)
-                if entry is not None and steps + entry[1] <= max_steps:
+                if entry is not None and stp[0] + entry[1] <= max_steps:
                     # Whole block fits in the remaining fuel: one call runs
-                    # it (the block advances the counters itself).
+                    # it (the block advances the counters itself).  Every
+                    # block needs two or more steps and none starts at the
+                    # exit sentinel, so neither test below could fire.
                     fn = entry[0]
                 else:
+                    if stp[0] >= max_steps:
+                        raise _RunEnd("fuel")
+                    if pc == EXIT_SENTINEL:
+                        raise _RunEnd("exit",
+                                      to_signed(machine.registers[RET_IDX]))
                     # One step; the function advances the counters itself.
                     fn = (sim_singles if cps else nosim_singles)[pc]
                     if fn is None:

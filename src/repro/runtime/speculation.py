@@ -14,7 +14,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.runtime.machine import PAGE_MASK, StateJournal
 
@@ -235,6 +235,11 @@ class SpeculationStats:
             record[f"entered_{model}"] = count
         return record
 
+    def reset(self) -> None:
+        """Zero every counter in place: the compiled engines and the bound
+        rollback functions hold this object, not the controller."""
+        self.__init__()
+
 
 class SpeculationController:
     """Runtime state machine for speculation simulation."""
@@ -383,16 +388,6 @@ class SpeculationController:
         self.spec_instruction_count += 1
         self.stats.simulated_instructions += 1
 
-    def count_instructions(self, count: int) -> None:
-        """Account ``count`` architectural instructions at once.
-
-        Bit-identical to ``count`` calls of :meth:`count_instruction`;
-        the jit engine uses this to flush a whole block segment's
-        in-simulation accounting with one call.
-        """
-        self.spec_instruction_count += count
-        self.stats.simulated_instructions += count
-
     # -- rollback ---------------------------------------------------------------------
     def rollback(self, machine, dift=None, reason: str = "restore") -> int:
         """Roll back to the innermost checkpoint.
@@ -423,8 +418,8 @@ class SpeculationController:
 
     def _finish_rollback(self, checkpoint, machine, dift, reason: str) -> None:
         """Rollback tail: taint-log unwind, flags/pc/DIFT restoration and
-        statistics.  :meth:`JournalingSpeculationController.rollback`
-        inlines the same sequence."""
+        statistics.  :meth:`JournalingSpeculationController.rollback_function`
+        runs the same sequence over the journal."""
         while len(self.taint_log) > checkpoint.taint_log_index:
             shadow_address, old_tag = self.taint_log.pop()
             machine.memory.write_shadow_byte(shadow_address, old_tag)
@@ -457,7 +452,7 @@ class SpeculationController:
         self.taint_log.clear()
         self.spec_instruction_count = 0
         self.skip_site = None
-        self.stats = SpeculationStats()
+        self.stats.reset()
         self.undo_depth_max = 0
         self.policy.reset()
 
@@ -490,6 +485,8 @@ class JournalingSpeculationController(SpeculationController):
         super().__init__(policy, rob_budget=rob_budget)
         self.journal = StateJournal()
         self._machine = None
+        #: reason -> this controller's plain rollback function.
+        self._rollbacks: Dict[str, Callable] = {}
 
     # -- per-run lifecycle -------------------------------------------------------
     def begin_run(self) -> None:
@@ -502,11 +499,13 @@ class JournalingSpeculationController(SpeculationController):
         self.journal.clear()
 
     # -- entry -------------------------------------------------------------------
-    # ``enter`` and ``rollback`` run once per speculation episode (tens of
+    # ``enter`` and the rollback run once per speculation episode (tens of
     # times per execution), so unlike the snapshot controller they work on
-    # locals in one pass: no ``depth``/``in_simulation`` properties, no
-    # snapshot/restore helper calls, and the shared ``_finish_rollback``
-    # tail inlined.  The results are identical.
+    # locals in one pass: no ``depth``/``in_simulation`` properties and no
+    # snapshot/restore helper calls.  The results are identical.  The
+    # compiled engines' gates push checkpoints of the same shape inline
+    # (``jit._BlockCompiler._emit_checkpoint``) and call the rollback function
+    # bound at install.
     def maybe_enter(self, machine, branch_address: int, resume_pc: int,
                     dift=None, model: str = "pht") -> bool:
         """Decide whether to enter simulation; push a checkpoint on accept."""
@@ -566,53 +565,99 @@ class JournalingSpeculationController(SpeculationController):
     # -- rollback ---------------------------------------------------------------------
     def rollback(self, machine, dift=None, reason: str = "restore") -> int:
         """Roll back to the innermost checkpoint by replaying the journal."""
+        rollback = self._rollbacks.get(reason)
+        if rollback is None:
+            rollback = self._rollbacks[reason] = self.rollback_function(reason)
+        return rollback(machine, dift)
+
+    def rollback_function(self, reason: str, coverage=None, cycles=None,
+                          cost_model=None) -> Callable:
+        """The one rollback implementation, as a function
+        ``(machine, dift) -> undone`` bound to this controller's state.
+
+        It pops the innermost checkpoint, replays the journal only when
+        it holds entries past the checkpoint's mark, unwinds the taint
+        log, restores registers, flags, pc and DIFT register tags, counts
+        a ``reason`` rollback and detaches the journal once no checkpoint
+        is left.  It returns the number of journal entries undone.
+        :meth:`rollback` calls it.  The compiled engines bind one per
+        (reason, charged) pair at install and call it from generated
+        code, so an episode's rollback makes no further call: with
+        ``coverage`` (a ``CoverageRuntime``) it first flushes the noted
+        speculative coverage, and with ``cycles`` (a one-element counter
+        cell) it charges ``cost_model.rollback_cost(undone)`` into it.
+
+        Everything bound here is cleared in place, never reassigned:
+        checkpoints, journal entries, taint log, statistics (see
+        :meth:`SpeculationStats.reset`) and the coverage buffers.
+        """
         checkpoints = self.checkpoints
-        if not checkpoints:
-            raise RuntimeError("rollback requested outside speculation simulation")
-        (_, resume_pc, mark, registers, saved_flags, taint_mark,
-         register_tags, flags_tag, model) = checkpoints.pop()
-
-        if len(self.journal.entries) > mark:
-            undone = self.journal.rollback_to(mark, machine)
-            if undone > self.undo_depth_max:
-                self.undo_depth_max = undone
-        else:
-            undone = 0
-        machine.registers[:] = registers
+        entries = self.journal.entries
+        rollback_to = self.journal.rollback_to
         taint_log = self.taint_log
-        if len(taint_log) > taint_mark:
-            page_of = machine.memory._page
-            for index in range(len(taint_log) - 1, taint_mark - 1, -1):
-                shadow_address, old_tag = taint_log[index]
-                page_of(shadow_address)[shadow_address & PAGE_MASK] = (
-                    old_tag & 0xFF)
-            del taint_log[taint_mark:]
-
-        flags = machine.flags
-        flags.zero, flags.sign, flags.carry, flags.overflow = saved_flags
-        machine.pc = resume_pc
-        # Dynamic models resume *at* their entry instruction; arm the skip
-        # so its hook lets the architectural re-execution retire.
-        self.skip_site = resume_pc if model != "pht" else None
-        if dift is not None and register_tags is not None:
-            # the popped checkpoint's copy is no longer shared
-            dift.register_tags = register_tags
-            dift.flags_tag = flags_tag
-
         stats = self.stats
-        stats.rollbacks += 1
-        if reason == "budget":
-            stats.budget_rollbacks += 1
-        elif reason == "forced":
-            stats.forced_rollbacks += 1
-        elif reason == "exception":
-            stats.exception_rollbacks += 1
-        if not checkpoints:
-            self.spec_instruction_count = 0
-            machine.attach_journal(None)
-            self._machine = None
-            self.journal.clear()
-        return undone
+        budget = reason == "budget"
+        forced = reason == "forced"
+        exception = reason == "exception"
+        if coverage is not None:
+            notes = coverage._spec_buffer
+            speculative = coverage.speculative._covered
+        if cycles is not None:
+            base = cost_model.rollback_base
+            per_entry = cost_model.rollback_per_entry
+
+        def rollback(machine, dift):
+            if not checkpoints:
+                raise RuntimeError(
+                    "rollback requested outside speculation simulation")
+            if coverage is not None and notes:
+                speculative.update(notes)
+                notes.clear()
+                coverage.lazy_flushes += 1
+            (_, resume_pc, mark, registers, saved_flags, taint_mark,
+             register_tags, flags_tag, model) = checkpoints.pop()
+            if len(entries) > mark:
+                undone = rollback_to(mark, machine)
+                if undone > self.undo_depth_max:
+                    self.undo_depth_max = undone
+            else:
+                undone = 0
+            machine.registers[:] = registers
+            if len(taint_log) > taint_mark:
+                # every logged shadow byte's page exists: the logged
+                # write created it, and pages are never dropped in a run
+                pages = machine.memory._pages
+                for index in range(len(taint_log) - 1, taint_mark - 1, -1):
+                    shadow_address, old_tag = taint_log[index]
+                    pages[shadow_address >> 12][shadow_address & PAGE_MASK] = (
+                        old_tag & 0xFF)
+                del taint_log[taint_mark:]
+            flags = machine.flags
+            flags.zero, flags.sign, flags.carry, flags.overflow = saved_flags
+            machine.pc = resume_pc
+            # Dynamic models resume *at* their entry instruction; arm the
+            # skip so its hook lets the architectural re-execution retire.
+            self.skip_site = resume_pc if model != "pht" else None
+            if dift is not None and register_tags is not None:
+                # the popped checkpoint's copy is no longer shared
+                dift.register_tags = register_tags
+                dift.flags_tag = flags_tag
+            stats.rollbacks += 1
+            if budget:
+                stats.budget_rollbacks += 1
+            elif forced:
+                stats.forced_rollbacks += 1
+            elif exception:
+                stats.exception_rollbacks += 1
+            if not checkpoints:
+                # the depth-0 mark is 0, so the journal is empty again
+                self.spec_instruction_count = 0
+                machine.journal = machine.memory.journal = None
+            if cycles is not None:
+                cycles[0] += base + per_entry * undone
+            return undone
+
+        return rollback
 
     def reset(self) -> None:
         """Clear all run state including the journal attachment."""

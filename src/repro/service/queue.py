@@ -14,14 +14,23 @@ semantics:
   and is idempotent: the fingerprint is a SHA-256 over the campaign id
   and the canonical JSON of the job spec, so re-submitting the same job
   is a no-op.
-* **claim** creates the lease file with ``O_CREAT | O_EXCL`` — the
-  filesystem arbitrates racing claimants.  An *expired* lease (its
-  holder missed every renewal for the visibility timeout) is taken over
-  by atomically replacing the lease file with a fresh one carrying a
-  new token and an incremented attempt counter.  Claim parses the job
-  record once (:class:`JobRecord`); one that does not parse
-  (:class:`JobRecordError`) gets a terminal ``failed`` done record
-  naming the field, and the claim moves on to the next job.
+* **claim** hard-links a fully-written lease record into ``leases/`` —
+  ``os.link`` fails with ``EEXIST`` if a lease is there, so the
+  filesystem arbitrates racing claimants and no reader ever sees a
+  partial lease.  An *expired* lease (its holder missed every renewal
+  for the visibility timeout) is taken over by atomically replacing the
+  lease file with a fresh one carrying a new token and an incremented
+  attempt counter.  Claim parses the job record once (:class:`JobRecord`);
+  one that does not parse (:class:`JobRecordError`) gets a terminal
+  ``failed`` done record naming the field, and the claim moves on to the
+  next job.
+* Lease and done records are parsed once per read as well
+  (:class:`LeaseRecord`, :func:`_read_done`).  Both are always written
+  whole, so one that does not parse is damage: ``claim`` takes a damaged
+  lease over like an expired one, ``renew`` and ``fail`` report it lost,
+  and ``result`` reports a damaged done record as a ``failed``
+  completion whose error names the field, which the campaign driver
+  merges as that job's failure.
 * **complete** hard-links a fully-written temp record into ``done/`` —
   ``os.link`` fails with ``EEXIST`` if a record is already there, which
   makes completion exactly-once even if an expired worker wakes up and
@@ -140,6 +149,44 @@ class JobRecord:
                                 else float(enqueued_at)))
 
 
+class LeaseRecordError(ValueError):
+    """A lease record that does not parse; the message names the field."""
+
+
+@dataclass(frozen=True)
+class LeaseRecord:
+    """A parsed lease record."""
+
+    token: str
+    owner: str
+    #: 1 on the first claim, +1 per expired-lease takeover.
+    attempt: int
+    deadline: float
+    claimed_at: float
+    #: the record as read (``renew`` rewrites it with a new deadline).
+    fields: Dict[str, object]
+
+    @classmethod
+    def parse(cls, text: str) -> "LeaseRecord":
+        """Check and convert one record; :class:`LeaseRecordError` if bad."""
+        try:
+            record = json.loads(text)
+        except ValueError:
+            raise LeaseRecordError("record: not JSON") from None
+        if not isinstance(record, dict):
+            raise LeaseRecordError("record: not a JSON object")
+        values: Dict[str, object] = {}
+        for name, kind, default in (("token", str, ""), ("owner", str, ""),
+                                    ("attempt", int, 1),
+                                    ("deadline", (int, float), 0.0),
+                                    ("claimed_at", (int, float), 0.0)):
+            value = record.get(name, default)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise LeaseRecordError(f"{name}: wrong type")
+            values[name] = value
+        return cls(fields=record, **values)
+
+
 @dataclass
 class JobLease:
     """One claimed job: what to run plus the renewal credentials."""
@@ -184,16 +231,6 @@ def _atomic_write_json(path: str, record: Dict[str, object]) -> None:
         raise
 
 
-def _read_json(path: str) -> Optional[Dict[str, object]]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, ValueError):
-        # Missing, or mid-replace: the caller treats both as "not there
-        # right now" and moves on.
-        return None
-
-
 def _link_json(path: str, record: Dict[str, object]) -> bool:
     """Write ``record`` at ``path`` unless a file is there; True if written.
 
@@ -201,7 +238,7 @@ def _link_json(path: str, record: Dict[str, object]) -> bool:
     place: ``os.link`` fails with ``EEXIST`` if ``path`` exists, so the
     first writer wins and no reader ever sees a partial record.
     """
-    fd, tmp_path = tempfile.mkstemp(prefix=".done-", suffix=".tmp",
+    fd, tmp_path = tempfile.mkstemp(prefix=".link-", suffix=".tmp",
                                     dir=os.path.dirname(path))
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -222,14 +259,59 @@ def _unlink_quietly(path: str) -> None:
         pass
 
 
-def _read_job_record(path: str) -> Optional[JobRecord]:
-    """The parsed job record at ``path``; ``None`` when there is none."""
+def _read_text(path: str) -> Optional[str]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError:
         return None
-    return JobRecord.parse(text)
+
+
+def _read_job_record(path: str) -> Optional[JobRecord]:
+    """The parsed job record at ``path``; ``None`` when there is none."""
+    text = _read_text(path)
+    return None if text is None else JobRecord.parse(text)
+
+
+def _read_lease(path: str) -> Optional[LeaseRecord]:
+    """The parsed lease at ``path``; ``None`` when there is none.
+
+    Raises:
+        LeaseRecordError: the lease is damaged.
+    """
+    text = _read_text(path)
+    return None if text is None else LeaseRecord.parse(text)
+
+
+def _read_done(path: str, fingerprint: str) -> Optional[Dict[str, object]]:
+    """The completion record at ``path``; ``None`` while there is none.
+
+    A record that does not parse, or lacks a string ``status`` or an
+    object ``result``, comes back as a ``failed`` completion whose error
+    starts ``DoneRecordError: <field>``: done records are linked whole,
+    so it is damage, and the job must end rather than wait forever.
+    """
+    text = _read_text(path)
+    if text is None:
+        return None
+    try:
+        record = json.loads(text)
+        problem = None
+    except ValueError:
+        problem = "record: not JSON"
+    if problem is None:
+        if not isinstance(record, dict):
+            problem = "record: not a JSON object"
+        elif not isinstance(record.get("status"), str):
+            problem = "status: wrong type"
+        elif not isinstance(record.get("result"), dict):
+            problem = "result: wrong type"
+        else:
+            return record
+    return {"kind": QUEUE_KIND, "schema_version": QUEUE_SCHEMA_VERSION,
+            "fingerprint": fingerprint, "status": "failed",
+            "result": {"job_id": fingerprint,
+                       "error": f"DoneRecordError: {problem}"}}
 
 
 class JobQueue:
@@ -375,14 +457,21 @@ class JobQueue:
         if job_record is None:
             return None
         now = time.time()
-        existing = _read_json(lease_path)
-        if existing is None:
+        try:
+            existing = _read_lease(lease_path)
+            damage = None
+        except LeaseRecordError as error:
+            # Leases are written whole, so this is damage: take it over
+            # like an expired lease (its attempt count is lost).
+            existing, damage = None, f"LeaseRecordError: {error}"
+        if existing is None and damage is None:
             attempt = 1
         else:
-            if float(existing.get("deadline", 0.0)) > now:
-                return None  # live lease (or cooldown) — not available
-            attempt = int(existing.get("attempt", 1)) + 1
-            self._count("service.queue.lease_timeouts")
+            if existing is not None:
+                if existing.deadline > now:
+                    return None  # live lease (or cooldown) — not available
+                self._count("service.queue.lease_timeouts")
+            attempt = (existing.attempt if existing is not None else 1) + 1
             if attempt > self.max_lease_attempts:
                 # The job keeps killing its workers; fail it for good so
                 # the campaign can finish with a failed_jobs entry
@@ -402,24 +491,22 @@ class JobQueue:
             "deadline": now + visibility_timeout,
             "claimed_at": now,
         }
-        if existing is None:
-            # First claim: O_EXCL so racing processes cannot both win.
-            try:
-                fd = os.open(lease_path,
-                             os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-            except FileExistsError:
+        if attempt == 1:
+            # First claim: the link fails if a racing process won.
+            if not _link_json(lease_path, lease_record):
                 return None
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(lease_record, handle, sort_keys=True)
         else:
-            # Takeover of an expired lease: atomic replace installs the
-            # new token; the previous holder's renew/complete calls fail
-            # their token check from here on.
+            # Takeover of an expired or damaged lease: atomic replace
+            # installs the new token; the previous holder's
+            # renew/complete calls fail their token check from here on.
             _atomic_write_json(lease_path, lease_record)
             self._count("service.queue.lease_takeovers")
             self._log("warning", "lease_takeover", fingerprint=fingerprint,
-                      owner=owner, previous_owner=existing.get("owner"),
-                      attempt=attempt, trace_id=job_record.trace_id)
+                      owner=owner,
+                      previous_owner=(existing.owner if existing is not None
+                                      else None),
+                      attempt=attempt, damaged=damage,
+                      trace_id=job_record.trace_id)
         self._count("service.queue.claims")
         if attempt == 1:
             # Queue wait is submit → *first* claim; a takeover's wait is
@@ -437,13 +524,17 @@ class JobQueue:
     # -- lease upkeep --------------------------------------------------------
     def renew(self, fingerprint: str, token: str,
               visibility_timeout: float = 30.0) -> bool:
-        """Extend a held lease; ``False`` if it was lost (expired + taken)."""
+        """Extend a held lease; ``False`` if it was lost (expired + taken,
+        or damaged)."""
         lease_path = self._lease_path(fingerprint)
-        record = _read_json(lease_path)
-        if record is None or record.get("token") != token:
+        try:
+            lease = _read_lease(lease_path)
+        except LeaseRecordError:
             return False
-        record["deadline"] = time.time() + visibility_timeout
-        _atomic_write_json(lease_path, record)
+        if lease is None or lease.token != token:
+            return False
+        _atomic_write_json(lease_path, dict(
+            lease.fields, deadline=time.time() + visibility_timeout))
         return True
 
     def complete(self, fingerprint: str, token: str,
@@ -496,8 +587,12 @@ class JobQueue:
             return True
         finally:
             lease_path = self._lease_path(fingerprint)
-            lease = _read_json(lease_path)
-            if lease is not None and lease.get("token") == token:
+            try:
+                lease = _read_lease(lease_path)
+                ours = lease is not None and lease.token == token
+            except LeaseRecordError:
+                ours = True  # nobody holds a damaged lease
+            if ours:
                 _unlink_quietly(lease_path)
             self.signal_change()
 
@@ -509,13 +604,16 @@ class JobQueue:
         ``backoff_s`` (the lease is rewritten as an ownerless cooldown
         that nobody can renew); with the budget exhausted it is marked
         done with status ``failed``.  Returns ``False`` when the lease
-        was already lost.
+        was already lost (or damaged).
         """
         lease_path = self._lease_path(fingerprint)
-        lease = _read_json(lease_path)
-        if lease is None or lease.get("token") != token:
+        try:
+            lease = _read_lease(lease_path)
+        except LeaseRecordError:
             return False
-        attempt = int(lease.get("attempt", 1))
+        if lease is None or lease.token != token:
+            return False
+        attempt = lease.attempt
         if attempt >= self.max_lease_attempts:
             self._write_done(fingerprint, self._job_record(fingerprint),
                              status="failed", error=error)
@@ -527,7 +625,7 @@ class JobQueue:
             "token": "",  # unrenewable: no caller holds the empty token
             "attempt": attempt,
             "deadline": time.time() + max(0.0, backoff_s),
-            "claimed_at": float(lease.get("claimed_at", 0.0)),
+            "claimed_at": float(lease.claimed_at),
             "last_error": error,
         }
         _atomic_write_json(lease_path, cooldown)
@@ -610,8 +708,10 @@ class JobQueue:
 
     # -- observation ---------------------------------------------------------
     def result(self, fingerprint: str) -> Optional[Dict[str, object]]:
-        """The completion record of one job (``None`` while pending)."""
-        return _read_json(self._done_path(fingerprint))
+        """The completion record of one job (``None`` while pending; a
+        damaged one reads as a ``failed`` completion, see
+        :func:`_read_done`)."""
+        return _read_done(self._done_path(fingerprint), fingerprint)
 
     def stats(self) -> Dict[str, int]:
         """Queue-depth counters for the status/metrics endpoints.
@@ -634,11 +734,10 @@ class JobQueue:
         done_names = _names(self.done_dir)
         for fingerprint in done_names:
             if fingerprint not in self._done_status:
-                record = _read_json(self._done_path(fingerprint))
+                record = self.result(fingerprint)
                 if record is None:
-                    continue  # mid-link; picked up on the next scan
-                self._done_status[fingerprint] = str(
-                    record.get("status", "completed"))
+                    continue  # removed since the listing
+                self._done_status[fingerprint] = record["status"]
         failed = sum(1 for fingerprint in done_names
                      if self._done_status.get(fingerprint,
                                               "completed") != "completed")

@@ -14,13 +14,23 @@ cycles, architectural instructions, speculation statistics and reports:
   build, which ends the run from inside two episodes;
 * nesting far deeper than the in-place depth, which must neither
   overflow Python's recursion limit nor change a result.
+
+The episode bookkeeping itself runs in generated code: a compiled gate
+pushes its checkpoint, one bound function rolls it back, and cycles and
+the arch count stay pending across the episode.  The last tests pin
+that no controller call is left on that path, that the statistics
+object the generated code binds survives ``reset()``, and that counters
+still pending when fuel ends the run inside an episode come out exact.
 """
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from differential import result_record
+from episode_work import BOOKKEEPING, campaign, count_calls
 from repro.baselines.specfuzz import (SpecFuzzConfig, SpecFuzzRewriter,
                                       SpecFuzzRuntime)
 from repro.core.config import TeapotConfig
@@ -34,6 +44,7 @@ from repro.loader.binary_format import DataObject
 from repro.minic.compiler import compile_source
 from repro.runtime import jitcache
 from repro.runtime.fastpath import resolve_engine
+from repro.isa.instructions import Opcode
 from repro.runtime.speculation import TeapotNestingPolicy
 from repro.sanitizers.policy import KasperPolicy
 
@@ -90,13 +101,18 @@ def _teapot(source: str):
     return TeapotRewriter(TeapotConfig()).instrument(compile_source(source))
 
 
-def _run(binary, engine: str, data: bytes, policy, rob_budget: int,
-         max_steps: int = 5_000_000):
+def _emulator(binary, engine: str, policy, rob_budget: int,
+              max_steps: int = 5_000_000):
     emulator_cls, controller_cls = resolve_engine(engine)
-    emulator = emulator_cls(
+    return emulator_cls(
         binary, controller=controller_cls(policy, rob_budget=rob_budget),
         policy=KasperPolicy(), coverage=CoverageRuntime(),
         max_steps=max_steps)
+
+
+def _run(binary, engine: str, data: bytes, policy, rob_budget: int,
+         max_steps: int = 5_000_000):
+    emulator = _emulator(binary, engine, policy, rob_budget, max_steps)
     return result_record(emulator.run(data))
 
 
@@ -111,6 +127,21 @@ def _records(binary, data: bytes, policy_factory, rob_budget: int,
     return records["legacy"]
 
 
+def _first_limit(binary, rob_budget: int, started: int, steps: int) -> int:
+    """The smallest fuel at which ``started`` episodes of the nested
+    program have begun (legacy engine, at most ``steps`` fuel)."""
+    lo, hi = 1, steps
+    while lo < hi:
+        mid = (lo + hi) // 2
+        record = _run(binary, "legacy", NESTED_INPUT, TeapotNestingPolicy(),
+                      rob_budget, mid)
+        if record["spec_stats"]["simulations_started"] >= started:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def test_fuel_expiry_at_every_step_of_three_episodes():
     """``max_steps`` swept over every step from the first checkpoint
     entry to the entry of the fourth episode: fuel runs out inside
@@ -119,25 +150,12 @@ def test_fuel_expiry_at_every_step_of_three_episodes():
     binary = _teapot(NESTED_SOURCE)
     rob_budget = 16  # short episodes, ended by budget and forced rollbacks
 
-    def legacy(max_steps):
-        return _run(binary, "legacy", NESTED_INPUT, TeapotNestingPolicy(),
-                    rob_budget, max_steps)
-
-    full = legacy(5_000_000)
+    full = _run(binary, "legacy", NESTED_INPUT, TeapotNestingPolicy(),
+                rob_budget)
     assert full["status"] == "exit"
 
-    def first_limit(started):
-        """The smallest fuel at which ``started`` episodes have begun."""
-        lo, hi = 1, full["steps"]
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if legacy(mid)["spec_stats"]["simulations_started"] >= started:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    first, fourth = first_limit(1), first_limit(4)
+    first, fourth = _first_limit(binary, rob_budget, 1, full["steps"]), \
+        _first_limit(binary, rob_budget, 4, full["steps"])
     fuel_ends = 0
     for max_steps in range(first, fourth + 1):
         record = _records(binary, NESTED_INPUT, TeapotNestingPolicy,
@@ -215,3 +233,76 @@ def test_deep_nesting_needs_no_deep_recursion(max_depth):
         rob_budget=10 ** 6, max_steps=48_000)
     assert record["status"] == "fuel"
     assert record["spec_stats"]["max_depth_reached"] == max_depth
+
+
+def test_generated_code_makes_no_bookkeeping_calls():
+    """Over a 100-execution jit campaign on Teapot ``gadgets`` no
+    generated frame calls ``enter``, ``CoverageMap.add_many``,
+    ``log_taint_write``, ``attach_journal`` or ``StateJournal.clear``:
+    gates push their checkpoints and the bound rollback flushes coverage
+    and detaches the journal itself."""
+    fuzzer = campaign()
+    _, from_jit, bookkeeping = count_calls(fuzzer)
+    assert from_jit > 0  # the spy does see generated frames' calls
+    assert bookkeeping == dict.fromkeys(BOOKKEEPING, 0)
+    stats = fuzzer.target.runtime.controller.stats
+    assert stats.simulations_started > 0 and stats.nested_simulations > 0
+
+
+def test_reset_keeps_the_stats_object():
+    """The generated code binds the controller's statistics object at
+    install; ``reset()`` zeroes it in place, so a jit runtime keeps
+    counting into the object the controller reports, exactly like the
+    legacy engine."""
+    binary = _teapot(NESTED_SOURCE)
+    records = {}
+    for engine in ("legacy", "jit"):
+        emulator = _emulator(binary, engine, TeapotNestingPolicy(), 16)
+        controller = emulator.controller
+        stats = controller.stats
+        first = result_record(emulator.run(NESTED_INPUT))
+        controller.reset()
+        assert controller.stats is stats
+        assert stats.simulations_started == 0
+        second = result_record(emulator.run(NESTED_INPUT))
+        assert second["spec_stats"]["simulations_started"] > 0
+        records[engine] = (first, second)
+    assert records["jit"] == records["legacy"]
+
+
+def test_deferred_counters_survive_a_fuel_stop():
+    """A checkpoint gate flushes only the steps and the ROB count, so the
+    gate's block still holds cycles and arch instructions pending while
+    its episode runs.  Fuel expiring inside the first episodes ends the
+    run from there, and the block's fault table must flush them: every
+    engine reports the same counters."""
+    binary = _teapot(NESTED_SOURCE)
+    rob_budget = 16
+    emulator = _emulator(binary, "jit", TeapotNestingPolicy(), rob_budget)
+    gates = [addr for addr, instr in emulator.instructions.items()
+             if instr.opcode is Opcode.CHECKPOINT]
+    deferred = set()
+    for leader, (fn, _) in emulator._blocks_nosim.items():
+        table = inspect.signature(fn).parameters.get("_P")
+        span = emulator._block_spans_nosim[leader]
+        if table is not None and any(
+                steps == 0 and cycles and arch and rob == 0
+                for steps, cycles, arch, rob in table.default):
+            deferred.update(addr for addr in span if addr in gates)
+    assert deferred  # a gate whose block defers cycles and arch
+
+    full = _run(binary, "legacy", NESTED_INPUT, TeapotNestingPolicy(),
+                rob_budget)
+    first = _first_limit(binary, rob_budget, 1, full["steps"])
+    inside = 0
+    for max_steps in range(first, first + 12):
+        record = _records(binary, NESTED_INPUT, TeapotNestingPolicy,
+                          rob_budget, max_steps)
+        assert record["status"] == "fuel"
+        jit = _emulator(binary, "jit", TeapotNestingPolicy(), rob_budget,
+                        max_steps)
+        jit.run(NESTED_INPUT)
+        checkpoints = jit.controller.checkpoints
+        inside += bool(checkpoints) and checkpoints[0].branch_address in {
+            emulator.next_address[addr] for addr in deferred}
+    assert inside > 0

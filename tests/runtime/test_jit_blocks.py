@@ -15,8 +15,9 @@ speculation variant, and requires every engine to produce the same
 execution record.  The last tests pin copy-aware compilation (in a
 binary with Speculation Shadows each block is compiled only in the mode
 its copy runs in), the compile shape of episodes run as calls (no
-block at a resume point or a folded trampoline, a bounded module, no
-dispatch outside blocks while fuzzing) and the reachability walk (a
+block at a resume point or a folded trampoline, a bounded module, the
+folded trampoline's bindings, no dispatch outside blocks while fuzzing)
+and the reachability walk (a
 block only where a dispatch can land, and no fuzz run ever needing a
 dropped one).
 """
@@ -45,7 +46,7 @@ from repro.minic.codegen import CompilerOptions, SwitchLowering
 from repro.minic.compiler import compile_source
 from repro.runtime.emulator import Emulator
 from repro.runtime.fastpath import resolve_engine
-from repro.runtime.jit import _BRANCH_OPS, _imm_target
+from repro.runtime.jit import _BRANCH_OPS, _BlockWriter, _imm_target
 from repro.runtime.speculation import TeapotNestingPolicy
 from repro.sanitizers.policy import KasperPolicy
 from repro.targets import get_target, inject_gadgets
@@ -689,6 +690,23 @@ def test_gadgets_block_module_size():
     sources = emulator._compiler.compile_source()
     assert sum(len(source) for source in sources) <= 300_000
     assert emulator._compiler.compile_source() == sources
+
+
+def test_episode_binds_the_trampoline_charge_expressions():
+    """A gate's episode copies the folded trampoline's charge bindings as
+    ``(name, expression)`` pairs: ``ST`` binds ``CTRL.stats``, which the
+    install namespace has no name for."""
+    compiler = _gadgets_builds()["teapot"].emulator._compiler
+    compiler.sim = True
+    site, target = next(
+        (compiler.next_address[addr], _imm_target(instr))
+        for addr, instr in sorted(compiler.instructions.items())
+        if instr.opcode is Opcode.CHECKPOINT
+        and compiler._trampoline(_imm_target(instr)) is not None)
+    writer = _BlockWriter(sim=True)
+    compiler._emit_episode(writer, site, target, 0, "d", "")
+    assert writer.params["ST"] == "CTRL.stats"
+    assert writer.params["CTRL"] == "CTRL"
 
 
 def test_every_block_is_a_root_or_an_exit_target():

@@ -16,9 +16,11 @@ from repro.campaign.spec import CampaignSpec, JobSpec
 from repro.campaign.worker import WorkerResult
 from repro.service.core import FuzzService
 from repro.service.queue import (JobQueue, JobRecord, JobRecordError,
+                                 LeaseRecord, LeaseRecordError,
                                  job_fingerprint)
 from repro.service.worker import ServiceWorker, WorkerFleet
 from repro.telemetry.export import wait_until
+from repro.telemetry.metrics import MetricsRegistry
 
 
 def _job(**overrides):
@@ -272,6 +274,166 @@ def test_campaign_records_a_damaged_job_as_failed(tmp_path, monkeypatch):
     finally:
         service.stop()
     assert summary is not None
+    assert summary.total_failed_jobs() == 1
+    assert summary.total_executions() == 5
+
+
+#: Damaged lease files: the text written over a real lease record.
+DAMAGED_LEASES = {
+    "deadline": lambda lease: json.dumps(dict(lease, deadline="x")),
+    "attempt": lambda lease: json.dumps(dict(lease, attempt="x")),
+    "list": lambda lease: "[1]",
+    "not_json": lambda lease: "{not json",
+}
+
+
+class _Events:
+    """A stand-in structured logger that keeps every event."""
+
+    def __init__(self):
+        self.events = []
+
+    def log(self, level, event, **fields):
+        self.events.append((level, event, fields))
+
+
+def _lease_path(queue, fingerprint):
+    return os.path.join(queue.leases_dir, fingerprint + ".json")
+
+
+def _write(path, text):
+    with open(path, "w") as handle:
+        handle.write(text)
+
+
+@pytest.mark.parametrize("shape", sorted(DAMAGED_LEASES))
+def test_damaged_lease_is_taken_over(tmp_path, shape):
+    """A lease that does not parse is lost to its holder and taken over
+    by the next claim like an expired one, counted and logged."""
+    registry, log = MetricsRegistry(), _Events()
+    queue = _queue(tmp_path, registry=registry, log=log)
+    fingerprint = queue.submit("c1", _job())
+    held = queue.claim("w0", visibility_timeout=30)
+    path = _lease_path(queue, fingerprint)
+    with open(path) as handle:
+        lease = json.load(handle)
+    _write(path, DAMAGED_LEASES[shape](lease))
+    assert queue.renew(fingerprint, held.token) is False
+    assert queue.fail(fingerprint, held.token, "boom") is False
+    takeover = queue.claim("w1", visibility_timeout=30)
+    assert takeover is not None and takeover.fingerprint == fingerprint
+    assert takeover.attempt == 2
+    assert registry.counter("service.queue.lease_takeovers").value == 1
+    (event,) = [fields for _, name, fields in log.events
+                if name == "lease_takeover"]
+    assert event["damaged"].startswith("LeaseRecordError: ")
+    # The new lease is whole: it renews, and completion removes it.
+    assert queue.renew(fingerprint, takeover.token) is True
+    assert queue.complete(fingerprint, takeover.token, {"executions": 5})
+    assert queue.stats()["leased"] == 0
+
+
+def test_holder_completes_over_a_damaged_lease(tmp_path):
+    """The holder of a lease damaged under it still completes the job,
+    and the damaged lease file goes with the completion."""
+    queue = _queue(tmp_path)
+    fingerprint = queue.submit("c1", _job())
+    held = queue.claim("w0", visibility_timeout=30)
+    _write(_lease_path(queue, fingerprint), "[1]")
+    assert queue.complete(fingerprint, held.token, {"executions": 5})
+    assert queue.result(fingerprint)["status"] == "completed"
+    assert queue.stats()["leased"] == 0
+
+
+def test_parse_lease_names_the_field():
+    lease = {"token": "t", "owner": "w0", "attempt": 2, "deadline": 1.5,
+             "claimed_at": 1.0}
+    parsed = LeaseRecord.parse(json.dumps(lease))
+    assert (parsed.token, parsed.attempt, parsed.deadline) == ("t", 2, 1.5)
+    for field in ("token", "owner", "attempt", "deadline", "claimed_at"):
+        for value in ("x" if field not in ("token", "owner") else 1, True):
+            with pytest.raises(LeaseRecordError, match=f"^{field}"):
+                LeaseRecord.parse(json.dumps(dict(lease, **{field: value})))
+    for text in ("[1]", "{not json"):
+        with pytest.raises(LeaseRecordError, match="^record"):
+            LeaseRecord.parse(text)
+
+
+@pytest.mark.parametrize("shape", sorted(DAMAGED_LEASES))
+def test_worker_survives_a_damaged_lease(tmp_path, monkeypatch, shape):
+    def synthetic(self, lease):
+        job = lease.job_spec()
+        return WorkerResult.for_job(job, executions=job.iterations)
+
+    monkeypatch.setattr(ServiceWorker, "_execute", synthetic)
+    queue = _queue(tmp_path)
+    fingerprint = queue.submit("c1", _job())
+    # left behind by a holder that died mid-write of a live lease
+    lease = {"fingerprint": fingerprint, "owner": "gone", "token": "t",
+             "attempt": 1, "deadline": time.time() + 60,
+             "claimed_at": time.time()}
+    _write(_lease_path(queue, fingerprint), DAMAGED_LEASES[shape](lease))
+    fleet = WorkerFleet(queue, count=1, visibility_timeout=5.0)
+    fleet.start()
+    try:
+        assert wait_until(lambda: queue.result(fingerprint) is not None,
+                          timeout=10)
+        assert queue.result(fingerprint)["status"] == "completed"
+        assert fleet.counts()["alive"] == 1
+    finally:
+        fleet.stop()
+
+
+#: Done records that cannot be one, with the field their error names.
+DAMAGED_DONE = {
+    "not_json": ("{not json", "record: not JSON"),
+    "list": ("[1]", "record: not a JSON object"),
+    "status": ('{"status": 1, "result": {}}', "status: wrong type"),
+    "result": ('{"status": "completed", "result": [1]}',
+               "result: wrong type"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DAMAGED_DONE))
+def test_damaged_done_record_reads_as_a_failure(tmp_path, shape):
+    """Done records are linked whole, so one that does not parse is
+    damage: it reads as a failed completion naming the field, and the
+    job is neither offered again nor left pending."""
+    text, problem = DAMAGED_DONE[shape]
+    queue = _queue(tmp_path)
+    fingerprint = queue.submit("c1", _job())
+    _write(os.path.join(queue.done_dir, fingerprint + ".json"), text)
+    record = queue.result(fingerprint)
+    assert record["status"] == "failed"
+    assert record["result"]["error"] == f"DoneRecordError: {problem}"
+    assert queue.claim("w0", visibility_timeout=30) is None
+    stats = queue.stats()
+    assert (stats["pending"], stats["done"], stats["failed"]) == (0, 1, 1)
+
+
+def test_campaign_records_a_damaged_done_record_as_failed(tmp_path,
+                                                          monkeypatch):
+    """The driver merges a done record that is not JSON as a failure of
+    the job it submitted, instead of waiting on it forever."""
+    real_link = queue_module._link_json
+    damaged = []
+
+    def link(path, record):
+        if "status" in record and not damaged:
+            damaged.append(path)
+            _write(path, "{not json")
+            return True
+        return real_link(path, record)
+
+    monkeypatch.setattr(queue_module, "_link_json", link)
+    service = FuzzService(str(tmp_path / "svc"), workers=1)
+    try:
+        spec = CampaignSpec(targets=("gadgets",), iterations=10, rounds=1,
+                            shards=2, seed=3)
+        summary = service.wait(service.submit(spec), timeout=60)
+    finally:
+        service.stop()
+    assert summary is not None and len(damaged) == 1
     assert summary.total_failed_jobs() == 1
     assert summary.total_executions() == 5
 
