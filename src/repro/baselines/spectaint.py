@@ -79,10 +79,7 @@ class SpecTaintEmulator(Emulator):
         if controller is not None and instr.opcode is Opcode.JCC:
             address = instr.address
             if controller.in_simulation and controller.budget_exceeded():
-                undone = controller.rollback(self.machine, self.dift, reason="budget")
-                self._extra_cycles = self.cost_model.rollback_cost(undone)
-                self._skip_speculation_at = self.machine.pc
-                return self.machine.pc
+                return self._rollback("budget")
             if self._skip_speculation_at == address:
                 self._skip_speculation_at = None
             elif controller.maybe_enter(self.machine, branch_address=address,
@@ -117,41 +114,15 @@ class SpecTaintEmulator(Emulator):
         self._policy_access(instr, instr.operands[0], is_write=True)
         return super()._op_store(instr)
 
-    def _rollback_after_escape(self, reason: str):
-        undone = self.controller.rollback(self.machine, self.dift, reason=reason)
-        self._extra_cycles = self.cost_model.rollback_cost(undone)
-        # Do not immediately re-enter speculation for the branch we resume at.
-        self._skip_speculation_at = self.machine.pc
-        return self.machine.pc
-
-    def _after_exception_rollback(self) -> None:
-        self._skip_speculation_at = self.machine.pc
-
-    def _op_ret(self, instr):
-        # A full-system emulator has no shadow copies; returns during
-        # simulation proceed (it simulates the whole system).  A return from
-        # the entry function, however, must not retire transiently.
-        if self.controller is not None and self.controller.in_simulation:
-            from repro.runtime.emulator import EXIT_SENTINEL
-            target = self.machine.memory.read_int(self.machine.sp, 8)
-            if target == EXIT_SENTINEL:
-                return self._rollback_after_escape("forced")
-        return super()._op_ret(instr)
-
-    def _op_ecall(self, instr):
-        if self.controller is not None and self.controller.in_simulation:
-            return self._rollback_after_escape("forced")
-        return super()._op_ecall(instr)
-
-    def _op_serializing(self, instr):
-        if self.controller is not None and self.controller.in_simulation:
-            return self._rollback_after_escape("forced")
-        return super()._op_serializing(instr)
-
-    def _op_halt(self, instr):
-        if self.controller is not None and self.controller.in_simulation:
-            return self._rollback_after_escape("forced")
-        return super()._op_halt(instr)
+    def _rollback(self, reason: str, charge: bool = True) -> int:
+        # Every rollback the emulator performs (budget, fault, and the
+        # inherited handlers' forced ones at externals, serializing
+        # instructions, halts and exit-sentinel returns) pays the recovery
+        # cost, and the branch it resumes at retires before speculation may
+        # start there again.
+        pc = super()._rollback(reason)
+        self._skip_speculation_at = pc
+        return pc
 
 
 @dataclass

@@ -15,9 +15,10 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Dict, List, Optional, Tuple
 
 from repro.fuzzing.corpus import Corpus
+from repro.records import REQUIRED, check_fields
 from repro.sanitizers.reports import ReportCollection
 
 #: Checkpoint format version; bump on incompatible layout changes.
@@ -25,37 +26,16 @@ CHECKPOINT_VERSION = 1
 
 GroupKey = Tuple[str, str, str]
 
-_T = TypeVar("_T")
-
 
 class CheckpointError(ValueError):
     """A checkpoint that is not a campaign state: names the bad field."""
 
 
-def _field(name: str, parse: Callable[[object], _T], value: object) -> _T:
-    """``parse(value)``; any failure is a :class:`CheckpointError` on ``name``."""
-    try:
-        return parse(value)
-    except CheckpointError:
-        raise
-    except (AttributeError, KeyError, OverflowError, TypeError,
-            ValueError) as error:
-        raise CheckpointError(
-            f"malformed checkpoint field {name!r}: "
-            f"{type(error).__name__}: {error}") from error
-
-
-def _mapping(value: object) -> Dict[str, object]:
-    if not isinstance(value, dict):
-        raise TypeError(f"expected an object, got {type(value).__name__}")
-    return value
-
-
-def _count(value: object) -> int:
-    count = int(value)
-    if count < 0:
-        raise ValueError(f"negative count {count}")
-    return count
+#: checkpoint fields: (types, default), and how a message names one.
+_FIELDS = {"version": (int, 0), "fingerprint": (str, REQUIRED),
+           "spec": (dict, REQUIRED), "completed_rounds": (int, 0),
+           "corpora": (dict, {}), "stats": (dict, {}), "reports": (dict, {})}
+_LABEL = "checkpoint {!r}"
 
 
 def group_key_str(key: GroupKey) -> str:
@@ -231,43 +211,39 @@ class CampaignState:
 
     @classmethod
     def from_dict(cls, record: object) -> "CampaignState":
-        """Rebuild a state from :meth:`to_dict` output.
+        """Rebuild a state from :meth:`to_dict` output (or its JSON bytes).
 
         Raises :class:`CheckpointError`, naming the field, for anything
         else — valid JSON of the wrong shape included.
         """
-        if not isinstance(record, dict):
-            raise CheckpointError("a checkpoint is a JSON object, not "
-                                  f"{type(record).__name__}")
-        version = _field("version", int, record.get("version", 0))
+        record = check_fields(record, _FIELDS, CheckpointError, _LABEL)
+        version = record["version"]
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"unsupported checkpoint version {version} "
                 f"(expected {CHECKPOINT_VERSION})"
             )
-        for name in ("fingerprint", "spec"):
-            if name not in record:
-                raise CheckpointError(f"checkpoint has no {name!r} field")
-        fingerprint = record["fingerprint"]
-        if not isinstance(fingerprint, str):
-            raise CheckpointError("malformed checkpoint field 'fingerprint': "
-                                  "expected a string")
-        state = cls(
-            fingerprint=fingerprint,
-            spec_dict=dict(_field("spec", _mapping, record["spec"])),
-            completed_rounds=_field("completed_rounds", _count,
-                                    record.get("completed_rounds", 0)),
-        )
-        state.corpora = _field("corpora", lambda value: {
-            parse_group_key(key): Corpus.from_dicts(entries)
-            for key, entries in _mapping(value).items()
-        }, record.get("corpora", {}))
-        state.stats = _field("stats", lambda value: {
-            parse_group_key(key): GroupStats.from_dict(stats)
-            for key, stats in _mapping(value).items()
-        }, record.get("stats", {}))
-        state.store = _field("reports", lambda value: ReportStore.from_dict(
-            _mapping(value)), record.get("reports", {}))
+        if record["completed_rounds"] < 0:
+            raise CheckpointError(
+                f"{_LABEL.format('completed_rounds')}: negative")
+        state = cls(fingerprint=record["fingerprint"],
+                    spec_dict=dict(record["spec"]),
+                    completed_rounds=record["completed_rounds"])
+        for name, attribute, parse in (
+                ("corpora", "corpora", lambda value: {
+                    parse_group_key(key): Corpus.from_dicts(entries)
+                    for key, entries in value.items()}),
+                ("stats", "stats", lambda value: {
+                    parse_group_key(key): GroupStats.from_dict(stats)
+                    for key, stats in value.items()}),
+                ("reports", "store", ReportStore.from_dict)):
+            try:
+                setattr(state, attribute, parse(record[name]))
+            except (AttributeError, KeyError, OverflowError, TypeError,
+                    ValueError) as error:
+                raise CheckpointError(
+                    f"{_LABEL.format(name)}: {type(error).__name__}: "
+                    f"{error}") from error
         return state
 
     def save(self, path: str) -> None:
@@ -288,10 +264,5 @@ class CampaignState:
     @classmethod
     def load(cls, path: str) -> "CampaignState":
         """Read a checkpoint written by :meth:`save`."""
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                record = json.load(handle)
-            except ValueError as error:
-                raise CheckpointError(
-                    f"checkpoint {path} is not JSON: {error}") from error
-        return cls.from_dict(record)
+        with open(path, "rb") as handle:
+            return cls.from_dict(handle.read())

@@ -156,14 +156,3 @@ class TeapotRuntime:
             externals=self.externals,
             cost_model=self.cost_model,
         )
-
-
-def instrument_and_build_runtime(
-    binary: TelfBinary,
-    config: Optional[TeapotConfig] = None,
-    externals: Optional[ExternalRegistry] = None,
-) -> TeapotRuntime:
-    """Convenience helper: instrument a binary and build its runtime."""
-    config = config or TeapotConfig()
-    instrumented = TeapotRewriter(config).instrument(binary)
-    return TeapotRuntime(instrumented, config=config, externals=externals)

@@ -84,13 +84,6 @@ class IRFunction:
     blocks: List[BasicBlock] = field(default_factory=list)
     address: Optional[int] = None
 
-    @property
-    def entry_block(self) -> BasicBlock:
-        """The function's entry block."""
-        if not self.blocks:
-            raise ValueError(f"function {self.name!r} has no blocks")
-        return self.blocks[0]
-
     def block(self, label: str) -> BasicBlock:
         """Look up a block by label.
 
@@ -105,13 +98,6 @@ class IRFunction:
     def has_block(self, label: str) -> bool:
         """Whether a block with ``label`` exists."""
         return any(b.label == label for b in self.blocks)
-
-    def block_at(self, address: int) -> Optional[BasicBlock]:
-        """The block starting exactly at ``address``, or ``None``."""
-        for blk in self.blocks:
-            if blk.address == address:
-                return blk
-        return None
 
     def instructions(self) -> Iterator[Instruction]:
         """Iterate over every instruction of the function in layout order."""
@@ -204,9 +190,3 @@ class Module:
     def function_names(self) -> List[str]:
         """Names of all functions, in layout order."""
         return [f.name for f in self.functions]
-
-    def iter_blocks(self) -> Iterator[tuple]:
-        """Iterate ``(function, block)`` pairs in layout order."""
-        for func in self.functions:
-            for blk in func.blocks:
-                yield func, blk

@@ -51,16 +51,6 @@ class Register(enum.IntEnum):
     FP = 15
 
     @property
-    def is_stack_pointer(self) -> bool:
-        """Whether this register is the architectural stack pointer."""
-        return self is Register.SP
-
-    @property
-    def is_frame_pointer(self) -> bool:
-        """Whether this register is the architectural frame pointer."""
-        return self is Register.FP
-
-    @property
     def is_frame_relative(self) -> bool:
         """Whether accesses based off this register are frame-relative.
 

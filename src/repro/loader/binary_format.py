@@ -205,11 +205,6 @@ class TelfBinary:
         """Name of the imported function with the given index."""
         return self.imports[index]
 
-    # -- relocation helpers ------------------------------------------------------
-    def relocations_at(self, addr: int) -> List[Relocation]:
-        """Relocations whose patch site is exactly ``addr``."""
-        return [r for r in self.relocations if r.address == addr]
-
     def summary(self) -> str:
         """A short human-readable description of the binary."""
         lines = [f"TELF binary (entry={self.entry})"]

@@ -70,10 +70,6 @@ class MemoryLayout:
         """Whether ``addr`` is a user-accessible address."""
         return self.in_lowmem(addr) or self.in_highmem(addr)
 
-    def in_text(self, addr: int, text_size: int) -> bool:
-        """Whether ``addr`` falls inside the text section of ``text_size`` bytes."""
-        return self.text_base <= addr < self.text_base + text_size
-
     def asan_shadow_address(self, addr: int) -> int:
         """ASan shadow byte address for user address ``addr``."""
         return (addr >> self.asan_shadow_scale) + self.asan_shadow_offset

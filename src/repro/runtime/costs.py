@@ -86,8 +86,6 @@ class CostModel:
     rollback_base: int = 40
     #: per-memory-log-entry cost during rollback.
     rollback_per_entry: int = 2
-    #: per-architectural-op cost folded into a DIFT_BATCH snippet.
-    dift_batch_per_op: int = 1
     #: fixed cost of an external (libc stand-in) call.
     external_base: int = 20
     #: per-byte cost of bulk externals (memcpy/memset/input reads).
@@ -104,10 +102,6 @@ class CostModel:
         """Cost of a rollback that must undo ``memlog_entries`` logged writes."""
         return self.rollback_base + self.rollback_per_entry * memlog_entries
 
-    def dift_batch_cost(self, op_count: int) -> int:
-        """Cost of a batched per-block tag-propagation snippet."""
-        return self.opcode_costs[Opcode.DIFT_BATCH] + self.dift_batch_per_op * op_count
-
     def external_cost(self, byte_count: int = 0) -> int:
         """Cost of an external call moving ``byte_count`` bytes."""
         return self.external_base + self.external_per_byte * byte_count
@@ -119,7 +113,6 @@ class CostModel:
             emulation_multiplier=emulation_multiplier,
             rollback_base=self.rollback_base,
             rollback_per_entry=self.rollback_per_entry,
-            dift_batch_per_op=self.dift_batch_per_op,
             external_base=self.external_base,
             external_per_byte=self.external_per_byte,
         )

@@ -56,6 +56,13 @@ EXIT_SENTINEL = 0xDEAD_0000_0000
 #: Metadata key set by rewriters that split the program into Real/Shadow copies.
 SHADOW_METADATA_KEY = "speculation_shadows"
 
+#: The (reason, charged) kinds of rollback site.  Budget restores,
+#: ``restore.always`` and speculative faults pay ``rollback_cost`` (the
+#: paper's recovery-stub cost); serializing instructions, external calls,
+#: shadow escapes and exit-sentinel returns squash for free.
+ROLLBACK_SITES = (("budget", True), ("forced", True), ("forced", False),
+                  ("exception", True))
+
 
 @dataclass
 class ExecutionResult:
@@ -135,6 +142,9 @@ class Emulator:
         self.pending_return_tag = 0
         self._pending_promotion = 0
         self._extra_cycles = 0
+        #: cycles charged outside the main loop's own count: every
+        #: rollback's cost (the compiled engines count all cycles here).
+        self._cycles_cell = [0]
         #: pristine (pages, regions) image of the freshly loaded process;
         #: built on the first run and cloned on every later run, replacing
         #: the per-run section mapping and copying.
@@ -144,15 +154,30 @@ class Emulator:
         self._index_shadow_functions()
         self._dispatch = self._build_dispatch()
         self._install_model_hooks()
+        self._bind_rollbacks()
 
     def rebind_controller(self, controller) -> None:
         """Swap the speculation controller between runs.
 
         The legacy interpreter reads ``self.controller`` on every step, so
-        an attribute assignment suffices; trace-building engines override
-        this to rebuild their dispatch structures.
+        an attribute assignment and new rollback bindings suffice;
+        trace-building engines override this to rebuild their dispatch
+        structures.
         """
         self.controller = controller
+        self._bind_rollbacks()
+
+    def _bind_rollbacks(self) -> None:
+        """Bind the controller's rollback function once per site kind
+        (:data:`ROLLBACK_SITES`) to this emulator's coverage and cycle
+        cell; :meth:`_rollback` and the compiled engines call them."""
+        controller = self.controller
+        self._rollbacks = {} if controller is None else {
+            (reason, charge): controller.rollback_function(
+                reason, coverage=self.coverage,
+                cycles=self._cycles_cell if charge else None,
+                cost_model=self.cost_model)
+            for reason, charge in ROLLBACK_SITES}
 
     # ------------------------------------------------------------------ setup
     def _decode_text(self) -> None:
@@ -560,6 +585,8 @@ class Emulator:
         steps = 0
         cycles = 0
         arch_instructions = 0
+        charged = self._cycles_cell
+        charged[0] = 0
 
         while True:
             if steps >= self.max_steps:
@@ -579,12 +606,7 @@ class Emulator:
                     # A model-driven wrong path computed a non-code target;
                     # like any speculative fault this squashes the
                     # simulation instead of crashing the run.
-                    undone = controller.rollback(machine, dift,
-                                                 reason="exception")
-                    cycles += cost_model.rollback_cost(undone)
-                    if self.coverage is not None:
-                        self.coverage.flush_speculative()
-                    self._after_exception_rollback()
+                    self._rollback("exception")
                     continue
                 result.status = "crash"
                 result.crash_reason = f"jump to non-code address {pc:#x}"
@@ -613,11 +635,7 @@ class Emulator:
                 new_pc = dispatch[opcode](instr)
             except (MemoryFault, ArithmeticFault) as exc:
                 if controller is not None and controller.in_simulation:
-                    undone = controller.rollback(machine, dift, reason="exception")
-                    cycles += cost_model.rollback_cost(undone)
-                    if self.coverage is not None:
-                        self.coverage.flush_speculative()
-                    self._after_exception_rollback()
+                    self._rollback("exception")
                     continue
                 result.status = "crash"
                 result.crash_reason = str(exc)
@@ -626,10 +644,8 @@ class Emulator:
                 result.exit_status = exc.status
                 break
             except ProgramCrash as exc:
-                if controller is not None and controller.in_simulation:
-                    undone = controller.rollback(machine, dift, reason="exception")
-                    cycles += cost_model.rollback_cost(undone)
-                    continue
+                # Only an external raises it, and every engine ends a
+                # simulation before an external would run.
                 result.status = "crash"
                 result.crash_reason = str(exc)
                 break
@@ -642,7 +658,7 @@ class Emulator:
             machine.pc = new_pc
 
         result.steps = steps
-        result.cycles = cycles
+        result.cycles = cycles + charged[0]
         result.arch_instructions = arch_instructions
         return result
 
@@ -674,13 +690,16 @@ class Emulator:
     def _next(self, instr: Instruction) -> int:
         return self.next_address[instr.address]
 
-    def _after_exception_rollback(self) -> None:
-        """Hook invoked after an exception-triggered rollback.
+    def _rollback(self, reason: str, charge: bool = True) -> int:
+        """End the innermost simulation through the bound rollback of
+        its site kind (:meth:`_bind_rollbacks`); returns the resume pc.
 
-        Subclasses that drive speculation dynamically (without rewritten
-        checkpoints) use this to avoid immediately re-entering speculation
-        at the branch the rollback resumed at.
+        Every rollback outside generated code comes here: the legacy
+        handlers and main loop, the compiled engines' dispatch loop and
+        SpecTaint.
         """
+        self._rollbacks[reason, charge](self.machine, self.dift)
+        return self.machine.pc
 
     def _apply_promotion(self, dest_reg: Register) -> None:
         if self._pending_promotion and self.dift is not None:
@@ -915,10 +934,7 @@ class Emulator:
                 # Returning from the entry function cannot retire transiently
                 # (applies to single-copy instrumentation too, where no
                 # shadow-escape check intercepts the return).
-                self.controller.rollback(self.machine, self.dift, reason="forced")
-                if self.coverage is not None:
-                    self.coverage.flush_speculative()
-                return self.machine.pc
+                return self._rollback("forced", charge=False)
             return EXIT_SENTINEL
         return to_unsigned(target)
 
@@ -946,39 +962,27 @@ class Emulator:
         target_instr = self.instructions.get(target)
         if target_instr is not None and target_instr.opcode is Opcode.MARKER_NOP:
             return None
-        undone = self.controller.rollback(self.machine, self.dift, reason="forced")
-        if self.coverage is not None:
-            self.coverage.flush_speculative()
-        return self.machine.pc
+        return self._rollback("forced", charge=False)
 
     def _op_nop(self, instr):
         return self._next(instr)
 
     def _op_serializing(self, instr):
         if self.controller is not None and self.controller.in_simulation:
-            self.controller.rollback(self.machine, self.dift, reason="forced")
-            if self.coverage is not None:
-                self.coverage.flush_speculative()
-            return self.machine.pc
+            return self._rollback("forced", charge=False)
         return self._next(instr)
 
     def _op_halt(self, instr):
         if self.controller is not None and self.controller.in_simulation:
             # A transiently executed halt never retires; roll back instead.
-            self.controller.rollback(self.machine, self.dift, reason="forced")
-            if self.coverage is not None:
-                self.coverage.flush_speculative()
-            return self.machine.pc
+            return self._rollback("forced", charge=False)
         raise ProgramExit(to_signed(self.machine.get_reg(RETURN_REGISTER)))
 
     def _op_ecall(self, instr):
         if self.controller is not None and self.controller.in_simulation:
             # External libraries are not instrumented; their side effects
             # cannot be rolled back, so the simulation must end here.
-            self.controller.rollback(self.machine, self.dift, reason="forced")
-            if self.coverage is not None:
-                self.coverage.flush_speculative()
-            return self.machine.pc
+            return self._rollback("forced", charge=False)
         index = instr.operands[0]
         if isinstance(index, Imm):
             name = self.binary.import_name(index.value)
@@ -1047,21 +1051,13 @@ class Emulator:
     def _op_restore_cond(self, instr):
         controller = self.controller
         if controller is not None and controller.in_simulation and controller.budget_exceeded():
-            if self.coverage is not None:
-                self.coverage.flush_speculative()
-            undone = controller.rollback(self.machine, self.dift, reason="budget")
-            self._extra_cycles = self.cost_model.rollback_cost(undone)
-            return self.machine.pc
+            return self._rollback("budget")
         return self._next(instr)
 
     def _op_restore_always(self, instr):
         controller = self.controller
         if controller is not None and controller.in_simulation:
-            if self.coverage is not None:
-                self.coverage.flush_speculative()
-            undone = controller.rollback(self.machine, self.dift, reason="forced")
-            self._extra_cycles = self.cost_model.rollback_cost(undone)
-            return self.machine.pc
+            return self._rollback("forced")
         return self._next(instr)
 
     def _op_spec_redirect(self, instr):

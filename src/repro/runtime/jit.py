@@ -72,10 +72,11 @@ Bit-identity with the legacy reference interpreter (enforced by
   end the run from any depth through :class:`_RunEnd`.
 * **Episode bookkeeping without controller calls.**  A built-in nesting
   gate pushes its checkpoint inline (``_emit_checkpoint``), and every
-  compiled rollback site calls one function bound at install per (reason,
-  charged) pair: the controller's ``rollback_function``, the same code
-  ``JournalingSpeculationController.rollback`` runs, which also flushes
-  the speculative coverage notes and charges the rollback's cycles.
+  compiled rollback site calls the function ``Emulator._bind_rollbacks``
+  bound once per (reason, charged) pair: the controller's
+  ``rollback_function``, the one rollback sequence of every engine,
+  which also flushes the speculative coverage notes and charges the
+  rollback's cycles.
 * **One page split per guest access.**  A guest byte and its DIFT
   shadow byte share the in-page offset (the tag flip bit is a multiple
   of the page size), so one in-page test serves the tag and the data
@@ -302,12 +303,6 @@ def _write_tag_range(d, m, addr: int, size: int, tag: int, flip: int) -> None:
             if old != tag:
                 log.append((sh, old))
         page[page_off] = tag
-
-
-#: the (reason, charged) pairs of the compiled rollback sites: budget
-#: restores and ``restore.always`` pay ``rollback_cost``, serializing
-#: instructions, external calls and exit-sentinel returns squash for free.
-_ROLLBACK_SITES = (("budget", True), ("forced", True), ("forced", False))
 
 
 #: a DIFT tag access as source lines: ``(in_page, other)`` (see
@@ -990,15 +985,11 @@ class _BlockCompiler:
         """Shared rollback sequence (sim variant).
 
         Flushes whatever counters are still pending, then calls the
-        rollback function bound at install for (``reason``, ``charge``)
-        (:func:`_rollback_name`, built by
-        ``JournalingSpeculationController.rollback_function``): it flushes
-        the noted speculative coverage, restores the checkpoint and
-        charges the rollback's cycles itself.  ``charge`` mirrors the
-        reference engines: only restore-site and budget rollbacks pay
-        ``rollback_cost`` (the paper's recovery-stub cost); rollbacks
-        forced by serializing instructions, external calls and
-        exit-sentinel returns squash for free.
+        rollback function bound for (``reason``, ``charge``)
+        (:func:`_rollback_name`; ``Emulator._bind_rollbacks``): it
+        flushes the noted speculative coverage, restores the checkpoint
+        and charges the rollback's cycles itself, as every engine's
+        rollbacks do (``emulator.ROLLBACK_SITES`` says which kinds pay).
         """
         w.flush_exit(pad)
         # NB: EM.dift is read per call (the hoisted ``D``) — the reset
@@ -1974,8 +1965,7 @@ class JitEmulator(Emulator):
         super().__init__(*args, **kwargs)
         _require_journal(self.controller)
         #: per-execution accounting cells shared between the dispatch loop
-        #: and the generated functions.
-        self._cycles_cell = [0]
+        #: and the generated functions (with ``_cycles_cell``).
         self._arch_cell = [0]
         self._steps_cell = [0]
         #: addresses dispatched to legacy-handler fallbacks so far
@@ -2156,7 +2146,8 @@ class JitEmulator(Emulator):
             "EXTERNALS": self.externals._externals,
             "JC": JournalCheckpoint,
             **self._gate_bindings(),
-            **self._rollback_bindings(),
+            **{_rollback_name(reason, charge): rollback
+               for (reason, charge), rollback in self._rollbacks.items()},
             "RUN": self._run,
             "BLOCKS": self._blocks_sim,
             "NBLOCKS": self._blocks_nosim,
@@ -2186,21 +2177,6 @@ class JitEmulator(Emulator):
             "GMAX": getattr(policy, "max_depth", None),
             "GEAGER": getattr(policy, "eager_runs", None),
             "GRAMP": getattr(policy, "ramp", None),
-        }
-
-    def _rollback_bindings(self) -> Dict[str, Callable]:
-        """The controller's rollback function per compiled site kind
-        (:data:`_ROLLBACK_SITES`), bound to this install's coverage and
-        cycle cell."""
-        controller = self.controller
-        if controller is None:
-            return {}
-        return {
-            _rollback_name(reason, charge): controller.rollback_function(
-                reason, coverage=self.coverage,
-                cycles=self._cycles_cell if charge else None,
-                cost_model=self.cost_model)
-            for reason, charge in _ROLLBACK_SITES
         }
 
     def _build_single(self, addr: int, sim: bool) -> Optional[Callable]:
@@ -2276,20 +2252,10 @@ class JitEmulator(Emulator):
         """
         em = self
         controller = self.controller
-        cost_model = self.cost_model
         # live-checkpoint list: truthy exactly while simulating.  The
         # controller clears it in place (never reassigns), so the bound
         # reference stays valid for every run of this install.
         cps = controller.checkpoints if controller is not None else ()
-
-        def squash(machine) -> None:
-            """Roll back the innermost simulation after a speculative
-            fault, exactly like the legacy engine."""
-            undone = controller.rollback(machine, em.dift, reason="exception")
-            em._cycles_cell[0] += cost_model.rollback_cost(undone)
-            if em.coverage is not None:
-                em.coverage.flush_speculative()
-            em._after_exception_rollback()
 
         def run(machine, floor, cps=cps, sim_get=self._blocks_sim.get,
                 nosim_get=self._blocks_nosim.get,
@@ -2317,7 +2283,7 @@ class JitEmulator(Emulator):
                         if em._dynamic_models and cps:
                             # Speculative wrong path reached non-code (stale
                             # model target): squash the simulation.
-                            squash(machine)
+                            em._rollback("exception")
                             continue
                         raise _RunEnd(
                             "crash", crash_reason="jump to non-code address "
@@ -2326,17 +2292,13 @@ class JitEmulator(Emulator):
                     new_pc = fn(machine)
                 except (MemoryFault, ArithmeticFault) as exc:
                     if cps:
-                        squash(machine)
+                        em._rollback("exception")
                         continue
                     raise _RunEnd("crash", crash_reason=str(exc))
                 except ProgramExit as exc:
                     raise _RunEnd("exit", exc.status)
                 except ProgramCrash as exc:
-                    if cps:
-                        undone = controller.rollback(machine, em.dift,
-                                                     reason="exception")
-                        em._cycles_cell[0] += cost_model.rollback_cost(undone)
-                        continue
+                    # only an external raises it, never in a simulation
                     raise _RunEnd("crash", crash_reason=str(exc))
                 if new_pc is not None:
                     # (None: the handler already set machine.pc.)

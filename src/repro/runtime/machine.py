@@ -255,10 +255,6 @@ class Memory:
                 return page
         return None
 
-    def mapped_regions(self) -> List[Tuple[int, int]]:
-        """The list of mapped ``(start, end)`` ranges."""
-        return list(self._regions)
-
     def is_mapped(self, addr: int, size: int = 1) -> bool:
         """Whether the whole range ``[addr, addr+size)`` is mapped."""
         if size > 0 and (addr + size - 1) >> 12 == addr >> 12:

@@ -445,6 +445,30 @@ class SpeculationController:
         if not self.checkpoints:
             self.spec_instruction_count = 0
 
+    def rollback_function(self, reason: str, coverage=None, cycles=None,
+                          cost_model=None) -> Callable:
+        """A rollback as a function ``(machine, dift) -> undone``.
+
+        The whole sequence that ends a simulation, whatever ended it:
+        :meth:`rollback` with ``reason``, then with ``coverage`` (a
+        ``CoverageRuntime``) the flush of the speculative coverage noted
+        on the wrong path, and with ``cycles`` (a one-element counter
+        cell) the charge of ``cost_model.rollback_cost(undone)``.  Every
+        engine binds one per site kind and calls nothing else to roll
+        back.
+        """
+        rollback = self.rollback
+
+        def bound(machine, dift):
+            undone = rollback(machine, dift, reason)
+            if coverage is not None:
+                coverage.flush_speculative()
+            if cycles is not None:
+                cycles[0] += cost_model.rollback_cost(undone)
+            return undone
+
+        return bound
+
     def reset(self) -> None:
         """Clear all run state (checkpoints, logs, counters) and policy state."""
         self.checkpoints.clear()
@@ -572,20 +596,17 @@ class JournalingSpeculationController(SpeculationController):
 
     def rollback_function(self, reason: str, coverage=None, cycles=None,
                           cost_model=None) -> Callable:
-        """The one rollback implementation, as a function
-        ``(machine, dift) -> undone`` bound to this controller's state.
+        """The one rollback implementation, in one pass over locals.
 
-        It pops the innermost checkpoint, replays the journal only when
+        Same contract as :meth:`SpeculationController.rollback_function`:
+        it pops the innermost checkpoint, replays the journal only when
         it holds entries past the checkpoint's mark, unwinds the taint
         log, restores registers, flags, pc and DIFT register tags, counts
-        a ``reason`` rollback and detaches the journal once no checkpoint
-        is left.  It returns the number of journal entries undone.
-        :meth:`rollback` calls it.  The compiled engines bind one per
-        (reason, charged) pair at install and call it from generated
-        code, so an episode's rollback makes no further call: with
-        ``coverage`` (a ``CoverageRuntime``) it first flushes the noted
-        speculative coverage, and with ``cycles`` (a one-element counter
-        cell) it charges ``cost_model.rollback_cost(undone)`` into it.
+        a ``reason`` rollback, detaches the journal once no checkpoint is
+        left, flushes the noted coverage into ``coverage``'s speculative
+        map and charges the cost into ``cycles``.  :meth:`rollback` calls
+        it, and generated code calls the functions bound at install, so
+        an episode's rollback makes no further call.
 
         Everything bound here is cleared in place, never reassigned:
         checkpoints, journal entries, taint log, statistics (see

@@ -138,12 +138,6 @@ class BinaryDift:
         for offset in range(size):
             self._write_tag_byte(addr + offset, tag)
 
-    def or_mem_tag(self, addr: int, size: int, tag: int) -> None:
-        """Union additional tag bits into every byte of the range."""
-        for offset in range(size):
-            current = self.memory.read_shadow_byte(self._tag_address(addr + offset))
-            self._write_tag_byte(addr + offset, current | tag)
-
     def clear_mem_tags(self, addr: int, size: int) -> None:
         """Clear the tags of a memory range (e.g. after ``memset``)."""
         self.set_mem_tag(addr, size, 0)

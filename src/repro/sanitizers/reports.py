@@ -159,10 +159,6 @@ class ReportCollection:
         """All unique reports."""
         return list(self._by_site.values())
 
-    def unique_pcs(self) -> List[int]:
-        """Program counters of all unique gadget sites."""
-        return sorted({r.pc for r in self._by_site.values()})
-
     def count_by_category(self) -> Dict[str, int]:
         """Unique gadget counts per ``Attacker-Channel`` category."""
         counts: Dict[str, int] = {}

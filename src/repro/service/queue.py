@@ -69,6 +69,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.campaign.spec import JobSpec
+from repro.records import REQUIRED, check_fields
 
 #: Artifact tag of every record this queue writes.
 QUEUE_KIND = "repro.service/job"
@@ -111,42 +112,36 @@ class JobRecord:
         return self.trace.get("trace_id") if self.trace is not None else None
 
     @classmethod
-    def parse(cls, text: str) -> "JobRecord":
+    def parse(cls, text) -> "JobRecord":
         """Check and convert one record; :class:`JobRecordError` if bad.
 
         Job records are written once, atomically, so text that is not
         JSON is damage, not a write in progress.
         """
+        record = check_fields(text, _JOB_FIELDS, JobRecordError)
         try:
-            record = json.loads(text)
-        except ValueError:
-            raise JobRecordError("record: not JSON") from None
-        if not isinstance(record, dict):
-            raise JobRecordError("record: not a JSON object")
-        for name, kind in (("campaign_id", str), ("job", dict),
-                           ("seeds", list), ("enqueued_at", (int, float)),
-                           ("trace", dict)):
-            value = record.get(name)
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, kind)):
-                raise JobRecordError(f"{name}: wrong type")
-        try:
-            job = JobSpec.from_dict(record.get("job") or {})
+            job = JobSpec.from_dict(record["job"])
         except KeyError as error:
             raise JobRecordError(f"job.{error.args[0]}: missing") from None
         except (TypeError, ValueError, OverflowError) as error:
             raise JobRecordError(f"job: {error}") from None
-        seeds = record.get("seeds")
+        seeds = record["seeds"]
         try:
             if seeds is not None:
                 seeds = [bytes.fromhex(entry) for entry in seeds]
         except (TypeError, ValueError) as error:
             raise JobRecordError(f"seeds: {error}") from None
-        enqueued_at = record.get("enqueued_at")
-        return cls(campaign_id=record.get("campaign_id") or "", job=job,
-                   seeds=seeds, trace=record.get("trace"),
+        enqueued_at = record["enqueued_at"]
+        return cls(campaign_id=record["campaign_id"] or "", job=job,
+                   seeds=seeds, trace=record["trace"],
                    enqueued_at=(None if enqueued_at is None
                                 else float(enqueued_at)))
+
+
+#: job record fields: (types, default); submit leaves out the optional ones.
+_JOB_FIELDS = {"campaign_id": (str, None), "job": (dict, REQUIRED),
+               "seeds": (list, None), "enqueued_at": ((int, float), None),
+               "trace": (dict, None)}
 
 
 class LeaseRecordError(ValueError):
@@ -167,24 +162,16 @@ class LeaseRecord:
     fields: Dict[str, object]
 
     @classmethod
-    def parse(cls, text: str) -> "LeaseRecord":
+    def parse(cls, text) -> "LeaseRecord":
         """Check and convert one record; :class:`LeaseRecordError` if bad."""
-        try:
-            record = json.loads(text)
-        except ValueError:
-            raise LeaseRecordError("record: not JSON") from None
-        if not isinstance(record, dict):
-            raise LeaseRecordError("record: not a JSON object")
-        values: Dict[str, object] = {}
-        for name, kind, default in (("token", str, ""), ("owner", str, ""),
-                                    ("attempt", int, 1),
-                                    ("deadline", (int, float), 0.0),
-                                    ("claimed_at", (int, float), 0.0)):
-            value = record.get(name, default)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise LeaseRecordError(f"{name}: wrong type")
-            values[name] = value
-        return cls(fields=record, **values)
+        record = check_fields(text, _LEASE_FIELDS, LeaseRecordError)
+        return cls(fields=record, **{name: record[name]
+                                     for name in _LEASE_FIELDS})
+
+
+_LEASE_FIELDS = {"token": (str, ""), "owner": (str, ""), "attempt": (int, 1),
+                 "deadline": ((int, float), 0.0),
+                 "claimed_at": ((int, float), 0.0)}
 
 
 @dataclass
@@ -259,9 +246,11 @@ def _unlink_quietly(path: str) -> None:
         pass
 
 
-def _read_text(path: str) -> Optional[str]:
+def _read_text(path: str) -> Optional[bytes]:
+    """The record file's bytes (decoded by the parser, so bytes that are
+    not UTF-8 read as a record that is not JSON)."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "rb") as handle:
             return handle.read()
     except OSError:
         return None
@@ -287,7 +276,7 @@ def _read_done(path: str, fingerprint: str) -> Optional[Dict[str, object]]:
     """The completion record at ``path``; ``None`` while there is none.
 
     A record that does not parse, or lacks a string ``status`` or an
-    object ``result``, comes back as a ``failed`` completion whose error
+    object ``result`` (:func:`~repro.records.check_fields`), comes back as a ``failed`` completion whose error
     starts ``DoneRecordError: <field>``: done records are linked whole,
     so it is damage, and the job must end rather than wait forever.
     """
@@ -295,23 +284,13 @@ def _read_done(path: str, fingerprint: str) -> Optional[Dict[str, object]]:
     if text is None:
         return None
     try:
-        record = json.loads(text)
-        problem = None
-    except ValueError:
-        problem = "record: not JSON"
-    if problem is None:
-        if not isinstance(record, dict):
-            problem = "record: not a JSON object"
-        elif not isinstance(record.get("status"), str):
-            problem = "status: wrong type"
-        elif not isinstance(record.get("result"), dict):
-            problem = "result: wrong type"
-        else:
-            return record
-    return {"kind": QUEUE_KIND, "schema_version": QUEUE_SCHEMA_VERSION,
-            "fingerprint": fingerprint, "status": "failed",
-            "result": {"job_id": fingerprint,
-                       "error": f"DoneRecordError: {problem}"}}
+        return check_fields(text, {"status": (str, REQUIRED),
+                                   "result": (dict, REQUIRED)}, ValueError)
+    except ValueError as problem:
+        return {"kind": QUEUE_KIND, "schema_version": QUEUE_SCHEMA_VERSION,
+                "fingerprint": fingerprint, "status": "failed",
+                "result": {"job_id": fingerprint,
+                           "error": f"DoneRecordError: {problem}"}}
 
 
 class JobQueue:

@@ -136,13 +136,6 @@ class Telemetry:
         telemetry._owns_trace = owns
         return telemetry
 
-    # -- convenience accessors ----------------------------------------------
-    def counter_add(self, name: str, amount: int = 1) -> None:
-        self.registry.counter(name).inc(amount)
-
-    def gauge_set(self, name: str, value) -> None:
-        self.registry.gauge(name).set(value)
-
     def event(self, type_: str, **fields) -> None:
         """Emit a trace event (no-op without a trace writer)."""
         if self.trace is not None:

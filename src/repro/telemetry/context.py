@@ -38,12 +38,6 @@ def install(telemetry):
     return telemetry
 
 
-def deactivate() -> None:
-    """Clear the active-telemetry slot (the disabled fast path returns)."""
-    global _ACTIVE
-    _ACTIVE = None
-
-
 def active() -> Optional["object"]:
     """The installed :class:`~repro.telemetry.Telemetry`, or ``None``.
 

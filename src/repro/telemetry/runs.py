@@ -33,6 +33,7 @@ import time
 from typing import Dict, List, Optional
 
 from repro._version import __version__
+from repro.records import REQUIRED, check_fields
 
 #: Artifact type tag of ``manifest.json``.
 RUN_KIND = "repro.telemetry/run"
@@ -79,7 +80,8 @@ class RunDirectory:
     def __init__(self, path: str) -> None:
         self.path = os.path.abspath(path)
         self.run_id = os.path.basename(self.path)
-        self._snapshot_seq = 0
+        #: metrics snapshots this object has written.
+        self.snapshot_seq = 0
 
     # -- layout -------------------------------------------------------------
     @property
@@ -158,18 +160,22 @@ class RunDirectory:
         """Load and validate ``manifest.json``.
 
         Raises:
-            RunSchemaError: missing/incompatible kind or schema tags.
+            RunSchemaError: unreadable, not a JSON object, or missing or
+            incompatible kind or schema tags.
         """
         try:
-            with open(self.manifest_path, "r", encoding="utf-8") as handle:
-                record = json.load(handle)
-        except (OSError, ValueError) as error:
+            with open(self.manifest_path, "rb") as handle:
+                text = handle.read()
+        except OSError as error:
             raise RunSchemaError(
                 f"unreadable run manifest {self.manifest_path}: {error}")
-        if record.get("kind") != RUN_KIND:
+        record = check_fields(text, {"kind": (str, REQUIRED),
+                                     "schema_version": (int, REQUIRED)},
+                              RunSchemaError)
+        if record["kind"] != RUN_KIND:
             raise RunSchemaError(
-                f"not a {RUN_KIND} manifest (kind={record.get('kind')!r})")
-        version = int(record.get("schema_version", 0))
+                f"not a {RUN_KIND} manifest (kind={record['kind']!r})")
+        version = record["schema_version"]
         if version < 1 or version > RUN_SCHEMA_VERSION:
             raise RunSchemaError(
                 f"unsupported run schema_version {version} "
@@ -196,7 +202,7 @@ class RunDirectory:
         Called by the campaign round loop when a round closes and by
         pipeline sessions at the end of a run.
         """
-        self._snapshot_seq += 1
+        self.snapshot_seq += 1
         registry = telemetry.registry
         types: Dict[str, str] = {}
         for name in registry.counters():
@@ -206,14 +212,14 @@ class RunDirectory:
         for name in registry.histograms():
             types[name] = "histogram"
         record: Dict[str, object] = {
-            "seq": self._snapshot_seq,
+            "seq": self.snapshot_seq,
             "at": _utc_stamp(),
             "metrics": registry.snapshot(),
             "types": dict(sorted(types.items())),
         }
         os.makedirs(self.metrics_dir, exist_ok=True)
         path = os.path.join(self.metrics_dir,
-                            f"snapshot-{self._snapshot_seq:06d}.json")
+                            f"snapshot-{self.snapshot_seq:06d}.json")
         _atomic_write_json(path, record)
         _atomic_write_json(os.path.join(self.metrics_dir, "latest.json"),
                            record)

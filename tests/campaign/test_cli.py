@@ -1,6 +1,7 @@
 """Smoke tests for the ``python -m repro.campaign`` CLI."""
 
 import json
+import os
 
 import pytest
 
@@ -82,4 +83,26 @@ def test_cli_malformed_checkpoint_exits_2(tmp_path, capsys, workers):
         "--resume",
     ])
     assert exit_code == 2
-    assert "error: a checkpoint is a JSON object" in capsys.readouterr().err
+    assert ("error: checkpoint 'record': not a JSON object"
+            in capsys.readouterr().err)
+
+
+def _snapshots(root):
+    return {run: sorted(name for name in os.listdir(root / run / "metrics")
+                        if name.startswith("snapshot-"))
+            for run in os.listdir(root)}
+
+
+def test_cli_run_dir_writes_one_snapshot_per_round(tmp_path, capsys):
+    """Each closed round writes one metrics snapshot; a resume of the
+    finished campaign closes no round and writes exactly one."""
+    root = tmp_path / "runs"
+    args = ["--targets", "gadgets", "--iterations", "8", "--rounds", "2",
+            "--seed", "5", "--quiet", "--run-dir", str(root),
+            "--checkpoint", str(tmp_path / "ckpt.json")]
+    assert main(args) == 0
+    (first,) = _snapshots(root).values()
+    assert first == ["snapshot-000001.json", "snapshot-000002.json"]
+    assert main(args + ["--resume"]) == 0
+    assert sorted(_snapshots(root).values()) == [
+        ["snapshot-000001.json"], first]

@@ -31,6 +31,7 @@ import pytest
 
 from differential import result_record
 from episode_work import BOOKKEEPING, campaign, count_calls
+from repro.baselines.spectaint import SpecTaintAnalyzer
 from repro.baselines.specfuzz import (SpecFuzzConfig, SpecFuzzRewriter,
                                       SpecFuzzRuntime)
 from repro.core.config import TeapotConfig
@@ -219,6 +220,42 @@ def test_speculative_jump_to_non_code_at_depth_two_ends_the_run():
     assert second["status"] == "crash"
     assert second["crash_reason"] == f"jump to non-code address {wild:#x}"
     assert depth == 2
+
+
+#: ``abort()`` behind a bounds check: the wrong path of every run that
+#: passes the check calls the external.
+ABORT_SOURCE = r"""
+int main() {
+    byte buf[4];
+    read_input(buf, 4);
+    if (buf[0] == 7) {
+        abort();
+    }
+    return buf[1];
+}
+"""
+
+
+def test_abort_on_a_wrong_path_never_runs():
+    """An external ends the simulation before it runs, on every engine
+    and in SpecTaint, so ``abort()`` on a mispredicted path never raises:
+    the run exits, through forced rollbacks, not exception rollbacks.
+    Only an architectural ``abort()`` crashes the run."""
+    teapot = _teapot(ABORT_SOURCE)
+    spectaint = SpecTaintAnalyzer(compile_source(ABORT_SOURCE))
+    for data in (bytes([1, 5, 0, 0]), bytes([200, 9, 0, 0])):
+        for record in (_records(teapot, data, TeapotNestingPolicy, 250),
+                       result_record(spectaint.run(data))):
+            assert (record["status"], record["exit_status"]) == (
+                "exit", data[1])
+            stats = record["spec_stats"]
+            assert stats["exception_rollbacks"] == 0
+            assert stats["forced_rollbacks"] >= 1
+    for engine in ENGINES:
+        record = _run(teapot, engine, bytes([7, 0, 0, 0]),
+                      TeapotNestingPolicy(), 250)
+        assert record["status"] == "crash"
+        assert record["crash_reason"].endswith("abort() called")
 
 
 @pytest.mark.parametrize("max_depth", [200, 600])

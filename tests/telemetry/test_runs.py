@@ -174,3 +174,56 @@ def test_empty_registry_is_harmless(tmp_path):
     assert registry.list_manifests() == []
     assert registry.gc() == []
     assert format_runs_table([]) == "no runs recorded"
+
+
+#: Manifests that are not run records: whole-record shapes and
+#: ``schema_version`` values that are not an int (``bool`` is no number).
+DAMAGED_MANIFESTS = {
+    "list": "[]", "string": '"x"', "number": "3", "null": "null",
+    "not_json": "{not json", "not_utf8": b"\xff\xfe",
+    "version_string": {"schema_version": "x"},
+    "version_null": {"schema_version": None},
+    "version_list": {"schema_version": [1]},
+    "version_bool": {"schema_version": True},
+    "version_float": {"schema_version": 1.5},
+}
+
+
+def _damage_manifest(run: RunDirectory, shape) -> None:
+    if isinstance(shape, dict):
+        shape = json.dumps(dict({"kind": RUN_KIND}, **shape))
+    if isinstance(shape, str):
+        shape = shape.encode("utf-8")
+    with open(run.manifest_path, "wb") as handle:
+        handle.write(shape)
+
+
+@pytest.mark.parametrize("shape", sorted(DAMAGED_MANIFESTS))
+def test_damaged_manifest_is_a_schema_error(tmp_path, shape):
+    registry = RunRegistry(str(tmp_path))
+    good = registry.create_run(run_id="20260101-000000-1", command="fuzz")
+    good.finalize(status="completed")
+    bad = registry.create_run(run_id="20260102-000000-1")
+    _damage_manifest(bad, DAMAGED_MANIFESTS[shape])
+    with pytest.raises(RunSchemaError):
+        bad.manifest()
+    # the listing skips it, and gc counts it as a finished run of unknown
+    # status
+    assert [m["run_id"] for m in registry.list_manifests()] == [good.run_id]
+    assert registry._status(bad) == "unknown"
+    assert registry.gc(keep=1, dry_run=True) == [good.run_id]
+
+
+def test_runs_cli_survives_a_damaged_manifest(tmp_path, capsys):
+    from repro.api.cli import main
+
+    registry = RunRegistry(str(tmp_path))
+    good = registry.create_run(run_id="20260101-000000-1", command="fuzz")
+    bad = registry.create_run(run_id="20260102-000000-1")
+    _damage_manifest(bad, "[]")
+    root = ["--root", str(tmp_path)]
+    assert main(["runs", "list"] + root) == 0
+    assert good.run_id in capsys.readouterr().out
+    assert main(["runs", "show", bad.run_id] + root) == 2
+    assert capsys.readouterr().err == (
+        "error: record: not a JSON object\n")
