@@ -38,6 +38,7 @@ from repro.api.result import RunResult
 from repro.campaign.scheduler import run_campaign
 from repro.campaign.spec import TOOLS, VARIANTS, CampaignSpec
 from repro.campaign.worker import compiled_binary
+from repro.fuzzing.fuzzer import CampaignResult
 from repro.hardening.pipeline import (
     HardeningResult,
     measure_cycles,
@@ -554,7 +555,11 @@ class Session:
         self._detect_spec = spec
         self._detect_executions = row.executions
         self.result.summary = summary
-        payload = row.as_campaign_result().to_dict()
+        # The payload is a CampaignResult record, as a plain fuzzer's is.
+        result = CampaignResult(corpus_size=row.corpus_size,
+                                reports=row.collection)
+        result.merge(row)
+        payload = result.to_dict()
         payload.update({
             "spec": spec.to_dict(),
             "fingerprint": summary.fingerprint,

@@ -62,8 +62,8 @@ def merge_worker_result(state: CampaignState, result: WorkerResult,
     This is the single merge rule of the whole system: the
     :class:`StreamingIngestor` applies it to every result, in job order,
     for both runners, so they produce bit-identical campaign state.
-    Counters sum, the coverage gauges take the maximum and reports
-    deduplicate by site.
+    Counters merge by :meth:`~repro.fuzzing.fuzzer.FuzzCounts.merge`
+    and reports deduplicate by site.
     """
     key: GroupKey = result.group
     stats = state.group_stats(key)
@@ -93,16 +93,7 @@ def merge_worker_result(state: CampaignState, result: WorkerResult,
                 elapsed_s=round(result.elapsed_s, 6),
             )
         return 0
-    stats.executions += result.executions
-    stats.crashes += result.crashes
-    stats.hangs += result.hangs
-    stats.total_cycles += result.total_cycles
-    stats.total_steps += result.total_steps
-    stats.normal_coverage = max(stats.normal_coverage,
-                                result.normal_coverage)
-    stats.speculative_coverage = max(stats.speculative_coverage,
-                                     result.speculative_coverage)
-    merge_counts(stats.spec_stats, result.spec_stats)
+    stats.merge(result)
     new_sites = state.store.add_serialized(key, result.reports,
                                            result.raw_reports)
 
@@ -345,7 +336,14 @@ class RoundLoop:
             self._progress(f"round {round_index + 1}/{spec.rounds}: "
                            f"{len(jobs)} jobs over {workers} worker(s)")
             ingestor.begin_round(jobs)
-            tasks = [(job, self._seeds_for(state, job)) for job in jobs]
+            tasks = []
+            for job in jobs:
+                # Round 0 of a fresh campaign shards the target's seed
+                # inputs, later rounds the corpus merged so far.
+                corpus = state.corpus(job.group)
+                if corpus is None:
+                    corpus = Corpus(list(get_target(job.target).seeds))
+                tasks.append((job, corpus.shards(job.shard_count)[job.shard]))
             with (telemetry.span(f"round:{round_index}")
                   if telemetry is not None else nullcontext()):
                 if registry is not None:
@@ -357,15 +355,6 @@ class RoundLoop:
             ingestor.finish_round()
             self.rounds_completed = state.completed_rounds
         return summarize(state)
-
-    def _seeds_for(self, state: CampaignState,
-                   job: JobSpec) -> Optional[List[bytes]]:
-        """One job's corpus shard: of the target's seed inputs in round 0
-        of a fresh campaign, else of the corpus merged so far."""
-        corpus = state.corpus(job.group)
-        if corpus is None:
-            corpus = Corpus(list(get_target(job.target).seeds))
-        return corpus.shards(job.shard_count)[job.shard]
 
     def _run_jobs(self, round_index: int, tasks: List[Task],
                   ingestor: StreamingIngestor) -> None:

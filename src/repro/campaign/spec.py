@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
 from repro.plugins import DEFAULT_ENGINE
+from repro.records import read_record, write_record
 
 #: Detector tools a campaign can drive.
 TOOLS = ("teapot", "specfuzz", "spectaint")
@@ -104,50 +105,21 @@ class JobSpec:
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready form: the wire format of the service job queue.
 
-        The robustness knobs (``timeout_s``/``max_attempts``/
-        ``retry_backoff_s``) are serialized only when non-default, so
+        The robustness knobs are serialized only when non-default, so
         records written before they existed round-trip byte-identically.
         """
-        record: Dict[str, object] = {
-            "target": self.target,
-            "tool": self.tool,
-            "variant": self.variant,
-            "shard": self.shard,
-            "shard_count": self.shard_count,
-            "round_index": self.round_index,
-            "iterations": self.iterations,
-            "seed": self.seed,
-            "max_input_size": self.max_input_size,
-            "engine": self.engine,
-            "spec_variant": self.spec_variant,
-        }
-        if self.timeout_s:
-            record["timeout_s"] = self.timeout_s
-        if self.max_attempts != 1:
-            record["max_attempts"] = self.max_attempts
-        if self.retry_backoff_s != 0.5:
-            record["retry_backoff_s"] = self.retry_backoff_s
-        return record
+        return write_record(self, omit_defaults=_JOB_KNOBS)
 
     @classmethod
-    def from_dict(cls, record: Dict[str, object]) -> "JobSpec":
-        """Rebuild a job from :meth:`to_dict` output."""
-        return cls(
-            target=str(record["target"]),
-            tool=str(record["tool"]),
-            variant=str(record.get("variant", "vanilla")),
-            shard=int(record.get("shard", 0)),
-            shard_count=int(record.get("shard_count", 1)),
-            round_index=int(record.get("round_index", 0)),
-            iterations=int(record.get("iterations", 0)),
-            seed=int(record.get("seed", 0)),
-            max_input_size=int(record.get("max_input_size", 1024)),
-            engine=str(record.get("engine", DEFAULT_ENGINE)),
-            spec_variant=str(record.get("spec_variant", "pht")),
-            timeout_s=float(record.get("timeout_s", 0.0)),
-            max_attempts=int(record.get("max_attempts", 1)),
-            retry_backoff_s=float(record.get("retry_backoff_s", 0.5)),
-        )
+    def from_dict(cls, record: Dict[str, object], error: type = ValueError,
+                  label: str = "{}") -> "JobSpec":
+        """Rebuild a job from :meth:`to_dict` output; a field that does
+        not read back raises ``error``, named through ``label``."""
+        return read_record(cls, record, error, label)
+
+
+#: JobSpec fields left out of its record while they hold their default.
+_JOB_KNOBS = ("timeout_s", "max_attempts", "retry_backoff_s")
 
 
 @dataclass(frozen=True)
@@ -321,50 +293,13 @@ class CampaignSpec:
         The job-robustness knobs are recorded only when non-default, so
         checkpoints written before they existed stay byte-identical.
         """
-        record: Dict[str, object] = {
-            "targets": list(self.targets),
-            "tools": list(self.tools),
-            "variants": list(self.variants),
-            "iterations": self.iterations,
-            "rounds": self.rounds,
-            "shards": self.shards,
-            "seed": self.seed,
-            "max_input_size": self.max_input_size,
-            "workers": self.workers,
-            "derive_seeds": self.derive_seeds,
-            "skip_uninjectable": self.skip_uninjectable,
-            "engine": self.engine,
-            "spec_variants": list(self.spec_variants),
-        }
-        if self.job_timeout_s:
-            record["job_timeout_s"] = self.job_timeout_s
-        if self.job_max_attempts != 1:
-            record["job_max_attempts"] = self.job_max_attempts
-        if self.job_retry_backoff_s != 0.5:
-            record["job_retry_backoff_s"] = self.job_retry_backoff_s
-        return record
+        return write_record(self, omit_defaults=_SPEC_KNOBS)
 
     @classmethod
     def from_dict(cls, record: Dict[str, object]) -> "CampaignSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        return cls(
-            targets=tuple(record["targets"]),
-            tools=tuple(record.get("tools", ("teapot",))),
-            variants=tuple(record.get("variants", ("vanilla",))),
-            iterations=int(record.get("iterations", 200)),
-            rounds=int(record.get("rounds", 2)),
-            shards=int(record.get("shards", 1)),
-            seed=int(record.get("seed", 0)),
-            max_input_size=int(record.get("max_input_size", 1024)),
-            workers=int(record.get("workers", 1)),
-            derive_seeds=bool(record.get("derive_seeds", True)),
-            skip_uninjectable=bool(record.get("skip_uninjectable", True)),
-            engine=str(record.get("engine", DEFAULT_ENGINE)),
-            spec_variants=tuple(record.get("spec_variants", ("pht",))),
-            job_timeout_s=float(record.get("job_timeout_s", 0.0)),
-            job_max_attempts=int(record.get("job_max_attempts", 1)),
-            job_retry_backoff_s=float(record.get("job_retry_backoff_s", 0.5)),
-        )
+        """Rebuild a spec from :meth:`to_dict` output; a ``ValueError``
+        names the first field that does not read back."""
+        return read_record(cls, record, ValueError)
 
     def fingerprint(self) -> str:
         """Hash of every result-affecting field (checkpoint compatibility).
@@ -378,18 +313,17 @@ class CampaignSpec:
         the finished rounds from the checkpoint and only adds the new
         variants' findings going forward.
         """
-        record = self.to_dict()
-        record.pop("workers")
-        record.pop("engine")
-        record.pop("spec_variants")
         # Robustness knobs (timeouts/retries) are execution mechanics: a
         # job that completes produces the same result at any timeout.
-        record.pop("job_timeout_s", None)
-        record.pop("job_max_attempts", None)
-        record.pop("job_retry_backoff_s", None)
+        record = write_record(self, exclude=(
+            "workers", "engine", "spec_variants") + _SPEC_KNOBS)
         text = "|".join(f"{key}={record[key]}" for key in sorted(record))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
     def with_workers(self, workers: int) -> "CampaignSpec":
         """The same campaign executed with a different worker count."""
         return replace(self, workers=workers)
+
+
+#: CampaignSpec fields left out of its record while they hold their default.
+_SPEC_KNOBS = ("job_timeout_s", "job_max_attempts", "job_retry_backoff_s")

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.fuzzing.corpus import Corpus
-from repro.records import REQUIRED, check_fields
+from repro.fuzzing.fuzzer import FuzzCounts
+from repro.records import REQUIRED, check_fields, read_record, write_record
 from repro.sanitizers.reports import ReportCollection
 
 #: Checkpoint format version; bump on incompatible layout changes.
@@ -48,67 +49,27 @@ def parse_group_key(text: str) -> GroupKey:
     return (target, tool, variant)
 
 
-@dataclass
-class GroupStats:
+@dataclass(kw_only=True)
+class GroupStats(FuzzCounts):
     """Summed execution counters of one (target, tool, variant) group."""
 
-    executions: int = 0
-    crashes: int = 0
-    hangs: int = 0
-    total_cycles: int = 0
-    total_steps: int = 0
-    #: peak per-shard coverage observed (coverage maps are per-runtime, so
-    #: sizes from different shards cannot be summed meaningfully).
-    normal_coverage: int = 0
-    speculative_coverage: int = 0
     #: jobs that raised instead of completing (their payloads are empty and
     #: contribute nothing to the other counters).
     failed_jobs: int = 0
-    spec_stats: Dict[str, int] = field(default_factory=dict)
     #: summed worker-side telemetry counter deltas (``fuzz.*``,
     #: ``engine.*``, ``engine.jit.cache.*`` — see
     #: :attr:`repro.campaign.worker.WorkerResult.telemetry_counts`).
     #: Observation-only bookkeeping: empty in non-telemetry campaigns and
     #: serialized only when non-empty, so checkpoints written with
-    #: telemetry off are byte-identical to pre-PR-8 ones.
+    #: telemetry off keep the layout they had before the field existed.
     telemetry_counts: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
-        record: Dict[str, object] = {
-            "executions": self.executions,
-            "crashes": self.crashes,
-            "hangs": self.hangs,
-            "total_cycles": self.total_cycles,
-            "total_steps": self.total_steps,
-            "normal_coverage": self.normal_coverage,
-            "speculative_coverage": self.speculative_coverage,
-            "failed_jobs": self.failed_jobs,
-            "spec_stats": dict(sorted(self.spec_stats.items())),
-        }
-        if self.telemetry_counts:
-            record["telemetry_counts"] = dict(
-                sorted(self.telemetry_counts.items()))
-        return record
+        return write_record(self, omit_defaults=("telemetry_counts",))
 
     @classmethod
     def from_dict(cls, record: Dict[str, object]) -> "GroupStats":
-        return cls(
-            executions=int(record.get("executions", 0)),
-            crashes=int(record.get("crashes", 0)),
-            hangs=int(record.get("hangs", 0)),
-            total_cycles=int(record.get("total_cycles", 0)),
-            total_steps=int(record.get("total_steps", 0)),
-            normal_coverage=int(record.get("normal_coverage", 0)),
-            speculative_coverage=int(record.get("speculative_coverage", 0)),
-            failed_jobs=int(record.get("failed_jobs", 0)),
-            spec_stats={
-                str(k): int(v) for k, v in record.get("spec_stats", {}).items()
-            },
-            telemetry_counts={
-                str(k): int(v)
-                for k, v in record.get("telemetry_counts", {}).items()
-            },
-        )
+        return read_record(cls, record, ValueError)
 
 
 class ReportStore:

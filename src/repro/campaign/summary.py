@@ -6,25 +6,19 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.campaign.store import CampaignState, group_key_str
-from repro.fuzzing.fuzzer import CampaignResult
+from repro.fuzzing.fuzzer import FuzzCounts
+from repro.records import write_record
 from repro.sanitizers.reports import ReportCollection
 
 
-@dataclass
-class GroupSummary:
+@dataclass(kw_only=True)
+class GroupSummary(FuzzCounts):
     """One row of the campaign table: one (target, tool, variant) group."""
 
     target: str
     tool: str
     variant: str
-    executions: int = 0
-    crashes: int = 0
-    hangs: int = 0
-    total_cycles: int = 0
-    total_steps: int = 0
     corpus_size: int = 0
-    normal_coverage: int = 0
-    speculative_coverage: int = 0
     unique_gadgets: int = 0
     raw_reports: int = 0
     #: jobs of this group that raised instead of completing.
@@ -32,7 +26,6 @@ class GroupSummary:
     by_category: Dict[str, int] = field(default_factory=dict)
     #: unique gadget sites per speculation variant ("pht", "btb", ...).
     by_variant: Dict[str, int] = field(default_factory=dict)
-    spec_stats: Dict[str, int] = field(default_factory=dict)
     #: summed worker-side telemetry counter deltas of this group
     #: (observation-only; deliberately *not* serialized by ``to_dict``,
     #: which is the bit-identity basis of the replay tests — a campaign
@@ -47,48 +40,7 @@ class GroupSummary:
         return (self.target, self.tool, self.variant)
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "target": self.target,
-            "tool": self.tool,
-            "variant": self.variant,
-            "executions": self.executions,
-            "crashes": self.crashes,
-            "hangs": self.hangs,
-            "total_cycles": self.total_cycles,
-            "total_steps": self.total_steps,
-            "corpus_size": self.corpus_size,
-            "normal_coverage": self.normal_coverage,
-            "speculative_coverage": self.speculative_coverage,
-            "unique_gadgets": self.unique_gadgets,
-            "raw_reports": self.raw_reports,
-            "failed_jobs": self.failed_jobs,
-            "by_category": dict(sorted(self.by_category.items())),
-            "by_variant": dict(sorted(self.by_variant.items())),
-            "spec_stats": dict(sorted(self.spec_stats.items())),
-        }
-
-    def as_campaign_result(self) -> CampaignResult:
-        """This group's outcome as a :class:`~repro.fuzzing.fuzzer.
-        CampaignResult` — the same aggregate a single in-process
-        :meth:`Fuzzer.run_chunk` loop would have produced, so campaign and
-        plain-fuzzer outputs share one serialization (``to_dict``).  The
-        report collection is copied, so merging into the result never
-        mutates this summary."""
-        reports = ReportCollection()
-        reports.extend(self.collection)
-        reports.total_raw = self.collection.total_raw
-        return CampaignResult(
-            executions=self.executions,
-            total_cycles=self.total_cycles,
-            total_steps=self.total_steps,
-            crashes=self.crashes,
-            hangs=self.hangs,
-            corpus_size=self.corpus_size,
-            normal_coverage=self.normal_coverage,
-            speculative_coverage=self.speculative_coverage,
-            reports=reports,
-            spec_stats=dict(self.spec_stats),
-        )
+        return write_record(self, exclude=("telemetry_counts", "collection"))
 
 
 @dataclass
@@ -173,23 +125,17 @@ def summarize(state: CampaignState) -> CampaignSummary:
         stats = state.group_stats(key)
         corpus = state.corpus(key)
         collection = state.store.collection(key)
-        summary.groups.append(GroupSummary(
+        group = GroupSummary(
             target=target, tool=tool, variant=variant,
-            executions=stats.executions,
-            crashes=stats.crashes,
-            hangs=stats.hangs,
-            total_cycles=stats.total_cycles,
-            total_steps=stats.total_steps,
             corpus_size=len(corpus) if corpus is not None else 0,
-            normal_coverage=stats.normal_coverage,
-            speculative_coverage=stats.speculative_coverage,
             unique_gadgets=len(collection),
             raw_reports=collection.total_raw,
             failed_jobs=stats.failed_jobs,
             by_category=collection.count_by_category(),
             by_variant=collection.count_by_variant(),
-            spec_stats=dict(stats.spec_stats),
             telemetry_counts=dict(stats.telemetry_counts),
             collection=collection,
-        ))
+        )
+        group.merge(stats)
+        summary.groups.append(group)
     return summary

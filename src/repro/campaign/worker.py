@@ -23,11 +23,12 @@ from repro.baselines.spectaint import SpecTaintAnalyzer, SpecTaintConfig
 from repro.campaign.spec import JobSpec
 from repro.core.config import TeapotConfig
 from repro.core.teapot import TeapotRewriter, TeapotRuntime
-from repro.fuzzing.fuzzer import Fuzzer, FuzzTarget
+from repro.fuzzing.fuzzer import Fuzzer, FuzzCounts, FuzzTarget
 from repro.loader.binary_format import TelfBinary
 from repro.targets import get_target
 from repro.targets.injection import compile_vanilla, inject_gadgets
 from repro.plugins import DEFAULT_ENGINE
+from repro.records import read_record, write_record
 
 #: Per-process caches; keyed by (target, variant) and (target, variant, tool).
 _BINARY_CACHE: Dict[Tuple[str, str], TelfBinary] = {}
@@ -143,8 +144,8 @@ def build_runtime(target_name: str, tool: str, variant: str,
     return SpecTaintAnalyzer(binary, config=config)
 
 
-@dataclass
-class WorkerResult:
+@dataclass(kw_only=True)
+class WorkerResult(FuzzCounts):
     """Everything one job hands back to the scheduler (picklable)."""
 
     job_id: str
@@ -153,14 +154,6 @@ class WorkerResult:
     variant: str
     shard: int
     round_index: int
-    executions: int = 0
-    crashes: int = 0
-    hangs: int = 0
-    total_cycles: int = 0
-    total_steps: int = 0
-    normal_coverage: int = 0
-    speculative_coverage: int = 0
-    spec_stats: Dict[str, int] = field(default_factory=dict)
     #: unique gadget reports, serialized (``GadgetReport.to_dict``).
     reports: List[Dict[str, object]] = field(default_factory=list)
     #: raw (pre-dedup) report occurrences, for dedup-ratio accounting.
@@ -195,65 +188,13 @@ class WorkerResult:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready form (stable ordering, exact round trip)."""
-        return {
-            "job_id": self.job_id,
-            "target": self.target,
-            "tool": self.tool,
-            "variant": self.variant,
-            "shard": self.shard,
-            "round_index": self.round_index,
-            "executions": self.executions,
-            "crashes": self.crashes,
-            "hangs": self.hangs,
-            "total_cycles": self.total_cycles,
-            "total_steps": self.total_steps,
-            "normal_coverage": self.normal_coverage,
-            "speculative_coverage": self.speculative_coverage,
-            "spec_stats": dict(sorted(self.spec_stats.items())),
-            "reports": list(self.reports),
-            "raw_reports": self.raw_reports,
-            "corpus": list(self.corpus),
-            "error": self.error,
-            "traceback": self.traceback,
-            "elapsed_s": self.elapsed_s,
-            "telemetry_counts": dict(sorted(self.telemetry_counts.items())),
-        }
+        return write_record(self)
 
     @classmethod
-    def from_dict(cls, record: Dict[str, object]) -> "WorkerResult":
-        """Rebuild a result from :meth:`to_dict` output.
-
-        Tolerates records written before ``telemetry_counts`` existed —
-        the field simply comes back empty — so checkpoint-adjacent
-        tooling round-trips across versions.
-        """
-        return cls(
-            job_id=str(record["job_id"]),
-            target=str(record["target"]),
-            tool=str(record["tool"]),
-            variant=str(record["variant"]),
-            shard=int(record.get("shard", 0)),
-            round_index=int(record.get("round_index", 0)),
-            executions=int(record.get("executions", 0)),
-            crashes=int(record.get("crashes", 0)),
-            hangs=int(record.get("hangs", 0)),
-            total_cycles=int(record.get("total_cycles", 0)),
-            total_steps=int(record.get("total_steps", 0)),
-            normal_coverage=int(record.get("normal_coverage", 0)),
-            speculative_coverage=int(record.get("speculative_coverage", 0)),
-            spec_stats={str(k): int(v)
-                        for k, v in record.get("spec_stats", {}).items()},
-            reports=list(record.get("reports", [])),
-            raw_reports=int(record.get("raw_reports", 0)),
-            corpus=list(record.get("corpus", [])),
-            error=str(record.get("error", "")),
-            traceback=str(record.get("traceback", "")),
-            elapsed_s=float(record.get("elapsed_s", 0.0)),
-            telemetry_counts={
-                str(k): int(v)
-                for k, v in record.get("telemetry_counts", {}).items()
-            },
-        )
+    def from_dict(cls, record: object) -> "WorkerResult":
+        """Rebuild a result from :meth:`to_dict` output; a ``ValueError``
+        names the first field that does not read back."""
+        return read_record(cls, record, ValueError)
 
 
 def run_job(job: JobSpec, seeds: Optional[Sequence[bytes]] = None) -> WorkerResult:
@@ -273,20 +214,12 @@ def run_job(job: JobSpec, seeds: Optional[Sequence[bytes]] = None) -> WorkerResu
         max_input_size=job.max_input_size,
     )
     result = fuzzer.run_chunk(job.iterations)
-    return WorkerResult.for_job(
-        job,
-        executions=result.executions,
-        crashes=result.crashes,
-        hangs=result.hangs,
-        total_cycles=result.total_cycles,
-        total_steps=result.total_steps,
-        normal_coverage=result.normal_coverage,
-        speculative_coverage=result.speculative_coverage,
-        spec_stats=dict(result.spec_stats),
-        reports=result.reports.to_dicts(),
+    worker_result = WorkerResult.for_job(
+        job, reports=result.reports.to_dicts(),
         raw_reports=result.reports.total_raw,
-        corpus=fuzzer.corpus.to_dicts(),
-    )
+        corpus=fuzzer.corpus.to_dicts())
+    worker_result.merge(result)
+    return worker_result
 
 
 class JobTimeoutError(Exception):

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional
 
 from repro.fuzzing.corpus import Corpus
 from repro.fuzzing.mutators import Mutator
+from repro.records import read_record, write_record
 from repro.runtime.emulator import ExecutionResult
 from repro.sanitizers.reports import ReportCollection
 from repro.telemetry.context import active as _active_telemetry
@@ -79,19 +80,44 @@ class FuzzTarget:
 
 
 @dataclass
-class CampaignResult:
-    """Aggregated outcome of a fuzzing campaign."""
+class FuzzCounts:
+    """The counters of a fuzzing outcome, from one job to a campaign group.
+
+    :meth:`merge` is their one merge rule, and their JSON form is the
+    :func:`~repro.records.write_record` of the record that holds them.
+    """
 
     executions: int = 0
-    total_cycles: int = 0
-    total_steps: int = 0
     crashes: int = 0
     hangs: int = 0
-    corpus_size: int = 0
+    total_cycles: int = 0
+    total_steps: int = 0
+    #: coverage sizes: coverage maps are per runtime, so outcomes of
+    #: different runtimes keep the peak rather than a sum.
     normal_coverage: int = 0
     speculative_coverage: int = 0
-    reports: ReportCollection = field(default_factory=ReportCollection)
     spec_stats: Dict[str, int] = field(default_factory=dict)
+
+    def merge(self, other: "FuzzCounts") -> None:
+        """Fold ``other``'s counters into these."""
+        self.executions += other.executions
+        self.crashes += other.crashes
+        self.hangs += other.hangs
+        self.total_cycles += other.total_cycles
+        self.total_steps += other.total_steps
+        self.normal_coverage = max(self.normal_coverage,
+                                   other.normal_coverage)
+        self.speculative_coverage = max(self.speculative_coverage,
+                                        other.speculative_coverage)
+        merge_counts(self.spec_stats, other.spec_stats)
+
+
+@dataclass(kw_only=True)
+class CampaignResult(FuzzCounts):
+    """Aggregated outcome of a fuzzing campaign."""
+
+    corpus_size: int = 0
+    reports: ReportCollection = field(default_factory=ReportCollection)
 
     def gadget_count(self) -> int:
         """Number of unique gadget sites found."""
@@ -102,43 +128,21 @@ class CampaignResult:
         return self.reports.count_by_category()
 
     def to_dict(self) -> Dict[str, object]:
-        """Stable JSON-ready form (mirrors ``ExecutionResult``'s fields the
-        way ``Corpus``/``GadgetReport`` serialize theirs), so campaign
-        artifacts — e.g. :class:`repro.api.RunResult` — can embed a whole
-        fuzzing outcome without bespoke glue."""
-        return {
-            "executions": self.executions,
-            "total_cycles": self.total_cycles,
-            "total_steps": self.total_steps,
-            "crashes": self.crashes,
-            "hangs": self.hangs,
-            "corpus_size": self.corpus_size,
-            "normal_coverage": self.normal_coverage,
-            "speculative_coverage": self.speculative_coverage,
-            "spec_stats": dict(sorted(self.spec_stats.items())),
-            "reports": self.reports.to_dicts(),
-            "raw_reports": self.reports.total_raw,
-        }
+        """Stable JSON-ready form, so campaign artifacts — e.g.
+        :class:`repro.api.RunResult` — can embed a whole fuzzing outcome
+        without bespoke glue."""
+        return dict(write_record(self, exclude=("reports",)),
+                    reports=self.reports.to_dicts(),
+                    raw_reports=self.reports.total_raw)
 
     @classmethod
     def from_dict(cls, record: Dict[str, object]) -> "CampaignResult":
         """Rebuild a result from :meth:`to_dict` output (exact round-trip)."""
-        return cls(
-            executions=int(record.get("executions", 0)),
-            total_cycles=int(record.get("total_cycles", 0)),
-            total_steps=int(record.get("total_steps", 0)),
-            crashes=int(record.get("crashes", 0)),
-            hangs=int(record.get("hangs", 0)),
-            corpus_size=int(record.get("corpus_size", 0)),
-            normal_coverage=int(record.get("normal_coverage", 0)),
-            speculative_coverage=int(record.get("speculative_coverage", 0)),
-            reports=ReportCollection.from_dicts(
-                record.get("reports", []),
-                total_raw=int(record.get("raw_reports", 0)),
-            ),
-            spec_stats={str(k): int(v)
-                        for k, v in record.get("spec_stats", {}).items()},
-        )
+        result = read_record(cls, record, ValueError, exclude=("reports",))
+        result.reports = ReportCollection.from_dicts(
+            record.get("reports", []),
+            total_raw=int(record.get("raw_reports", 0)))
+        return result
 
 
 class Fuzzer:

@@ -131,7 +131,7 @@ from repro.sanitizers.policy import noop_conditions
 
 #: bump to invalidate every cached module when the emitted code or the
 #: set of compiled blocks changes.
-_CODEGEN_VERSION = 23
+_CODEGEN_VERSION = 24
 
 #: nesting depth up to which an accepted entry runs its episode in place
 #: (each level nests two Python frames: the gate's block and the loop).
@@ -1384,6 +1384,8 @@ class _BlockCompiler:
             w.param("EPB", "EM.cost_model.external_per_byte")
             w.use("regs")
             w.mark()
+            # The external may read the pc (``abort`` reports it).
+            w.emit(f"m.pc = {addr}")
             w.emit(f"external = XR.get({name!r})")
             w.emit("if external is None:")
             w.emit(f"    EM.externals.get({name!r})  # raises KeyError")

@@ -130,7 +130,12 @@ class _Campaign(RoundLoop):
                 job = pending.pop(fingerprint)
                 harvested = True
                 if record.get("status") == "completed":
-                    result = WorkerResult.from_dict(record["result"])
+                    try:
+                        result = WorkerResult.from_dict(record["result"])
+                    except ValueError as problem:
+                        # A damaged result fails its job, not the campaign.
+                        result = WorkerResult.for_job(
+                            job, error=f"DoneRecordError: result.{problem}")
                 else:
                     # The queue failed or cancelled the job itself: merge
                     # that as this job's failure, even when its record was

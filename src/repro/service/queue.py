@@ -119,12 +119,7 @@ class JobRecord:
         JSON is damage, not a write in progress.
         """
         record = check_fields(text, _JOB_FIELDS, JobRecordError)
-        try:
-            job = JobSpec.from_dict(record["job"])
-        except KeyError as error:
-            raise JobRecordError(f"job.{error.args[0]}: missing") from None
-        except (TypeError, ValueError, OverflowError) as error:
-            raise JobRecordError(f"job: {error}") from None
+        job = JobSpec.from_dict(record["job"], JobRecordError, "job.{}")
         seeds = record["seeds"]
         try:
             if seeds is not None:

@@ -7,6 +7,7 @@ so whole multi-round matrices stay well under a second.
 
 import pytest
 
+import repro.campaign.worker as worker_module
 from repro.campaign.scheduler import CampaignScheduler, run_campaign
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import CampaignState
@@ -111,18 +112,17 @@ def test_resume_with_different_worker_count_is_allowed(tmp_path):
     assert resumed.to_dict() == run_campaign(spec).to_dict()
 
 
-def test_corpus_sync_redistributes_across_rounds():
+def test_corpus_sync_redistributes_across_rounds(monkeypatch):
     """Round 2 workers start from the merged round-1 corpus."""
     spec = small_spec(rounds=2, shards=2)
     scheduler = CampaignScheduler(spec)
     seen_seed_counts = []
-    original = scheduler._seeds_for
+    original = worker_module.run_job
 
-    def spy(state, job):
-        seeds = original(state, job)
+    def spy(job, seeds=None):
         seen_seed_counts.append((job.round_index, len(seeds)))
-        return seeds
-    scheduler._seeds_for = spy
+        return original(job, seeds)
+    monkeypatch.setattr(worker_module, "run_job", spy)
     scheduler.run()
 
     round0 = [count for round_index, count in seen_seed_counts if round_index == 0]

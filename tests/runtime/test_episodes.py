@@ -251,11 +251,10 @@ def test_abort_on_a_wrong_path_never_runs():
             stats = record["spec_stats"]
             assert stats["exception_rollbacks"] == 0
             assert stats["forced_rollbacks"] >= 1
-    for engine in ENGINES:
-        record = _run(teapot, engine, bytes([7, 0, 0, 0]),
-                      TeapotNestingPolicy(), 250)
-        assert record["status"] == "crash"
-        assert record["crash_reason"].endswith("abort() called")
+    # The crash, its reason's address included, is the same on every engine.
+    record = _records(teapot, bytes([7, 0, 0, 0]), TeapotNestingPolicy, 250)
+    assert record["status"] == "crash"
+    assert record["crash_reason"].endswith("abort() called")
 
 
 @pytest.mark.parametrize("max_depth", [200, 600])

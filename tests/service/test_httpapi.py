@@ -156,6 +156,26 @@ def test_http_error_handling(server):
         assert b"/v1/campaigns" in response.read()
 
 
+#: Submit bodies whose spec holds a field of the wrong JSON type.
+MISTYPED_SPECS = [
+    ({"iterations": 1e300}, "iterations"),
+    ({"iterations": "200"}, "iterations"),
+    ({"rounds": True}, "rounds"),
+    ({"shards": 2.9}, "shards"),
+]
+
+
+def test_http_mistyped_spec_fields_are_400s(server):
+    for fields, name in MISTYPED_SPECS:
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(server.url + "/v1/campaigns",
+                  {"spec": dict(targets=["gadgets"], **fields)})
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read())["error"]
+        assert error == f"invalid campaign spec: {name}: wrong type"
+    assert _get(server.url + "/v1/campaigns")["campaigns"] == []
+
+
 def test_service_writes_an_observable_run_directory(server):
     """`repro runs`-compatible run directories appear under the service."""
     spec_record = CampaignSpec(targets=("gadgets",), tools=("teapot",),

@@ -438,6 +438,48 @@ def test_campaign_records_a_damaged_done_record_as_failed(tmp_path,
     assert summary.total_executions() == 5
 
 
+#: Result payloads of ``completed`` done records that are not a worker
+#: result, with the error the job fails with.
+DAMAGED_RESULTS = {
+    "empty": (lambda result: result.clear(),
+              "DoneRecordError: result.job_id: missing"),
+    "executions": (lambda result: result.update(executions="x"),
+                   "DoneRecordError: result.executions: wrong type"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DAMAGED_RESULTS))
+def test_campaign_records_a_damaged_result_payload_as_failed(
+        tmp_path, monkeypatch, shape):
+    """A completed job whose result does not read back fails that job,
+    not its campaign."""
+    edit, error = DAMAGED_RESULTS[shape]
+    real_link = queue_module._link_json
+    damaged = []
+
+    def link(path, record):
+        if record.get("status") == "completed" and not damaged:
+            damaged.append(path)
+            record = json.loads(json.dumps(record))
+            edit(record["result"])
+        return real_link(path, record)
+
+    monkeypatch.setattr(queue_module, "_link_json", link)
+    messages = []
+    service = FuzzService(str(tmp_path / "svc"), workers=1)
+    try:
+        spec = CampaignSpec(targets=("gadgets",), iterations=10, rounds=1,
+                            shards=2, seed=3)
+        campaign_id = service.submit(spec, progress=messages.append)
+        summary = service.wait(campaign_id, timeout=60)
+    finally:
+        service.stop()
+    assert summary is not None and len(damaged) == 1
+    assert summary.total_failed_jobs() == 1
+    assert summary.total_executions() == 5
+    assert any(message.endswith(f"FAILED: {error}") for message in messages)
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(path=st.sampled_from([

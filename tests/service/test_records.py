@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import os
+from dataclasses import dataclass, field
+from typing import Dict, Tuple
 
 import pytest
 
 from repro.campaign.spec import JobSpec
-from repro.records import REQUIRED, check_fields
+from repro.records import REQUIRED, check_fields, read_record, write_record
 from repro.service.queue import JobQueue
 
 FIELDS = {"name": (str, REQUIRED), "count": (int, 0),
@@ -47,6 +50,45 @@ def test_each_problem_names_its_field(record, message):
 def test_label_writes_the_field_name():
     with pytest.raises(RecordError, match="^checkpoint 'name': missing$"):
         check_fields({}, FIELDS, RecordError, "checkpoint {!r}")
+
+
+@dataclass(frozen=True)
+class Knobs:
+    name: str
+    tags: Tuple[str, ...] = ()
+    ratio: float = 0.5
+    flag: bool = True
+    counts: Dict[str, int] = field(default_factory=dict)
+
+
+def test_dataclass_record_reads_back_from_its_fields():
+    knobs = Knobs("a", tags=("x",), counts={"b": 2, "a": 1})
+    assert json.dumps(write_record(knobs)) == (
+        '{"name": "a", "tags": ["x"], "ratio": 0.5, "flag": true, '
+        '"counts": {"a": 1, "b": 2}}')
+    assert read_record(Knobs, json.dumps(write_record(knobs)),
+                       RecordError) == knobs
+    # a float reads from any number; a missing field takes its default
+    assert read_record(Knobs, {"name": "a", "ratio": 1, "flag": False},
+                       RecordError) == Knobs("a", ratio=1.0, flag=False)
+    assert write_record(Knobs("a"), omit_defaults=("ratio", "flag"),
+                        exclude=("counts",)) == {"name": "a", "tags": []}
+
+
+@pytest.mark.parametrize("record,message", [
+    ({}, "name: missing"),
+    ({"name": "a", "tags": "x"}, "tags: wrong type"),
+    ({"name": "a", "tags": [1]}, "tags: wrong item type"),
+    ({"name": "a", "ratio": "1"}, "ratio: wrong type"),
+    ({"name": "a", "ratio": 10 ** 400}, "ratio: out of range"),
+    ('{"name": "a", "ratio": Infinity}', "ratio: not a finite number"),
+    ({"name": "a", "flag": 1}, "flag: wrong type"),
+    ({"name": "a", "counts": {"b": True}}, "counts: wrong item type"),
+])
+def test_each_dataclass_record_problem_names_its_field(record, message):
+    with pytest.raises(RecordError) as raised:
+        read_record(Knobs, record, RecordError)
+    assert str(raised.value) == message
 
 
 def test_job_record_that_is_not_utf8_fails_its_job(tmp_path):
