@@ -234,18 +234,14 @@ def run_table3(
         injected = inject_gadgets(get_target(name))
         row = InjectionRow(program=name,
                            spectaint_reported=SPECTAINT_REPORTED_TABLE3.get(name))
-        row.scores["teapot"] = classify_reports(
-            injected,
-            summary.row(name, "teapot", "injected").collection,
-            instrumented_binary(name, "teapot", "injected"),
-            require_user_attacker=True,
-        )
-        row.scores["specfuzz"] = classify_reports(
-            injected,
-            summary.row(name, "specfuzz", "injected").collection,
-            instrumented_binary(name, "specfuzz", "injected"),
-            require_user_attacker=False,
-        )
+        for tool, require_user_attacker in (("teapot", True),
+                                            ("specfuzz", False)):
+            row.scores[tool] = classify_reports(
+                injected,
+                summary.row(name, tool, "injected").collection,
+                instrumented_binary(name, tool, "injected"),
+                require_user_attacker=require_user_attacker,
+            )
         rows.append(row)
     return rows
 

@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.api.result import RunResult
 from repro.campaign.scheduler import run_campaign
 from repro.campaign.spec import TOOLS, VARIANTS, CampaignSpec
-from repro.campaign.worker import compiled_binary
+from repro.campaign.worker import TOOL_TABLE, compiled_binary
 from repro.fuzzing.fuzzer import CampaignResult
 from repro.hardening.pipeline import (
     HardeningResult,
@@ -58,8 +58,8 @@ from repro.targets import get_target
 ProgressFn = Callable[[str], None]
 
 #: The measurement order of the Figure-7 runtime comparison (and the
-#: ``bench`` stage, which reproduces it bit for bit).
-BENCH_TOOLS = ("teapot", "specfuzz", "spectaint")
+#: ``bench`` stage, which reproduces it bit for bit): every tool.
+BENCH_TOOLS = TOOLS
 
 
 class PipelineError(ValueError):
@@ -665,15 +665,6 @@ class Session:
 
     def _run_bench(self, input_size: Optional[int],
                    tools: Tuple[str, ...]) -> None:
-        from repro.baselines.specfuzz import (
-            SpecFuzzConfig,
-            SpecFuzzRewriter,
-            SpecFuzzRuntime,
-        )
-        from repro.baselines.spectaint import SpecTaintAnalyzer, SpecTaintConfig
-        from repro.core.config import TeapotConfig
-        from repro.core.teapot import TeapotRewriter, TeapotRuntime
-
         b = self.builder
         size = input_size if input_size is not None else b._perf_input_size
         target = get_target(b._target)
@@ -683,20 +674,13 @@ class Session:
         native = measure_cycles(binary, perf_input, b._engine)
 
         tool_cycles: Dict[str, int] = {}
-        if "teapot" in tools:
-            config = TeapotConfig(engine=b._engine).without_nesting()
-            instrumented = TeapotRewriter(config).instrument(binary)
-            tool_cycles["teapot"] = TeapotRuntime(
-                instrumented, config=config).run(perf_input).cycles
-        if "specfuzz" in tools:
-            sf_config = SpecFuzzConfig(engine=b._engine).without_nesting()
-            sf_binary = SpecFuzzRewriter(sf_config).instrument(binary)
-            tool_cycles["specfuzz"] = SpecFuzzRuntime(
-                sf_binary, config=sf_config).run(perf_input).cycles
-        if "spectaint" in tools:
-            st_config = SpecTaintConfig().without_nesting()
-            tool_cycles["spectaint"] = SpecTaintAnalyzer(
-                binary, config=st_config).run(perf_input).cycles
+        for name in BENCH_TOOLS:
+            if name in tools:
+                tool = TOOL_TABLE[name]
+                config = tool.make_config(b._engine).without_nesting()
+                runtime = tool.runtime(tool.instrument(binary, config),
+                                       config=config)
+                tool_cycles[name] = runtime.run(perf_input).cycles
 
         self.result.add_stage("bench", b._target, {
             "input_size": size,

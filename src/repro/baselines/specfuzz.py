@@ -24,39 +24,28 @@ lowering options instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
-from repro.core.config import TeapotConfig
+from repro.core.config import TeapotConfig, ToolConfig
+from repro.core.teapot import InstrumentedRuntime, Rewriter
 from repro.core.trampolines import TrampolinePass
-from repro.coverage.sancov import CoverageRuntime
-from repro.disasm.disassembler import disassemble
 from repro.disasm.ir import Module
 from repro.isa.instructions import (
     Instruction,
     Opcode,
-    is_conditional_branch,
     is_pseudo,
     is_serializing,
 )
 from repro.isa.operands import Imm
-from repro.loader.binary_format import TelfBinary
 from repro.rewriting.passes import PassManager, RewritePass
-from repro.rewriting.reassemble import reassemble
-from repro.runtime.costs import CostModel, DEFAULT_COSTS
-from repro.runtime.emulator import ExecutionResult
-from repro.runtime.externals import ExternalRegistry
-from repro.runtime.fastpath import resolve_engine
-from repro.runtime.speculation import (
-    DisabledNestingPolicy,
-    SpecFuzzNestingPolicy,
-)
+from repro.runtime.speculation import SpecFuzzNestingPolicy
 from repro.sanitizers.policy import SpecFuzzPolicy
 from repro.core.instrumentation import _access_info
 from repro.plugins import DEFAULT_ENGINE
 
 
 @dataclass
-class SpecFuzzConfig:
+class SpecFuzzConfig(ToolConfig):
     """Knobs of the SpecFuzz baseline (kept close to Teapot's for fairness)."""
 
     rob_budget: int = 250
@@ -76,24 +65,6 @@ class SpecFuzzConfig:
     #: optional :class:`repro.telemetry.Telemetry` observer (see
     #: :class:`repro.core.config.TeapotConfig.telemetry`).
     telemetry: object = None
-
-    def without_nesting(self) -> "SpecFuzzConfig":
-        """Copy with nested speculation disabled (for the §7.1 comparison)."""
-        copy = SpecFuzzConfig(**self.__dict__)
-        copy.nested_speculation = False
-        return copy
-
-    def with_engine(self, engine: str) -> "SpecFuzzConfig":
-        """A copy of this configuration running on a different engine."""
-        copy = SpecFuzzConfig(**self.__dict__)
-        copy.engine = engine
-        return copy
-
-    def with_variants(self, *variants: str) -> "SpecFuzzConfig":
-        """A copy of this configuration simulating different variants."""
-        copy = SpecFuzzConfig(**self.__dict__)
-        copy.variants = tuple(variants)
-        return copy
 
 
 class MixedInstrumentationPass(RewritePass):
@@ -168,14 +139,11 @@ class MixedInstrumentationPass(RewritePass):
         return out
 
 
-class SpecFuzzRewriter:
+class SpecFuzzRewriter(Rewriter):
     """Static instrumentation pipeline for the SpecFuzz baseline."""
 
     tool_name = "specfuzz"
-
-    def __init__(self, config: Optional[SpecFuzzConfig] = None) -> None:
-        self.config = config or SpecFuzzConfig()
-        self.last_stats: Dict[str, Dict[str, int]] = {}
+    config_type = SpecFuzzConfig
 
     def build_pass_manager(self) -> PassManager:
         """Mixed instrumentation followed by single-copy trampolines."""
@@ -185,80 +153,16 @@ class SpecFuzzRewriter:
         manager.add(TrampolinePass(teapot_like, single_copy=True))
         return manager
 
-    def instrument_module(self, module: Module) -> Module:
-        """Run the instrumentation passes over a disassembled module."""
-        manager = self.build_pass_manager()
-        self.last_stats = manager.run(module)
-        module.metadata["tool"] = self.tool_name
-        return module
-
-    def instrument(self, binary: TelfBinary) -> TelfBinary:
-        """Instrument a binary (disassemble → rewrite → reassemble)."""
-        module = disassemble(binary)
-        module = self.instrument_module(module)
-        return reassemble(module)
-
 
 @dataclass
-class SpecFuzzRuntime:
+class SpecFuzzRuntime(InstrumentedRuntime):
     """Runtime bundle for executing/fuzzing a SpecFuzz-instrumented binary."""
 
-    binary: TelfBinary
     config: SpecFuzzConfig = field(default_factory=SpecFuzzConfig)
-    externals: Optional[ExternalRegistry] = None
-    cost_model: CostModel = field(default_factory=lambda: DEFAULT_COSTS)
 
-    def __post_init__(self) -> None:
-        if self.config.nested_speculation:
-            policy = SpecFuzzNestingPolicy(max_depth=self.config.max_depth,
-                                           ramp=self.config.ramp)
-        else:
-            policy = DisabledNestingPolicy()
-        emulator_cls, controller_cls = resolve_engine(self.config.engine)
-        self.controller = controller_cls(policy, rob_budget=self.config.rob_budget)
-        self.detection_policy = SpecFuzzPolicy()
-        self.coverage = CoverageRuntime()
-        if tuple(self.config.variants) == ("pht",):
-            self.spec_models = None
-        else:
-            from repro.specmodels import build_models
+    def build_nesting_policy(self):
+        return SpecFuzzNestingPolicy(max_depth=self.config.max_depth,
+                                     ramp=self.config.ramp)
 
-            self.spec_models = build_models(self.config.variants)
-        self.emulator = emulator_cls(
-            self.binary,
-            externals=self.externals,
-            cost_model=self.cost_model,
-            controller=self.controller,
-            policy=self.detection_policy,
-            coverage=self.coverage,
-            max_steps=self.config.max_steps,
-            spec_models=self.spec_models,
-            telemetry=self.config.telemetry,
-        )
-
-    def run(self, input_data: bytes, argv=None) -> ExecutionResult:
-        """Execute the instrumented binary over one input."""
-        return self.emulator.run(input_data, argv=argv)
-
-    @property
-    def engine(self) -> str:
-        """Name of the emulator engine this runtime executes on."""
-        return self.config.engine
-
-    def with_engine(self, engine: str) -> "SpecFuzzRuntime":
-        """A fresh runtime over the same binary on a different engine."""
-        return SpecFuzzRuntime(
-            self.binary,
-            config=self.config.with_engine(engine),
-            externals=self.externals,
-            cost_model=self.cost_model,
-        )
-
-    def with_variants(self, *variants: str) -> "SpecFuzzRuntime":
-        """A fresh runtime simulating a different speculation-variant set."""
-        return SpecFuzzRuntime(
-            self.binary,
-            config=self.config.with_variants(*variants),
-            externals=self.externals,
-            cost_model=self.cost_model,
-        )
+    def build_detection_policy(self):
+        return SpecFuzzPolicy()

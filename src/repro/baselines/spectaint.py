@@ -26,14 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.config import ToolConfig
 from repro.coverage.sancov import CoverageRuntime
 from repro.isa.instructions import Opcode
 from repro.loader.binary_format import TelfBinary
-from repro.runtime.costs import (
-    CostModel,
-    DEFAULT_COSTS,
-    SPECTAINT_EMULATION_MULTIPLIER,
-)
+from repro.runtime.costs import DEFAULT_COSTS, SPECTAINT_EMULATION_MULTIPLIER
 from repro.runtime.emulator import Emulator, ExecutionResult
 from repro.runtime.externals import ExternalRegistry
 from repro.runtime.speculation import (
@@ -45,7 +42,7 @@ from repro.sanitizers.policy import SpecTaintPolicy
 
 
 @dataclass
-class SpecTaintConfig:
+class SpecTaintConfig(ToolConfig):
     """Configuration of the SpecTaint baseline."""
 
     rob_budget: int = 250
@@ -56,12 +53,6 @@ class SpecTaintConfig:
     #: per-instruction emulation cost multiplier (QEMU/DECAF model).
     emulation_multiplier: int = SPECTAINT_EMULATION_MULTIPLIER
     max_steps: int = 5_000_000
-
-    def without_nesting(self) -> "SpecTaintConfig":
-        """Copy with nested speculation disabled (for the §7.1 comparison)."""
-        copy = SpecTaintConfig(**self.__dict__)
-        copy.nested_speculation = False
-        return copy
 
 
 class SpecTaintEmulator(Emulator):

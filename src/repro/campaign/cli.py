@@ -247,10 +247,11 @@ def main(argv: Optional[Sequence[str]] = None,
     finally:
         if run_dir is not None and telemetry is not None:
             try:
-                # the round loop snapshots each round it closes; a run
-                # that closed none (resumed finished, or failed) gets one
-                if not run_dir.snapshot_seq:
-                    run_dir.write_metrics_snapshot(telemetry)
+                # the round loop snapshots each round it closes; this one
+                # is written only when it differs from the last of those,
+                # so a run that closed none (resumed finished, or failed)
+                # still gets one
+                run_dir.write_metrics_snapshot(telemetry)
                 run_dir.finalize(status=status)
             except OSError:
                 pass

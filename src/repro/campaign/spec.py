@@ -23,6 +23,14 @@ TOOLS = ("teapot", "specfuzz", "spectaint")
 #: Binary variants: the unmodified workload or the Table-3 injected build.
 VARIANTS = ("vanilla", "injected")
 
+#: Upper bounds of a campaign's integers, so that a submitted spec cannot
+#: ask for an endless campaign, a flood of jobs or of worker processes.
+MAX_ITERATIONS = 10**9
+MAX_ROUNDS = 10_000
+MAX_SHARDS = 256
+MAX_WORKERS = 64
+MAX_INPUT_SIZE = 1 << 20
+
 
 def derive_seed(campaign_seed: int, *coords: object) -> int:
     """A deterministic 63-bit RNG seed for one job.
@@ -176,12 +184,14 @@ class CampaignSpec:
     job_retry_backoff_s: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        for name, low, high in (("iterations", 1, MAX_ITERATIONS),
+                                ("rounds", 1, MAX_ROUNDS),
+                                ("shards", 1, MAX_SHARDS),
+                                ("workers", 0, MAX_WORKERS),
+                                ("max_input_size", 1, MAX_INPUT_SIZE)):
+            if not low <= getattr(self, name) <= high:
+                raise ValueError(
+                    f"{name}: must be between {low} and {high}")
         if not self.derive_seeds and self.shards != 1:
             raise ValueError("derive_seeds=False requires shards == 1")
         for tool in self.tools:

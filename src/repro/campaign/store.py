@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.fuzzing.corpus import Corpus
 from repro.fuzzing.fuzzer import FuzzCounts
-from repro.records import REQUIRED, check_fields, read_record, write_record
+from repro.records import (REQUIRED, check_fields, read_record, write_atomic,
+                            write_record)
 from repro.sanitizers.reports import ReportCollection
 
 #: Checkpoint format version; bump on incompatible layout changes.
@@ -209,18 +209,9 @@ class CampaignState:
 
     def save(self, path: str) -> None:
         """Write the checkpoint atomically (tmp file + rename)."""
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(prefix=".campaign-", suffix=".json",
-                                        dir=directory)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(self.to_dict(), handle, indent=1, sort_keys=True)
-            os.replace(tmp_path, path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        write_atomic(path, json.dumps(self.to_dict(), indent=1,
+                                      sort_keys=True))
 
     @classmethod
     def load(cls, path: str) -> "CampaignState":

@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 import traceback as _traceback
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.specfuzz import SpecFuzzConfig, SpecFuzzRewriter, SpecFuzzRuntime
@@ -23,12 +23,14 @@ from repro.baselines.spectaint import SpecTaintAnalyzer, SpecTaintConfig
 from repro.campaign.spec import JobSpec
 from repro.core.config import TeapotConfig
 from repro.core.teapot import TeapotRewriter, TeapotRuntime
+from repro.fuzzing.corpus import CorpusEntry
 from repro.fuzzing.fuzzer import Fuzzer, FuzzCounts, FuzzTarget
 from repro.loader.binary_format import TelfBinary
 from repro.targets import get_target
 from repro.targets.injection import compile_vanilla, inject_gadgets
 from repro.plugins import DEFAULT_ENGINE
 from repro.records import read_record, write_record
+from repro.sanitizers.reports import GadgetReport
 
 #: Per-process caches; keyed by (target, variant) and (target, variant, tool).
 _BINARY_CACHE: Dict[Tuple[str, str], TelfBinary] = {}
@@ -38,6 +40,42 @@ _INSTRUMENTED_CACHE: Dict[Tuple[str, str, str], TelfBinary] = {}
 #: through the ordinary campaign machinery this way (see
 #: :func:`binary_override`).
 _BINARY_OVERRIDES: Dict[Tuple[str, str], TelfBinary] = {}
+
+
+@dataclass(frozen=True)
+class Tool:
+    """What one detector name means: its configuration, rewriter and runtime.
+
+    A tool without a ``rewriter`` analyses the unmodified binary on its own
+    emulator, as SpecTaint's DBI model does: its configuration selects
+    neither the engine nor the speculation variant (it is PHT-only).
+    """
+
+    config: type
+    rewriter: Optional[type]
+    runtime: type
+
+    def make_config(self, engine: str, spec_variant: str = "pht"):
+        """The configuration on ``engine``, simulating ``spec_variant``."""
+        if self.rewriter is None:
+            return self.config()
+        return self.config(engine=engine, variants=(spec_variant,))
+
+    def instrument(self, binary: TelfBinary, config) -> TelfBinary:
+        """``binary`` as this tool runs it."""
+        if self.rewriter is None:
+            return binary
+        return self.rewriter(config).instrument(binary)
+
+
+#: The detectors of the paper's evaluation, in the order of
+#: :data:`~repro.campaign.spec.TOOLS`: the one place a tool name is given
+#: its meaning.
+TOOL_TABLE: Dict[str, Tool] = {
+    "teapot": Tool(TeapotConfig, TeapotRewriter, TeapotRuntime),
+    "specfuzz": Tool(SpecFuzzConfig, SpecFuzzRewriter, SpecFuzzRuntime),
+    "spectaint": Tool(SpecTaintConfig, None, SpecTaintAnalyzer),
+}
 
 
 @contextmanager
@@ -87,24 +125,12 @@ def _tool_config(tool: str, variant: str, engine: str = DEFAULT_ENGINE,
     The ``injected`` variant reproduces the Table 3 methodology for Teapot:
     ordinary taint sources off (only ``attack_input()`` is attacker-direct)
     and the Massage policy off to avoid attacker-indirect noise.
-
-    ``engine`` selects the emulator engine for the tools that support it
-    (teapot and specfuzz); SpecTaint models a DBI system with its own
-    emulator subclass and always runs on the legacy engine.  ``spec_variant``
-    selects the speculation model the job simulates; SpecTaint is PHT-only
-    (the campaign spec never emits other variants for it).
     """
-    variants = (spec_variant,)
-    if tool == "teapot":
-        if variant == "injected":
-            return TeapotConfig(massage_enabled=False, taint_sources_enabled=False,
-                                engine=engine, variants=variants)
-        return TeapotConfig(engine=engine, variants=variants)
-    if tool == "specfuzz":
-        return SpecFuzzConfig(engine=engine, variants=variants)
-    if tool == "spectaint":
-        return SpecTaintConfig()
-    raise ValueError(f"unknown tool {tool!r}")
+    config = TOOL_TABLE[tool].make_config(engine, spec_variant)
+    if tool == "teapot" and variant == "injected":
+        config = replace(config, massage_enabled=False,
+                         taint_sources_enabled=False)
+    return config
 
 
 def instrumented_binary(target_name: str, tool: str, variant: str) -> TelfBinary:
@@ -114,13 +140,8 @@ def instrumented_binary(target_name: str, tool: str, variant: str) -> TelfBinary
     "instrumented" binary is the plain compiled one.
     """
     def build() -> TelfBinary:
-        binary = compiled_binary(target_name, variant)
-        config = _tool_config(tool, variant)
-        if tool == "teapot":
-            binary = TeapotRewriter(config).instrument(binary)
-        elif tool == "specfuzz":
-            binary = SpecFuzzRewriter(config).instrument(binary)
-        return binary
+        return TOOL_TABLE[tool].instrument(
+            compiled_binary(target_name, variant), _tool_config(tool, variant))
 
     if (target_name, variant) in _BINARY_OVERRIDES:
         # Overridden builds are never memoised: the cache key cannot tell
@@ -135,13 +156,9 @@ def instrumented_binary(target_name: str, tool: str, variant: str) -> TelfBinary
 def build_runtime(target_name: str, tool: str, variant: str,
                   engine: str = DEFAULT_ENGINE, spec_variant: str = "pht"):
     """A fresh runtime (coverage maps and all) for one job."""
-    config = _tool_config(tool, variant, engine, spec_variant)
-    binary = instrumented_binary(target_name, tool, variant)
-    if tool == "teapot":
-        return TeapotRuntime(binary, config=config)
-    if tool == "specfuzz":
-        return SpecFuzzRuntime(binary, config=config)
-    return SpecTaintAnalyzer(binary, config=config)
+    return TOOL_TABLE[tool].runtime(
+        instrumented_binary(target_name, tool, variant),
+        config=_tool_config(tool, variant, engine, spec_variant))
 
 
 @dataclass(kw_only=True)
@@ -193,8 +210,14 @@ class WorkerResult(FuzzCounts):
     @classmethod
     def from_dict(cls, record: object) -> "WorkerResult":
         """Rebuild a result from :meth:`to_dict` output; a ``ValueError``
-        names the first field that does not read back."""
-        return read_record(cls, record, ValueError)
+        names the first field that does not read back, down to the fields
+        of each report and corpus entry (``reports[0].tool: missing``)."""
+        result = read_record(cls, record, ValueError)
+        for name, reader in (("reports", GadgetReport.from_dict),
+                             ("corpus", CorpusEntry.from_dict)):
+            for index, entry in enumerate(getattr(result, name)):
+                reader(entry, ValueError, f"{name}[{index}].{{}}")
+        return result
 
 
 def run_job(job: JobSpec, seeds: Optional[Sequence[bytes]] = None) -> WorkerResult:

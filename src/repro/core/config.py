@@ -2,14 +2,34 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 from repro.plugins import DEFAULT_ENGINE
 
 
+class ToolConfig:
+    """The copies every detector configuration offers.
+
+    Each is a :func:`dataclasses.replace` of one field, so a runtime is
+    configured once, by the configuration it is built from.
+    """
+
+    def with_engine(self, engine: str):
+        """A copy of this configuration running on a different engine."""
+        return replace(self, engine=engine)
+
+    def with_variants(self, *variants: str):
+        """A copy of this configuration simulating different variants."""
+        return replace(self, variants=tuple(variants))
+
+    def without_nesting(self):
+        """A copy without nested speculation (the paper's §7.1 setup)."""
+        return replace(self, nested_speculation=False)
+
+
 @dataclass
-class TeapotConfig:
+class TeapotConfig(ToolConfig):
     """Tunable knobs of Teapot's instrumentation and runtime.
 
     Defaults match the paper's settings; the performance experiments
@@ -63,25 +83,3 @@ class TeapotConfig:
     #: back to the process-wide bundle installed by
     #: :func:`repro.telemetry.context.session`.
     telemetry: object = None
-
-    def with_engine(self, engine: str) -> "TeapotConfig":
-        """A copy of this configuration running on a different engine."""
-        copy = TeapotConfig(**self.__dict__)
-        copy.engine = engine
-        return copy
-
-    def with_variants(self, *variants: str) -> "TeapotConfig":
-        """A copy of this configuration simulating different variants."""
-        copy = TeapotConfig(**self.__dict__)
-        copy.variants = tuple(variants)
-        return copy
-
-    def without_nesting(self) -> "TeapotConfig":
-        """A copy with nested speculation and heuristics disabled.
-
-        This is the configuration the paper uses for the run-time
-        performance comparison (§7.1).
-        """
-        copy = TeapotConfig(**self.__dict__)
-        copy.nested_speculation = False
-        return copy

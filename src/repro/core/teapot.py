@@ -37,17 +37,41 @@ from repro.runtime.speculation import (
     TeapotNestingPolicy,
 )
 from repro.sanitizers.policy import KasperPolicy
+from repro.specmodels import build_models
 
 
-class TeapotRewriter:
+class Rewriter:
+    """A detector's static rewriting: disassemble → passes → reassemble.
+
+    A tool supplies its ``tool_name``, its ``config_type`` (the
+    configuration used when none is given) and :meth:`build_pass_manager`.
+    """
+
+    tool_name = ""
+    config_type: type
+
+    def __init__(self, config=None) -> None:
+        self.config = config if config is not None else self.config_type()
+        #: per-pass statistics of the last :meth:`instrument` invocation.
+        self.last_stats: Dict[str, Dict[str, int]] = {}
+
+    def instrument_module(self, module: Module) -> Module:
+        """Run the pass pipeline over an already-disassembled module."""
+        manager = self.build_pass_manager()
+        self.last_stats = manager.run(module)
+        module.metadata["tool"] = self.tool_name
+        return module
+
+    def instrument(self, binary: TelfBinary) -> TelfBinary:
+        """Disassemble, instrument and reassemble a COTS binary."""
+        return reassemble(self.instrument_module(disassemble(binary)))
+
+
+class TeapotRewriter(Rewriter):
     """Static binary rewriter implementing Speculation Shadows."""
 
     tool_name = "teapot"
-
-    def __init__(self, config: Optional[TeapotConfig] = None) -> None:
-        self.config = config or TeapotConfig()
-        #: per-pass statistics of the last :meth:`instrument` invocation.
-        self.last_stats: Dict[str, Dict[str, int]] = {}
+    config_type = TeapotConfig
 
     def build_pass_manager(self) -> PassManager:
         """The ordered pass pipeline (paper §4-§6)."""
@@ -61,48 +85,37 @@ class TeapotRewriter:
         manager.add(TrampolinePass(self.config))
         return manager
 
-    def instrument_module(self, module: Module) -> Module:
-        """Run the pass pipeline over an already-disassembled module."""
-        manager = self.build_pass_manager()
-        self.last_stats = manager.run(module)
-        module.metadata["tool"] = self.tool_name
-        return module
-
-    def instrument(self, binary: TelfBinary) -> TelfBinary:
-        """Disassemble, instrument and reassemble a COTS binary."""
-        module = disassemble(binary)
-        module = self.instrument_module(module)
-        return reassemble(module)
-
 
 @dataclass
-class TeapotRuntime:
-    """Bundles everything needed to execute a Teapot-instrumented binary.
+class InstrumentedRuntime:
+    """Everything needed to execute a binary instrumented by a detector.
 
-    This is the runtime support the fuzzer drives: the speculation
-    controller with Teapot's nesting heuristic, the Kasper detection
-    policy, and the two coverage maps.
+    Built once from ``config``, in this order: the tool's nesting policy
+    (or none, without nested speculation), the engine's controller from
+    :func:`~repro.runtime.fastpath.resolve_engine`, the tool's detection
+    policy, the coverage maps, the speculation models and the emulator.
+    A tool supplies only ``build_nesting_policy()`` (the policy when
+    nesting is on), ``build_detection_policy()`` and, beyond the shared
+    emulator keywords, its :meth:`emulator_options`.
     """
 
     binary: TelfBinary
-    config: TeapotConfig = field(default_factory=TeapotConfig)
+    config: object = None
     externals: Optional[ExternalRegistry] = None
     cost_model: CostModel = field(default_factory=lambda: DEFAULT_COSTS)
 
     def __post_init__(self) -> None:
-        if self.config.nested_speculation:
-            policy = TeapotNestingPolicy(
-                max_depth=self.config.max_depth,
-                eager_runs=self.config.eager_runs,
-                ramp=self.config.specfuzz_ramp,
-            )
-        else:
-            policy = DisabledNestingPolicy()
-        emulator_cls, controller_cls = resolve_engine(self.config.engine)
-        self.controller = controller_cls(policy, rob_budget=self.config.rob_budget)
-        self.detection_policy = KasperPolicy(massage_enabled=self.config.massage_enabled)
+        config = self.config
+        policy = (self.build_nesting_policy() if config.nested_speculation
+                  else DisabledNestingPolicy())
+        emulator_cls, controller_cls = resolve_engine(config.engine)
+        self.controller = controller_cls(policy, rob_budget=config.rob_budget)
+        self.detection_policy = self.build_detection_policy()
         self.coverage = CoverageRuntime()
-        self.spec_models = self._build_spec_models()
+        # None for the default PHT-only configuration keeps the
+        # emulator's classic zero-overhead path.
+        self.spec_models = (None if tuple(config.variants) == ("pht",)
+                            else build_models(config.variants))
         self.emulator = emulator_cls(
             self.binary,
             externals=self.externals,
@@ -110,49 +123,40 @@ class TeapotRuntime:
             controller=self.controller,
             policy=self.detection_policy,
             coverage=self.coverage,
-            max_steps=self.config.max_steps,
-            stack_protect=self.config.protect_stack,
-            taint_sources_enabled=self.config.taint_sources_enabled,
+            max_steps=config.max_steps,
             spec_models=self.spec_models,
-            telemetry=self.config.telemetry,
+            telemetry=config.telemetry,
+            **self.emulator_options(),
         )
 
-    def _build_spec_models(self):
-        """Fresh speculation-model instances for ``config.variants``.
-
-        ``None`` for the default PHT-only configuration, which keeps the
-        emulator's classic zero-overhead path (and bit-identical golden
-        outputs).
-        """
-        if tuple(self.config.variants) == ("pht",):
-            return None
-        from repro.specmodels import build_models
-
-        return build_models(self.config.variants)
+    def emulator_options(self) -> Dict[str, object]:
+        """Emulator keywords of this tool beyond the shared ones."""
+        return {}
 
     def run(self, input_data: bytes, argv=None) -> ExecutionResult:
         """Execute the instrumented binary over one input."""
         return self.emulator.run(input_data, argv=argv)
 
-    @property
-    def engine(self) -> str:
-        """Name of the emulator engine this runtime executes on."""
-        return self.config.engine
 
-    def with_engine(self, engine: str) -> "TeapotRuntime":
-        """A fresh runtime over the same binary on a different engine."""
-        return TeapotRuntime(
-            self.binary,
-            config=self.config.with_engine(engine),
-            externals=self.externals,
-            cost_model=self.cost_model,
-        )
+@dataclass
+class TeapotRuntime(InstrumentedRuntime):
+    """Bundles everything needed to execute a Teapot-instrumented binary.
 
-    def with_variants(self, *variants: str) -> "TeapotRuntime":
-        """A fresh runtime simulating a different speculation-variant set."""
-        return TeapotRuntime(
-            self.binary,
-            config=self.config.with_variants(*variants),
-            externals=self.externals,
-            cost_model=self.cost_model,
-        )
+    This is the runtime support the fuzzer drives: the speculation
+    controller with Teapot's nesting heuristic, the Kasper detection
+    policy, and the two coverage maps.
+    """
+
+    config: TeapotConfig = field(default_factory=TeapotConfig)
+
+    def build_nesting_policy(self):
+        return TeapotNestingPolicy(max_depth=self.config.max_depth,
+                                   eager_runs=self.config.eager_runs,
+                                   ramp=self.config.specfuzz_ramp)
+
+    def build_detection_policy(self):
+        return KasperPolicy(massage_enabled=self.config.massage_enabled)
+
+    def emulator_options(self) -> Dict[str, object]:
+        return {"stack_protect": self.config.protect_stack,
+                "taint_sources_enabled": self.config.taint_sources_enabled}

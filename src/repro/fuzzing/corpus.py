@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.records import read_record, write_record
+
 #: Why an entry was kept: seeded, novel normal coverage, novel speculative
 #: coverage, both axes at once, a crashing input, or merged from a peer
 #: corpus (campaign corpus sync).
@@ -28,24 +30,14 @@ class CorpusEntry:
 
     def to_dict(self) -> Dict[str, object]:
         """Serialize for campaign checkpoints (data as hex)."""
-        return {
-            "data": self.data.hex(),
-            "normal_coverage": self.normal_coverage,
-            "speculative_coverage": self.speculative_coverage,
-            "executions": self.executions,
-            "reason": self.reason,
-        }
+        return write_record(self)
 
     @classmethod
-    def from_dict(cls, record: Dict[str, object]) -> "CorpusEntry":
-        """Rebuild an entry from :meth:`to_dict` output."""
-        return cls(
-            data=bytes.fromhex(record["data"]),
-            normal_coverage=int(record.get("normal_coverage", 0)),
-            speculative_coverage=int(record.get("speculative_coverage", 0)),
-            executions=int(record.get("executions", 0)),
-            reason=str(record.get("reason", "seed")),
-        )
+    def from_dict(cls, record: object, error: type = ValueError,
+                  label: str = "{}") -> "CorpusEntry":
+        """Rebuild an entry from :meth:`to_dict` output; a field that does
+        not read back raises ``error``, named through ``label``."""
+        return read_record(cls, record, error, label)
 
 
 class Corpus:

@@ -41,36 +41,6 @@ class FuzzTarget:
         """Run one input."""
         return self.runtime.run(data)
 
-    def with_engine(self, engine: str) -> "FuzzTarget":
-        """The same target rebuilt on another emulator engine.
-
-        Requires a runtime exposing ``with_engine`` (``TeapotRuntime`` and
-        ``SpecFuzzRuntime`` do); both engines produce identical execution
-        results, so swapping engines never changes fuzzing outcomes.
-        """
-        rebuild = getattr(self.runtime, "with_engine", None)
-        if rebuild is None:
-            raise ValueError(
-                f"runtime {type(self.runtime).__name__} does not support "
-                f"engine selection"
-            )
-        return FuzzTarget(rebuild(engine))
-
-    def with_variants(self, variants) -> "FuzzTarget":
-        """The same target rebuilt with another speculation-variant set.
-
-        Requires a runtime exposing ``with_variants`` (``TeapotRuntime``
-        and ``SpecFuzzRuntime`` do).  Unlike engines, variants *do* change
-        results — they decide which mispredictions are simulated.
-        """
-        rebuild = getattr(self.runtime, "with_variants", None)
-        if rebuild is None:
-            raise ValueError(
-                f"runtime {type(self.runtime).__name__} does not support "
-                f"speculation-variant selection"
-            )
-        return FuzzTarget(rebuild(*variants))
-
     def coverage_signature(self):
         """Current (normal, speculative) coverage sizes, or ``(0, 0)``."""
         coverage = getattr(self.runtime, "coverage", None)
@@ -154,18 +124,7 @@ class Fuzzer:
         seeds: Optional[List[bytes]] = None,
         seed: int = 0,
         max_input_size: int = 1024,
-        engine: Optional[str] = None,
-        variants: Optional[List[str]] = None,
     ) -> None:
-        if engine is not None:
-            # Rebuild the target's runtime on the requested emulator engine
-            # ("fast"/"jit"/"legacy"); results are engine-invariant, only
-            # the executions/second change.
-            target = target.with_engine(engine)
-        if variants is not None:
-            # Rebuild with the requested speculation-variant set (this one
-            # changes results: it decides which mispredictions exist).
-            target = target.with_variants(tuple(variants))
         self.target = target
         self.corpus = Corpus(seeds or [b"\x00"])
         self.rng = random.Random(seed)

@@ -7,7 +7,6 @@ are fully deterministic and the experiment tables regenerate identically.
 from __future__ import annotations
 
 import random
-import struct
 from typing import Callable, List
 
 #: "Interesting" values substituted into inputs, mirroring common fuzzers:

@@ -8,19 +8,43 @@ into the reader's own typed error, naming the field.
 Flat dataclass records (job and campaign specs, worker results, group
 counters) are written by :func:`write_record` and read back by
 :func:`read_record`, whose field table comes from the dataclass itself.
+:func:`write_atomic` puts a serialized record on disk whole.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import enum
 import functools
 import json
 import math
+import os
+import tempfile
 import typing
 from typing import Collection, Dict, Mapping, Tuple
 
 #: the default of a field that must be present.
 REQUIRED = object()
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Replace the file at ``path`` with ``text`` in one step.
+
+    The text goes to a temp file in the same directory (a dot name, so
+    directory scans skip it), which is then renamed over ``path``: a
+    reader sees the old file or the new one, never a partial one.  A
+    failed write removes its temp file.
+    """
+    fd, tmp_path = tempfile.mkstemp(
+        prefix=f".{os.path.basename(path)}-", suffix=".tmp",
+        dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp_path, path)
+    except BaseException:
+        os.unlink(tmp_path)
+        raise
 
 
 def check_fields(record: object, fields: Mapping[str, Tuple[object, object]],
@@ -67,6 +91,8 @@ class _Field(typing.NamedTuple):
     types: object
     default: object
     item: object
+    #: what turns the checked JSON value into the field's value, or None.
+    read: object
 
 
 @functools.lru_cache(maxsize=None)
@@ -75,8 +101,9 @@ def _field_table(cls: type) -> Dict[str, _Field]:
 
     ``kind`` is the class of the field's annotation and ``types`` what
     JSON value it reads from: a tuple from a list, a float from any
-    number.  ``item`` is the type of a tuple's or list's items or of a
-    dict's values (``None``: unchecked).  A field with no default is
+    number, bytes from a hex string and an enum from its value's type.
+    ``item`` is the type of a tuple's or list's items or of a dict's
+    values (``None``: unchecked).  A field with no default is
     :data:`REQUIRED`.
     """
     hints = typing.get_type_hints(cls)
@@ -92,9 +119,13 @@ def _field_table(cls: type) -> Dict[str, _Field]:
             default = spec.default_factory()
         else:
             default = REQUIRED
-        table[spec.name] = _Field(
-            kind, {tuple: list, float: (int, float)}.get(kind, kind),
-            default, None if item is object else item)
+        types, read = {tuple: (list, tuple), list: (list, list),
+                       dict: (dict, dict), float: ((int, float), float),
+                       bytes: (str, bytes.fromhex)}.get(kind, (kind, None))
+        if isinstance(kind, type) and issubclass(kind, enum.Enum):
+            types, read = type(next(iter(kind)).value), kind
+        table[spec.name] = _Field(kind, types, default,
+                                  None if item is object else item, read)
     return table
 
 
@@ -102,9 +133,9 @@ def write_record(record: object, omit_defaults: Collection[str] = (),
                  exclude: Collection[str] = ()) -> Dict[str, object]:
     """A flat dataclass record as a JSON object (:func:`read_record`'s input).
 
-    Tuples are written as lists and dicts with sorted keys.  A field in
-    ``omit_defaults`` is left out while it holds its default, one in
-    ``exclude`` always.
+    Tuples are written as lists, dicts with sorted keys, bytes in hex and
+    enums as their values.  A field in ``omit_defaults`` is left out
+    while it holds its default, one in ``exclude`` always.
     """
     written: Dict[str, object] = {}
     for name, field in _field_table(type(record)).items():
@@ -116,6 +147,10 @@ def write_record(record: object, omit_defaults: Collection[str] = (),
             value = list(value)
         elif isinstance(value, dict):
             value = dict(sorted(value.items()))
+        elif isinstance(value, bytes):
+            value = value.hex()
+        elif isinstance(value, enum.Enum):
+            value = value.value
         written[name] = value
     return written
 
@@ -142,11 +177,13 @@ def read_record(cls: type, record: object, error: type, label: str = "{}",
                 _is_a(item, field.item) for item in (
                     value.values() if isinstance(value, dict) else value)):
             raise error(f"{label.format(name)}: wrong item type")
-        if field.kind in (tuple, list, dict, float):
+        if field.read is not None:
             try:
-                value = field.kind(value)
+                value = field.read(value)
             except OverflowError:
                 raise error(f"{label.format(name)}: out of range") from None
+            except ValueError:
+                raise error(f"{label.format(name)}: bad value") from None
             if field.kind is float and not math.isfinite(value):
                 raise error(f"{label.format(name)}: not a finite number")
         values[name] = value

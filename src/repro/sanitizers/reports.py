@@ -11,8 +11,10 @@ because fuzzing revisits the same gadget many times.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+
+from repro.records import read_record, write_record
 
 
 class Channel(enum.Enum):
@@ -39,8 +41,8 @@ class GadgetReport:
     channel: Channel
     attacker: AttackerClass
     pc: int
-    branch_addresses: Tuple[int, ...]
-    depth: int
+    branch_addresses: Tuple[int, ...] = ()
+    depth: int = 0
     description: str = ""
     #: speculation variant whose simulation surfaced the gadget ("pht",
     #: "btb", "rsb", "stl", or a third-party model name).
@@ -64,36 +66,19 @@ class GadgetReport:
 
     def to_dict(self) -> Dict[str, object]:
         """Stable, JSON-ready serialization (campaign checkpoints, workers)."""
-        return {
-            "tool": self.tool,
-            "channel": self.channel.value,
-            "attacker": self.attacker.value,
-            "pc": self.pc,
-            "branch_addresses": list(self.branch_addresses),
-            "depth": self.depth,
-            "description": self.description,
-            "variant": self.variant,
-        }
+        return write_record(self)
 
     @classmethod
-    def from_dict(cls, record: Dict[str, object]) -> "GadgetReport":
-        """Rebuild a report from :meth:`to_dict` output.
+    def from_dict(cls, record: object, error: type = ValueError,
+                  label: str = "{}") -> "GadgetReport":
+        """Rebuild a report from :meth:`to_dict` output; a field that does
+        not read back raises ``error``, named through ``label``.
 
         Records written before the multi-variant world carry no
         ``variant`` field; they were all produced by conditional-branch
         simulation, so the field defaults to ``"pht"``.
         """
-        return cls(
-            tool=str(record["tool"]),
-            channel=Channel(record["channel"]),
-            attacker=AttackerClass(record["attacker"]),
-            pc=int(record["pc"]),
-            branch_addresses=tuple(
-                int(address) for address in record.get("branch_addresses", ())),
-            depth=int(record.get("depth", 0)),
-            description=str(record.get("description", "")),
-            variant=str(record.get("variant", "pht")),
-        )
+        return read_record(cls, record, error, label)
 
 
 class ReportCollection:

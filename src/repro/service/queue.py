@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.campaign.spec import JobSpec
-from repro.records import REQUIRED, check_fields
+from repro.records import REQUIRED, check_fields, write_atomic
 
 #: Artifact tag of every record this queue writes.
 QUEUE_KIND = "repro.service/job"
@@ -200,17 +200,7 @@ class JobLease:
 
 
 def _atomic_write_json(path: str, record: Dict[str, object]) -> None:
-    directory = os.path.dirname(path)
-    fd, tmp_path = tempfile.mkstemp(prefix=".queue-", suffix=".tmp",
-                                    dir=directory)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(record, handle, sort_keys=True)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    write_atomic(path, json.dumps(record, sort_keys=True))
 
 
 def _link_json(path: str, record: Dict[str, object]) -> bool:

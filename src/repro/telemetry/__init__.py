@@ -24,6 +24,7 @@ do), or hand one to a specific runtime via
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Dict, Optional
 
 from repro._version import __version__
@@ -58,15 +59,6 @@ from repro.telemetry.tracing import (
     new_trace_id,
     read_trace,
 )
-
-try:
-    from contextlib import nullcontext as _nullcontext
-except ImportError:  # pragma: no cover - py<3.7 has no nullcontext
-    from contextlib import contextmanager as _cm
-
-    @_cm
-    def _nullcontext():
-        yield
 
 
 class Telemetry:
@@ -145,7 +137,7 @@ class Telemetry:
         """A trace span context (a null context without a trace writer)."""
         if self.trace is not None:
             return self.trace.span(name, **fields)
-        return _nullcontext()
+        return nullcontext()
 
     # -- engine hook ---------------------------------------------------------
     def record_execution(self, emulator, result) -> None:

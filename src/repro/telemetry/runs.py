@@ -33,7 +33,7 @@ import time
 from typing import Dict, List, Optional
 
 from repro._version import __version__
-from repro.records import REQUIRED, check_fields
+from repro.records import REQUIRED, check_fields, write_atomic
 
 #: Artifact type tag of ``manifest.json``.
 RUN_KIND = "repro.telemetry/run"
@@ -67,11 +67,7 @@ def _new_run_id() -> str:
 
 
 def _atomic_write_json(path: str, record: Dict[str, object]) -> None:
-    tmp_path = path + ".tmp"
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp_path, path)
+    write_atomic(path, json.dumps(record, indent=1, sort_keys=True) + "\n")
 
 
 class RunDirectory:
@@ -82,6 +78,8 @@ class RunDirectory:
         self.run_id = os.path.basename(self.path)
         #: metrics snapshots this object has written.
         self.snapshot_seq = 0
+        #: the last snapshot written: ``(metrics, types, path)``.
+        self._last_snapshot: Optional[tuple] = None
 
     # -- layout -------------------------------------------------------------
     @property
@@ -197,12 +195,13 @@ class RunDirectory:
 
     # -- metrics snapshots ---------------------------------------------------
     def write_metrics_snapshot(self, telemetry) -> str:
-        """Persist one registry snapshot.
+        """Persist one registry snapshot; returns its path.
 
         Called by the campaign round loop when a round closes and by
-        pipeline sessions at the end of a run.
+        pipeline sessions and the campaign CLI at the end of a run.  A
+        snapshot equal to the last one this object wrote (same metrics,
+        same types) is not written again: its path is returned.
         """
-        self.snapshot_seq += 1
         registry = telemetry.registry
         types: Dict[str, str] = {}
         for name in registry.counters():
@@ -211,11 +210,17 @@ class RunDirectory:
             types[name] = "gauge"
         for name in registry.histograms():
             types[name] = "histogram"
+        metrics = registry.snapshot()
+        types = dict(sorted(types.items()))
+        last = self._last_snapshot
+        if last is not None and last[:2] == (metrics, types):
+            return last[2]
+        self.snapshot_seq += 1
         record: Dict[str, object] = {
             "seq": self.snapshot_seq,
             "at": _utc_stamp(),
-            "metrics": registry.snapshot(),
-            "types": dict(sorted(types.items())),
+            "metrics": metrics,
+            "types": types,
         }
         os.makedirs(self.metrics_dir, exist_ok=True)
         path = os.path.join(self.metrics_dir,
@@ -223,6 +228,7 @@ class RunDirectory:
         _atomic_write_json(path, record)
         _atomic_write_json(os.path.join(self.metrics_dir, "latest.json"),
                            record)
+        self._last_snapshot = (metrics, types, path)
         return path
 
     def latest_metrics(self) -> Optional[Dict[str, object]]:

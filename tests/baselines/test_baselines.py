@@ -113,3 +113,26 @@ def test_nesting_disabled_configs():
     assert SpecTaintConfig().without_nesting().nested_speculation is False
     # The original configs are unchanged.
     assert SpecFuzzConfig().nested_speculation is True
+
+
+def test_tool_table_gives_every_campaign_tool_its_meaning(
+        spectre_victim_binary, inbounds_input):
+    """One table entry per campaign tool, in the spec's (and the bench
+    stage's) order; each builds a runtime that runs the victim on the
+    engine its configuration names."""
+    import repro.api as api
+    from repro.campaign.spec import TOOLS
+    from repro.campaign.worker import TOOL_TABLE
+
+    assert tuple(TOOL_TABLE) == TOOLS == api.BENCH_TOOLS
+    for name, tool in TOOL_TABLE.items():
+        config = tool.make_config("legacy")
+        binary = tool.instrument(spectre_victim_binary, config)
+        assert (binary is spectre_victim_binary) == (tool.rewriter is None)
+        if tool.rewriter is not None:
+            assert binary.metadata["tool"] == name
+            assert config.engine == "legacy"
+        runtime = tool.runtime(binary, config=config)
+        assert type(runtime.emulator).__name__ in ("Emulator",
+                                                   "SpecTaintEmulator")
+        assert runtime.run(inbounds_input).ok

@@ -3,6 +3,11 @@
 import pytest
 
 from repro.campaign.spec import (
+    MAX_INPUT_SIZE,
+    MAX_ITERATIONS,
+    MAX_ROUNDS,
+    MAX_SHARDS,
+    MAX_WORKERS,
     CampaignSpec,
     JobSpec,
     derive_seed,
@@ -72,6 +77,26 @@ def test_spec_validation():
         CampaignSpec(targets=("gadgets",), rounds=0)
     with pytest.raises(ValueError):
         CampaignSpec(targets=("gadgets",), derive_seeds=False, shards=2)
+
+
+@pytest.mark.parametrize("name, low, high", [
+    ("iterations", 1, MAX_ITERATIONS),
+    ("rounds", 1, MAX_ROUNDS),
+    ("shards", 1, MAX_SHARDS),
+    ("workers", 0, MAX_WORKERS),
+    ("max_input_size", 1, MAX_INPUT_SIZE),
+])
+def test_spec_integers_are_bounded(name, low, high):
+    """A spec integer reads back up to its bound and is refused past it,
+    naming the field (the HTTP submit path answers that with a 400)."""
+    for value in (low, high):
+        spec = CampaignSpec.from_dict({"targets": ["gadgets"], name: value})
+        assert getattr(spec, name) == value
+    for value in (low - 1, high + 1, 10**300):
+        with pytest.raises(ValueError) as excinfo:
+            CampaignSpec.from_dict({"targets": ["gadgets"], name: value})
+        assert str(excinfo.value) == (
+            f"{name}: must be between {low} and {high}")
 
 
 def test_legacy_seeding_uses_campaign_seed_directly():

@@ -9,6 +9,7 @@ from repro.core import TeapotRewriter
 from repro.core.teapot import TeapotRuntime
 from repro.coverage.sancov import CoverageMap, CoverageRuntime
 from repro.fuzzing import Corpus, Fuzzer, FuzzTarget, Mutator
+from repro.fuzzing.corpus import CorpusEntry
 from repro.minic.compiler import compile_source
 
 
@@ -102,6 +103,14 @@ def test_corpus_dict_round_trip():
     assert rebuilt.entries[1].reason == "both"
     # The rebuilt corpus still deduplicates against its own entries.
     assert not rebuilt.add(b"b", 0, 0)
+
+
+def test_corpus_entry_from_dict_names_the_damaged_field():
+    record = Corpus([b"a"]).to_dicts()[0]
+    with pytest.raises(ValueError, match=r"^data: bad value$"):
+        CorpusEntry.from_dict(dict(record, data="zz"))
+    with pytest.raises(ValueError, match=r"^executions: wrong type$"):
+        CorpusEntry.from_dict(dict(record, executions="1"))
 
 
 def test_corpus_select_round_robin():

@@ -133,40 +133,24 @@ def test_variant_models_identical_across_engines(variants):
         )
 
 
-def test_fuzzer_engine_selection_rebuilds_target():
-    """Fuzzer(engine=...) swaps the runtime's engine without changing results."""
+def test_config_engine_selection_keeps_fuzz_results():
+    """A runtime built from ``config.with_engine(...)`` runs on that
+    engine, and fuzzing it gives the legacy engine's results."""
     target = get_target("gadgets")
     config = TeapotConfig(engine="legacy")
     binary = TeapotRewriter(config).instrument(compile_vanilla(target))
-    runtime = TeapotRuntime(binary, config=config)
-    assert runtime.engine == "legacy"
-
-    fuzzer = Fuzzer(FuzzTarget(runtime), seeds=list(target.seeds), seed=5,
-                    engine="fast")
-    assert fuzzer.target.runtime.engine == "fast"
-    assert isinstance(fuzzer.target.runtime.emulator, FastEmulator)
-
-    jit_fuzzer = Fuzzer(FuzzTarget(runtime), seeds=list(target.seeds), seed=5,
-                        engine="jit")
-    assert jit_fuzzer.target.runtime.engine == "jit"
-    assert isinstance(jit_fuzzer.target.runtime.emulator, JitEmulator)
-
-    legacy_fuzzer = Fuzzer(FuzzTarget(runtime), seeds=list(target.seeds), seed=5)
-    fast_result = fuzzer.run_campaign(60)
-    jit_result = jit_fuzzer.run_campaign(60)
-    legacy_result = legacy_fuzzer.run_campaign(60)
-    assert fast_result.total_cycles == legacy_result.total_cycles
-    assert jit_result.total_cycles == legacy_result.total_cycles
-    assert fast_result.reports.to_dicts() == legacy_result.reports.to_dicts()
-    assert jit_result.reports.to_dicts() == legacy_result.reports.to_dicts()
-
-
-def test_fuzzer_engine_selection_requires_support():
-    """Engine selection on a bare-emulator target raises a clear error."""
-    target = get_target("gadgets")
-    binary = compile_vanilla(target)
-    with pytest.raises(ValueError, match="engine selection"):
-        Fuzzer(FuzzTarget(Emulator(binary)), seeds=[b"\x00"], engine="fast")
+    results = {}
+    for engine, emulator_cls in (("legacy", Emulator), ("fast", FastEmulator),
+                                 ("jit", JitEmulator)):
+        runtime = TeapotRuntime(binary, config=config.with_engine(engine))
+        assert type(runtime.emulator) is emulator_cls
+        fuzzer = Fuzzer(FuzzTarget(runtime), seeds=list(target.seeds), seed=5)
+        results[engine] = fuzzer.run_campaign(60)
+    legacy_result = results["legacy"]
+    for engine in ("fast", "jit"):
+        assert results[engine].total_cycles == legacy_result.total_cycles
+        assert (results[engine].reports.to_dicts()
+                == legacy_result.reports.to_dicts())
 
 
 def test_resolve_engine_rejects_unknown():

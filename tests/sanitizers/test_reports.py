@@ -52,6 +52,21 @@ def test_from_dict_defaults_missing_variant_to_pht():
     assert rebuilt == make_report()
 
 
+@pytest.mark.parametrize("edit, error", [
+    (lambda record: record.pop("tool"), "tool: missing"),
+    (lambda record: record.update(pc="0x100"), "pc: wrong type"),
+    (lambda record: record.update(channel="radio"), "channel: bad value"),
+    (lambda record: record.update(branch_addresses=["x"]),
+     "branch_addresses: wrong item type"),
+])
+def test_from_dict_names_the_damaged_field(edit, error):
+    record = make_report().to_dict()
+    edit(record)
+    with pytest.raises(ValueError) as excinfo:
+        GadgetReport.from_dict(record)
+    assert str(excinfo.value) == error
+
+
 def test_collection_dedups_by_site():
     collection = ReportCollection()
     assert collection.add(make_report())

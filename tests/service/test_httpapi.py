@@ -10,7 +10,8 @@ import urllib.request
 import pytest
 
 from repro.campaign.scheduler import CampaignScheduler
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.spec import (MAX_ITERATIONS, MAX_ROUNDS, MAX_SHARDS,
+                                 CampaignSpec)
 from repro.service.core import FuzzService
 from repro.service.httpapi import ServiceApiServer
 from repro.service.worker import ServiceWorker
@@ -173,6 +174,26 @@ def test_http_mistyped_spec_fields_are_400s(server):
         assert excinfo.value.code == 400
         error = json.loads(excinfo.value.read())["error"]
         assert error == f"invalid campaign spec: {name}: wrong type"
+    assert _get(server.url + "/v1/campaigns")["campaigns"] == []
+
+
+#: Submit bodies whose spec holds an integer past its upper bound.
+OUT_OF_RANGE_SPECS = [
+    ({"iterations": 10**300}, "iterations", MAX_ITERATIONS),
+    ({"rounds": 10**9}, "rounds", MAX_ROUNDS),
+    ({"shards": 10**6}, "shards", MAX_SHARDS),
+]
+
+
+def test_http_out_of_range_spec_fields_are_400s(server):
+    for fields, name, high in OUT_OF_RANGE_SPECS:
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(server.url + "/v1/campaigns",
+                  {"spec": dict(targets=["gadgets"], **fields)})
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read())["error"]
+        assert error == (f"invalid campaign spec: {name}: must be between "
+                         f"1 and {high}")
     assert _get(server.url + "/v1/campaigns")["campaigns"] == []
 
 

@@ -445,6 +445,10 @@ DAMAGED_RESULTS = {
               "DoneRecordError: result.job_id: missing"),
     "executions": (lambda result: result.update(executions="x"),
                    "DoneRecordError: result.executions: wrong type"),
+    "reports": (lambda result: result.update(reports=[{"x": 1}]),
+                "DoneRecordError: result.reports[0].tool: missing"),
+    "corpus": (lambda result: result.update(corpus=[{"x": 1}]),
+               "DoneRecordError: result.corpus[0].data: missing"),
 }
 
 

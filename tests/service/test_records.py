@@ -10,7 +10,8 @@ from typing import Dict, Tuple
 import pytest
 
 from repro.campaign.spec import JobSpec
-from repro.records import REQUIRED, check_fields, read_record, write_record
+from repro.records import (REQUIRED, check_fields, read_record, write_atomic,
+                           write_record)
 from repro.service.queue import JobQueue
 
 FIELDS = {"name": (str, REQUIRED), "count": (int, 0),
@@ -103,3 +104,16 @@ def test_job_record_that_is_not_utf8_fails_its_job(tmp_path):
     assert queue.claim("w0", visibility_timeout=30) is None
     assert queue.result(fingerprint)["result"]["error"] == (
         "JobRecordError: record: not JSON")
+
+
+def test_atomic_write_replaces_whole_and_cleans_up_on_failure(tmp_path):
+    path = tmp_path / "record.json"
+    write_atomic(str(path), '{"a": 1}')
+    write_atomic(str(path), '{"a": 2}\n')
+    assert path.read_text(encoding="utf-8") == '{"a": 2}\n'
+    # A failed rename (the target is a directory) leaves no temp file.
+    (tmp_path / "dir").mkdir()
+    with pytest.raises(OSError):
+        write_atomic(str(tmp_path / "dir"), "{}")
+    assert sorted(os.listdir(tmp_path)) == ["dir", "record.json"]
+

@@ -109,18 +109,22 @@ def test_variant_off_means_no_variant_reports(variant_binaries):
     assert "entered_btb" not in result.spec_stats
 
 
-def test_fuzzer_variant_selection_rebuilds_target(variant_binaries):
-    """Fuzzer(variants=...) swaps the runtime's variant set."""
-    config = TeapotConfig()
-    runtime = TeapotRuntime(variant_binaries["stl"], config=config)
-    fuzzer = Fuzzer(FuzzTarget(runtime), seeds=[b"\x01"], seed=3,
-                    variants=["stl", "pht"])
-    assert fuzzer.target.runtime.config.variants == ("stl", "pht")
-    with pytest.raises(ValueError, match="variant selection"):
-        from repro.runtime.emulator import Emulator
-
-        Fuzzer(FuzzTarget(Emulator(variant_binaries["stl"])),
-               seeds=[b"\x01"], variants=["stl"])
+def test_config_variant_selection_decides_the_simulated_variants(
+        variant_binaries):
+    """A runtime built from ``config.with_variants(...)`` simulates
+    exactly those variants: the planted STL sites appear only with STL."""
+    target = get_target("gadgets-stl")
+    found = {}
+    for variants in (("pht",), ("stl", "pht")):
+        config = TeapotConfig().with_variants(*variants)
+        assert config.variants == variants
+        fuzzer = Fuzzer(FuzzTarget(TeapotRuntime(variant_binaries["stl"],
+                                                 config=config)),
+                        seeds=list(target.seeds), seed=3)
+        found[variants] = {report.variant
+                           for report in fuzzer.run_campaign(30).reports}
+    assert found[("pht",)] <= {"pht"}
+    assert "stl" in found[("stl", "pht")]
 
 
 def test_campaign_variant_axis_and_resume_across_variant_sets(tmp_path):

@@ -9,6 +9,9 @@ whose counters match the RunResult totals.
 
 from __future__ import annotations
 
+import json
+import os
+
 import repro.api as api
 from repro.campaign.worker import build_runtime
 from repro.telemetry import Telemetry, read_trace, aggregate_trace
@@ -172,3 +175,37 @@ def test_version_satellite_is_consistent():
         setup_text = handle.read()
     assert "_version.py" in setup_text
     assert re.match(r"^\d+\.\d+\.\d+$", __version__)
+
+
+def _recorded_snapshots(root):
+    """The metrics snapshots of the one run recorded under ``root``."""
+    (run,) = os.listdir(root)
+    metrics = root / run / "metrics"
+    return [json.loads((metrics / name).read_text(encoding="utf-8"))
+            for name in sorted(os.listdir(metrics))
+            if name.startswith("snapshot-")]
+
+
+def test_recorded_pipeline_writes_one_snapshot_per_round(tmp_path):
+    """The session's final snapshot equals the last round's: not written."""
+    (api.pipeline(target="gadgets", seed=5)
+     .fuzz(iterations=60, rounds=2)
+     .telemetry(runs_root=str(tmp_path / "runs"))
+     .report())
+    snapshots = _recorded_snapshots(tmp_path / "runs")
+    assert [snapshot["seq"] for snapshot in snapshots] == [1, 2]
+
+
+def test_recorded_pipeline_ends_with_the_hardening_gauges(tmp_path):
+    """Stages after the last round still reach a final snapshot."""
+    (api.pipeline(target="gadgets", seed=5)
+     .fuzz(iterations=60)
+     .harden("fence")
+     .refuzz()
+     .telemetry(runs_root=str(tmp_path / "runs"))
+     .report())
+    last = _recorded_snapshots(tmp_path / "runs")[-1]["metrics"]
+    for name in ("harden.native_cycles", "harden.eliminated",
+                 "harden.residual"):
+        assert name in last
+

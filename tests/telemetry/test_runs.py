@@ -126,9 +126,14 @@ def test_metrics_snapshots_record_types_and_live_counts(tmp_path):
     assert "spool_offset" not in snapshot
     # live_counts = the latest snapshot's numbers (histograms left out).
     bundle.registry.counter("fuzz.executions").inc(5)
-    run.write_metrics_snapshot(bundle)
+    second = run.write_metrics_snapshot(bundle)
     assert run.live_counts() == {"fuzz.corpus_size": 4,
                                  "fuzz.executions": 15}
+    # An unchanged registry writes no further snapshot.
+    assert run.write_metrics_snapshot(bundle) == second
+    assert run.snapshot_seq == 2
+    assert sorted(os.listdir(run.metrics_dir)) == [
+        "latest.json", "snapshot-000001.json", "snapshot-000002.json"]
     # Snapshots written by older versions carry a spool offset: ignored.
     with open(os.path.join(run.metrics_dir, "latest.json"), "w",
               encoding="utf-8") as handle:
