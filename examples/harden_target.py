@@ -12,13 +12,13 @@ Usage:  python examples/harden_target.py [target] [iterations]
         iterations to 400 executions per campaign.
 
 Equivalent CLI:
-        python -m repro.hardening --target gadgets --strategy all \
-            --iterations 400
+        repro harden --target gadgets --strategy all --iterations 400
 """
 
 import sys
 
-from repro.hardening import STRATEGIES, detect_reports, run_hardening
+import repro.api as api
+from repro.hardening import STRATEGIES
 
 
 def main() -> None:
@@ -26,17 +26,25 @@ def main() -> None:
     iterations = int(sys.argv[2]) if len(sys.argv) > 2 else 400
 
     print(f"fuzzing {target} for {iterations} executions ...")
-    reports = detect_reports(target, iterations=iterations, seed=1234)
-    print(f"  {len(reports)} unique gadget sites reported\n")
-
+    # One detection campaign; every strategy patches its report set and
+    # re-fuzzes the hardened build with the same campaign.
+    chain = api.pipeline(target=target, seed=1234).fuzz(iterations=iterations)
     for strategy in STRATEGIES:
-        result = run_hardening(
-            target, strategy, iterations=iterations, seed=1234,
-            reports=reports,
-        )
-        print(result.format_summary())
-        verdict = ("all reported sites eliminated" if result.all_eliminated
-                   else f"{len(result.residual)} residual site(s)!")
+        chain.harden(strategy).refuzz()
+    run = chain.report()
+    print(f"  {run.stage('fuzz').payload['unique_gadgets']} unique gadget "
+          f"sites reported\n")
+
+    for stage in run.stages:
+        if stage.kind != "refuzz":
+            continue
+        result = stage.payload
+        print(f"strategy={stage.label}: {len(result['eliminated'])}/"
+              f"{len(result['sites_before'])} sites eliminated, overhead "
+              f"{result['overhead']:.3f}x ({result['hardened_cycles']} vs "
+              f"{result['native_cycles']} cycles)")
+        verdict = ("all reported sites eliminated" if result["all_eliminated"]
+                   else f"{len(result['residual'])} residual site(s)!")
         print(f"  -> {verdict}\n")
 
 

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence
 
 import repro.api as api
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.summary import CampaignSummary
 from repro.campaign.worker import instrumented_binary
 from repro.core.config import TeapotConfig
 from repro.core.teapot import TeapotRewriter, TeapotRuntime
@@ -26,6 +25,7 @@ from repro.analysis.metrics import DetectionScore, classify_reports
 from repro.targets import get_target
 from repro.targets.injection import inject_gadgets
 from repro.plugins import DEFAULT_ENGINE
+from repro.records import read_record
 
 #: SpecTaint's Table 3 numbers as reported in the SpecTaint paper (the
 #: artifact could not be re-run; see paper §7.2 and Appendix B.8.2).
@@ -361,75 +361,24 @@ def run_hardening_matrix(
 ) -> List[HardeningRow]:
     """Harden every target with every strategy and verify by re-fuzzing.
 
-    The detection campaign runs once per target; all strategies patch from
-    the same report set, so their eliminated/residual/overhead numbers are
-    directly comparable.  Every step goes through the :mod:`repro.api`
-    Pipeline — one ``fuzz`` detection run per target, then one
-    ``reports → harden → refuzz`` chain per strategy — and produces the
-    same :class:`HardeningResult` rows as the classic
-    :func:`repro.hardening.pipeline.run_hardening` entry point.
+    One :mod:`repro.api` pipeline per target: one ``fuzz`` detection
+    campaign, then one ``harden → refuzz`` pair per strategy, all patching
+    from the same report set, so their eliminated/residual/overhead
+    numbers are directly comparable (``repro harden --strategy all`` runs
+    the same chain).
     """
     rows: List[HardeningRow] = []
     for name in targets:
-        row = HardeningRow(target=name, variant=variant)
-        # One detection campaign per target; every strategy patches from
-        # the same report set so the comparison is apples to apples.
-        detection = (api.pipeline(target=name, variant=variant, tool=tool,
-                                  engine=engine, seed=seed)
-                     .fuzz(iterations=iterations)
-                     .report())
-        reports = detection.gadget_reports()
+        chain = (api.pipeline(target=name, variant=variant, tool=tool,
+                              engine=engine, seed=seed,
+                              perf_input_size=perf_input_size)
+                 .fuzz(iterations=iterations))
         for strategy in strategies:
-            verified = (api.pipeline(target=name, variant=variant, tool=tool,
-                                     engine=engine, seed=seed,
-                                     perf_input_size=perf_input_size)
-                        .reports(reports)
-                        .harden(strategy)
-                        .refuzz(iterations=iterations)
-                        .report())
-            row.results[strategy] = verified.hardening_result
+            chain.harden(strategy).refuzz()
+        row = HardeningRow(target=name, variant=variant)
+        for stage in chain.report().stages:
+            if stage.kind == "refuzz":
+                row.results[stage.label] = read_record(
+                    HardeningResult, stage.payload, api.ResultSchemaError)
         rows.append(row)
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Whole-suite campaign matrices
-# ---------------------------------------------------------------------------
-
-def run_matrix(
-    targets: Optional[Sequence[str]] = None,
-    tools: Sequence[str] = ("teapot",),
-    variants: Sequence[str] = ("vanilla",),
-    iterations: int = 200,
-    rounds: int = 2,
-    shards: int = 2,
-    seed: int = 0,
-    workers: int = 1,
-    checkpoint_path: Optional[str] = None,
-    resume: bool = False,
-    engine: str = DEFAULT_ENGINE,
-) -> CampaignSummary:
-    """Run a whole-suite campaign matrix and return its summary.
-
-    This is the library-level equivalent of ``python -m repro.campaign``:
-    sharded corpora with cross-worker sync every round, report dedup
-    across workers, and optional checkpoint/resume — routed through the
-    :meth:`repro.api.Pipeline.campaign` stage.
-    """
-    from repro.targets import runnable_targets
-
-    spec = CampaignSpec(
-        targets=tuple(targets if targets is not None else runnable_targets()),
-        tools=tuple(tools),
-        variants=tuple(variants),
-        iterations=iterations,
-        rounds=rounds,
-        shards=shards,
-        seed=seed,
-        workers=workers,
-        engine=engine,
-    )
-    run = (api.pipeline()
-           .campaign(spec=spec, checkpoint=checkpoint_path, resume=resume)
-           .report())
-    return run.summary

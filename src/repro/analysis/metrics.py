@@ -13,8 +13,8 @@ disabled, so only ``attack_input()`` data carries the User tag).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.loader.binary_format import TelfBinary
 from repro.sanitizers.reports import AttackerClass, GadgetReport

@@ -14,10 +14,10 @@ Subcommands::
     repro runs show <run-id> --json
     repro runs list
 
-``fuzz``, ``report``, ``bench`` and ``targets`` are implemented directly
-over :mod:`repro.api`'s Pipeline builder and :class:`~repro.api.result.
-RunResult` artifact; ``campaign`` and ``harden`` forward to the
-subsystem CLIs.  The only HTTP server is the service API
+``fuzz``, ``harden``, ``report``, ``bench`` and ``targets`` are
+implemented directly over :mod:`repro.api`'s Pipeline builder and
+:class:`~repro.api.result.RunResult` artifact; ``campaign`` forwards to
+the campaign CLI.  The only HTTP server is the service API
 (:mod:`repro.service.httpapi`): ``repro serve`` runs it standalone and
 ``repro campaign --serve`` binds it over the campaign's ephemeral
 service.  ``repro top`` reads either that API or a run directory.
@@ -29,19 +29,14 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import repro.api as api
 from repro._version import __version__
+from repro.campaign.spec import TOOLS, VARIANTS
+from repro.hardening.passes import STRATEGIES
 from repro.plugins import DEFAULT_ENGINE
-
-#: Subcommands forwarded verbatim to the subsystem CLIs.
-_FORWARDED = {
-    "campaign": ("repro.campaign.cli",
-                 "run a multi-target fuzzing campaign matrix"),
-    "harden": ("repro.hardening.cli",
-               "detect, patch, and verify one target"),
-}
+from repro.records import read_record
 
 #: Fuzzing-service subcommands, dispatched through repro.service.cli
 #: (which keeps submit/status import-light urllib clients).
@@ -99,9 +94,54 @@ def build_parser() -> argparse.ArgumentParser:
                       help="record per-opcode/per-address emulator hot "
                            "spots into the telemetry snapshot")
 
-    for name, (_, help_text) in _FORWARDED.items():
-        fwd = sub.add_parser(name, help=help_text, add_help=False)
-        fwd.add_argument("rest", nargs=argparse.REMAINDER)
+    campaign = sub.add_parser(
+        "campaign", help="run a multi-target fuzzing campaign matrix",
+        add_help=False)
+    campaign.add_argument("rest", nargs=argparse.REMAINDER)
+
+    harden = sub.add_parser(
+        "harden", help="detect, patch, and verify one target",
+        description="Report-guided mitigation synthesis with re-fuzz "
+                    "verification and cycle-overhead accounting.")
+    harden.add_argument("--target", required=True, type=_target_name,
+                        help=f"target to harden "
+                             f"({', '.join(api.target_names())})")
+    harden.add_argument("--strategy", default="fence", type=_strategies,
+                        help="mitigation strategy "
+                             f"({', '.join(api.strategy_names())}) or 'all' "
+                             "to compare the built-in strategies")
+    harden.add_argument("--variant", choices=VARIANTS, default="vanilla",
+                        help="binary variant to fuzz and patch "
+                             "(default: vanilla)")
+    harden.add_argument("--tool", choices=TOOLS, default="teapot",
+                        help="detector producing the reports "
+                             "(default: teapot)")
+    harden.add_argument("--iterations", type=int, default=400,
+                        help="fuzzing executions for the detection and "
+                             "verification campaigns (default: 400)")
+    harden.add_argument("--rounds", type=int, default=1,
+                        help="corpus-sync rounds per campaign (default: 1)")
+    harden.add_argument("--seed", type=int, default=1234,
+                        help="campaign seed (default: 1234)")
+    harden.add_argument("--engine", choices=tuple(api.engine_names()),
+                        default=DEFAULT_ENGINE,
+                        help=f"emulator engine (default: {DEFAULT_ENGINE})")
+    harden.add_argument("--variants", default="pht", dest="spec_variants",
+                        type=_spec_variants,
+                        help="comma-separated speculation variants both "
+                             "campaigns simulate (pht, btb, rsb, stl; "
+                             "default: pht)")
+    harden.add_argument("--perf-size", type=int, default=200,
+                        help="crafted performance-input size for the "
+                             "overhead account (default: 200)")
+    harden.add_argument("--report-in", metavar="PATH", default=None,
+                        help="JSON gadget reports to patch from (skips the "
+                             "detection campaign)")
+    harden.add_argument("--json", metavar="PATH", default=None,
+                        help="write the hardening report(s) as JSON "
+                             "('-' for stdout)")
+    harden.add_argument("--quiet", action="store_true",
+                        help="suppress progress output")
 
     for name, help_text in _SERVICE_COMMANDS.items():
         fwd = sub.add_parser(name, help=help_text, add_help=False)
@@ -187,6 +227,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _target_name(name: str) -> str:
+    if name not in api.target_names():
+        raise argparse.ArgumentTypeError(
+            f"unknown target {name!r}; "
+            f"choose from {', '.join(api.target_names())}")
+    return name
+
+
+def _strategies(name: str) -> Sequence[str]:
+    """``all``: the built-in strategies; else one registered strategy
+    (the registry includes third-party ``@register_pass`` plugins)."""
+    if name == "all":
+        return STRATEGIES
+    if name not in api.strategy_names():
+        raise argparse.ArgumentTypeError(
+            f"unknown strategy {name!r}; "
+            f"choose from {', '.join(api.strategy_names())} or 'all'")
+    return (name,)
+
+
+def _spec_variants(text: str) -> Sequence[str]:
+    from repro.campaign.cli import _parse_list
+
+    return tuple(_parse_list(text, api.model_names(), "speculation variant"))
+
+
+def _progress(quiet: bool):
+    """The stderr progress printer of a run (None under ``--quiet``)."""
+    return None if quiet else (
+        lambda message: print(f"[repro] {message}", file=sys.stderr))
+
+
 def _emit_result(run: "api.RunResult", json_arg: Optional[str],
                  quiet: bool) -> None:
     """Print the run summary and write the artifact where asked.
@@ -204,15 +276,14 @@ def _emit_result(run: "api.RunResult", json_arg: Optional[str],
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    progress = None if args.quiet else (
-        lambda message: print(f"[repro] {message}", file=sys.stderr))
     spec_variants = tuple(
         item.strip() for item in args.variants.split(",") if item.strip())
     try:
         run = (api.pipeline(
                    target=args.target, variant=args.variant, tool=args.tool,
                    engine=args.engine, seed=args.seed, workers=args.workers,
-                   max_input_size=args.max_input_size, progress=progress)
+                   max_input_size=args.max_input_size,
+                   progress=_progress(args.quiet))
                .variants(*spec_variants)
                .fuzz(iterations=args.iterations, rounds=args.rounds,
                      shards=args.shards, checkpoint=args.checkpoint,
@@ -227,6 +298,67 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         return 2
     _emit_result(run, args.json, args.quiet)
     return 0
+
+
+def _load_reports(path: str) -> List[api.GadgetReport]:
+    """Read gadget reports from a JSON file.
+
+    Accepts either a plain list of ``GadgetReport.to_dict`` records or an
+    object with a ``"reports"`` key holding one (the shape the campaign
+    checkpoint and hardening outputs use).
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        payload = json.load(handle)
+    if isinstance(payload, dict):
+        payload = payload.get("reports", [])
+    if not isinstance(payload, list):
+        raise ValueError(f"{path}: expected a list of report records")
+    return [api.GadgetReport.from_dict(record) for record in payload]
+
+
+def _cmd_harden(args: argparse.Namespace) -> int:
+    """Detect once (or read ``--report-in``), then patch and re-fuzz
+    every strategy: one ``harden``/``refuzz`` pair per strategy."""
+    chain = (api.pipeline(target=args.target, variant=args.variant,
+                          tool=args.tool, engine=args.engine, seed=args.seed,
+                          perf_input_size=args.perf_size,
+                          progress=_progress(args.quiet))
+             .variants(*args.spec_variants))
+    if args.report_in:
+        try:
+            chain.reports(_load_reports(args.report_in))
+        except (OSError, ValueError, KeyError) as error:
+            print(f"error: cannot load {args.report_in}: {error}",
+                  file=sys.stderr)
+            return 2
+    else:
+        chain.fuzz(iterations=args.iterations, rounds=args.rounds)
+    for strategy in args.strategy:
+        chain.harden(strategy).refuzz(iterations=args.iterations,
+                                      rounds=args.rounds)
+    try:
+        run = chain.report()
+    except (ValueError, RuntimeError, KeyError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    results = [read_record(api.HardeningResult, stage.payload,
+                           api.ResultSchemaError)
+               for stage in run.stages if stage.kind == "refuzz"]
+    # With ``--json -`` stdout carries machine-readable output only; the
+    # human summaries move to stderr so piping stays clean.
+    summary_stream = sys.stderr if args.json == "-" else sys.stdout
+    for result in results:
+        print(result.format_summary(), file=summary_stream)
+    payload = json.dumps([result.to_dict() for result in results],
+                         indent=1, sort_keys=True)
+    if args.json == "-":
+        print(payload)
+    elif args.json:
+        with open(args.json, "w", encoding="utf-8") as handle:
+            handle.write(payload + "\n")
+    # Exit non-zero when a strategy left residual sites, so CI can gate on
+    # "the patches actually worked".
+    return 1 if any(result.residual for result in results) else 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -247,12 +379,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    progress = None if args.quiet else (
-        lambda message: print(f"[repro] {message}", file=sys.stderr))
     tools = tuple(t.strip() for t in args.tools.split(",") if t.strip())
     try:
         run = (api.pipeline(target=args.target, variant=args.variant,
-                            engine=args.engine, progress=progress)
+                            engine=args.engine,
+                            progress=_progress(args.quiet))
                .bench(input_size=args.input_size, tools=tools)
                .report())
     except (api.PipelineError, api.UnknownPluginError, ValueError) as error:
@@ -429,12 +560,12 @@ def _cmd_targets(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # The campaign/harden subcommands forward verbatim (including --help)
-    # to the subsystem CLIs, re-branded with the `repro <sub>` prog.
-    if argv and argv[0] in _FORWARDED:
-        module_name, _ = _FORWARDED[argv[0]]
-        module = __import__(module_name, fromlist=["main"])
-        return module.main(argv[1:], prog=f"repro {argv[0]}")
+    # The campaign subcommand forwards verbatim (including --help) to the
+    # campaign CLI, re-branded with the `repro campaign` prog.
+    if argv and argv[0] == "campaign":
+        from repro.campaign import cli as campaign_cli
+
+        return campaign_cli.main(argv[1:], prog="repro campaign")
     if argv and argv[0] in _SERVICE_COMMANDS:
         from repro.service import cli as service_cli
 
@@ -446,6 +577,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     handler = {
         "fuzz": _cmd_fuzz,
+        "harden": _cmd_harden,
         "report": _cmd_report,
         "bench": _cmd_bench,
         "targets": _cmd_targets,

@@ -23,10 +23,13 @@ selection all apply), ``harden``/``refuzz`` are the
 :func:`repro.hardening.pipeline.verify_patch` halves of the detect →
 patch → verify loop, ``campaign`` runs a whole multi-target matrix, and
 ``bench`` measures native-vs-instrumented cycle counts the way the
-paper's Figure 7 does.  Every name a stage takes (target, engine, tool,
-strategy) resolves through the plugin registries in
-:mod:`repro.plugins`, so third-party plugins flow through the same
-builder.
+paper's Figure 7 does.  This is the only driver of the detect → patch →
+verify loop: ``repro harden`` and
+:func:`repro.analysis.experiments.run_hardening_matrix` build
+``fuzz → (harden → refuzz) per strategy`` chains over it.  Every name a
+stage takes (target, engine, tool, strategy) resolves through the plugin
+registries in :mod:`repro.plugins`, so third-party plugins flow through
+the same builder.
 """
 
 from __future__ import annotations
@@ -314,8 +317,8 @@ class Pipeline:
         """Verify the hardened binary by re-running the detection campaign.
 
         Defaults to the preceding fuzz stage's budget (or 400 iterations /
-        1 round after a ``reports`` stage), mirroring
-        :func:`repro.hardening.pipeline.run_hardening`.
+        1 round after a ``reports`` stage).  A pipeline may chain several
+        ``harden``/``refuzz`` pairs: each patches the same report set.
         """
         if not any(s.kind == "harden" for s in self._stages):
             raise PipelineError("refuzz() verifies a hardened binary: add a "
@@ -520,12 +523,7 @@ class Session:
     # -- stage implementations ---------------------------------------------
     def _group_spec(self, iterations: int, rounds: int,
                     shards: int = 1) -> CampaignSpec:
-        """The single-group campaign spec fuzz and refuzz stages share.
-
-        Matches :func:`repro.hardening.pipeline.run_hardening`'s detection
-        spec field for field, which is what keeps facade runs bit-identical
-        with the classic entry points.
-        """
+        """The single-group campaign spec fuzz and refuzz stages share."""
         b = self.builder
         return CampaignSpec(
             targets=(b._target,),

@@ -30,6 +30,11 @@ MAX_ROUNDS = 10_000
 MAX_SHARDS = 256
 MAX_WORKERS = 64
 MAX_INPUT_SIZE = 1 << 20
+#: Upper bounds of the retry knobs: a failing job is retried at most
+#: ``MAX_ATTEMPTS - 1`` times, sleeping at most ``MAX_BACKOFF_S * 2**n``.
+MAX_ATTEMPTS = 10
+MAX_BACKOFF_S = 60
+MAX_JOB_TIMEOUT_S = 86_400
 
 
 def derive_seed(campaign_seed: int, *coords: object) -> int:
@@ -188,7 +193,11 @@ class CampaignSpec:
                                 ("rounds", 1, MAX_ROUNDS),
                                 ("shards", 1, MAX_SHARDS),
                                 ("workers", 0, MAX_WORKERS),
-                                ("max_input_size", 1, MAX_INPUT_SIZE)):
+                                ("max_input_size", 1, MAX_INPUT_SIZE),
+                                ("job_timeout_s", 0, MAX_JOB_TIMEOUT_S),
+                                ("job_max_attempts", 1, MAX_ATTEMPTS),
+                                ("job_retry_backoff_s", 0, MAX_BACKOFF_S)):
+            # (NaN compares false both ways, so it is refused too.)
             if not low <= getattr(self, name) <= high:
                 raise ValueError(
                     f"{name}: must be between {low} and {high}")
@@ -216,12 +225,6 @@ class CampaignSpec:
                 raise ValueError(
                     f"unknown speculation variant {spec_variant!r}; "
                     f"expected one of {tuple(model_names())}")
-        if self.job_timeout_s < 0:
-            raise ValueError("job_timeout_s must be >= 0 (0 = unlimited)")
-        if self.job_max_attempts < 1:
-            raise ValueError("job_max_attempts must be >= 1")
-        if self.job_retry_backoff_s < 0:
-            raise ValueError("job_retry_backoff_s must be >= 0")
         if (
             all(tool == "spectaint" for tool in self.tools)
             and "pht" not in self.spec_variants

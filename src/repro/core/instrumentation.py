@@ -24,7 +24,7 @@ from repro.isa.instructions import (
     is_pseudo,
     is_serializing,
 )
-from repro.isa.operands import Imm, Mem
+from repro.isa.operands import Imm
 from repro.rewriting.passes import RewritePass
 
 

@@ -20,7 +20,7 @@ from typing import Dict
 
 from repro.disasm.ir import IRFunction, Module
 from repro.isa.instructions import Instruction, Opcode
-from repro.isa.operands import Label, Mem
+from repro.isa.operands import Label
 from repro.rewriting.passes import RewriteError, RewritePass
 
 #: Suffix appended to Shadow-Copy function names and block labels.

@@ -18,7 +18,7 @@ SanitizerCoverage trace-pc-guard interface honggfuzz consumes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Set, Tuple
+from typing import Iterable, Set, Tuple
 
 
 class CoverageMap:

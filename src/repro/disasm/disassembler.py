@@ -23,8 +23,6 @@ from repro.isa.encoding import EncodingError, decode_instruction
 from repro.isa.instructions import (
     Instruction,
     Opcode,
-    falls_through,
-    is_call,
 )
 from repro.isa.operands import Imm, Label, Mem
 from repro.loader.binary_format import (

@@ -11,11 +11,10 @@ remove or duplicate code without worrying about addresses; the reassembler
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.isa.instructions import (
     Instruction,
-    Opcode,
     falls_through,
     is_conditional_branch,
 )

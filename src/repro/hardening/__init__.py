@@ -8,7 +8,8 @@ counters back to instruction positions in the *uninstrumented* binary,
 SLH-style load masking, or the fence-every-branch baseline) through the
 ordinary rewriting pipeline, and :mod:`repro.hardening.pipeline` re-runs
 the campaign on the hardened binary to prove the reported sites are gone —
-while accounting the cycle overhead each strategy costs.
+while accounting the cycle overhead each strategy costs.  The
+:mod:`repro.api` pipeline (and ``repro harden``) drives these steps.
 """
 
 from repro.hardening.passes import (
@@ -24,11 +25,9 @@ from repro.hardening.pipeline import (
     HardeningResult,
     PatchOutcome,
     VerifyOutcome,
-    detect_reports,
     harden_module,
     measure_cycles,
     patch_binary,
-    run_hardening,
     verify_patch,
 )
 from repro.hardening.sites import (
@@ -51,11 +50,9 @@ __all__ = [
     "HardeningResult",
     "PatchOutcome",
     "VerifyOutcome",
-    "detect_reports",
     "harden_module",
     "measure_cycles",
     "patch_binary",
-    "run_hardening",
     "verify_patch",
     "GadgetSite",
     "SiteResolver",

@@ -1,22 +1,22 @@
-"""The detect → patch → verify pipeline.
+"""The building blocks of the detect → patch → verify loop.
 
-:func:`run_hardening` drives the whole loop for one (target, strategy)
-pair:
+The :mod:`repro.api` pipeline drives the loop (``fuzz`` or ``reports``,
+then ``harden`` → ``refuzz`` per strategy) from these steps:
 
-1. **Detect** — run a deterministic fuzzing campaign against the
-   tool-instrumented build (reusing :mod:`repro.campaign`'s scheduler) and
-   collect the deduplicated gadget reports.
-2. **Map** — resolve every report PC back to a :class:`~repro.hardening.
-   sites.GadgetSite` of the uninstrumented module.
-3. **Patch** — disassemble the original binary, run the strategy's
-   rewriting pass, and reassemble the hardened binary.
-4. **Verify** — substitute the hardened binary for the target (``
-   binary_override``), re-run the *same* campaign, and classify each
-   original site as eliminated or residual (plus any new sites the re-fuzz
-   surfaced).
-5. **Account** — execute the original and hardened binaries natively (no
-   instrumentation) over the target's crafted performance input and report
-   the cycle overhead the mitigation costs a deployed binary.
+1. **Detect** — a deterministic fuzzing campaign against the
+   tool-instrumented build yields the deduplicated gadget reports.
+2. **Map + patch** (:func:`patch_binary`) — resolve every report PC back
+   to a :class:`~repro.hardening.sites.GadgetSite` of the uninstrumented
+   module, run the strategy's rewriting pass (:func:`harden_module`), and
+   reassemble the hardened binary.
+3. **Verify** (:func:`verify_patch`) — substitute the hardened binary for
+   the target (``binary_override``), re-run the *same* campaign, and
+   classify each original site as eliminated or residual (plus any new
+   sites the re-fuzz surfaced).
+4. **Account** (:func:`measure_cycles`) — execute the original and
+   hardened binaries natively (no instrumentation) over the target's
+   crafted performance input: the cycle overhead the mitigation costs a
+   deployed binary.
 
 Everything is deterministic: same spec, same seed, same sites, same
 overhead, so results are directly comparable across strategies.
@@ -49,7 +49,6 @@ from repro.rewriting.passes import PassManager
 from repro.rewriting.reassemble import reassemble
 from repro.runtime.fastpath import resolve_engine
 from repro.sanitizers.reports import GadgetReport
-from repro.targets import get_target
 from repro.plugins import DEFAULT_ENGINE
 
 
@@ -137,9 +136,7 @@ def _variant_breakdown(*site_lists) -> Dict[str, Dict[str, int]]:
 class PatchOutcome:
     """The product of the patch step: a hardened binary plus bookkeeping.
 
-    Produced by :func:`patch_binary` and consumed by :func:`verify_patch`;
-    :func:`run_hardening` and the :mod:`repro.api` pipeline both build
-    their results from this pair, so the two entry points cannot drift.
+    Produced by :func:`patch_binary` and consumed by :func:`verify_patch`.
     """
 
     target: str
@@ -335,110 +332,3 @@ class HardeningResult:
             formatted = ", ".join(f"{k}={v}" for k, v in sorted(stats.items()))
             lines.append(f"  pass {name}: {formatted or 'no-op'}")
         return "\n".join(lines)
-
-
-def _campaign_spec(target: str, tool: str, variant: str, iterations: int,
-                   rounds: int, seed: int, engine: str,
-                   spec_variants=("pht",)) -> CampaignSpec:
-    return CampaignSpec(
-        targets=(target,),
-        tools=(tool,),
-        variants=(variant,),
-        iterations=iterations,
-        rounds=rounds,
-        shards=1,
-        seed=seed,
-        workers=1,
-        engine=engine,
-        skip_uninjectable=False,
-        spec_variants=tuple(spec_variants),
-    )
-
-
-def detect_reports(
-    target: str,
-    variant: str = "vanilla",
-    tool: str = "teapot",
-    iterations: int = 400,
-    rounds: int = 1,
-    seed: int = 1234,
-    engine: str = DEFAULT_ENGINE,
-    spec_variants=("pht",),
-) -> List[GadgetReport]:
-    """Run the detection campaign alone and return its unique reports.
-
-    Useful for comparing several strategies against one report set (the
-    matrix experiment does this) or for feeding ``--report-in`` workflows.
-    """
-    spec = _campaign_spec(target, tool, variant, iterations, rounds, seed,
-                          engine, spec_variants)
-    summary = run_campaign(spec)
-    return summary.row(target, tool, variant).collection.reports()
-
-
-def run_hardening(
-    target: str,
-    strategy: str,
-    variant: str = "vanilla",
-    tool: str = "teapot",
-    iterations: int = 400,
-    rounds: int = 1,
-    seed: int = 1234,
-    engine: str = DEFAULT_ENGINE,
-    perf_input_size: int = 200,
-    reports: Optional[Iterable[GadgetReport]] = None,
-    progress=None,
-    spec_variants=("pht",),
-) -> HardeningResult:
-    """Run the full detect → patch → verify → account loop for one target.
-
-    ``reports`` short-circuits the detection campaign with pre-recorded
-    gadget reports (e.g. from a previous ``repro campaign`` run); their PCs
-    must refer to the deterministic instrumented build of the same
-    (target, tool, variant), which is what every campaign fuzzes.
-    ``spec_variants`` selects the speculation variants both the detection
-    and the verification campaigns simulate; the result's ``by_variant``
-    breaks eliminated/residual/new down per variant.
-    """
-    note = progress or (lambda message: None)
-    spec = _campaign_spec(target, tool, variant, iterations, rounds, seed,
-                          engine, spec_variants)
-    result = HardeningResult(
-        target=target, variant=variant, tool=tool, strategy=strategy,
-        engine=engine, iterations=iterations, seed=seed,
-    )
-
-    # 1. Detect.
-    if reports is None:
-        note(f"fuzzing baseline {target}/{variant} with {tool}")
-        baseline = run_campaign(spec)
-        row = baseline.row(target, tool, variant)
-        collection: Iterable[GadgetReport] = row.collection
-        result.baseline_executions = row.executions
-    else:
-        collection = list(reports)
-
-    # 2+3. Map and patch.
-    patch = patch_binary(target, strategy, variant=variant, tool=tool,
-                         reports=collection)
-    result.pass_stats = patch.pass_stats
-    result.sites_before = patch.sites_before
-    note(f"{len(patch.site_reports)} unique gadget sites to harden")
-
-    # 4. Verify.
-    note(f"re-fuzzing hardened binary ({strategy})")
-    verification = verify_patch(patch, spec)
-    result.verify_executions = verification.executions
-    result.eliminated = verification.eliminated
-    result.residual = verification.residual
-    result.new_sites = verification.new_sites
-
-    # 5. Account.
-    perf_input = get_target(target).perf_input(perf_input_size)
-    result.native_cycles = measure_cycles(patch.base_binary, perf_input,
-                                          engine)
-    result.hardened_cycles = measure_cycles(patch.hardened, perf_input,
-                                            engine)
-    note(f"overhead {result.overhead:.3f}x, "
-         f"{len(result.eliminated)}/{len(result.sites_before)} sites eliminated")
-    return result

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 from repro.isa.encoding import encode_instruction, encoded_length
 from repro.isa.instructions import Instruction, Opcode
-from repro.isa.operands import Imm, Label, Mem, Reg
+from repro.isa.operands import Imm, Label, Mem
 from repro.loader.binary_format import (
     DataObject,
     Relocation,

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
-from repro.isa.assembler import AsmFunction, AsmProgram
+from repro.isa.assembler import AsmProgram
 from repro.isa.builder import FunctionBuilder
 from repro.isa.instructions import alu as make_alu
 from repro.isa.instructions import ConditionCode, Opcode

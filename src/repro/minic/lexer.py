@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List
 
 
 class LexerError(ValueError):

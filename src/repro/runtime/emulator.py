@@ -28,9 +28,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.isa.encoding import decode_instruction
 from repro.isa.instructions import Instruction, Opcode
-from repro.isa.operands import Imm, Mem, Reg
+from repro.isa.operands import Imm, Mem
 from repro.isa.registers import ARG_REGISTERS, RETURN_REGISTER, Register
-from repro.loader.binary_format import SymbolKind, TelfBinary
+from repro.loader.binary_format import TelfBinary
 from repro.runtime.costs import CostModel, DEFAULT_COSTS
 from repro.runtime.errors import (
     ArithmeticFault,

@@ -20,7 +20,7 @@ byte-to-byte, since real DFSan interposes on them as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.runtime.errors import ProgramCrash, ProgramExit
 from repro.runtime.machine import to_signed, to_unsigned

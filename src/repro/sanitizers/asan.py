@@ -22,7 +22,7 @@ Poisoning sources, mirroring the paper:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING
 
 from repro.loader.layout import DEFAULT_LAYOUT, MemoryLayout
 

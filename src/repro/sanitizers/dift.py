@@ -29,7 +29,7 @@ the paper's "log the tag changes for later rollback".
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.isa.instructions import Instruction, Opcode
 from repro.isa.operands import Imm, Mem, Reg

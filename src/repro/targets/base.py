@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.loader.binary_format import TelfBinary
-from repro.minic.codegen import CompilerOptions, SwitchLowering
+from repro.minic.codegen import CompilerOptions
 from repro.minic.compiler import compile_source
 from repro.plugins import PluginRegistry
 

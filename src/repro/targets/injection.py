@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 from repro.loader.binary_format import TelfBinary
 from repro.minic.codegen import CompilerOptions
 from repro.minic.compiler import compile_source
-from repro.targets.base import AttackPoint, TargetProgram
+from repro.targets.base import TargetProgram
 from repro.targets.gadget_samples import gadget_globals, gadget_snippet
 
 _MARKER_RE = re.compile(r"/\*@ATTACK_POINT:(\d+)@\*/")

@@ -17,7 +17,7 @@ paths).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 #: default histogram bucket upper bounds (powers of two); one overflow
 #: bucket is always appended.

@@ -19,7 +19,7 @@ time exactly.
 from __future__ import annotations
 
 import html
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro._version import __version__
 

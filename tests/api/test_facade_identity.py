@@ -1,10 +1,9 @@
 """The facade must be a re-plumbing, not a re-implementation.
 
-Every Pipeline stage is compared against the classic subsystem entry
-point it wraps: identical campaign summaries, identical hardening
-results, identical experiment rows.  Combined with the golden-table
-tests in ``tests/analysis``, this pins the bit-identical-routing
-acceptance criterion.
+The fuzz and campaign stages are compared against the campaign
+scheduler they wrap (``run_campaign``): identical campaign summaries.
+Combined with the golden-table tests in ``tests/analysis``, this pins
+the bit-identical-routing acceptance criterion.
 """
 
 from __future__ import annotations
@@ -12,11 +11,9 @@ from __future__ import annotations
 import pytest
 
 import repro.api as api
-from repro.analysis.experiments import run_hardening_matrix
 from repro.campaign.scheduler import run_campaign
 from repro.campaign.spec import CampaignSpec
 from repro.fuzzing.fuzzer import CampaignResult
-from repro.hardening.pipeline import detect_reports, run_hardening
 
 
 def test_fuzz_stage_matches_direct_campaign():
@@ -37,28 +34,6 @@ def test_campaign_stage_matches_direct_campaign():
     direct = run_campaign(spec)
     facade = api.pipeline().campaign(spec=spec).report()
     assert facade.stage("campaign").payload["summary"] == direct.to_dict()
-
-
-def test_hardening_chain_matches_run_hardening():
-    reports = detect_reports("gadgets", iterations=120, seed=42)
-    direct = run_hardening("gadgets", "fence", iterations=120, seed=42,
-                           reports=reports)
-    facade = (api.pipeline(target="gadgets", seed=42)
-              .reports(reports).harden("fence").refuzz(iterations=120)
-              .report().hardening_result)
-    assert facade.to_dict() == direct.to_dict()
-
-
-def test_hardening_matrix_rows_match_classic_composition():
-    # run_hardening_matrix is routed through the facade; its rows must be
-    # bit-identical with hand-composing the classic entry points.
-    (row,) = run_hardening_matrix(targets=("gadgets",),
-                                  strategies=("fence",),
-                                  iterations=120, seed=42)
-    reports = detect_reports("gadgets", iterations=120, seed=42)
-    classic = run_hardening("gadgets", "fence", iterations=120, seed=42,
-                            reports=reports)
-    assert row.results["fence"].to_dict() == classic.to_dict()
 
 
 def test_fuzz_stage_embeds_a_campaign_result():

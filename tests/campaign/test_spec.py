@@ -3,8 +3,11 @@
 import pytest
 
 from repro.campaign.spec import (
+    MAX_ATTEMPTS,
+    MAX_BACKOFF_S,
     MAX_INPUT_SIZE,
     MAX_ITERATIONS,
+    MAX_JOB_TIMEOUT_S,
     MAX_ROUNDS,
     MAX_SHARDS,
     MAX_WORKERS,
@@ -85,9 +88,12 @@ def test_spec_validation():
     ("shards", 1, MAX_SHARDS),
     ("workers", 0, MAX_WORKERS),
     ("max_input_size", 1, MAX_INPUT_SIZE),
+    ("job_timeout_s", 0, MAX_JOB_TIMEOUT_S),
+    ("job_max_attempts", 1, MAX_ATTEMPTS),
+    ("job_retry_backoff_s", 0, MAX_BACKOFF_S),
 ])
 def test_spec_integers_are_bounded(name, low, high):
-    """A spec integer reads back up to its bound and is refused past it,
+    """A spec number reads back up to its bound and is refused past it,
     naming the field (the HTTP submit path answers that with a 400)."""
     for value in (low, high):
         spec = CampaignSpec.from_dict({"targets": ["gadgets"], name: value})
@@ -97,6 +103,12 @@ def test_spec_integers_are_bounded(name, low, high):
             CampaignSpec.from_dict({"targets": ["gadgets"], name: value})
         assert str(excinfo.value) == (
             f"{name}: must be between {low} and {high}")
+
+
+@pytest.mark.parametrize("name", ("job_timeout_s", "job_retry_backoff_s"))
+def test_spec_refuses_a_nan_retry_knob(name):
+    with pytest.raises(ValueError, match=f"^{name}: must be between "):
+        CampaignSpec(targets=("gadgets",), **{name: float("nan")})
 
 
 def test_legacy_seeding_uses_campaign_seed_directly():

@@ -15,14 +15,33 @@ import json
 
 import pytest
 
+import repro.api as api
 import repro.hardening.pipeline as hardening_pipeline
 from repro.analysis.experiments import run_hardening_matrix
+from repro.api.cli import main as repro_main
 from repro.campaign.scheduler import CampaignScheduler
 from repro.campaign.spec import CampaignSpec
-from repro.hardening.cli import main as harden_main
-from repro.hardening.pipeline import (detect_reports, patch_binary,
-                                      run_hardening, verify_patch)
+from repro.hardening.pipeline import patch_binary, verify_patch
 from repro.service.scheduler import ServiceCampaignScheduler
+
+
+def _detect(target, iterations, seed):
+    return (api.pipeline(target=target, seed=seed)
+            .fuzz(iterations=iterations).report().gadget_reports())
+
+
+def _harden(target, strategy, iterations, seed, reports=None):
+    chain = api.pipeline(target=target, seed=seed)
+    if reports is None:
+        chain.fuzz(iterations=iterations)
+    else:
+        chain.reports(reports)
+    return (chain.harden(strategy).refuzz(iterations=iterations)
+            .report().hardening_result)
+
+
+def _harden_cli(argv):
+    return repro_main(["harden", *argv])
 
 
 @pytest.fixture(scope="module")
@@ -89,8 +108,13 @@ def test_verification_campaign_matches_detection_budget(gadgets_matrix):
     assert result.verify_executions == result.iterations
 
 
+def test_matrix_rows_carry_the_detection_executions(gadgets_matrix):
+    for result in gadgets_matrix.results.values():
+        assert result.baseline_executions == result.iterations == 400
+
+
 def test_hardening_without_reports_is_a_no_op():
-    result = run_hardening("gadgets", "fence", iterations=40, seed=99,
+    result = _harden("gadgets", "fence", iterations=40, seed=99,
                            reports=[])
     assert result.sites_before == []
     assert result.eliminated == [] and result.residual == []
@@ -102,7 +126,7 @@ def test_service_verification_fuzzes_the_hardened_binary(monkeypatch):
     # The service's job processes must see binary_override: re-fuzzing
     # the original build with the detection spec would re-find every
     # site, so each would come back residual instead of eliminated.
-    reports = detect_reports("gadgets", iterations=150, seed=7)
+    reports = _detect("gadgets", iterations=150, seed=7)
     patch = patch_binary("gadgets", "fence", reports=reports)
     spec = CampaignSpec(targets=("gadgets",), tools=("teapot",),
                         iterations=150, rounds=1, shards=1, seed=7,
@@ -123,18 +147,18 @@ def test_service_verification_fuzzes_the_hardened_binary(monkeypatch):
 
 
 def test_results_are_deterministic():
-    first = run_hardening("gadgets", "fence", iterations=120, seed=42)
-    second = run_hardening("gadgets", "fence", iterations=120, seed=42)
+    first = _harden("gadgets", "fence", iterations=120, seed=42)
+    second = _harden("gadgets", "fence", iterations=120, seed=42)
     assert first.to_dict() == second.to_dict()
 
 
 def test_cli_report_file_roundtrip(tmp_path, capsys):
-    reports = detect_reports("gadgets", iterations=400, seed=1234)
+    reports = _detect("gadgets", iterations=400, seed=1234)
     report_path = tmp_path / "reports.json"
     report_path.write_text(json.dumps([r.to_dict() for r in reports]))
     out_path = tmp_path / "hardening.json"
 
-    exit_code = harden_main([
+    exit_code = _harden_cli([
         "--target", "gadgets", "--strategy", "fence",
         "--iterations", "400", "--seed", "1234",
         "--report-in", str(report_path),
@@ -154,4 +178,18 @@ def test_cli_report_file_roundtrip(tmp_path, capsys):
 
 def test_cli_rejects_unknown_target(capsys):
     with pytest.raises(SystemExit):
-        harden_main(["--target", "not-a-target", "--quiet"])
+        _harden_cli(["--target", "not-a-target", "--quiet"])
+
+
+def test_cli_strategy_all_carries_the_detection_executions(capsys):
+    # One detection campaign serves every strategy, so each result counts
+    # its executions; only pre-recorded reports leave the count at 0.
+    assert _harden_cli(["--target", "gadgets", "--strategy", "all",
+                        "--iterations", "120", "--seed", "42",
+                        "--quiet", "--json", "-"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [run["strategy"] for run in payload] == ["fence", "mask",
+                                                    "fence-all"]
+    for run in payload:
+        assert run["baseline_executions"] == 120
+        assert run["verify_executions"] == 120

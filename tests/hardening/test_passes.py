@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.api as api
 from repro.disasm.disassembler import disassemble
 from repro.hardening.passes import (
     PRED_SYMBOL,
@@ -13,7 +14,7 @@ from repro.hardening.passes import (
     MaskLoadPass,
     strategy_pass,
 )
-from repro.hardening.pipeline import detect_reports, harden_module
+from repro.hardening.pipeline import harden_module
 from repro.hardening.sites import GadgetSite, locate_site, resolve_sites
 from repro.campaign.worker import compiled_binary, instrumented_binary
 from repro.isa.instructions import Opcode, is_conditional_branch, is_pseudo
@@ -27,7 +28,8 @@ from repro.targets import get_target
 @pytest.fixture(scope="module")
 def gadget_sites():
     """Deterministic gadget sites of the Kocher-sample driver."""
-    reports = detect_reports("gadgets", iterations=400, seed=1234)
+    reports = (api.pipeline(target="gadgets", seed=1234)
+               .fuzz(iterations=400).report().gadget_reports())
     instrumented = instrumented_binary("gadgets", "teapot", "vanilla")
     sites = resolve_sites(instrumented, reports)
     assert sites, "the Kocher samples must produce gadget reports"

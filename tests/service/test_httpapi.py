@@ -10,8 +10,8 @@ import urllib.request
 import pytest
 
 from repro.campaign.scheduler import CampaignScheduler
-from repro.campaign.spec import (MAX_ITERATIONS, MAX_ROUNDS, MAX_SHARDS,
-                                 CampaignSpec)
+from repro.campaign.spec import (MAX_ATTEMPTS, MAX_ITERATIONS, MAX_ROUNDS,
+                                 MAX_SHARDS, CampaignSpec)
 from repro.service.core import FuzzService
 from repro.service.httpapi import ServiceApiServer
 from repro.service.worker import ServiceWorker
@@ -182,6 +182,7 @@ OUT_OF_RANGE_SPECS = [
     ({"iterations": 10**300}, "iterations", MAX_ITERATIONS),
     ({"rounds": 10**9}, "rounds", MAX_ROUNDS),
     ({"shards": 10**6}, "shards", MAX_SHARDS),
+    ({"job_max_attempts": 10**9}, "job_max_attempts", MAX_ATTEMPTS),
 ]
 
 
